@@ -1,53 +1,38 @@
-//! The in-process message-passing backend: one long-lived worker thread per
-//! shard, commands and replies as serialized byte frames.
+//! The thread transport of the message-passing backend: one long-lived
+//! worker thread per shard, frames on in-process channels.
 //!
-//! [`ChannelMp`] is the dress rehearsal for out-of-process/remote shards.
-//! Unlike [`super::LocalSpmd`], where the host ships shared closures into a
-//! [`cgselect_runtime::Session`], here the host holds **no shard state and
-//! no code pointer into the workers**: every verb is encoded as a byte
-//! frame in the shared host↔worker protocol (`super::protocol` — versioned,
-//! batch-sequence-numbered framing over the `super::wire` codec), sent down
-//! a per-worker channel, decoded by the worker, executed against its owned
-//! `super::ops::Shard`, and answered with another byte frame. Only the
-//! per-batch pivot *seed* crosses the wire per execute; the rest of the
-//! selection tuning is deployment configuration every worker received at
-//! spawn. Shard-to-shard collectives ride the same in-process
-//! [`cgselect_runtime::Proc`] fabric as `LocalSpmd` (obtained via
-//! [`cgselect_runtime::Machine::procs`]), which is precisely what keeps
-//! collective-round counts identical across backends; [`super::SocketMp`]
-//! speaks the same protocol with real child processes and a socket fabric.
-//!
-//! Failure semantics mirror session poisoning, surfaced as typed
-//! [`BackendError`]s: a worker that panics mid-program reports the panic in
-//! its reply frame (its peers fail shortly after with receive timeouts,
-//! triaged as secondary fallout); a worker that never replies within
-//! [`ChannelMpTuning::reply_timeout`] is reported as
-//! [`BackendError::WorkerUnresponsive`]. The reply deadline is **shared
-//! across the whole collect loop** — p stragglers stall the host for one
-//! `reply_timeout`, not p of them — and replies carry the round's sequence
-//! number, so a slow worker's late reply can never be mistaken for an
-//! answer to a later round. Either way the backend is poisoned and every
-//! later call fails fast with [`BackendError::Poisoned`]. [`Fault`]
-//! injection exists so the conformance harness can force each of these
-//! paths deterministically.
+//! [`BackendChoice::ChannelMp`](super::BackendChoice::ChannelMp) runs the
+//! shared host and serve loop (`super::mp`) over this transport. It is the
+//! process transport (`super::socket_mp`) minus the operating system: the
+//! same byte frames cross a per-worker channel instead of a socket, each
+//! worker's deployment configuration is moved (not serialized) into its
+//! thread exactly as argv and config files reach a remote shard process out
+//! of band, and each membership epoch's collective fabric is a fresh set of
+//! in-process [`cgselect_runtime::Proc`]s (from
+//! [`cgselect_runtime::Machine::procs`], the same fabric `LocalSpmd` rides —
+//! which is what keeps collective-round counts identical across backends)
+//! handed to the workers over a typed side channel. Everything is
+//! deterministic and in one address space, so this is also where [`Fault`]
+//! injection lives: the conformance harness forces a worker panic
+//! mid-batch, a lost reply or a straggling shard and pins the typed error,
+//! the poisoning and the recovery at the backend boundary.
 
+use std::borrow::Cow;
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cgselect_runtime::{panic_message, Key, Machine, Proc};
+use cgselect_runtime::{Key, Machine, Proc};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::index::BucketStats;
 use crate::EngineConfig;
 
-use super::ops::{self, Shard};
-use super::protocol::{self, WorkerConfig, CMD_EXECUTE, CMD_EXIT, REPLY_OK};
-use super::wire::Writer;
-use super::{BackendError, BackendKind, BatchPlan, ExecBackend, ShardBatchOutcome, ShardDeletion};
+use super::mp::{self, Fabric, FramePipe, Transport};
+use super::protocol::WorkerConfig;
+use super::{BackendError, BackendKind};
 
-/// Tuning (and test instrumentation) of the [`ChannelMp`] backend.
+/// Tuning (and test instrumentation) of
+/// [`BackendChoice::ChannelMp`](super::BackendChoice::ChannelMp) engines.
 #[derive(Clone, Debug)]
 pub struct ChannelMpTuning {
     /// How long the host waits for the round's reply frames before
@@ -103,8 +88,10 @@ impl ChannelMpTuning {
     }
 }
 
-/// An injected fault, for pinning down [`ChannelMp`]'s typed-error and
-/// poisoning behavior in tests.
+/// An injected fault, for pinning down the message-passing backend's
+/// typed-error, poisoning and recovery behavior in tests. Faults are keyed
+/// by rank and fire in the worker's data-plane dispatch; control verbs
+/// (fabric wiring, migration, ping) are never faulted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Worker `rank` panics *mid-batch* while serving its `nth`
@@ -124,8 +111,8 @@ pub enum Fault {
         /// Which of its execute commands loses its reply.
         nth: u64,
     },
-    /// Worker `rank` sleeps `delay` before serving every command — a
-    /// straggling shard. Must be well below both timeouts; the program
+    /// Worker `rank` sleeps `delay` before serving every data-plane command
+    /// — a straggling shard. Must be well below both timeouts; the program
     /// still completes correctly, just later.
     SlowShard {
         /// The slow worker.
@@ -135,294 +122,121 @@ pub enum Fault {
     },
 }
 
-/// Everything a worker needs at spawn besides its `Proc`: deployment
-/// configuration, moved (not serialized) into the thread exactly as argv
-/// and config files reach a remote shard process out of band.
-struct WorkerInit {
-    cfg: WorkerConfig,
-    faults: Vec<Fault>,
-}
-
-struct WorkerLink {
-    cmd: Sender<Vec<u8>>,
-    reply: Receiver<Vec<u8>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// The in-process message-passing execution backend (see the
-/// [module docs](self)).
-pub struct ChannelMp<T: Key> {
-    workers: Vec<WorkerLink>,
-    reply_timeout: Duration,
-    next_seq: u64,
-    poisoned: bool,
+/// The thread transport (see the [module docs](self)).
+pub(crate) struct ThreadTransport<T> {
+    cfg: EngineConfig,
+    tuning: ChannelMpTuning,
     _marker: PhantomData<fn(T)>,
 }
 
-impl<T: Key> ChannelMp<T> {
-    /// Spawns the per-shard worker threads with empty shards resident.
-    pub(crate) fn start(cfg: &EngineConfig, tuning: ChannelMpTuning) -> Self {
-        let machine = Machine::with_model(cfg.nprocs, cfg.model).recv_timeout(tuning.proc_timeout);
-        let workers = machine
-            .procs()
-            .into_iter()
-            .enumerate()
-            .map(|(rank, proc)| {
-                let (cmd_tx, cmd_rx) = unbounded::<Vec<u8>>();
-                let (reply_tx, reply_rx) = unbounded::<Vec<u8>>();
-                let init = WorkerInit {
-                    cfg: WorkerConfig {
-                        rank,
-                        sketch_capacity: cfg.sketch_capacity,
-                        selection: cfg.selection.clone(),
-                        balancer: cfg.balancer,
-                    },
-                    faults: tuning.faults.clone(),
-                };
-                let handle = std::thread::Builder::new()
-                    .name(format!("cgselect-mp-shard{rank}"))
-                    .spawn(move || worker_loop::<T>(proc, init, cmd_rx, reply_tx))
-                    .expect("failed to spawn channel-mp shard worker");
-                WorkerLink { cmd: cmd_tx, reply: reply_rx, handle: Some(handle) }
+impl<T: Key> ThreadTransport<T> {
+    pub(crate) fn new(cfg: &EngineConfig, tuning: ChannelMpTuning) -> Self {
+        ThreadTransport { cfg: cfg.clone(), tuning, _marker: PhantomData }
+    }
+}
+
+/// One live shard worker thread, as the host holds it.
+pub(crate) struct ThreadLink {
+    cmd: Sender<Vec<u8>>,
+    reply: Receiver<Vec<u8>>,
+    /// The typed side channel each epoch's `Proc` is staged on.
+    fabrics: Sender<(u64, Proc)>,
+    handle: JoinHandle<()>,
+}
+
+impl<T: Key> Transport for ThreadTransport<T> {
+    type Link = ThreadLink;
+
+    const KIND: BackendKind = BackendKind::ChannelMp;
+
+    fn spawn(&mut self, rank: usize) -> Result<ThreadLink, BackendError> {
+        let (cmd, commands) = unbounded::<Vec<u8>>();
+        let (replies, reply) = unbounded::<Vec<u8>>();
+        let (fabrics, staged) = unbounded::<(u64, Proc)>();
+        let cfg = WorkerConfig {
+            rank,
+            sketch_capacity: self.cfg.sketch_capacity,
+            selection: self.cfg.selection.clone(),
+            balancer: self.cfg.balancer,
+        };
+        let faults = self.tuning.faults.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("cgselect-mp-shard{rank}"))
+            .spawn(move || {
+                let mut pipe = ChannelPipe { commands, replies };
+                let mut fabric = StagedFabric { staged, epoch: 0 };
+                mp::serve::<T>(&mut pipe, &mut fabric, cfg, &faults);
             })
-            .collect();
-        ChannelMp {
-            workers,
-            reply_timeout: tuning.reply_timeout,
-            next_seq: 1,
-            poisoned: false,
-            _marker: PhantomData,
+            .map_err(|e| BackendError::Spawn { rank, detail: e.to_string() })?;
+        Ok(ThreadLink { cmd, reply, fabrics, handle })
+    }
+
+    fn send(link: &mut ThreadLink, frame: Cow<'_, [u8]>) -> bool {
+        link.cmd.send(frame.into_owned()).is_ok()
+    }
+
+    fn replies(link: &ThreadLink) -> &Receiver<Vec<u8>> {
+        &link.reply
+    }
+
+    fn rewire(&mut self, links: &[ThreadLink], epoch: u64) {
+        let machine =
+            Machine::with_model(links.len(), self.cfg.model).recv_timeout(self.tuning.proc_timeout);
+        for (link, proc) in links.iter().zip(machine.procs()) {
+            // A dead worker fails its BIND round; nothing to report here.
+            let _ = link.fabrics.send((epoch, proc));
         }
     }
 
-    /// Sends one command body per worker and collects one reply payload per
-    /// worker, applying the session-style root-cause triage and poisoning
-    /// on any failure. The round's sequence number stamps every frame; the
-    /// reply deadline is shared across the whole collect loop.
-    fn round_trip(&mut self, bodies: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, BackendError> {
-        if self.poisoned {
-            return Err(BackendError::Poisoned);
-        }
-        debug_assert_eq!(bodies.len(), self.workers.len());
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        for (rank, (w, body)) in self.workers.iter().zip(bodies).enumerate() {
-            if w.cmd.send(protocol::encode_framed(seq, &body)).is_err() {
-                self.poisoned = true;
-                return Err(BackendError::WorkerUnresponsive { rank });
-            }
-        }
-        let deadline = Instant::now() + self.reply_timeout;
-        let mut payloads = Vec::with_capacity(self.workers.len());
-        let mut failures: Vec<BackendError> = Vec::new();
-        for (rank, w) in self.workers.iter().enumerate() {
-            match protocol::collect_frame(&w.reply, deadline, seq, rank)
-                .and_then(|body| protocol::decode_reply_status(rank, body))
-            {
-                Ok(payload) => payloads.push(payload),
-                Err(e) => failures.push(e),
-            }
-        }
-        if failures.is_empty() {
-            return Ok(payloads);
-        }
-        self.poisoned = true;
-        Err(protocol::triage(failures))
-    }
-
-    /// The same serialized body for every worker.
-    fn broadcast_frames(&self, body: Vec<u8>) -> Vec<Vec<u8>> {
-        let p = self.workers.len();
-        let mut bodies = Vec::with_capacity(p);
-        for _ in 1..p {
-            bodies.push(body.clone());
-        }
-        bodies.push(body);
-        bodies
-    }
-
-    /// Decodes every rank's reply payload, poisoning the backend on the
-    /// first malformed frame (a worker that writes garbage is as gone as
-    /// one that panicked).
-    fn decode_all<R>(
-        &mut self,
-        payloads: Vec<Vec<u8>>,
-        decode: impl Fn(usize, &[u8]) -> Result<R, BackendError>,
-    ) -> Result<Vec<R>, BackendError> {
-        let mut out = Vec::with_capacity(payloads.len());
-        for (rank, body) in payloads.iter().enumerate() {
-            match decode(rank, body) {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    self.poisoned = true;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
+    fn reap(&mut self, link: ThreadLink) {
+        // Join-on-reap, mirroring `Session`: a worker that was told to
+        // exit (or lost its command channel) returns from its serve loop.
+        let _ = link.handle.join();
     }
 }
 
-impl<T: Key> ExecBackend<T> for ChannelMp<T> {
-    fn nprocs(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::ChannelMp
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    fn ingest(&mut self, chunks: Vec<Vec<T>>) -> Result<Vec<u64>, BackendError> {
-        assert_eq!(chunks.len(), self.workers.len(), "one ingest chunk per shard");
-        let bodies = chunks.iter().map(|chunk| protocol::encode_ingest(chunk)).collect();
-        let payloads = self.round_trip(bodies)?;
-        self.decode_all(payloads, protocol::decode_u64_reply)
-    }
-
-    fn delete(&mut self, values: Vec<T>) -> Result<Vec<ShardDeletion>, BackendError> {
-        let payloads = self.round_trip(self.broadcast_frames(protocol::encode_delete(&values)))?;
-        self.decode_all(payloads, protocol::decode_deletion_reply)
-    }
-
-    fn rebalance(&mut self) -> Result<Vec<u64>, BackendError> {
-        let payloads = self
-            .round_trip(self.broadcast_frames(Writer::new(protocol::CMD_REBALANCE).into_frame()))?;
-        self.decode_all(payloads, protocol::decode_u64_reply)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn build_index(
-        &mut self,
-        buckets: usize,
-    ) -> Result<(Vec<cgselect_seqsel::SepBound<T>>, Vec<BucketStats<T>>), BackendError> {
-        let payloads =
-            self.round_trip(self.broadcast_frames(protocol::encode_build_index(buckets)))?;
-        let pairs = self.decode_all(payloads, protocol::decode_index_build_reply::<T>)?;
-        let mut bounds = Vec::new();
-        let mut stats = Vec::with_capacity(pairs.len());
-        for (rank, (b, s)) in pairs.into_iter().enumerate() {
-            if rank == 0 {
-                bounds = b;
-            } else {
-                debug_assert_eq!(bounds, b, "splitter bounds must agree across shards");
-            }
-            stats.push(s);
-        }
-        Ok((bounds, stats))
-    }
-
-    fn merge_delta(&mut self) -> Result<Vec<BucketStats<T>>, BackendError> {
-        let payloads = self.round_trip(
-            self.broadcast_frames(Writer::new(protocol::CMD_MERGE_DELTA).into_frame()),
-        )?;
-        self.decode_all(payloads, protocol::decode_bucket_stats_reply::<T>)
-    }
-
-    fn execute(&mut self, plan: &BatchPlan<T>) -> Result<Vec<ShardBatchOutcome<T>>, BackendError> {
-        let payloads = self.round_trip(self.broadcast_frames(protocol::encode_execute(plan)))?;
-        self.decode_all(payloads, protocol::decode_outcome::<T>)
-    }
-
-    fn export_sketches(&mut self) -> Result<Vec<crate::sketch::EpsSketch<T>>, BackendError> {
-        let payloads = self.round_trip(self.broadcast_frames(protocol::encode_export_sketch()))?;
-        self.decode_all(payloads, protocol::decode_sketch_reply::<T>)
-    }
-}
-
-impl<T: Key> Drop for ChannelMp<T> {
-    fn drop(&mut self) {
-        // Join-on-drop, mirroring `Session`: tell every worker to exit and
-        // wait for it, so dropping an engine never leaks shard threads.
-        for w in &self.workers {
-            let _ = w.cmd.send(protocol::encode_framed(self.next_seq, &[CMD_EXIT]));
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// The shard worker's command loop: unframe, decode, execute against the
-/// owned shard, run the end-of-program protocol, reply under the command's
-/// sequence number. A panic (injected or real) or protocol violation is
-/// reported in the reply frame and ends the loop, exactly as a `Session`
-/// worker stops serving after a failure.
-fn worker_loop<T: Key>(
-    mut proc: Proc,
-    init: WorkerInit,
+struct ChannelPipe {
     commands: Receiver<Vec<u8>>,
     replies: Sender<Vec<u8>>,
-) {
-    let rank = init.cfg.rank;
-    let mut shard: Shard<T> = ops::init_shard(init.cfg.sketch_capacity);
-    let slow_delay = init.faults.iter().find_map(|f| match f {
-        Fault::SlowShard { rank: r, delay } if *r == rank => Some(*delay),
-        _ => None,
-    });
-    let mut executes_served = 0u64;
-    while let Ok(frame) = commands.recv() {
-        let (seq, body) = match protocol::split_framed(&frame) {
-            Ok(parts) => parts,
-            // An unframeable command cannot be answered under a matching
-            // sequence number; stop serving and let the host time out.
-            Err(_) => break,
-        };
-        if body.first() == Some(&CMD_EXIT) {
-            break;
-        }
-        if let Some(delay) = slow_delay {
-            std::thread::sleep(delay);
-        }
-        let (panic_now, drop_reply) = if body.first() == Some(&CMD_EXECUTE) {
-            let nth = executes_served;
-            executes_served += 1;
-            (
-                init.faults.iter().any(|f| {
-                    matches!(f, Fault::PanicOnExecute { rank: r, nth: n } if *r == rank && *n == nth)
-                }),
-                init.faults.iter().any(|f| {
-                    matches!(f, Fault::DropReplyOnExecute { rank: r, nth: n } if *r == rank && *n == nth)
-                }),
-            )
-        } else {
-            (false, false)
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            protocol::run_command::<T>(&mut proc, &mut shard, &init.cfg, body, panic_now)
-        }));
-        let reply = match outcome {
-            Ok(Ok(payload)) => payload,
-            Ok(Err(protocol_err)) => protocol::encode_protocol_error(&protocol_err),
-            Err(payload) => {
-                let mut w = Writer::new(protocol::REPLY_PANICKED);
-                w.str(&panic_message(payload));
-                w.into_frame()
+}
+
+impl FramePipe for ChannelPipe {
+    fn recv(&mut self) -> Option<Vec<u8>> {
+        self.commands.recv().ok()
+    }
+
+    fn send(&mut self, frame: Vec<u8>) -> bool {
+        self.replies.send(frame).is_ok()
+    }
+}
+
+/// The worker's end of the fabric side channel: BIND names the epoch,
+/// CONNECT takes that epoch's staged `Proc` (skipping any left over from a
+/// rewire that failed part-way).
+struct StagedFabric {
+    staged: Receiver<(u64, Proc)>,
+    epoch: u64,
+}
+
+impl Fabric for StagedFabric {
+    fn bind(&mut self, epoch: u64, _rank: usize, _p: usize) -> Result<(), String> {
+        self.epoch = epoch;
+        Ok(())
+    }
+
+    fn connect(&mut self) -> Result<Proc, String> {
+        while let Ok((epoch, proc)) = self.staged.try_recv() {
+            if epoch == self.epoch {
+                return Ok(proc);
             }
-        };
-        let failed = reply.first() != Some(&REPLY_OK);
-        if drop_reply && !failed {
-            // Simulate a lost reply frame: the program ran, the host never
-            // hears about it. Keep serving (the host will poison itself).
-            continue;
         }
-        if replies.send(protocol::encode_framed(seq, &reply)).is_err() || failed {
-            // Host gone mid-run, or this program failed: this worker's Proc
-            // state can no longer be trusted — stop serving.
-            break;
-        }
+        Err(format!("no fabric staged for epoch {}", self.epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgselect_runtime::MachineModel;
 
     #[test]
     fn default_tuning_gives_reply_deadline_headroom() {
@@ -431,36 +245,5 @@ mod tests {
         // WorkerUnresponsive.
         let t = ChannelMpTuning::default();
         assert!(t.reply_timeout >= t.proc_timeout + t.proc_timeout / 2);
-    }
-
-    #[test]
-    fn straggler_timeouts_share_one_deadline() {
-        // Two stragglers sleep far past the reply deadline. With a shared
-        // deadline the host stalls ~one reply_timeout total; the old
-        // per-worker sequential timeouts would stall ~2x. The margin
-        // asserted here (< 2 full timeouts) fails on the sequential shape
-        // even under scheduler noise.
-        let cfg = EngineConfig::new(3).model(MachineModel::free());
-        let tuning = ChannelMpTuning::new()
-            .reply_timeout(Duration::from_millis(700))
-            .proc_timeout(Duration::from_millis(200))
-            .fault(Fault::SlowShard { rank: 0, delay: Duration::from_secs(2) })
-            .fault(Fault::SlowShard { rank: 1, delay: Duration::from_secs(2) });
-        let mut backend = ChannelMp::<u64>::start(&cfg, tuning);
-        let start = Instant::now();
-        let err = backend.ingest(vec![vec![1], vec![2], vec![3]]).unwrap_err();
-        let elapsed = start.elapsed();
-        assert!(
-            matches!(
-                err,
-                BackendError::WorkerUnresponsive { .. } | BackendError::WorkerPanicked { .. }
-            ),
-            "{err:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(1300),
-            "collect loop must share one deadline across stragglers, stalled {elapsed:?}"
-        );
-        assert!(backend.is_poisoned());
     }
 }

@@ -17,7 +17,7 @@ use super::{BackendError, BackendKind, BatchPlan, ExecBackend, ShardBatchOutcome
 /// keep each `Shard` resident in their typed `ShardStore`, with programs
 /// shipped as shared closures. This is exactly the engine's pre-backend
 /// execution path, so it is the reference implementation the conformance
-/// harness measures [`super::ChannelMp`] against.
+/// harness measures the message-passing backend against.
 pub struct LocalSpmd<T: Key> {
     session: Session,
     balancer: Balancer,

@@ -9,24 +9,31 @@
 //! communication accounting) sits behind the [`ExecBackend`] trait, chosen
 //! per engine via [`crate::EngineConfig::backend`].
 //!
-//! Three backends ship:
+//! Two backends ship, the second over two transports:
 //!
 //! * **[`LocalSpmd`]** — the original in-process
 //!   [`cgselect_runtime::Session`]: shard state lives in each persistent
 //!   worker's `ShardStore`, programs are shipped as shared closures.
-//! * **[`ChannelMp`]** — message passing: each shard lives on its own
-//!   long-lived worker thread that owns its data outright; every command
-//!   and reply crosses the channel as a **serialized byte frame**
-//!   (`wire`, private), never as a shared pointer — the dress rehearsal for
-//!   out-of-process/remote shards. It also supports [`Fault`] injection
-//!   (worker panic mid-batch, dropped replies, slow shards) so the typed
-//!   error and poisoning behavior at this boundary is testable.
-//! * **[`socket_mp::SocketMp`]** — the rehearsal made real: each shard is a
-//!   separate `cgselect-shard-worker` **process**, commands and the
-//!   shard-to-shard collective fabric both ride Unix-domain sockets, and
-//!   membership is dynamic — workers [`ExecBackend::join_worker`] /
-//!   [`ExecBackend::retire_worker`] at runtime, shards migrate between
-//!   processes ([`ExecBackend::replace_worker`]), and a killed worker is
+//! * **Message passing** (`mp`, private) — each shard lives on its own
+//!   long-lived worker that owns its data outright; every command and reply
+//!   crosses the link as a **serialized byte frame** (`protocol` over
+//!   `wire`, both private), never as a shared pointer. One generic host and
+//!   one worker serve loop are written against a transport that only spawns
+//!   workers, moves frames, stages the collective fabric and reaps:
+//!   * [`BackendChoice::ChannelMp`] — the **thread transport**
+//!     ([`channel_mp`]): worker threads, frames on in-process channels. It
+//!     also hosts [`Fault`] injection (worker panic mid-batch, dropped
+//!     replies, slow shards) so the typed error, poisoning and recovery
+//!     behavior at this boundary is testable deterministically.
+//!   * [`BackendChoice::SocketMp`] — the **process transport**
+//!     ([`socket_mp`]): each shard is a separate `cgselect-shard-worker`
+//!     **process**; commands and the shard-to-shard collective fabric both
+//!     ride Unix-domain sockets.
+//!
+//!   Membership is dynamic on both transports — workers
+//!   [`ExecBackend::join_worker`] / [`ExecBackend::retire_worker`] at
+//!   runtime, shards migrate between workers
+//!   ([`ExecBackend::replace_worker`]), and a failed or killed worker is
 //!   detected and re-sharded around ([`ExecBackend::recover`]).
 //!
 //! All backends execute the *identical* per-shard code (`ops`, private)
@@ -37,14 +44,15 @@
 
 pub mod channel_mp;
 mod local;
+pub(crate) mod mp;
 pub(crate) mod ops;
 pub(crate) mod protocol;
 pub mod socket_mp;
 pub(crate) mod wire;
 
-pub use channel_mp::{ChannelMp, ChannelMpTuning, Fault};
+pub use channel_mp::{ChannelMpTuning, Fault};
 pub use local::LocalSpmd;
-pub use socket_mp::{SocketMp, SocketMpTuning};
+pub use socket_mp::SocketMpTuning;
 
 use std::sync::Arc;
 
@@ -63,8 +71,9 @@ pub enum BackendChoice {
     /// The in-process persistent SPMD session (the default).
     #[default]
     LocalSpmd,
-    /// Message passing over per-shard worker threads with serialized
-    /// command/reply frames, tuned by the carried [`ChannelMpTuning`].
+    /// Message passing over per-shard worker **threads** with serialized
+    /// command/reply frames on in-process channels, tuned by the carried
+    /// [`ChannelMpTuning`].
     ChannelMp(ChannelMpTuning),
     /// Message passing over per-shard worker **processes** and Unix-domain
     /// sockets, tuned by the carried [`SocketMpTuning`]. Requires the
@@ -90,9 +99,11 @@ impl BackendChoice {
 pub enum BackendKind {
     /// [`LocalSpmd`].
     LocalSpmd,
-    /// [`ChannelMp`].
+    /// Message passing over the thread transport
+    /// ([`BackendChoice::ChannelMp`]).
     ChannelMp,
-    /// [`SocketMp`].
+    /// Message passing over the process transport
+    /// ([`BackendChoice::SocketMp`]).
     SocketMp,
 }
 
@@ -147,7 +158,7 @@ pub enum BackendError {
         detail: String,
     },
     /// The backend does not implement the named verb (e.g. membership
-    /// operations on an in-process backend).
+    /// operations on [`LocalSpmd`]).
     Unsupported {
         /// The refused verb.
         verb: &'static str,
@@ -211,7 +222,7 @@ impl BackendError {
 /// What [`ExecBackend::recover`] did to bring a backend back to serving.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Ranks whose worker processes were found dead and respawned empty
+    /// Ranks whose workers were found dead and respawned empty
     /// (their shard data is lost; the surviving multiset stays exact).
     pub replaced: Vec<usize>,
     /// Per-shard sizes after recovery, indexed by rank.
@@ -369,25 +380,25 @@ pub trait ExecBackend<T: Key>: Send {
 
     // --- Dynamic membership (optional capability) ---------------------
     //
-    // In-process backends have a fixed worker ring, so every verb below
-    // defaults to [`BackendError::Unsupported`]. [`SocketMp`] overrides
-    // all of them: its shard workers are processes and its collective
-    // fabric is rebuilt per membership epoch.
+    // [`LocalSpmd`] has a fixed worker ring, so every verb below defaults
+    // to [`BackendError::Unsupported`]. The message-passing backend
+    // overrides all of them on every transport: its collective fabric is
+    // rebuilt per membership epoch.
 
     /// True when this backend implements the membership verbs below.
     fn supports_membership(&self) -> bool {
         false
     }
 
-    /// OS process ids of the shard workers, indexed by rank — empty for
-    /// in-process backends. (For tests and operational tooling; killing a
+    /// OS process ids of the shard workers, indexed by rank — empty unless
+    /// the workers are processes. (For tests and operational tooling; killing a
     /// pid and calling [`ExecBackend::recover`] is the crash drill.)
     fn worker_pids(&self) -> Vec<u32> {
         vec![]
     }
 
     /// **Shard migration**: moves shard `rank` to a freshly spawned worker
-    /// process — full state (data, bucket runs, mid-stream sketch) is
+    /// — full state (data, bucket runs, mid-stream sketch) is
     /// exported, imported exactly, and the fabric re-wired — then returns
     /// the per-shard sizes. The shard is bit-identical after the move, so
     /// host-side caches (e.g. the histogram) stay valid.

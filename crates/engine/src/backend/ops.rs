@@ -3,8 +3,8 @@
 //! Each function here is the body one virtual processor runs for one
 //! engine verb (ingest, delete, rebalance, index build, delta merge, batch
 //! execution). [`super::LocalSpmd`] invokes them from `Session::run`
-//! closures; [`super::ChannelMp`] invokes them from each shard's long-lived
-//! worker thread after decoding a command frame. Because both backends run
+//! closures; the message-passing backend invokes them from each shard's
+//! long-lived worker after decoding a command frame. Because both run
 //! *this exact code* over the same [`Proc`] collectives, they produce
 //! identical answers **and identical collective-round counts** — the
 //! property `tests/backend_conformance.rs` pins down.
@@ -29,7 +29,7 @@ use super::{BatchPlan, PhaseOps, ShardBatchOutcome, ShardDeletion};
 /// Per-shard resident data plus its sketch and (optional) bucket index.
 /// Lives wherever the backend keeps shard state: in the worker's
 /// `ShardStore` for [`super::LocalSpmd`], owned directly by the shard's
-/// worker thread for [`super::ChannelMp`].
+/// worker thread or process for the message-passing backend.
 pub(crate) struct Shard<T> {
     pub(crate) data: Vec<T>,
     pub(crate) sketch: EpsSketch<T>,

@@ -1,12 +1,12 @@
-//! The host↔worker command/reply protocol shared by the message-passing
-//! backends ([`super::ChannelMp`] and [`super::SocketMp`]).
+//! The host↔worker command/reply protocol of the message-passing backend
+//! (`super::mp`), identical on every transport.
 //!
 //! # Framing
 //!
 //! Every command and reply travels as one frame:
 //!
 //! ```text
-//! [ version: u8 = 1 ][ seq: u64 LE ][ body ... ]
+//! [ version: u8 = 2 ][ seq: u64 LE ][ body ... ]
 //! ```
 //!
 //! * `version` pins the protocol revision; a mismatch is a typed
@@ -20,8 +20,8 @@
 //!   status (worker → host), followed by fields in the [`super::wire`]
 //!   codec.
 //!
-//! On a byte stream (the socket backend) each frame is additionally length-
-//! prefixed with a `u32` LE. The in-process channel backend sends one frame
+//! On a byte stream (the process transport) each frame is additionally
+//! length-prefixed with a `u32` LE. The thread transport sends one frame
 //! per channel message, so no length prefix is needed there.
 //!
 //! # Reply collection
@@ -35,7 +35,11 @@ use std::time::Instant;
 use cgselect_balance::Balancer;
 use cgselect_core::SelectionConfig;
 use cgselect_runtime::{Key, Proc, RunError, WireMsgError};
+use cgselect_seqsel::SepBound;
 use crossbeam::channel::Receiver;
+
+use crate::index::{BucketStats, ShardIndex};
+use crate::sketch::EpsSketch;
 
 use super::ops::{self, Shard};
 use super::wire::{Reader, WireResult, Writer};
@@ -49,9 +53,9 @@ pub(crate) const WIRE_VERSION: u8 = 2;
 /// Size of the frame header (`version` byte + `seq` u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 9;
 
-// Command frame tags (host -> worker), shared by both message-passing
-// backends. 0–15 are the data-plane verbs; 16+ are the socket backend's
-// control-plane verbs (membership, migration, liveness).
+// Command frame tags (host -> worker). 0–15 are the data-plane verbs; 16+
+// are the control-plane verbs (membership, migration, liveness) plus the
+// process transport's INIT.
 pub(crate) const CMD_EXIT: u8 = 0;
 pub(crate) const CMD_INGEST: u8 = 1;
 pub(crate) const CMD_DELETE: u8 = 2;
@@ -159,43 +163,31 @@ pub(crate) fn triage(failures: Vec<BackendError>) -> BackendError {
 
 /// Splits a reply body into its ok-payload or typed error.
 pub(crate) fn decode_reply_status(rank: usize, body: Vec<u8>) -> Result<Vec<u8>, BackendError> {
-    let typed = |r: WireResult<BackendError>| match r {
-        Ok(e) => e,
-        Err(e) => wire_protocol_error(rank, e),
-    };
-    match body.first().copied() {
-        Some(REPLY_OK) => Ok(body),
-        Some(REPLY_PANICKED) => Err(typed((|| {
-            let mut r = Reader::new(&body);
-            let message = r.str()?;
-            r.finish()?;
-            Ok(BackendError::WorkerPanicked { rank, message })
-        })())),
-        Some(REPLY_PENDING_MESSAGES) => Err(typed((|| {
-            let mut r = Reader::new(&body);
-            let detail = r.str()?;
-            r.finish()?;
-            Ok(BackendError::Runtime(RunError::PendingMessages { rank, detail }))
-        })())),
-        Some(REPLY_UNBALANCED_PHASES) => {
-            Err(BackendError::Runtime(RunError::UnbalancedPhases { rank }))
+    let status = body.first().copied();
+    Err(match status {
+        Some(REPLY_OK) => return Ok(body),
+        Some(REPLY_UNBALANCED_PHASES) => BackendError::Runtime(RunError::UnbalancedPhases { rank }),
+        Some(REPLY_PANICKED | REPLY_PENDING_MESSAGES | REPLY_WIRE_ERROR) => {
+            // These carry one string; a half-written one from a dying
+            // worker is itself a typed error, never an abort.
+            let detail = decode_reply(rank, &body, |r| r.str())?;
+            match status {
+                Some(REPLY_PANICKED) => BackendError::WorkerPanicked { rank, message: detail },
+                Some(REPLY_PENDING_MESSAGES) => {
+                    BackendError::Runtime(RunError::PendingMessages { rank, detail })
+                }
+                _ => BackendError::Runtime(RunError::WireProtocol { rank, detail }),
+            }
         }
-        Some(REPLY_WIRE_ERROR) => Err(typed((|| {
-            let mut r = Reader::new(&body);
-            let detail = r.str()?;
-            r.finish()?;
-            Ok(BackendError::Runtime(RunError::WireProtocol { rank, detail }))
-        })())),
-        other => Err(BackendError::WorkerPanicked {
+        other => BackendError::WorkerPanicked {
             rank,
             message: format!("malformed reply frame (status {other:?})"),
-        }),
-    }
+        },
+    })
 }
 
 // ---------------------------------------------------------------------
-// Per-verb body codecs (shared by both backends' ExecBackend impls and
-// worker loops).
+// Per-verb body codecs (the host's verbs and the worker's dispatch).
 // ---------------------------------------------------------------------
 
 pub(crate) fn encode_ingest<T: Key>(chunk: &[T]) -> Vec<u8> {
@@ -216,76 +208,41 @@ pub(crate) fn encode_build_index(buckets: usize) -> Vec<u8> {
     w.into_frame()
 }
 
-pub(crate) fn encode_export_sketch() -> Vec<u8> {
-    Writer::new(CMD_EXPORT_SKETCH).into_frame()
-}
-
-pub(crate) fn decode_sketch_reply<T: Key>(
+/// Decodes one reply payload with its verb's field decoder, requiring the
+/// frame be consumed exactly; a failure is a typed error on `rank`.
+pub(crate) fn decode_reply<R>(
     rank: usize,
     body: &[u8],
-) -> Result<crate::sketch::EpsSketch<T>, BackendError> {
-    (|| {
-        let mut r = Reader::new(body);
-        let sketch = r.eps_sketch::<T>()?;
-        r.finish()?;
-        Ok(sketch)
-    })()
-    .map_err(|e| wire_protocol_error(rank, e))
+    fields: impl FnOnce(&mut Reader<'_>) -> WireResult<R>,
+) -> Result<R, BackendError> {
+    let mut r = Reader::new(body);
+    let decoded = fields(&mut r).and_then(|v| r.finish().map(|()| v));
+    decoded.map_err(|e| wire_protocol_error(rank, e))
 }
 
-pub(crate) fn decode_u64_reply(rank: usize, body: &[u8]) -> Result<u64, BackendError> {
-    (|| {
-        let mut r = Reader::new(body);
-        let v = r.u64()?;
-        r.finish()?;
-        Ok(v)
-    })()
-    .map_err(|e| wire_protocol_error(rank, e))
+pub(crate) fn decode_sketch_reply<T: Key>(r: &mut Reader<'_>) -> WireResult<EpsSketch<T>> {
+    r.eps_sketch::<T>()
 }
 
-pub(crate) fn decode_deletion_reply(
-    rank: usize,
-    body: &[u8],
-) -> Result<ShardDeletion, BackendError> {
-    (|| {
-        let mut r = Reader::new(body);
-        let remaining = r.u64()?;
-        let removed = r.u64s()?;
-        r.finish()?;
-        Ok(ShardDeletion { remaining, removed })
-    })()
-    .map_err(|e| wire_protocol_error(rank, e))
+pub(crate) fn decode_u64_reply(r: &mut Reader<'_>) -> WireResult<u64> {
+    r.u64()
 }
 
-pub(crate) fn decode_bucket_stats_reply<T: Key>(
-    rank: usize,
-    body: &[u8],
-) -> Result<crate::index::BucketStats<T>, BackendError> {
-    (|| {
-        let mut r = Reader::new(body);
-        let stats = r.bucket_stats::<T>()?;
-        r.finish()?;
-        Ok(stats)
-    })()
-    .map_err(|e| wire_protocol_error(rank, e))
+pub(crate) fn decode_deletion_reply(r: &mut Reader<'_>) -> WireResult<ShardDeletion> {
+    Ok(ShardDeletion { remaining: r.u64()?, removed: r.u64s()? })
+}
+
+pub(crate) fn decode_bucket_stats_reply<T: Key>(r: &mut Reader<'_>) -> WireResult<BucketStats<T>> {
+    r.bucket_stats::<T>()
 }
 
 /// BUILD_INDEX replies carry the agreed splitter bounds alongside the
 /// shard's bucket stats so the host can mirror the shared splitter array
 /// without re-deriving it.
-#[allow(clippy::type_complexity)]
 pub(crate) fn decode_index_build_reply<T: Key>(
-    rank: usize,
-    body: &[u8],
-) -> Result<(Vec<cgselect_seqsel::SepBound<T>>, crate::index::BucketStats<T>), BackendError> {
-    (|| {
-        let mut r = Reader::new(body);
-        let bounds = r.sep_bounds::<T>()?;
-        let stats = r.bucket_stats::<T>()?;
-        r.finish()?;
-        Ok((bounds, stats))
-    })()
-    .map_err(|e| wire_protocol_error(rank, e))
+    r: &mut Reader<'_>,
+) -> WireResult<(Vec<SepBound<T>>, BucketStats<T>)> {
+    Ok((r.sep_bounds::<T>()?, r.bucket_stats::<T>()?))
 }
 
 /// Serializes one batch plan. Only the per-batch pivot seed crosses the
@@ -356,37 +313,126 @@ pub(crate) fn encode_outcome<T: Key>(w: &mut Writer, o: &ShardBatchOutcome<T>) {
     w.phase_spans(&o.spans);
 }
 
-pub(crate) fn decode_outcome<T: Key>(
-    rank: usize,
-    body: &[u8],
-) -> Result<ShardBatchOutcome<T>, BackendError> {
-    (|| {
-        let mut r = Reader::new(body);
-        let exact_len = r.usize()?;
-        let exact = (0..exact_len).map(|_| r.opt_key::<T>()).collect::<WireResult<_>>()?;
-        let refines_len = r.usize()?;
-        let refines = (0..refines_len).map(|_| r.bucket_stats::<T>()).collect::<WireResult<_>>()?;
-        let probe_refines_len = r.usize()?;
-        let probe_refines =
-            (0..probe_refines_len).map(|_| r.bucket_stats::<T>()).collect::<WireResult<_>>()?;
-        let probe_counts = r.u64s()?;
-        let phase_ops = PhaseOps { probes: r.u64()?, exact: r.u64()?, sketch: r.u64()? };
-        let comm = r.comm_stats()?;
-        let elapsed = r.f64()?;
-        let spans = r.phase_spans()?;
-        r.finish()?;
-        Ok(ShardBatchOutcome {
-            exact,
-            refines,
-            probe_refines,
-            probe_counts,
-            phase_ops,
-            comm,
-            elapsed,
-            spans,
-        })
-    })()
-    .map_err(|e| wire_protocol_error(rank, e))
+pub(crate) fn decode_outcome<T: Key>(r: &mut Reader<'_>) -> WireResult<ShardBatchOutcome<T>> {
+    let exact_len = r.usize()?;
+    let exact = (0..exact_len).map(|_| r.opt_key::<T>()).collect::<WireResult<_>>()?;
+    let refines_len = r.usize()?;
+    let refines = (0..refines_len).map(|_| r.bucket_stats::<T>()).collect::<WireResult<_>>()?;
+    let probe_refines_len = r.usize()?;
+    let probe_refines =
+        (0..probe_refines_len).map(|_| r.bucket_stats::<T>()).collect::<WireResult<_>>()?;
+    let probe_counts = r.u64s()?;
+    let phase_ops = PhaseOps { probes: r.u64()?, exact: r.u64()?, sketch: r.u64()? };
+    let comm = r.comm_stats()?;
+    let elapsed = r.f64()?;
+    let spans = r.phase_spans()?;
+    Ok(ShardBatchOutcome {
+        exact,
+        refines,
+        probe_refines,
+        probe_counts,
+        phase_ops,
+        comm,
+        elapsed,
+        spans,
+    })
+}
+
+// ---------------------------------------------------------------------
+// Control-plane codecs: fabric wiring and the shard snapshot that rides
+// EXPORT replies and IMPORT commands.
+// ---------------------------------------------------------------------
+
+pub(crate) fn encode_fabric_bind(epoch: u64, rank: usize, p: usize) -> Vec<u8> {
+    let mut w = Writer::new(CMD_FABRIC_BIND);
+    w.u64(epoch);
+    w.usize(rank);
+    w.usize(p);
+    w.into_frame()
+}
+
+/// The `(epoch, rank, p)` of a FABRIC_BIND command.
+pub(crate) fn decode_fabric_bind(body: &[u8]) -> WireResult<(u64, usize, usize)> {
+    let mut r = Reader::new(body);
+    let bind = (r.u64()?, r.usize()?, r.usize()?);
+    r.finish()?;
+    Ok(bind)
+}
+
+/// A control verb's failure reply.
+pub(crate) fn encode_wire_error(detail: &str) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_WIRE_ERROR);
+    w.str(detail);
+    w.into_frame()
+}
+
+pub(crate) fn encode_snapshot<T: Key>(w: &mut Writer, shard: &Shard<T>) {
+    w.keys(&shard.data);
+    match &shard.index {
+        Some(idx) => {
+            w.bool(true);
+            // A SepBound is structurally a probe pair: (value, inclusive).
+            let pairs: Vec<(T, bool)> = idx.bounds.iter().map(|b| (b.value, b.inclusive)).collect();
+            w.probes(&pairs);
+            let offsets: Vec<u64> = idx.offsets.iter().map(|&o| o as u64).collect();
+            w.u64s(&offsets);
+        }
+        None => w.bool(false),
+    }
+    // The ε-sketch rides its canonical byte encoding mid-stream: the
+    // restored sketch is bit-identical, accumulated error bound included.
+    w.eps_sketch(&shard.sketch);
+}
+
+pub(crate) fn decode_snapshot<T: Key>(r: &mut Reader<'_>) -> WireResult<Shard<T>> {
+    let data = r.keys::<T>()?;
+    let index = if r.bool()? {
+        let bounds = r
+            .probes::<T>()?
+            .into_iter()
+            .map(|(value, inclusive)| SepBound { value, inclusive })
+            .collect();
+        let offsets = r.u64s()?.into_iter().map(|o| o as usize).collect();
+        Some(ShardIndex { bounds, offsets })
+    } else {
+        None
+    };
+    let sketch = r.eps_sketch::<T>()?;
+    Ok(Shard { data, index, sketch })
+}
+
+/// IMPORT mode: restore the snapshot exactly, replacing the shard.
+pub(crate) const IMPORT_REPLACE: u8 = 0;
+/// IMPORT mode: append the snapshot's data, merge its sketch, drop the index.
+pub(crate) const IMPORT_MERGE: u8 = 1;
+
+/// Forwards an EXPORT reply (status byte + snapshot) as an IMPORT command.
+pub(crate) fn encode_import(mode: u8, export_reply: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new(CMD_IMPORT);
+    w.u8(mode);
+    w.raw(&export_reply[1..]); // splice the snapshot past the status byte
+    w.into_frame()
+}
+
+pub(crate) fn decode_import<T: Key>(body: &[u8]) -> WireResult<(u8, Shard<T>)> {
+    let mut r = Reader::new(body);
+    let mode = r.u8()?;
+    let snap = decode_snapshot::<T>(&mut r)?;
+    r.finish()?;
+    Ok((mode, snap))
+}
+
+/// The command that *resets* a surviving shard's index during recovery: a
+/// merge-import of the empty snapshot (nothing to add; merging an empty
+/// ε-sketch is the identity, so the survivor's sketch — still a valid
+/// summary of its unchanged multiset — is kept as is).
+pub(crate) fn encode_index_reset<T: Key>() -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    encode_snapshot(
+        &mut w,
+        &Shard::<T> { data: Vec::new(), index: None, sketch: EpsSketch::new(0) },
+    );
+    encode_import(IMPORT_MERGE, &w.into_frame())
 }
 
 /// Deployment configuration a worker needs to serve the shared command set
@@ -408,7 +454,6 @@ pub(crate) fn run_command<T: Key>(
     shard: &mut Shard<T>,
     cfg: &WorkerConfig,
     body: &[u8],
-    panic_now: bool,
 ) -> Result<Vec<u8>, RunError> {
     let wire = |e: WireMsgError| RunError::WireProtocol { rank: cfg.rank, detail: e.detail };
     let mut r = Reader::new(body);
@@ -450,12 +495,6 @@ pub(crate) fn run_command<T: Key>(
         Some(CMD_EXECUTE) => {
             let plan = decode_execute::<T>(&mut r, &cfg.selection).map_err(wire)?;
             r.finish().map_err(wire)?;
-            if panic_now {
-                // Mid-batch: enter the batch's opening barrier (so the
-                // peers are committed to the collective pass), then die.
-                proc.barrier();
-                panic!("injected fault: shard worker {} panicked mid-batch", cfg.rank);
-            }
             // Message-passing workers stay single-threaded: scan fan-out is
             // a LocalSpmd-only knob (counts are thread-count-independent,
             // so conformance across backends is unaffected).
@@ -483,11 +522,7 @@ pub(crate) fn encode_protocol_error(err: &RunError) -> Vec<u8> {
             w.into_frame()
         }
         RunError::UnbalancedPhases { .. } => Writer::new(REPLY_UNBALANCED_PHASES).into_frame(),
-        RunError::WireProtocol { detail, .. } => {
-            let mut w = Writer::new(REPLY_WIRE_ERROR);
-            w.str(detail);
-            w.into_frame()
-        }
+        RunError::WireProtocol { detail, .. } => encode_wire_error(detail),
         // run_command only produces the variants above.
         other => {
             let mut w = Writer::new(REPLY_PANICKED);

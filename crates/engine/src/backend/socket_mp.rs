@@ -1,52 +1,34 @@
-//! The out-of-process message-passing backend: one shard worker **process**
-//! per rank, every byte on a real socket.
+//! The process transport of the message-passing backend: one shard worker
+//! **process** per rank, every byte on a real socket.
 //!
-//! [`SocketMp`] is [`super::ChannelMp`] with the thread boundary promoted to
-//! a process boundary. The host spawns one `cgselect-shard-worker` child per
-//! shard and speaks the exact same versioned, batch-sequence-numbered
-//! command/reply protocol (`super::protocol`) over a Unix-domain control
-//! socket — each frame additionally `u32`-LE length-prefixed, because a
-//! stream has no message boundaries (the framing is TCP-ready: nothing
-//! below assumes the stream is local). Shard-to-shard collectives cross a
-//! second socket mesh, the **fabric**: each worker implements the runtime's
-//! [`cgselect_runtime::FabricLink`] transport over peer sockets and drives
-//! an ordinary [`cgselect_runtime::Proc`] through
+//! [`BackendChoice::SocketMp`](super::BackendChoice::SocketMp) runs the
+//! shared host and serve loop (`super::mp`) with the thread boundary of
+//! `super::channel_mp` promoted to a process boundary. The host spawns one
+//! `cgselect-shard-worker` child per shard and speaks the exact same
+//! versioned, sequence-numbered command/reply protocol (`super::protocol`)
+//! over a Unix-domain control socket — each frame additionally `u32`-LE
+//! length-prefixed, because a stream has no message boundaries (the framing
+//! is TCP-ready: nothing below assumes the stream is local). The one frame
+//! that exists only here is INIT: the deployment configuration a thread
+//! worker receives by move crosses the control socket once, at sequence 0.
+//! Shard-to-shard collectives cross a second socket mesh, the **fabric**,
+//! rebuilt per membership epoch on fresh epoch-scoped socket paths: each
+//! worker implements the runtime's [`cgselect_runtime::FabricLink`]
+//! transport over peer sockets and drives an ordinary
+//! [`cgselect_runtime::Proc`] through
 //! [`cgselect_runtime::Machine::fabric_proc`]. Because the virtual-time
 //! model charges modeled bytes computed *before* encoding, and all three
 //! backends run the identical `super::ops` shard code, answers,
 //! collective-round counts and virtual-time makespans are identical across
 //! transports — the property `tests/backend_conformance.rs` pins down.
 //!
-//! # Membership: join, leave, migrate, recover
-//!
-//! Unlike the fixed worker rings of the in-process backends, the socket
-//! fabric is rebuilt on demand (fresh socket paths per epoch), which makes
-//! shard membership a runtime operation:
-//!
-//! * [`SocketMp::replace_worker`] — bucket-granular **shard migration**:
-//!   export the shard's full state (data, bucket runs, the deterministic
-//!   ε-sketch mid-stream), spawn a fresh process, import the snapshot
-//!   exactly, splice the newcomer into the fabric and retire the old
-//!   process. The shard is bit-identical after the move, so the host's
-//!   cached histogram stays warm.
-//! * [`SocketMp::join_worker`] / [`SocketMp::retire_worker`] — grow or
-//!   shrink the ring; a retiring shard's data merges into a survivor, and
-//!   its ε-sketch merges too ([`EpsSketch::merge`] is closed under the
-//!   error bound, so the union sketch keeps a provable guarantee).
-//! * [`SocketMp::recover`] — "detect, re-shard, keep serving": ping every
-//!   worker, respawn the dead ones empty, reset the survivors' indexes,
-//!   rebuild the fabric and clear the poison so the engine serves again
-//!   (the dead shards' data is lost; the surviving multiset remains exact).
-//!
-//! Failure semantics otherwise mirror [`super::ChannelMp`]: a worker that
-//! dies mid-collective surfaces within one reply deadline as a typed
-//! [`BackendError`] (never a hang), the backend poisons, and — uniquely
-//! here — [`SocketMp::recover`] can un-poison it.
+//! A worker that dies mid-collective (say, by SIGKILL) surfaces within one
+//! reply deadline as a typed [`BackendError`] — never a hang — and
+//! [`super::ExecBackend::recover`] respawns it.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
-use std::marker::PhantomData;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,28 +38,22 @@ use std::time::{Duration, Instant};
 use cgselect_balance::Balancer;
 use cgselect_core::{SampleSortAlgo, SelectionConfig};
 use cgselect_runtime::{
-    panic_message, FabricLink, FabricPoll, FabricRecvError, Key, Machine, MachineModel, OrdF64,
-    Proc, Topology, WireEnvelope,
+    FabricLink, FabricPoll, FabricRecvError, Key, Machine, MachineModel, OrdF64, Proc, Topology,
+    WireEnvelope,
 };
-use cgselect_seqsel::{LocalKernel, SepBound};
+use cgselect_seqsel::LocalKernel;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::index::{BucketStats, ShardIndex};
-use crate::sketch::EpsSketch;
 use crate::EngineConfig;
 
-use super::ops::{self, Shard};
-use super::protocol::{
-    self, WorkerConfig, CMD_EXIT, CMD_EXPORT, CMD_FABRIC_BIND, CMD_FABRIC_CONNECT, CMD_IMPORT,
-    CMD_INIT, CMD_PING, REPLY_OK,
-};
+use super::channel_mp::Fault;
+use super::mp::{self, Fabric, FramePipe, Transport};
+use super::protocol::{self, WorkerConfig, CMD_INIT, REPLY_OK};
 use super::wire::{Reader, WireResult, Writer};
-use super::{
-    BackendError, BackendKind, BatchPlan, ExecBackend, RecoveryReport, ShardBatchOutcome,
-    ShardDeletion,
-};
+use super::{BackendError, BackendKind};
 
-/// Tuning of the [`SocketMp`] backend.
+/// Tuning of [`BackendChoice::SocketMp`](super::BackendChoice::SocketMp)
+/// engines.
 #[derive(Clone, Debug)]
 pub struct SocketMpTuning {
     /// How long the host waits for a round's reply frames before declaring
@@ -274,27 +250,17 @@ fn sort_from_u8(v: u8) -> Option<SampleSortAlgo> {
     })
 }
 
-/// Everything a worker process needs to serve, parsed from its INIT frame.
-struct WorkerDeployment {
-    rank: usize,
-    sketch_capacity: usize,
-    proc_timeout: Duration,
-    dir: PathBuf,
-    model: MachineModel,
-    selection: SelectionConfig,
-    balancer: Balancer,
-}
-
 /// Encodes the INIT command. The leading wire tag names the element type so
 /// the (monomorphic) worker binary can dispatch to the right `serve::<T>`.
-fn encode_init<T: Key>(
+fn encode_init(
+    wire_tag: u8,
     rank: usize,
     cfg: &EngineConfig,
     proc_timeout: Duration,
     dir: &Path,
 ) -> Vec<u8> {
     let mut w = Writer::new(CMD_INIT);
-    w.u8(T::WIRE_TAG);
+    w.u8(wire_tag);
     w.usize(rank);
     w.usize(cfg.sketch_capacity);
     w.u64(proc_timeout.as_nanos() as u64);
@@ -318,10 +284,13 @@ fn encode_init<T: Key>(
     w.into_frame()
 }
 
-fn decode_init(body: &[u8]) -> WireResult<WorkerDeployment> {
+/// Parses the INIT command into the element type's wire tag and everything
+/// a worker process needs to serve: its deployment configuration and the
+/// (still unbound) fabric mesh.
+fn decode_init(body: &[u8]) -> WireResult<(u8, WorkerConfig, SocketMesh)> {
     let bad = |what: &str| cgselect_runtime::WireMsgError::new(format!("bad INIT field: {what}"));
     let mut r = Reader::new(body);
-    let _wire_tag = r.u8()?; // already dispatched on by the binary's main
+    let wire_tag = r.u8()?;
     let rank = r.usize()?;
     let sketch_capacity = r.usize()?;
     let proc_timeout = Duration::from_nanos(r.u64()?);
@@ -345,58 +314,8 @@ fn decode_init(body: &[u8]) -> WireResult<WorkerDeployment> {
     };
     let balancer = balancer_from_u8(r.u8()?).ok_or_else(|| bad("engine balancer"))?;
     r.finish()?;
-    Ok(WorkerDeployment { rank, sketch_capacity, proc_timeout, dir, model, selection, balancer })
-}
-
-// ---------------------------------------------------------------------
-// Shard snapshot codec (EXPORT reply payload / IMPORT command payload).
-// ---------------------------------------------------------------------
-
-fn encode_snapshot<T: Key>(w: &mut Writer, shard: &Shard<T>) {
-    w.keys(&shard.data);
-    match &shard.index {
-        Some(idx) => {
-            w.bool(true);
-            // A SepBound is structurally a probe pair: (value, inclusive).
-            let pairs: Vec<(T, bool)> = idx.bounds.iter().map(|b| (b.value, b.inclusive)).collect();
-            w.probes(&pairs);
-            let offsets: Vec<u64> = idx.offsets.iter().map(|&o| o as u64).collect();
-            w.u64s(&offsets);
-        }
-        None => w.bool(false),
-    }
-    // The ε-sketch rides its canonical byte encoding mid-stream: the
-    // restored sketch is bit-identical, accumulated error bound included.
-    w.eps_sketch(&shard.sketch);
-}
-
-fn decode_snapshot<T: Key>(r: &mut Reader<'_>) -> WireResult<Shard<T>> {
-    let data = r.keys::<T>()?;
-    let index = if r.bool()? {
-        let bounds = r
-            .probes::<T>()?
-            .into_iter()
-            .map(|(value, inclusive)| SepBound { value, inclusive })
-            .collect();
-        let offsets = r.u64s()?.into_iter().map(|o| o as usize).collect();
-        Some(ShardIndex { bounds, offsets })
-    } else {
-        None
-    };
-    let sketch = r.eps_sketch::<T>()?;
-    Ok(Shard { data, index, sketch })
-}
-
-/// The empty snapshot used to *reset* a surviving shard's index during
-/// [`SocketMp::recover`] (import in merge mode with nothing to add; merging
-/// an empty ε-sketch is the identity, so the survivor's sketch — still a
-/// valid summary of its unchanged multiset — is kept as is).
-fn empty_snapshot_import<T: Key>() -> Vec<u8> {
-    let mut w = Writer::new(CMD_IMPORT);
-    w.u8(1); // merge mode
-    let empty: Shard<T> = Shard { data: Vec::new(), index: None, sketch: EpsSketch::new(0) };
-    encode_snapshot(&mut w, &empty);
-    w.into_frame()
+    let cfg = WorkerConfig { rank, sketch_capacity, selection, balancer };
+    Ok((wire_tag, cfg, SocketMesh { dir, model, proc_timeout, bound: None }))
 }
 
 // =====================================================================
@@ -404,61 +323,34 @@ fn empty_snapshot_import<T: Key>() -> Vec<u8> {
 // =====================================================================
 
 /// One live shard worker process, as the host sees it.
-struct WorkerHandle {
+pub(crate) struct WorkerHandle {
     child: Child,
     /// Write half of the control socket (commands flow here).
     stream: UnixStream,
     /// Reply frames, pumped off the read half by `reader`.
     reply: Receiver<Vec<u8>>,
-    reader: Option<JoinHandle<()>>,
+    reader: JoinHandle<()>,
 }
 
-impl WorkerHandle {
-    /// Reaps the child, escalating to SIGKILL if it ignores EXIT.
-    fn reap(&mut self) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5))
-                }
-                _ => {
-                    let _ = self.child.kill();
-                    let _ = self.child.wait();
-                    break;
-                }
-            }
-        }
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The out-of-process message-passing execution backend (see the
-/// [module docs](self)).
-pub struct SocketMp<T: Key> {
+/// The process transport (see the [module docs](self)).
+pub(crate) struct SocketTransport {
     dir: PathBuf,
     bin: PathBuf,
     cfg: EngineConfig,
     tuning: SocketMpTuning,
-    workers: Vec<WorkerHandle>,
-    /// Fabric generation: bumped on every membership change; socket paths
-    /// are epoch-scoped so a rebuild never races the mesh it replaces.
-    epoch: u64,
+    /// The element type's wire tag, sent in every INIT frame.
+    wire_tag: u8,
     /// Monotonic spawn counter: control-socket paths stay unique across
     /// worker generations at the same rank.
     spawns: u64,
-    next_seq: u64,
-    poisoned: bool,
-    _marker: PhantomData<fn(T)>,
 }
 
-impl<T: Key> SocketMp<T> {
-    /// Spawns `cfg.nprocs` worker processes with empty shards resident and
-    /// wires their collective fabric.
-    pub(crate) fn start(cfg: &EngineConfig, tuning: SocketMpTuning) -> Result<Self, BackendError> {
+impl SocketTransport {
+    /// Locates the worker binary and creates this engine's socket directory.
+    pub(crate) fn new<T: Key>(
+        cfg: &EngineConfig,
+        tuning: SocketMpTuning,
+    ) -> Result<Self, BackendError> {
         let bin =
             discover_worker_bin().map_err(|detail| BackendError::Spawn { rank: 0, detail })?;
         let dir = std::env::temp_dir().join(format!(
@@ -467,397 +359,140 @@ impl<T: Key> SocketMp<T> {
             DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).map_err(spawn_err(0))?;
-        let mut host = SocketMp {
-            dir,
-            bin,
-            cfg: cfg.clone(),
-            tuning,
-            workers: Vec::with_capacity(cfg.nprocs),
-            epoch: 0,
-            spawns: 0,
-            next_seq: 1,
-            poisoned: false,
-            _marker: PhantomData,
-        };
-        for rank in 0..cfg.nprocs {
-            let w = host.spawn_worker(rank)?;
-            host.workers.push(w);
-        }
-        host.rebuild_fabric()?;
-        Ok(host)
+        Ok(SocketTransport { dir, bin, cfg: cfg.clone(), tuning, wire_tag: T::WIRE_TAG, spawns: 0 })
     }
+}
 
-    /// Spawns one worker process, hands it the deployment configuration
-    /// over its fresh control socket and waits for the acknowledgement.
-    fn spawn_worker(&mut self, rank: usize) -> Result<WorkerHandle, BackendError> {
+impl SocketTransport {
+    /// Accepts the child's control connection, sends INIT (the one
+    /// out-of-band frame, sequence 0 — everything after it is the shared
+    /// protocol), checks the acknowledgement and starts the reply pump.
+    #[allow(clippy::type_complexity)]
+    fn handshake(
+        &self,
+        rank: usize,
+        listener: &UnixListener,
+        child: &mut Child,
+    ) -> Result<(UnixStream, Receiver<Vec<u8>>, JoinHandle<()>), BackendError> {
         let err = spawn_err(rank);
-        self.spawns += 1;
-        let ctrl = self.dir.join(format!("ctrl-{}.sock", self.spawns));
-        let listener = UnixListener::bind(&ctrl).map_err(&err)?;
+        let refused = |detail: &str| BackendError::Spawn { rank, detail: detail.into() };
         listener.set_nonblocking(true).map_err(&err)?;
-        let mut child =
-            Command::new(&self.bin).arg(&ctrl).stdin(Stdio::null()).spawn().map_err(&err)?;
         let deadline = Instant::now() + self.tuning.spawn_timeout;
-        let stream = loop {
+        let mut stream = loop {
             match listener.accept() {
                 Ok((s, _)) => break s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if child.try_wait().map_err(&err)?.is_some() || Instant::now() > deadline {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        let _ = std::fs::remove_file(&ctrl);
-                        return Err(BackendError::Spawn {
-                            rank,
-                            detail: "worker process did not connect its control socket".into(),
-                        });
+                        return Err(refused("worker process did not connect its control socket"));
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(err(e));
-                }
+                Err(e) => return Err(err(e)),
             }
         };
-        let _ = std::fs::remove_file(&ctrl);
         stream.set_nonblocking(false).map_err(&err)?;
-        let mut stream = stream;
-        // Deployment configuration rides as the one out-of-band frame
-        // (sequence 0); everything after it is the shared protocol.
-        let init = encode_init::<T>(rank, &self.cfg, self.tuning.proc_timeout, &self.dir);
+        let init = encode_init(self.wire_tag, rank, &self.cfg, self.tuning.proc_timeout, &self.dir);
         write_stream_frame(&mut stream, &protocol::encode_framed(0, &init)).map_err(&err)?;
         stream.set_read_timeout(Some(self.tuning.spawn_timeout)).map_err(&err)?;
         let ack = read_stream_frame(&mut stream).map_err(&err)?;
         stream.set_read_timeout(None).map_err(&err)?;
-        let (seq, body) = protocol::split_framed(&ack).map_err(|e| BackendError::Spawn {
-            rank,
-            detail: format!("bad INIT acknowledgement: {}", e.detail),
-        })?;
-        if seq != 0 || body.first() != Some(&REPLY_OK) {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(BackendError::Spawn {
-                rank,
-                detail: "worker rejected its deployment configuration".into(),
-            });
+        if !matches!(protocol::split_framed(&ack), Ok((0, [REPLY_OK]))) {
+            return Err(refused("worker rejected its deployment configuration"));
         }
-        let read_half = stream.try_clone().map_err(&err)?;
+        let mut read_half = stream.try_clone().map_err(&err)?;
         let (tx, rx) = unbounded::<Vec<u8>>();
         let reader = std::thread::Builder::new()
             .name(format!("cgselect-socket-host-r{rank}"))
             .spawn(move || {
-                let mut read_half = read_half;
+                // EOF or error ends the pump; dropping tx disconnects the
+                // reply channel, which the collect loop reports as
+                // WorkerUnresponsive.
                 while let Ok(frame) = read_stream_frame(&mut read_half) {
                     if tx.send(frame).is_err() {
                         break;
                     }
                 }
-                // EOF or error: dropping tx disconnects the reply channel,
-                // which the collect loop reports as WorkerUnresponsive.
             })
-            .map_err(|e| BackendError::Spawn { rank, detail: e.to_string() })?;
-        Ok(WorkerHandle { child, stream, reply: rx, reader: Some(reader) })
-    }
-
-    /// Sends one control command to worker `rank` and waits for its reply
-    /// payload under the reply timeout. Control calls never poison the
-    /// backend themselves — membership verbs decide what a failure means.
-    fn control_one(&mut self, rank: usize, body: &[u8]) -> Result<Vec<u8>, BackendError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let w = &mut self.workers[rank];
-        if write_stream_frame(&mut w.stream, &protocol::encode_framed(seq, body)).is_err() {
-            return Err(BackendError::WorkerUnresponsive { rank });
-        }
-        let deadline = Instant::now() + self.tuning.reply_timeout;
-        protocol::collect_frame(&w.reply, deadline, seq, rank)
-            .and_then(|b| protocol::decode_reply_status(rank, b))
-    }
-
-    /// Sends per-rank control bodies to every worker and collects each
-    /// reply individually under one shared deadline.
-    fn control_round(&mut self, bodies: Vec<Vec<u8>>) -> Vec<Result<Vec<u8>, BackendError>> {
-        debug_assert_eq!(bodies.len(), self.workers.len());
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut sent = vec![true; self.workers.len()];
-        for (rank, (w, body)) in self.workers.iter_mut().zip(&bodies).enumerate() {
-            sent[rank] =
-                write_stream_frame(&mut w.stream, &protocol::encode_framed(seq, body)).is_ok();
-        }
-        let deadline = Instant::now() + self.tuning.reply_timeout;
-        self.workers
-            .iter()
-            .enumerate()
-            .map(|(rank, w)| {
-                if !sent[rank] {
-                    return Err(BackendError::WorkerUnresponsive { rank });
-                }
-                protocol::collect_frame(&w.reply, deadline, seq, rank)
-                    .and_then(|b| protocol::decode_reply_status(rank, b))
-            })
-            .collect()
-    }
-
-    /// Tears down every worker's fabric and wires a fresh epoch: a BIND
-    /// round (each worker drops its `Proc`, learns its — possibly new —
-    /// rank and listens on an epoch-scoped socket), then a CONNECT round
-    /// (the mesh is established and each worker builds its new `Proc`).
-    fn rebuild_fabric(&mut self) -> Result<(), BackendError> {
-        self.epoch += 1;
-        let p = self.workers.len();
-        let bind_bodies: Vec<Vec<u8>> = (0..p)
-            .map(|rank| {
-                let mut w = Writer::new(CMD_FABRIC_BIND);
-                w.u64(self.epoch);
-                w.usize(rank);
-                w.usize(p);
-                w.into_frame()
-            })
-            .collect();
-        for r in self.control_round(bind_bodies) {
-            r?;
-        }
-        let mut connect = Writer::new(CMD_FABRIC_CONNECT);
-        connect.u64(self.epoch);
-        let connect = connect.into_frame();
-        for r in self.control_round(vec![connect; p]) {
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Re-reads every shard's size with one empty-ingest round (zero
-    /// collectives, zero virtual time) — the resync after membership moves.
-    fn sizes_round(&mut self) -> Result<Vec<u64>, BackendError> {
-        let body = protocol::encode_ingest::<T>(&[]);
-        let payloads = self.round_trip(vec![body; self.workers.len()])?;
-        self.decode_all(payloads, protocol::decode_u64_reply)
-    }
-
-    /// The data-plane round trip: identical contract to
-    /// [`super::ChannelMp`]'s — shared reply deadline, sequence-stamped
-    /// frames, root-cause triage, poisoning on failure.
-    fn round_trip(&mut self, bodies: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, BackendError> {
-        if self.poisoned {
-            return Err(BackendError::Poisoned);
-        }
-        let results = self.control_round(bodies);
-        let mut payloads = Vec::with_capacity(results.len());
-        let mut failures: Vec<BackendError> = Vec::new();
-        for r in results {
-            match r {
-                Ok(p) => payloads.push(p),
-                Err(e) => failures.push(e),
-            }
-        }
-        if failures.is_empty() {
-            return Ok(payloads);
-        }
-        self.poisoned = true;
-        Err(protocol::triage(failures))
-    }
-
-    fn broadcast_frames(&self, body: Vec<u8>) -> Vec<Vec<u8>> {
-        vec![body; self.workers.len()]
-    }
-
-    fn decode_all<R>(
-        &mut self,
-        payloads: Vec<Vec<u8>>,
-        decode: impl Fn(usize, &[u8]) -> Result<R, BackendError>,
-    ) -> Result<Vec<R>, BackendError> {
-        let mut out = Vec::with_capacity(payloads.len());
-        for (rank, body) in payloads.iter().enumerate() {
-            match decode(rank, body) {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    self.poisoned = true;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Sends EXIT and reaps one worker (escalating to SIGKILL if ignored).
-    fn shutdown_worker(&mut self, mut w: WorkerHandle) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let _ = write_stream_frame(&mut w.stream, &protocol::encode_framed(seq, &[CMD_EXIT]));
-        w.reap();
+            .map_err(&err)?;
+        Ok((stream, rx, reader))
     }
 }
 
-impl<T: Key> ExecBackend<T> for SocketMp<T> {
-    fn nprocs(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::SocketMp
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    fn ingest(&mut self, chunks: Vec<Vec<T>>) -> Result<Vec<u64>, BackendError> {
-        assert_eq!(chunks.len(), self.workers.len(), "one ingest chunk per shard");
-        let bodies = chunks.iter().map(|chunk| protocol::encode_ingest(chunk)).collect();
-        let payloads = self.round_trip(bodies)?;
-        self.decode_all(payloads, protocol::decode_u64_reply)
-    }
-
-    fn delete(&mut self, values: Vec<T>) -> Result<Vec<ShardDeletion>, BackendError> {
-        let payloads = self.round_trip(self.broadcast_frames(protocol::encode_delete(&values)))?;
-        self.decode_all(payloads, protocol::decode_deletion_reply)
-    }
-
-    fn rebalance(&mut self) -> Result<Vec<u64>, BackendError> {
-        let payloads = self
-            .round_trip(self.broadcast_frames(Writer::new(protocol::CMD_REBALANCE).into_frame()))?;
-        self.decode_all(payloads, protocol::decode_u64_reply)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn build_index(
-        &mut self,
-        buckets: usize,
-    ) -> Result<(Vec<cgselect_seqsel::SepBound<T>>, Vec<BucketStats<T>>), BackendError> {
-        let payloads =
-            self.round_trip(self.broadcast_frames(protocol::encode_build_index(buckets)))?;
-        let pairs = self.decode_all(payloads, protocol::decode_index_build_reply::<T>)?;
-        let mut bounds = Vec::new();
-        let mut stats = Vec::with_capacity(pairs.len());
-        for (rank, (b, s)) in pairs.into_iter().enumerate() {
-            if rank == 0 {
-                bounds = b;
-            } else {
-                debug_assert_eq!(bounds, b, "splitter bounds must agree across shards");
-            }
-            stats.push(s);
-        }
-        Ok((bounds, stats))
-    }
-
-    fn merge_delta(&mut self) -> Result<Vec<BucketStats<T>>, BackendError> {
-        let payloads = self.round_trip(
-            self.broadcast_frames(Writer::new(protocol::CMD_MERGE_DELTA).into_frame()),
-        )?;
-        self.decode_all(payloads, protocol::decode_bucket_stats_reply::<T>)
-    }
-
-    fn execute(&mut self, plan: &BatchPlan<T>) -> Result<Vec<ShardBatchOutcome<T>>, BackendError> {
-        let payloads = self.round_trip(self.broadcast_frames(protocol::encode_execute(plan)))?;
-        self.decode_all(payloads, protocol::decode_outcome::<T>)
-    }
-
-    fn export_sketches(&mut self) -> Result<Vec<crate::sketch::EpsSketch<T>>, BackendError> {
-        let payloads = self.round_trip(self.broadcast_frames(protocol::encode_export_sketch()))?;
-        self.decode_all(payloads, protocol::decode_sketch_reply::<T>)
-    }
-
-    fn supports_membership(&self) -> bool {
-        true
-    }
-
-    fn worker_pids(&self) -> Vec<u32> {
-        self.workers.iter().map(|w| w.child.id()).collect()
-    }
-
-    fn replace_worker(&mut self, rank: usize) -> Result<Vec<u64>, BackendError> {
-        assert!(rank < self.workers.len(), "shard {rank} out of range");
-        // Export the shard's full state: data, bucket runs, and the
-        // ε-sketch's mid-stream compactor levels, bit-exactly.
-        let snap = self.control_one(rank, &Writer::new(CMD_EXPORT).into_frame())?;
-        let mut fresh = self.spawn_worker(rank)?;
-        let mut import = Writer::new(CMD_IMPORT);
-        import.u8(0); // replace mode: exact restore
-        import.raw(&snap[1..]); // splice the snapshot past the status byte
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        write_stream_frame(&mut fresh.stream, &protocol::encode_framed(seq, &import.into_frame()))
-            .map_err(|_| BackendError::WorkerUnresponsive { rank })?;
-        let deadline = Instant::now() + self.tuning.reply_timeout;
-        protocol::collect_frame(&fresh.reply, deadline, seq, rank)
-            .and_then(|b| protocol::decode_reply_status(rank, b))?;
-        let old = std::mem::replace(&mut self.workers[rank], fresh);
-        self.shutdown_worker(old);
-        self.rebuild_fabric()?;
-        self.sizes_round()
-    }
-
-    fn join_worker(&mut self) -> Result<Vec<u64>, BackendError> {
-        let rank = self.workers.len();
-        let w = self.spawn_worker(rank)?;
-        self.workers.push(w);
-        self.rebuild_fabric()?;
-        self.sizes_round()
-    }
-
-    fn retire_worker(&mut self, rank: usize) -> Result<Vec<u64>, BackendError> {
-        assert!(rank < self.workers.len(), "shard {rank} out of range");
-        if self.workers.len() == 1 {
-            return Err(BackendError::Unsupported { verb: "retire_worker on the last shard" });
-        }
-        let snap = self.control_one(rank, &Writer::new(CMD_EXPORT).into_frame())?;
-        let old = self.workers.remove(rank);
-        self.shutdown_worker(old);
-        // Ranks above the retiree shift down; the BIND round renumbers them.
-        self.rebuild_fabric()?;
-        let dst = rank % self.workers.len();
-        let mut import = Writer::new(CMD_IMPORT);
-        import.u8(1); // merge mode: append data, drop index, merge sketches
-        import.raw(&snap[1..]);
-        self.control_one(dst, &import.into_frame())?;
-        self.sizes_round()
-    }
-
-    fn recover(&mut self) -> Result<RecoveryReport, BackendError> {
-        // Detect: one ping round under the shared deadline.
-        let ping = Writer::new(CMD_PING).into_frame();
-        let results = self.control_round(vec![ping; self.workers.len()]);
-        let dead: Vec<usize> =
-            results.iter().enumerate().filter_map(|(rank, r)| r.is_err().then_some(rank)).collect();
-        // Re-shard: respawn the dead ranks with empty shards (their data is
-        // lost — the surviving multiset stays exact), reset every
-        // survivor's index (a shard index abandoned mid-batch is not
-        // trustworthy; the next exact batch rebuilds it). The survivors'
-        // ε-sketches stay: execution permutes but never changes the
-        // multiset, so each remains a valid bounded-error summary.
-        for &rank in &dead {
-            let _ = self.workers[rank].child.kill();
-            let fresh = self.spawn_worker(rank)?;
-            let mut old = std::mem::replace(&mut self.workers[rank], fresh);
-            old.reap();
-        }
-        let reset = empty_snapshot_import::<T>();
-        for rank in 0..self.workers.len() {
-            if !dead.contains(&rank) {
-                self.control_one(rank, &reset)?;
-            }
-        }
-        self.rebuild_fabric()?;
-        self.poisoned = false;
-        let sizes = self.sizes_round()?;
-        Ok(RecoveryReport { replaced: dead, sizes })
-    }
-}
-
-impl<T: Key> Drop for SocketMp<T> {
+impl Drop for SocketTransport {
     fn drop(&mut self) {
-        // Reap-on-drop: tell every worker to exit and wait for it (SIGKILL
-        // if it ignores us), so dropping an engine never leaks processes.
-        let seq = self.next_seq;
-        for w in &mut self.workers {
-            let _ = write_stream_frame(&mut w.stream, &protocol::encode_framed(seq, &[CMD_EXIT]));
-        }
-        for w in &mut self.workers {
-            w.reap();
-        }
         let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+impl Transport for SocketTransport {
+    type Link = WorkerHandle;
+
+    const KIND: BackendKind = BackendKind::SocketMp;
+
+    /// Spawns one worker process, hands it the deployment configuration
+    /// over its fresh control socket and waits for the acknowledgement.
+    fn spawn(&mut self, rank: usize) -> Result<WorkerHandle, BackendError> {
+        let err = spawn_err(rank);
+        self.spawns += 1;
+        let ctrl = self.dir.join(format!("ctrl-{}.sock", self.spawns));
+        let listener = UnixListener::bind(&ctrl).map_err(&err)?;
+        let mut child =
+            Command::new(&self.bin).arg(&ctrl).stdin(Stdio::null()).spawn().map_err(&err)?;
+        let shaken = self.handshake(rank, &listener, &mut child);
+        let _ = std::fs::remove_file(&ctrl);
+        match shaken {
+            Ok((stream, reply, reader)) => Ok(WorkerHandle { child, stream, reply, reader }),
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                Err(e)
+            }
+        }
+    }
+
+    fn send(link: &mut WorkerHandle, frame: Cow<'_, [u8]>) -> bool {
+        write_stream_frame(&mut link.stream, &frame).is_ok()
+    }
+
+    fn replies(link: &WorkerHandle) -> &Receiver<Vec<u8>> {
+        &link.reply
+    }
+
+    /// Nothing to stage host-side: the workers build each epoch's mesh
+    /// themselves, on socket paths the BIND round's epoch names.
+    fn rewire(&mut self, _links: &[WorkerHandle], _epoch: u64) {}
+
+    /// Reaps the child, escalating to SIGKILL if it ignores EXIT.
+    fn reap(&mut self, mut link: WorkerHandle) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match link.child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(5))
+                }
+                _ => {
+                    let _ = link.child.kill();
+                    let _ = link.child.wait();
+                    break;
+                }
+            }
+        }
+        let _ = link.reader.join();
+    }
+
+    fn pid(link: &WorkerHandle) -> Option<u32> {
+        Some(link.child.id())
+    }
+}
+
+impl FramePipe for UnixStream {
+    fn recv(&mut self) -> Option<Vec<u8>> {
+        read_stream_frame(self).ok()
+    }
+
+    fn send(&mut self, frame: Vec<u8>) -> bool {
+        write_stream_frame(self, &frame).is_ok()
     }
 }
 
@@ -1006,247 +641,92 @@ impl FabricLink for SocketFabric {
     }
 }
 
-/// A fabric listener bound by the BIND round, waiting for the CONNECT round
-/// to establish the mesh.
-struct PendingFabric {
-    epoch: u64,
-    rank: usize,
-    p: usize,
-    listener: Option<UnixListener>,
+/// The worker's [`Fabric`]: BIND listens on this rank's epoch-scoped
+/// socket, CONNECT establishes the mesh and builds the `Proc` over it.
+struct SocketMesh {
+    dir: PathBuf,
+    model: MachineModel,
+    proc_timeout: Duration,
+    /// `(epoch, rank, p, listener)` of a BIND awaiting its CONNECT.
+    bound: Option<(u64, usize, usize, Option<UnixListener>)>,
+}
+
+impl Fabric for SocketMesh {
+    fn bind(&mut self, epoch: u64, rank: usize, p: usize) -> Result<(), String> {
+        self.bound = None;
+        let listener = if rank + 1 < p {
+            let path = fabric_path(&self.dir, epoch, rank);
+            Some(UnixListener::bind(path).map_err(|e| format!("fabric bind failed: {e}"))?)
+        } else {
+            None
+        };
+        self.bound = Some((epoch, rank, p, listener));
+        Ok(())
+    }
+
+    fn connect(&mut self) -> Result<Proc, String> {
+        let (epoch, rank, p, listener) =
+            self.bound.take().ok_or("fabric connect without a preceding bind")?;
+        let deadline = Instant::now() + self.proc_timeout.max(Duration::from_secs(5));
+        let fabric = SocketFabric::establish(&self.dir, epoch, rank, p, listener, deadline)
+            .map_err(|e| format!("fabric connect failed: {e}"))?;
+        let machine = Machine::with_model(p, self.model).recv_timeout(self.proc_timeout);
+        Ok(machine.fabric_proc(rank, Box::new(fabric)))
+    }
 }
 
 /// Entry point of the `cgselect-shard-worker` binary: connects the control
-/// socket named by `argv[1]`, reads the INIT frame, and dispatches to the
-/// monomorphic serve loop for the element type named by the frame's wire
-/// tag. Returns the process exit code.
+/// socket named by `argv[1]`, reads and acknowledges the INIT frame, and
+/// runs the shared serve loop — monomorphized for the element type the
+/// frame's wire tag names — over the control socket and the socket mesh.
+/// Returns the process exit code.
 pub fn worker_main() -> i32 {
-    let Some(ctrl) = std::env::args().nth(1) else {
-        eprintln!("usage: cgselect-shard-worker <control-socket-path>");
-        return 2;
-    };
-    let mut stream = match UnixStream::connect(&ctrl) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cgselect-shard-worker: connect {ctrl}: {e}");
-            return 2;
-        }
-    };
-    let frame = match read_stream_frame(&mut stream) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cgselect-shard-worker: read INIT: {e}");
-            return 2;
-        }
-    };
-    let body = match protocol::split_framed(&frame) {
-        Ok((0, body)) if body.first() == Some(&CMD_INIT) && body.len() >= 2 => body.to_vec(),
-        _ => {
-            eprintln!("cgselect-shard-worker: malformed INIT frame");
-            return 2;
-        }
-    };
-    // body[1] is the wire tag: dispatch to the right monomorphization.
-    match body[1] {
-        u8::WIRE_TAG => serve::<u8>(stream, &body),
-        u16::WIRE_TAG => serve::<u16>(stream, &body),
-        u32::WIRE_TAG => serve::<u32>(stream, &body),
-        u64::WIRE_TAG => serve::<u64>(stream, &body),
-        u128::WIRE_TAG => serve::<u128>(stream, &body),
-        usize::WIRE_TAG => serve::<usize>(stream, &body),
-        i8::WIRE_TAG => serve::<i8>(stream, &body),
-        i16::WIRE_TAG => serve::<i16>(stream, &body),
-        i32::WIRE_TAG => serve::<i32>(stream, &body),
-        i64::WIRE_TAG => serve::<i64>(stream, &body),
-        i128::WIRE_TAG => serve::<i128>(stream, &body),
-        isize::WIRE_TAG => serve::<isize>(stream, &body),
-        OrdF64::WIRE_TAG => serve::<OrdF64>(stream, &body),
-        other => {
-            eprintln!("cgselect-shard-worker: unknown wire tag {other}");
-            2
-        }
-    }
+    run_worker().unwrap_or_else(|e| {
+        eprintln!("cgselect-shard-worker: {e}");
+        2
+    })
 }
 
-/// The worker's command loop. Control verbs (ping, fabric wiring, shard
-/// export/import, exit) are always served; data-plane verbs require a live
-/// fabric `Proc`. A data-plane failure (panic or protocol violation) is
-/// reported in the reply frame and drops the `Proc` — the worker keeps
-/// serving control verbs, which is what lets the host re-shard around a
-/// failure instead of abandoning every survivor.
-fn serve<T: Key>(mut stream: UnixStream, init_body: &[u8]) -> i32 {
-    let mut dep = match decode_init(init_body) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cgselect-shard-worker: bad INIT: {e}");
-            return 2;
+fn run_worker() -> Result<i32, String> {
+    let ctrl = std::env::args().nth(1).ok_or("usage: cgselect-shard-worker <control-socket>")?;
+    let mut stream = UnixStream::connect(&ctrl).map_err(|e| format!("connect {ctrl}: {e}"))?;
+    let frame = read_stream_frame(&mut stream).map_err(|e| format!("read INIT: {e}"))?;
+    let (wire_tag, cfg, mut mesh) = match protocol::split_framed(&frame) {
+        Ok((0, body)) if body.first() == Some(&CMD_INIT) => {
+            decode_init(body).map_err(|e| format!("bad INIT: {e}"))?
         }
+        _ => return Err("malformed INIT frame".into()),
     };
-    let mut shard: Shard<T> = ops::init_shard(dep.sketch_capacity);
-    let mut proc: Option<Proc> = None;
-    let mut pending_fabric: Option<PendingFabric> = None;
-    let wire_error = |detail: String| {
-        let mut w = Writer::new(protocol::REPLY_WIRE_ERROR);
-        w.str(&detail);
-        w.into_frame()
+    let serve: fn(&mut UnixStream, &mut SocketMesh, WorkerConfig, &[Fault]) -> i32 = match wire_tag
+    {
+        u8::WIRE_TAG => mp::serve::<u8>,
+        u16::WIRE_TAG => mp::serve::<u16>,
+        u32::WIRE_TAG => mp::serve::<u32>,
+        u64::WIRE_TAG => mp::serve::<u64>,
+        u128::WIRE_TAG => mp::serve::<u128>,
+        usize::WIRE_TAG => mp::serve::<usize>,
+        i8::WIRE_TAG => mp::serve::<i8>,
+        i16::WIRE_TAG => mp::serve::<i16>,
+        i32::WIRE_TAG => mp::serve::<i32>,
+        i64::WIRE_TAG => mp::serve::<i64>,
+        i128::WIRE_TAG => mp::serve::<i128>,
+        isize::WIRE_TAG => mp::serve::<isize>,
+        OrdF64::WIRE_TAG => mp::serve::<OrdF64>,
+        other => return Err(format!("unknown wire tag {other}")),
     };
-    // Acknowledge the deployment configuration (sequence 0).
-    let ack = Writer::new(REPLY_OK).into_frame();
-    if write_stream_frame(&mut stream, &protocol::encode_framed(0, &ack)).is_err() {
-        return 1;
+    // The acknowledgement rides sequence 0, like INIT itself.
+    if write_stream_frame(&mut stream, &protocol::encode_framed(0, &[REPLY_OK])).is_err() {
+        return Ok(1);
     }
-    loop {
-        let Ok(frame) = read_stream_frame(&mut stream) else {
-            // Host gone (engine dropped without EXIT, or host crashed).
-            return 0;
-        };
-        let Ok((seq, body)) = protocol::split_framed(&frame) else {
-            // An unframeable command cannot be answered under a matching
-            // sequence number; exit and let the host time out.
-            return 1;
-        };
-        let reply = match body.first().copied() {
-            Some(CMD_EXIT) => return 0,
-            Some(CMD_PING) => Writer::new(REPLY_OK).into_frame(),
-            Some(CMD_FABRIC_BIND) => {
-                // Tear down the old mesh first: our peers' reader threads
-                // must see EOF before the next epoch connects.
-                proc = None;
-                match (|| -> WireResult<(u64, usize, usize)> {
-                    let mut r = Reader::new(body);
-                    let epoch = r.u64()?;
-                    let new_rank = r.usize()?;
-                    let p = r.usize()?;
-                    r.finish()?;
-                    Ok((epoch, new_rank, p))
-                })() {
-                    Ok((epoch, new_rank, p)) => {
-                        dep.rank = new_rank;
-                        let listener = if new_rank + 1 < p {
-                            match UnixListener::bind(fabric_path(&dep.dir, epoch, new_rank)) {
-                                Ok(l) => Some(l),
-                                Err(e) => {
-                                    pending_fabric = None;
-                                    let r = wire_error(format!("fabric bind failed: {e}"));
-                                    if write_stream_frame(
-                                        &mut stream,
-                                        &protocol::encode_framed(seq, &r),
-                                    )
-                                    .is_err()
-                                    {
-                                        return 1;
-                                    }
-                                    continue;
-                                }
-                            }
-                        } else {
-                            None
-                        };
-                        pending_fabric = Some(PendingFabric { epoch, rank: new_rank, p, listener });
-                        Writer::new(REPLY_OK).into_frame()
-                    }
-                    Err(e) => wire_error(e.detail),
-                }
-            }
-            Some(CMD_FABRIC_CONNECT) => match pending_fabric.take() {
-                Some(pf) => {
-                    let deadline = Instant::now() + dep.proc_timeout.max(Duration::from_secs(5));
-                    match SocketFabric::establish(
-                        &dep.dir,
-                        pf.epoch,
-                        pf.rank,
-                        pf.p,
-                        pf.listener,
-                        deadline,
-                    ) {
-                        Ok(fabric) => {
-                            let machine =
-                                Machine::with_model(pf.p, dep.model).recv_timeout(dep.proc_timeout);
-                            proc = Some(machine.fabric_proc(pf.rank, Box::new(fabric)));
-                            Writer::new(REPLY_OK).into_frame()
-                        }
-                        Err(e) => wire_error(format!("fabric connect failed: {e}")),
-                    }
-                }
-                None => wire_error("fabric connect without a preceding bind".into()),
-            },
-            Some(CMD_EXPORT) => {
-                let mut w = Writer::new(REPLY_OK);
-                encode_snapshot(&mut w, &shard);
-                w.into_frame()
-            }
-            Some(CMD_IMPORT) => match (|| -> WireResult<(u8, Shard<T>)> {
-                let mut r = Reader::new(body);
-                let mode = r.u8()?;
-                let snap = decode_snapshot::<T>(&mut r)?;
-                r.finish()?;
-                Ok((mode, snap))
-            })() {
-                Ok((0, snap)) => {
-                    // Replace: exact restore — the migrated shard is
-                    // indistinguishable from one that never moved.
-                    shard = snap;
-                    Writer::new(REPLY_OK).into_frame()
-                }
-                Ok((1, snap)) => {
-                    // Merge: absorb the data and *merge* the ε-sketches —
-                    // EpsSketch::merge is closed under the error bound, so
-                    // the union sketch keeps a provable guarantee without
-                    // re-reading the data. The bucket runs no longer
-                    // describe the union, so drop the index.
-                    shard.data.extend(snap.data);
-                    shard.index = None;
-                    shard.sketch.merge(&snap.sketch);
-                    Writer::new(REPLY_OK).into_frame()
-                }
-                Ok((mode, _)) => wire_error(format!("unknown import mode {mode}")),
-                Err(e) => wire_error(e.detail),
-            },
-            _ => {
-                // Data-plane verb: needs a live fabric Proc.
-                let Some(pr) = proc.as_mut() else {
-                    let r = wire_error("shard has no fabric (no bind/connect round yet)".into());
-                    if write_stream_frame(&mut stream, &protocol::encode_framed(seq, &r)).is_err() {
-                        return 1;
-                    }
-                    continue;
-                };
-                let cfg = WorkerConfig {
-                    rank: dep.rank,
-                    sketch_capacity: dep.sketch_capacity,
-                    selection: dep.selection.clone(),
-                    balancer: dep.balancer,
-                };
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    protocol::run_command::<T>(pr, &mut shard, &cfg, body, false)
-                }));
-                let reply = match outcome {
-                    Ok(Ok(payload)) => payload,
-                    Ok(Err(protocol_err)) => protocol::encode_protocol_error(&protocol_err),
-                    Err(payload) => {
-                        let mut w = Writer::new(protocol::REPLY_PANICKED);
-                        w.str(&panic_message(payload));
-                        w.into_frame()
-                    }
-                };
-                if reply.first() != Some(&REPLY_OK) {
-                    // This program failed: the Proc's collective state can
-                    // no longer be trusted. Drop it (peers see our fabric
-                    // streams close) but keep serving control verbs so the
-                    // host can re-shard around the failure.
-                    proc = None;
-                }
-                reply
-            }
-        };
-        if write_stream_frame(&mut stream, &protocol::encode_framed(seq, &reply)).is_err() {
-            return 1;
-        }
-    }
+    Ok(serve(&mut stream, &mut mesh, cfg, &[]))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::ops::{self, Shard};
     use super::*;
+    use crate::index::ShardIndex;
+    use cgselect_seqsel::SepBound;
 
     #[test]
     fn init_frame_round_trips() {
@@ -1254,17 +734,19 @@ mod tests {
             .model(MachineModel::free())
             .sketch_capacity(17)
             .balancer(Balancer::DimExchange);
-        let frame = encode_init::<u64>(3, &cfg, Duration::from_millis(250), Path::new("/tmp/x"));
+        let frame =
+            encode_init(u64::WIRE_TAG, 3, &cfg, Duration::from_millis(250), Path::new("/tmp/x"));
         assert_eq!(frame[0], CMD_INIT);
         assert_eq!(frame[1], u64::WIRE_TAG);
-        let dep = decode_init(&frame).unwrap();
-        assert_eq!(dep.rank, 3);
-        assert_eq!(dep.sketch_capacity, 17);
-        assert_eq!(dep.proc_timeout, Duration::from_millis(250));
-        assert_eq!(dep.dir, PathBuf::from("/tmp/x"));
-        assert_eq!(dep.model, MachineModel::free());
-        assert_eq!(format!("{:?}", dep.selection), format!("{:?}", cfg.selection));
-        assert_eq!(dep.balancer, Balancer::DimExchange);
+        let (wire_tag, worker, mesh) = decode_init(&frame).unwrap();
+        assert_eq!(wire_tag, u64::WIRE_TAG);
+        assert_eq!(worker.rank, 3);
+        assert_eq!(worker.sketch_capacity, 17);
+        assert_eq!(mesh.proc_timeout, Duration::from_millis(250));
+        assert_eq!(mesh.dir, PathBuf::from("/tmp/x"));
+        assert_eq!(mesh.model, MachineModel::free());
+        assert_eq!(format!("{:?}", worker.selection), format!("{:?}", cfg.selection));
+        assert_eq!(worker.balancer, Balancer::DimExchange);
     }
 
     #[test]
@@ -1313,10 +795,10 @@ mod tests {
             offsets: vec![0, 5, 11, 14],
         });
         let mut w = Writer::new(REPLY_OK);
-        encode_snapshot(&mut w, &shard);
+        protocol::encode_snapshot(&mut w, &shard);
         let frame = w.into_frame();
         let mut r = Reader::new(&frame);
-        let restored = decode_snapshot::<u64>(&mut r).unwrap();
+        let restored = protocol::decode_snapshot::<u64>(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.data, shard.data);
         let idx = restored.index.as_ref().unwrap();

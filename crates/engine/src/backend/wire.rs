@@ -1,11 +1,11 @@
 //! The byte codec of the message-passing backend's control plane.
 //!
-//! Every command the [`super::ChannelMp`] host sends to a shard worker, and
-//! every reply a worker sends back, crosses the channel as one serialized
-//! frame built here — no shared pointers, no in-process shortcuts. This is
-//! the dress rehearsal for out-of-process shards: the frames are plain
-//! little-endian bytes (element values ride on the [`Key`] wire encoding),
-//! so the exact same protocol could be written to a socket.
+//! Every command the message-passing host sends to a shard worker, and
+//! every reply a worker sends back, crosses the link as one serialized
+//! frame built here — no shared pointers, no in-process shortcuts. The
+//! frames are plain little-endian bytes (element values ride on the
+//! [`Key`] wire encoding), so the exact same bytes cross an in-process
+//! channel or a socket.
 //!
 //! Decoding is **fallible**: a truncated or corrupt frame — e.g. a
 //! half-written reply from a dying worker process — surfaces as a typed

@@ -1,5 +1,5 @@
-//! The shard worker process behind the `SocketMp` backend: connects the
-//! control socket named by `argv[1]`, receives its deployment
+//! The shard worker process behind `BackendChoice::SocketMp` engines:
+//! connects the control socket named by `argv[1]`, receives its deployment
 //! configuration, and serves shard commands until told to exit (see
 //! `cgselect_engine::backend::socket_mp`).
 

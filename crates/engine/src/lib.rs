@@ -54,10 +54,10 @@
 //!   configured [`cgselect_balance::Balancer`] — amortized, not per
 //!   operation.
 //! * **An approximate fast path** — every shard maintains a mergeable
-//!   reservoir sketch of its data on ingest; quantile queries carrying a
-//!   rank-error tolerance the sketches can honor are answered from the
-//!   sketches alone, never touching the full data, and fall back to the
-//!   exact paper algorithms otherwise.
+//!   deterministic ε-sketch of its data on ingest; quantile queries
+//!   carrying a rank-error tolerance the sketches can honor are answered
+//!   from the sketches alone, never touching the full data, and fall back
+//!   to the exact paper algorithms otherwise.
 //! * **An async frontend** ([`frontend`]) — concurrent clients submit
 //!   single queries into a bounded [`SubmissionQueue`] and await
 //!   [`Ticket`]s, while a dedicated batcher thread forms batches by
@@ -67,12 +67,13 @@
 //!   host-side planner (shard residency, collective execution,
 //!   ingest/delete/rebalance, `CommStats` accounting) sits behind the
 //!   [`ExecBackend`] trait, chosen via [`EngineConfig::backend`]: the
-//!   in-process [`LocalSpmd`] session, or the message-passing
-//!   [`ChannelMp`] worker ring whose every command and reply crosses a
-//!   channel as a serialized byte frame (the dress rehearsal for
-//!   out-of-process shards). Both run the identical per-shard code, so
-//!   they produce identical answers *and* identical collective-round
-//!   counts — enforced by `tests/backend_conformance.rs`.
+//!   in-process [`LocalSpmd`] session, or the message-passing backend
+//!   whose every command and reply crosses the worker link as a serialized
+//!   byte frame — over worker threads ([`BackendChoice::ChannelMp`]) or
+//!   worker processes and Unix sockets ([`BackendChoice::SocketMp`]). All
+//!   run the identical per-shard code, so they produce identical answers
+//!   *and* identical collective-round counts — enforced by
+//!   `tests/backend_conformance.rs`.
 //!
 //! ```
 //! use cgselect_engine::{Engine, EngineConfig, Query, Answer};
@@ -103,9 +104,8 @@ pub mod sketch;
 mod standing;
 
 pub use backend::{
-    BackendChoice, BackendError, BackendKind, BatchPlan, ChannelMp, ChannelMpTuning, ExecBackend,
-    Fault, LocalSpmd, PhaseOps, RecoveryReport, ShardBatchOutcome, ShardDeletion, SocketMp,
-    SocketMpTuning,
+    BackendChoice, BackendError, BackendKind, BatchPlan, ChannelMpTuning, ExecBackend, Fault,
+    LocalSpmd, PhaseOps, RecoveryReport, ShardBatchOutcome, ShardDeletion, SocketMpTuning,
 };
 pub use frontend::{
     AsyncError, FrontendConfig, FrontendStats, MutationTicket, OutcomeTicket, QueryTicket,
@@ -122,7 +122,7 @@ pub use request::{
     Accuracy, Bounds, CostAttribution, Freshness, Outcome, QueryKind, Request, Response, RunReport,
     Served,
 };
-pub use sketch::{EpsSketch, ReservoirSketch};
+pub use sketch::EpsSketch;
 pub use standing::{RefreshPolicy, StandingHandle, StandingUpdate, SubscriptionId};
 
 use std::sync::Arc;
@@ -131,6 +131,9 @@ use cgselect_balance::Balancer;
 use cgselect_core::SelectionConfig;
 use cgselect_runtime::{CommStats, Key, MachineModel, RunError};
 
+use backend::channel_mp::ThreadTransport;
+use backend::mp::MessagePassing;
+use backend::socket_mp::SocketTransport;
 use index::{merge_stats, GlobalIndex};
 use query::Resolution;
 
@@ -165,19 +168,20 @@ pub struct EngineConfig {
     pub delta_threshold: f64,
     /// Which execution backend realizes the engine's collective rounds
     /// (see [`backend`]): the in-process [`LocalSpmd`] session (default)
-    /// or the message-passing [`ChannelMp`] worker ring.
+    /// or the message-passing backend over worker threads or processes.
     pub backend: BackendChoice,
     /// Enables end-to-end observability (see [`obs`]): request-scoped
     /// spans in every [`RunReport`], and a [`MetricsRegistry`] fed per
     /// batch. Off by default; when off the engine takes one branch per
     /// batch and records nothing.
     pub observe: bool,
-    /// When set (and the backend supports membership, i.e. [`SocketMp`]),
-    /// a failed [`Engine::run`] triggers one [`Engine::recover`] —
-    /// respawning dead shard workers, re-wiring the fabric — and retries
-    /// the batch once, so a killed worker means degraded data, not a dead
-    /// engine. Off by default: the poisoning contract (rebuild the engine)
-    /// stays strict unless explicitly opted into.
+    /// When set (and the backend supports membership, i.e. message
+    /// passing on either transport), a failed [`Engine::run`] triggers one
+    /// [`Engine::recover`] — respawning dead shard workers, re-wiring the
+    /// fabric — and retries the batch once, so a killed worker means
+    /// degraded data, not a dead engine. Off by default: the poisoning
+    /// contract (rebuild the engine) stays strict unless explicitly opted
+    /// into.
     pub self_heal: bool,
     /// Intra-shard scan fan-out: large per-shard scans split into this
     /// many chunks executed on scoped threads with a deterministic
@@ -254,16 +258,17 @@ impl EngineConfig {
         self
     }
 
-    /// Shorthand: run on the message-passing [`ChannelMp`] backend with
-    /// default tuning.
+    /// Shorthand: run on the message-passing backend over worker threads
+    /// ([`BackendChoice::ChannelMp`]) with default tuning.
     pub fn channel_mp(self) -> Self {
         self.backend(BackendChoice::ChannelMp(ChannelMpTuning::default()))
     }
 
-    /// Shorthand: run on the out-of-process [`SocketMp`] backend with
-    /// default tuning (requires the `cgselect-shard-worker` binary on
-    /// disk — built with the crate's bin targets — or the
-    /// `CGSELECT_WORKER_BIN` environment variable naming it).
+    /// Shorthand: run on the message-passing backend over worker processes
+    /// ([`BackendChoice::SocketMp`]) with default tuning (requires the
+    /// `cgselect-shard-worker` binary on disk — built with the crate's bin
+    /// targets — or the `CGSELECT_WORKER_BIN` environment variable naming
+    /// it).
     pub fn socket_mp(self) -> Self {
         self.backend(BackendChoice::SocketMp(SocketMpTuning::default()))
     }
@@ -496,12 +501,16 @@ impl<T: Key> Engine<T> {
         cfg.validate();
         let backend: Box<dyn ExecBackend<T>> = match &cfg.backend {
             BackendChoice::LocalSpmd => Box::new(LocalSpmd::<T>::start(&cfg)?),
-            BackendChoice::ChannelMp(tuning) => {
-                Box::new(ChannelMp::<T>::start(&cfg, tuning.clone()))
-            }
-            BackendChoice::SocketMp(tuning) => {
-                Box::new(SocketMp::<T>::start(&cfg, tuning.clone())?)
-            }
+            BackendChoice::ChannelMp(tuning) => Box::new(MessagePassing::<T, _>::start(
+                ThreadTransport::<T>::new(&cfg, tuning.clone()),
+                cfg.nprocs,
+                tuning.reply_timeout,
+            )?),
+            BackendChoice::SocketMp(tuning) => Box::new(MessagePassing::<T, _>::start(
+                SocketTransport::new::<T>(&cfg, tuning.clone())?,
+                cfg.nprocs,
+                tuning.reply_timeout,
+            )?),
         };
         Ok(Engine {
             shard_sizes: vec![0; cfg.nprocs],
@@ -1320,22 +1329,22 @@ impl<T: Key> Engine<T> {
         self.shard_sizes = sizes;
     }
 
-    // --- Dynamic membership (SocketMp only; see [`ExecBackend`]) -------
+    // --- Dynamic membership (message passing only; see [`ExecBackend`]) --
 
     /// True when the engine's backend supports the membership verbs below
-    /// (worker processes joining/leaving at runtime, shard migration,
-    /// crash recovery).
+    /// (workers joining/leaving at runtime, shard migration, crash
+    /// recovery).
     pub fn supports_membership(&self) -> bool {
         self.backend.supports_membership()
     }
 
-    /// OS process ids of the shard workers, indexed by rank (empty on
-    /// in-process backends).
+    /// OS process ids of the shard workers, indexed by rank (empty unless
+    /// the workers are processes).
     pub fn worker_pids(&self) -> Vec<u32> {
         self.backend.worker_pids()
     }
 
-    /// Migrates shard `rank` onto a freshly spawned worker process; the
+    /// Migrates shard `rank` onto a freshly spawned worker; the
     /// shard's state moves exactly (data, bucket runs, mid-stream sketch),
     /// so the cached histogram stays warm through the move and subsequent
     /// batches are bit-identical to an engine that never migrated.

@@ -5,13 +5,15 @@
 //! The registry is deliberately boring — `BTreeMap`s behind one `Mutex`,
 //! `&'static str` names — because it sits on the engine's batch path and the
 //! frontend's delivery path. The one interesting piece is dogfooding:
-//! latency tracks feed a [`ReservoirSketch`] and percentiles come out of
-//! [`quantile_rank`] + [`estimate_rank`] — the very code the engine uses to
-//! answer its callers' quantile queries now answers queries about the engine
-//! itself.
+//! latency tracks feed an [`EpsSketch`] and percentiles come out of
+//! [`quantile_rank`] + [`EpsSketch::query_rank`] — the very code the engine
+//! uses to answer its callers' tolerant quantile queries now answers queries
+//! about the engine itself, with the same deterministic guarantee: exact
+//! while a track holds fewer than [`LATENCY_CAPACITY`] observations, within
+//! [`EpsSketch::rank_error_bound`] ranks after.
 
 use crate::query::quantile_rank;
-use crate::sketch::{estimate_rank, ReservoirSketch};
+use crate::sketch::EpsSketch;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -20,9 +22,10 @@ use std::sync::Mutex;
 /// are always comparable.
 const HISTOGRAM_BUCKETS: usize = 24;
 
-/// Reservoir capacity of one latency track: enough samples for stable
-/// p99 estimates (standard rank error `≈ n/√1024 ≈ 3%·n`) at fixed memory.
-const LATENCY_SAMPLES: usize = 1024;
+/// Compactor capacity of one latency track's sketch: lossless below it,
+/// and a guaranteed rank error of a few percent of `n` at `O(k·log(n/k))`
+/// memory above it.
+const LATENCY_CAPACITY: usize = 1024;
 
 #[derive(Clone, Debug, Default)]
 struct Histogram {
@@ -42,30 +45,12 @@ impl Histogram {
     }
 }
 
-#[derive(Debug)]
-struct LatencyTrack {
-    sketch: ReservoirSketch<u64>,
-}
-
-impl LatencyTrack {
-    fn new(name: &str) -> Self {
-        // Seed the reservoir deterministically from the track name so a
-        // given workload yields reproducible percentile estimates.
-        let seed =
-            name.bytes().fold(0xC0FFEE_u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-        LatencyTrack { sketch: ReservoirSketch::new(LATENCY_SAMPLES, seed) }
-    }
-
-    /// The engine's own quantile machinery, turned on itself: the track's
-    /// reservoir is one "shard" of `(samples, population)` and the
-    /// percentile is the estimated element of the quantile's target rank.
-    fn percentile(&self, q: f64) -> u64 {
-        let n = self.sketch.population();
-        if n == 0 {
-            return 0;
-        }
-        let target = quantile_rank(q, n);
-        estimate_rank(&[(self.sketch.samples().to_vec(), n)], target)
+/// The engine's own quantile machinery, turned on itself: a latency
+/// percentile is the track sketch's element for the quantile's target rank.
+fn percentile(track: &mut EpsSketch<u64>, q: f64) -> u64 {
+    match track.population() {
+        0 => 0,
+        n => track.query_rank(quantile_rank(q, n)),
     }
 }
 
@@ -74,7 +59,7 @@ struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    latencies: BTreeMap<&'static str, LatencyTrack>,
+    latencies: BTreeMap<&'static str, EpsSketch<u64>>,
 }
 
 /// A process-shared metrics registry.
@@ -111,13 +96,28 @@ impl MetricsRegistry {
     /// Records one latency observation (nanoseconds) into the named track.
     pub fn latency_observe(&self, name: &'static str, nanos: u64) {
         let mut inner = self.inner.lock().expect("metrics lock");
-        inner.latencies.entry(name).or_insert_with(|| LatencyTrack::new(name)).sketch.offer(nanos);
+        inner
+            .latencies
+            .entry(name)
+            .or_insert_with(|| EpsSketch::new(LATENCY_CAPACITY))
+            .offer(nanos);
     }
 
     /// A point-in-time copy of every metric, with latency percentiles
     /// computed by the engine's own sketch/quantile code.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics lock");
+        let mut inner = self.inner.lock().expect("metrics lock");
+        let latencies = inner
+            .latencies
+            .iter_mut()
+            .map(|(&name, track)| LatencySummary {
+                name,
+                count: track.population(),
+                p50: percentile(track, 0.50),
+                p95: percentile(track, 0.95),
+                p99: percentile(track, 0.99),
+            })
+            .collect();
         MetricsSnapshot {
             counters: inner.counters.iter().map(|(&k, &v)| (k, v)).collect(),
             gauges: inner.gauges.iter().map(|(&k, &v)| (k, v)).collect(),
@@ -140,17 +140,7 @@ impl MetricsRegistry {
                         .collect(),
                 })
                 .collect(),
-            latencies: inner
-                .latencies
-                .iter()
-                .map(|(&name, t)| LatencySummary {
-                    name,
-                    count: t.sketch.population(),
-                    p50: t.percentile(0.50),
-                    p95: t.percentile(0.95),
-                    p99: t.percentile(0.99),
-                })
-                .collect(),
+            latencies,
         }
     }
 }
@@ -175,7 +165,7 @@ pub struct LatencySummary {
     /// Track name.
     pub name: &'static str,
     /// Total observations (the track's full population, not just the
-    /// retained samples).
+    /// items its sketch retains).
     pub count: u64,
     /// Estimated median latency.
     pub p50: u64,
@@ -305,7 +295,7 @@ mod tests {
     #[test]
     fn latency_percentiles_come_from_the_engines_own_quantile_code() {
         let m = MetricsRegistry::new();
-        // 1..=1000 ns, below reservoir capacity: the sketch is lossless, so
+        // 1..=1000 ns, below the sketch capacity: the sketch is lossless, so
         // the dogfooded percentile must be the *exact* order statistic the
         // engine's quantile_rank targets.
         for v in 1..=1000u64 {
@@ -319,17 +309,23 @@ mod tests {
     }
 
     #[test]
-    fn latency_percentiles_stay_close_above_reservoir_capacity() {
+    fn latency_percentiles_stay_within_the_sketch_bound_above_capacity() {
         let m = MetricsRegistry::new();
+        // Observation v has rank v - 1, so a percentile's rank error is
+        // readable straight off the reported value.
         for v in 1..=100_000u64 {
             m.latency_observe("request_wall", v);
         }
         let l = m.snapshot().latencies[0];
         assert_eq!(l.count, 100_000);
-        // 1024 samples → standard rank error ≈ 3%; allow 4 standard errors.
+        // The track's sketch saw the same stream, so its self-reported
+        // guarantee is the bar — and that guarantee is itself tight.
+        let bound = EpsSketch::from_data(LATENCY_CAPACITY, &(1..=100_000u64).collect::<Vec<_>>())
+            .rank_error_bound();
+        assert!(bound < 3_000, "a 1024-wide sketch of 10^5 items guarantees <3%, got {bound}");
         for (p, q) in [(l.p50, 0.50), (l.p95, 0.95), (l.p99, 0.99)] {
-            let target = (q * 100_000.0) as i64;
-            assert!((p as i64 - target).abs() < 12_500, "p{q}: estimate {p} too far from {target}");
+            let target = quantile_rank(q, 100_000);
+            assert!((p - 1).abs_diff(target) <= bound, "p{q}: {p} is >{bound} ranks off {target}");
         }
         assert!(l.p50 < l.p95 && l.p95 < l.p99);
     }

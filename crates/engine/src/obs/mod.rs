@@ -18,7 +18,8 @@
 //! * **Metrics** — [`MetricsRegistry`] holds counters, gauges, fixed-bucket
 //!   histograms and latency tracks; latency percentiles are computed by the
 //!   engine's *own* sketch/quantile machinery — the registry dogfoods the
-//!   same reservoir + rank-estimation code that answers quantile queries.
+//!   same [`crate::EpsSketch`] that serves tolerant quantile queries, so
+//!   every percentile is within the track's self-reported rank-error bound.
 //!   The standing-query subsystem reports through the same registry: a
 //!   `standing_active` gauge, `standing_refresh` / `standing_zero_collective`
 //!   counters, and a `refresh_wall` latency track alongside `batch_wall`.
@@ -119,9 +120,9 @@ impl std::fmt::Display for TraceId {
 }
 
 /// The batch-level trace context that flows from the planner into backend
-/// execution — and, for `ChannelMp`, across the wire inside the execute
-/// command frame. Its presence is also the shard-side "observability on"
-/// signal.
+/// execution — and, on the message-passing backend, across the wire inside
+/// the execute command frame. Its presence is also the shard-side
+/// "observability on" signal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceContext {
     /// The engine's batch sequence number.

@@ -1,27 +1,17 @@
-//! Sketches: compact summaries of the resident multiset.
+//! Sketches: compact summaries of a multiset.
 //!
-//! Two families live here, with different contracts:
-//!
-//! * [`EpsSketch`] (`sketch/eps.rs`) — the serving rung. A **deterministic**
-//!   mergeable ε-sketch (a Munro–Paterson-style compactor hierarchy) that
-//!   answers rank → value and value → rank queries with a *provable*
-//!   absolute rank-error bound it reports itself
-//!   ([`EpsSketch::rank_error_bound`] / [`EpsSketch::count_error_bound`]).
-//!   The engine keeps one host-global `EpsSketch` fed at ingest and
-//!   per-shard sketches that seed index splitters and ride migration
-//!   snapshots; `Accuracy::WithinRank` contracts the bound can honor are
-//!   served host-side at **zero collectives**.
-//! * [`ReservoirSketch`] (`sketch/reservoir.rs`) — a uniform reservoir
-//!   sample (Vitter's Algorithm R), retained for the metrics registry's
-//!   self-served latency percentiles, where a probabilistic estimate is
-//!   the right tool and a deterministic bound is not needed.
-//!
-//! The probabilistic *serving* entry points the reservoir used to provide
-//! (`support_bound`, `estimate_rank_of`, snapshot/restore for migration)
-//! are gone: the deterministic sketch replaced that rung wholesale.
+//! One family lives here: [`EpsSketch`] (`sketch/eps.rs`), a
+//! **deterministic** mergeable ε-sketch (a Munro–Paterson-style compactor
+//! hierarchy) that answers rank → value and value → rank queries with a
+//! *provable* absolute rank-error bound it reports itself
+//! ([`EpsSketch::rank_error_bound`] / [`EpsSketch::count_error_bound`]).
+//! The engine keeps one host-global `EpsSketch` fed at ingest and
+//! per-shard sketches that seed index splitters and ride migration
+//! snapshots; `Accuracy::WithinRank` contracts the bound can honor are
+//! served host-side at **zero collectives**. The metrics registry feeds
+//! its latency tracks to the same sketch, so telemetry percentiles carry
+//! the same kind of stated bound. There is no RNG anywhere in this crate.
 
 mod eps;
-mod reservoir;
 
 pub use eps::EpsSketch;
-pub use reservoir::{estimate_rank, ReservoirSketch};

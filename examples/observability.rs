@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example observability`
 //!
 //! The engine observes itself with its own machinery: request latencies
-//! feed a `ReservoirSketch` and the p50/p95/p99 below come out of the same
-//! rank-estimation code that answers quantile queries.
+//! feed an `EpsSketch` and the p50/p95/p99 below come out of the same
+//! deterministic sketch code that answers tolerant quantile queries.
 
 use cgselect::{
     BackendChoice, Bounds, ChannelMpTuning, Distribution, Engine, EngineConfig, MachineModel,

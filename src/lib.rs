@@ -132,14 +132,14 @@ pub use cgselect_core::{
 };
 pub use cgselect_engine::{
     measure_rounds, quantile_rank, Accuracy, Answer, AsyncError, BackendChoice, BackendError,
-    BackendKind, BatchReport, BatchSpan, Bounds, ChannelMp, ChannelMpTuning, CostAttribution,
-    Engine, EngineConfig, EngineError, EpsSketch, ExecBackend, ExecutionMode, Fault, Freshness,
+    BackendKind, BatchReport, BatchSpan, Bounds, ChannelMpTuning, CostAttribution, Engine,
+    EngineConfig, EngineError, EpsSketch, ExecBackend, ExecutionMode, Fault, Freshness,
     FrontendConfig, FrontendStats, IndexHealth, LocalSpmd, MetricsRegistry, MetricsSnapshot,
     MutationReport, MutationTicket, Outcome, OutcomeTicket, Phase, PhaseOps, PhaseSpan,
     PhaseSummary, Query, QueryKind, QueryTicket, RankSet, RecoveryReport, RefreshPolicy, Request,
     RequestSpan, Response, RoundsMeasurement, RunReport, Served, SloAccumulator, SloPolicy,
-    SloReport, SocketMp, SocketMpTuning, StandingHandle, StandingTicket, StandingUpdate,
-    SubmissionQueue, SubmitError, SubscriptionId, Ticket, TraceId,
+    SloReport, SocketMpTuning, StandingHandle, StandingTicket, StandingUpdate, SubmissionQueue,
+    SubmitError, SubscriptionId, Ticket, TraceId,
 };
 pub use cgselect_runtime::{
     CommStats, Key, Machine, MachineModel, OrdF64, Proc, RunError, Session, ShardStore,

@@ -2,7 +2,8 @@
 //!
 //! The engine's execution seam ([`cgselect::ExecBackend`]) promises that
 //! *where* the shards live — the in-process `LocalSpmd` session or the
-//! message-passing `ChannelMp` worker ring — is unobservable: every
+//! message-passing backend's worker threads (`ChannelMp`) or worker
+//! processes (`SocketMp`) — is unobservable: every
 //! scenario family (all 8 workload distributions × the full
 //! ingest-burst/delta-merge/delete/rebalance lifecycle) must produce
 //! answers identical to the sequential oracle **and** identical
@@ -476,6 +477,13 @@ fn dropping_engine_mid_lifecycle_leaks_no_threads_on_both_backends() {
             let mut engine: Engine<u64> =
                 Engine::new(cfg(4, backend.clone()).delta_threshold(10.0)).unwrap();
             engine.ingest((0..4000u64).collect()).unwrap();
+            if engine.supports_membership() {
+                // Membership moves spawn and reap workers of their own:
+                // 4 -> 5 -> 4 shards (the empty newcomer retires again, so
+                // the ring stays balanced and no rebalance drops the index).
+                assert_eq!(engine.join_worker().unwrap(), 5, "{kind}");
+                assert_eq!(engine.retire_worker(4).unwrap(), 4, "{kind}");
+            }
             engine.execute(&[Query::Median]).unwrap(); // builds the index
             engine.ingest((0..100u64).collect()).unwrap(); // populates the delta run
             assert!(
@@ -659,9 +667,10 @@ fn backend_kind_is_reported() {
 // ---------------------------------------------------------------------------
 // SocketMp: shard workers as real child processes over Unix-domain sockets.
 // Same conformance bar (oracle answers + collective-round parity), plus the
-// process-only contracts: SIGKILL surfaces typed errors, drop reaps every
-// child, and membership moves (migrate / join / retire / recover) keep the
-// engine serving exact answers.
+// process-only contracts: SIGKILL surfaces typed errors and drop reaps every
+// child. Membership moves (migrate / join / retire / recover) live in the
+// shared message-passing host, so their scenarios take the backend as an
+// input and run over both transports.
 // ---------------------------------------------------------------------------
 
 /// Builds the worker binary once if this test target was invoked without it
@@ -803,12 +812,21 @@ fn socket_mp_drop_reaps_every_worker_process() {
 
 #[test]
 fn socket_mp_migration_mid_query_stream_is_invisible() {
+    migration_mid_query_stream_is_invisible(socket_mp());
+}
+
+#[test]
+fn channel_mp_migration_mid_query_stream_is_invisible() {
+    migration_mid_query_stream_is_invisible(channel_mp());
+}
+
+fn migration_mid_query_stream_is_invisible(backend: BackendChoice) {
     let p = 4;
     let n = 3000usize;
     let data: Vec<u64> =
         cgselect::generate(Distribution::Zipf, n, p, 77).into_iter().flatten().collect();
-    let mut migrating: Engine<u64> = Engine::new(cfg(p, socket_mp())).unwrap();
-    let mut reference: Engine<u64> = Engine::new(cfg(p, socket_mp())).unwrap();
+    let mut migrating: Engine<u64> = Engine::new(cfg(p, backend.clone())).unwrap();
+    let mut reference: Engine<u64> = Engine::new(cfg(p, backend.clone())).unwrap();
     let mut all: Vec<u64> = Vec::new();
 
     let check = |migrating: &mut Engine<u64>,
@@ -841,10 +859,14 @@ fn socket_mp_migration_mid_query_stream_is_invisible() {
     migrating.migrate_shard(1).unwrap();
     migrating.migrate_shard(3).unwrap();
     let after = migrating.worker_pids();
-    assert_ne!(before[1], after[1], "migration must move the shard to a fresh process");
-    assert_ne!(before[3], after[3], "migration must move the shard to a fresh process");
-    assert_eq!(before[0], after[0], "unmigrated shards must keep their process");
-    assert!(!process_alive(before[1]), "the migrated-away worker must be reaped");
+    if backend.kind() == BackendKind::SocketMp {
+        assert_ne!(before[1], after[1], "migration must move the shard to a fresh process");
+        assert_ne!(before[3], after[3], "migration must move the shard to a fresh process");
+        assert_eq!(before[0], after[0], "unmigrated shards must keep their process");
+        assert!(!process_alive(before[1]), "the migrated-away worker must be reaped");
+    } else {
+        assert!(before.is_empty() && after.is_empty(), "worker threads have no pids");
+    }
     check(&mut migrating, &mut reference, &all, "after migration");
 
     // The rest of the stream rides the delta run and a delete, still in step.
@@ -865,7 +887,17 @@ fn socket_mp_migration_mid_query_stream_is_invisible() {
 
 #[test]
 fn socket_mp_join_and_retire_keep_serving_exact_answers() {
-    let mut engine: Engine<u64> = Engine::new(cfg(3, socket_mp())).unwrap();
+    join_and_retire_keep_serving_exact_answers(socket_mp());
+}
+
+#[test]
+fn channel_mp_join_and_retire_keep_serving_exact_answers() {
+    join_and_retire_keep_serving_exact_answers(channel_mp());
+}
+
+fn join_and_retire_keep_serving_exact_answers(backend: BackendChoice) {
+    let processes = backend.kind() == BackendKind::SocketMp;
+    let mut engine: Engine<u64> = Engine::new(cfg(3, backend)).unwrap();
     let mut all: Vec<u64> = (0..2000u64).map(|i| i.wrapping_mul(48271) % 100_003).collect();
     engine.ingest(all.clone()).unwrap();
 
@@ -881,7 +913,8 @@ fn socket_mp_join_and_retire_keep_serving_exact_answers() {
 
     // Grow: a fresh empty worker joins at the top rank.
     assert_eq!(engine.join_worker().unwrap(), 4);
-    assert_eq!(engine.worker_pids().len(), 4);
+    assert_eq!(engine.nprocs(), 4);
+    assert_eq!(engine.worker_pids().len(), if processes { 4 } else { 0 });
     check(&mut engine, &all, "after join");
     let burst: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(69621) % 99_991).collect();
     all.extend_from_slice(&burst);
@@ -895,7 +928,8 @@ fn socket_mp_join_and_retire_keep_serving_exact_answers() {
     check(&mut engine, &all, "after retiring rank 0");
     assert_eq!(engine.retire_worker(1).unwrap(), 2);
     assert_eq!(engine.retire_worker(0).unwrap(), 1);
-    assert_eq!(engine.worker_pids().len(), 1);
+    assert_eq!(engine.nprocs(), 1);
+    assert_eq!(engine.worker_pids().len(), usize::from(processes));
     check(&mut engine, &all, "single surviving worker");
 
     // The last shard refuses to retire.
@@ -1042,10 +1076,10 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
     }
 
     // Migration moves a shard — and its sketch, inside the snapshot — to a
-    // fresh process without changing the multiset: the rung must answer
-    // identically before and after (SocketMp only; the in-process backends
-    // have no migration verb).
-    if engine.backend_kind() == BackendKind::SocketMp {
+    // fresh worker without changing the multiset: the rung must answer
+    // identically before and after (message passing only; LocalSpmd has no
+    // migration verb).
+    if engine.supports_membership() {
         let before = steps.last().expect("at least one step recorded").clone();
         engine.migrate_shard(1).unwrap();
         let after = check(&mut engine, &all, "migrate");
@@ -1131,4 +1165,40 @@ fn socket_mp_self_heal_replaces_killed_worker_and_serves_survivors() {
     let queries = mixed_batch(surviving.len() as u64);
     let exact = engine.execute(&queries).unwrap();
     assert_eq!(exact.answers, oracle_answers(&surviving, &queries));
+}
+
+#[test]
+fn channel_mp_self_heal_retries_a_panicked_batch_and_loses_nothing() {
+    // The deterministic recovery drill: rank 1 dies mid-collective on its
+    // very first execute. A panicked worker thread keeps its shard and
+    // keeps serving control verbs, so recovery finds nobody dead, rewires
+    // the fabric and the retry serves the FULL multiset — one recovery,
+    // one retry, zero failed queries, zero lost elements.
+    let p = 3;
+    let backend = faulty(&[Fault::PanicOnExecute { rank: 1, nth: 0 }]);
+    let mut engine: Engine<u64> =
+        Engine::new(cfg(p, backend).self_heal(true).observe(true)).unwrap();
+    let data: Vec<u64> = (0..3000u64).map(|i| i.wrapping_mul(2654435761) % 1_000_003).collect();
+    engine.ingest(data.clone()).unwrap();
+    let mut sorted = data;
+    sorted.sort_unstable();
+
+    let queries = mixed_batch(sorted.len() as u64);
+    let report = engine.execute(&queries).unwrap();
+    assert_eq!(report.answers, oracle_answers(&sorted, &queries));
+    assert_eq!(engine.len(), sorted.len() as u64, "recovery must not lose an element");
+    let recoveries = |engine: &Engine<u64>| {
+        let snapshot = engine.metrics().expect("observing engine").snapshot();
+        snapshot.counters.iter().find(|(name, _)| *name == "recoveries_total").map(|&(_, v)| v)
+    };
+    assert_eq!(recoveries(&engine), Some(1), "the batch must be retried exactly once");
+
+    // The fault was one-shot: the healed ring keeps serving without
+    // another recovery, mutations included.
+    engine.ingest(vec![7, 8, 9]).unwrap();
+    sorted.extend([7, 8, 9]);
+    sorted.sort_unstable();
+    let queries = mixed_batch(sorted.len() as u64);
+    assert_eq!(engine.execute(&queries).unwrap().answers, oracle_answers(&sorted, &queries));
+    assert_eq!(recoveries(&engine), Some(1));
 }

@@ -161,8 +161,8 @@ fn metrics_snapshot_tracks_batches_and_serves_latency_percentiles() {
         .sum();
     assert_eq!(served, counter("requests_total"), "every request lands in a served_* bucket");
 
-    // The latency tracks are served by the engine's own reservoir +
-    // rank-estimation machinery and must be ordered like percentiles.
+    // The latency tracks are served by the engine's own ε-sketch
+    // machinery and must be ordered like percentiles.
     for name in ["batch_wall", "batch_virtual"] {
         let lat = snap
             .latencies
