@@ -16,9 +16,9 @@
 //! the multi-select runs over candidate buckets borrowed in place, so the
 //! baseline's per-batch full-shard copy + scan is simply absent.
 //!
-//! **Experiment 3 — Query API v2 mixed workloads**
+//! **Experiment 3 — mixed-kind workloads**
 //! (`results/engine_api_v2.{csv,txt}`): batches mixing forward ranks with
-//! the v2 inverse direction (rank-of-value CDF probes + range counts) on
+//! the inverse direction (rank-of-value CDF probes + range counts) on
 //! the indexed engine, per-query vs batched and cold vs histogram-warm,
 //! on both backends — the whole probe batch rides one vectorized Combine
 //! round, and probes the refined splitters bound are served from the
@@ -56,7 +56,7 @@
 //! Pass `--quick` for a reduced grid. Pass `--check` to exit non-zero
 //! unless the indexed engine uses no more collective ops/query than the
 //! baseline on both workloads *and* at least 2× fewer on the
-//! repeated-quantile workload, the mixed v2 workload batches at least 2×
+//! repeated-quantile workload, the mixed-kind workload batches at least 2×
 //! fewer ops/query than per-query execution with ChannelMp round-parity,
 //! the histogram-warm inverse stream costs zero collectives, the
 //! observability twin-run and SLO thresholds above hold, the sketch
@@ -72,7 +72,7 @@ use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
 use cgselect_engine::{
     measure_rounds, BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, ExecutionMode,
-    IndexHealth, Query, RefreshPolicy, Request, Served, SloAccumulator, SloPolicy, SocketMpTuning,
+    IndexHealth, RefreshPolicy, Request, Served, SloAccumulator, SloPolicy, SocketMpTuning,
 };
 use cgselect_workloads::{generate, Distribution};
 
@@ -80,7 +80,7 @@ fn check_mode() -> bool {
     std::env::args().any(|a| a == "--check")
 }
 
-/// One mode × workload measurement of experiment 2.
+/// One mode × workload measurement of experiments 2 and 3.
 struct Run {
     workload: &'static str,
     mode: &'static str,
@@ -89,6 +89,7 @@ struct Run {
     collective_ops: u64,
     makespan: f64,
     wall: f64,
+    histogram_served: u64,
     health: IndexHealth,
 }
 
@@ -98,28 +99,40 @@ impl Run {
     }
 }
 
+/// Runs one request stream on a fresh engine built from `cfg`, warmed by
+/// `warmup` first (outside the measurement); the "per-query" mode executes
+/// every request as its own single-element batch.
 fn drive(
     workload: &'static str,
     mode: &'static str,
-    index_buckets: usize,
-    backend: BackendChoice,
+    cfg: EngineConfig,
     data: &[u64],
-    p: usize,
-    batches: &[Vec<Query>],
+    warmup: &[Request<u64>],
+    batches: &[Vec<Request<u64>>],
 ) -> Run {
-    let mut engine: Engine<u64> =
-        Engine::new(EngineConfig::new(p).index_buckets(index_buckets).backend(backend))
-            .expect("engine start");
+    let per_request = mode == "per-query";
+    let mut engine: Engine<u64> = Engine::new(cfg).expect("engine start");
     engine.ingest(data.to_vec()).expect("ingest");
+    if !warmup.is_empty() {
+        engine.run(warmup).expect("warmup");
+    }
     let wall0 = Instant::now();
     let mut collective_ops = 0u64;
     let mut makespan = 0.0f64;
     let mut queries = 0usize;
+    let mut histogram_served = 0u64;
     for batch in batches {
-        let report = engine.execute(batch).expect("execute");
-        collective_ops += report.collective_ops;
-        makespan += report.makespan;
-        queries += batch.len();
+        // Per-request mode runs the same stream as 1-element batches; the
+        // measurement body is shared so the two modes can never drift.
+        let chunk = if per_request { 1 } else { batch.len() };
+        for unit in batch.chunks(chunk) {
+            let report = engine.run(unit).expect("run");
+            collective_ops += report.collective_ops;
+            makespan += report.makespan;
+            queries += unit.len();
+            histogram_served +=
+                report.outcomes.iter().filter(|o| o.served == Served::Histogram).count() as u64;
+        }
     }
     Run {
         workload,
@@ -129,6 +142,7 @@ fn drive(
         collective_ops,
         makespan,
         wall: wall0.elapsed().as_secs_f64(),
+        histogram_served,
         health: engine.index_health(),
     }
 }
@@ -148,8 +162,8 @@ fn batching_experiment(quick: bool, dir: &std::path::Path) {
     let mut rows = Vec::new();
     let mut table = Vec::new();
     for &r in batch_sizes {
-        let queries: Vec<Query> = (0..r)
-            .map(|i| Query::Rank((i as u64 * (total - 1)) / r.max(2) as u64 + i as u64 % 3))
+        let queries: Vec<Request<u64>> = (0..r)
+            .map(|i| Request::rank((i as u64 * (total - 1)) / r.max(2) as u64 + i as u64 % 3))
             .collect();
 
         let wall0 = Instant::now();
@@ -237,29 +251,39 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let total = data.len() as u64;
 
     // Workload A: fresh distinct ranks every batch (no repeats to cache).
-    let distinct_batches: Vec<Vec<Query>> = (0..8u64)
-        .map(|b| (0..32u64).map(|i| Query::Rank((i * total / 32 + b * 97 + i) % total)).collect())
+    let distinct_batches: Vec<Vec<Request<u64>>> = (0..8u64)
+        .map(|b| (0..32u64).map(|i| Request::rank((i * total / 32 + b * 97 + i) % total)).collect())
         .collect();
     // Workload B: the same quantile set, batch after batch (a dashboard).
-    let quantiles: Vec<Query> = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+    let quantiles: Vec<Request<u64>> = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
         .into_iter()
-        .map(Query::quantile)
-        .chain([Query::Median])
+        .map(Request::quantile)
+        .chain([Request::median()])
         .collect();
-    let repeated_batches: Vec<Vec<Query>> = (0..16).map(|_| quantiles.clone()).collect();
+    let repeated_batches: Vec<Vec<Request<u64>>> = (0..16).map(|_| quantiles.clone()).collect();
 
     let local = BackendChoice::LocalSpmd;
     let mp = || BackendChoice::ChannelMp(ChannelMpTuning::default());
     let sock = || BackendChoice::SocketMp(SocketMpTuning::default());
+    let cfg = |index_buckets: usize, backend: BackendChoice| {
+        EngineConfig::new(p).index_buckets(index_buckets).backend(backend)
+    };
     let runs = vec![
-        drive("distinct-ranks", "baseline", 0, local.clone(), &data, p, &distinct_batches),
-        drive("distinct-ranks", "indexed", 64, local.clone(), &data, p, &distinct_batches),
-        drive("distinct-ranks", "indexed-mp", 64, mp(), &data, p, &distinct_batches),
-        drive("distinct-ranks", "indexed-sock", 64, sock(), &data, p, &distinct_batches),
-        drive("repeated-quantiles", "baseline", 0, local.clone(), &data, p, &repeated_batches),
-        drive("repeated-quantiles", "indexed", 64, local, &data, p, &repeated_batches),
-        drive("repeated-quantiles", "indexed-mp", 64, mp(), &data, p, &repeated_batches),
-        drive("repeated-quantiles", "indexed-sock", 64, sock(), &data, p, &repeated_batches),
+        drive("distinct-ranks", "baseline", cfg(0, local.clone()), &data, &[], &distinct_batches),
+        drive("distinct-ranks", "indexed", cfg(64, local.clone()), &data, &[], &distinct_batches),
+        drive("distinct-ranks", "indexed-mp", cfg(64, mp()), &data, &[], &distinct_batches),
+        drive("distinct-ranks", "indexed-sock", cfg(64, sock()), &data, &[], &distinct_batches),
+        drive(
+            "repeated-quantiles",
+            "baseline",
+            cfg(0, local.clone()),
+            &data,
+            &[],
+            &repeated_batches,
+        ),
+        drive("repeated-quantiles", "indexed", cfg(64, local), &data, &[], &repeated_batches),
+        drive("repeated-quantiles", "indexed-mp", cfg(64, mp()), &data, &[], &repeated_batches),
+        drive("repeated-quantiles", "indexed-sock", cfg(64, sock()), &data, &[], &repeated_batches),
     ];
 
     let mut rows = Vec::new();
@@ -388,74 +412,9 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     ok
 }
 
-/// One mode × workload measurement of experiment 3.
-struct V2Run {
-    workload: &'static str,
-    mode: &'static str,
-    queries: usize,
-    collective_ops: u64,
-    makespan: f64,
-    wall: f64,
-    histogram_served: u64,
-}
-
-impl V2Run {
-    fn ops_per_query(&self) -> f64 {
-        self.collective_ops as f64 / self.queries as f64
-    }
-}
-
-/// Runs one v2 request stream on a fresh indexed engine, warmed by
-/// `warmup` first; the "per-query" mode executes every request as its own
-/// single-element batch.
-fn drive_v2(
-    workload: &'static str,
-    mode: &'static str,
-    backend: BackendChoice,
-    data: &[u64],
-    p: usize,
-    warmup: &[Request<u64>],
-    batches: &[Vec<Request<u64>>],
-) -> V2Run {
-    let per_request = mode == "per-query";
-    let mut engine: Engine<u64> =
-        Engine::new(EngineConfig::new(p).backend(backend)).expect("engine start");
-    engine.ingest(data.to_vec()).expect("ingest");
-    if !warmup.is_empty() {
-        engine.run(warmup).expect("warmup");
-    }
-    let wall0 = Instant::now();
-    let mut collective_ops = 0u64;
-    let mut makespan = 0.0f64;
-    let mut queries = 0usize;
-    let mut histogram_served = 0u64;
-    for batch in batches {
-        // Per-request mode runs the same stream as 1-element batches; the
-        // measurement body is shared so the two modes can never drift.
-        let chunk = if per_request { 1 } else { batch.len() };
-        for unit in batch.chunks(chunk) {
-            let report = engine.run(unit).expect("run");
-            collective_ops += report.collective_ops;
-            makespan += report.makespan;
-            queries += unit.len();
-            histogram_served +=
-                report.outcomes.iter().filter(|o| o.served == Served::Histogram).count() as u64;
-        }
-    }
-    V2Run {
-        workload,
-        mode,
-        queries,
-        collective_ops,
-        makespan,
-        wall: wall0.elapsed().as_secs_f64(),
-        histogram_served,
-    }
-}
-
-/// Experiment 3: the v2 mixed-kind workload (forward ranks + rank-of +
+/// Experiment 3: the mixed-kind workload (forward ranks + rank-of +
 /// range counts).
-fn api_v2_experiment(quick: bool, dir: &std::path::Path) -> bool {
+fn mixed_kinds_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let p = 8;
     let n: usize = if quick { 1 << 16 } else { 1 << 19 };
     let data: Vec<u64> = generate(Distribution::Random, n, p, 13).into_iter().flatten().collect();
@@ -508,12 +467,13 @@ fn api_v2_experiment(quick: bool, dir: &std::path::Path) -> bool {
 
     let local = BackendChoice::LocalSpmd;
     let mp = || BackendChoice::ChannelMp(ChannelMpTuning::default());
+    let cfg = |backend: BackendChoice| EngineConfig::new(p).backend(backend);
     let runs = vec![
-        drive_v2("mixed-kinds", "per-query", local.clone(), &data, p, &[], &mixed),
-        drive_v2("mixed-kinds", "batched", local.clone(), &data, p, &[], &mixed),
-        drive_v2("mixed-kinds", "batched-mp", mp(), &data, p, &[], &mixed),
-        drive_v2("inverse-warm", "batched", local, &data, p, &warm_quantiles, &warm_batches),
-        drive_v2("inverse-warm", "batched-mp", mp(), &data, p, &warm_quantiles, &warm_batches),
+        drive("mixed-kinds", "per-query", cfg(local.clone()), &data, &[], &mixed),
+        drive("mixed-kinds", "batched", cfg(local.clone()), &data, &[], &mixed),
+        drive("mixed-kinds", "batched-mp", cfg(mp()), &data, &[], &mixed),
+        drive("inverse-warm", "batched", cfg(local), &data, &warm_quantiles, &warm_batches),
+        drive("inverse-warm", "batched-mp", cfg(mp()), &data, &warm_quantiles, &warm_batches),
     ];
 
     let mut rows = Vec::new();
@@ -560,7 +520,7 @@ fn api_v2_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let batching_ratio = find("mixed-kinds", "per-query").ops_per_query()
         / find("mixed-kinds", "batched").ops_per_query().max(1e-12);
     let out = format!(
-        "Query API v2: mixed-kind workloads (ranks + rank-of + range counts)\n\
+        "Mixed-kind workloads (ranks + rank-of + range counts)\n\
          (n = {n}, p = {p}, random resident data, indexed engine; virtual times under\n\
          the CM-5 model; batched-mp = the same workload on the ChannelMp backend)\n\n{}\n\
          A batch's value probes share ONE vectorized count-below Combine round and\n\
@@ -593,13 +553,13 @@ fn api_v2_experiment(quick: bool, dir: &std::path::Path) -> bool {
     // The regression guard CI asserts on.
     let mut ok = true;
     if batching_ratio < 2.0 {
-        eprintln!("PERF REGRESSION: v2 mixed-kind batching ratio {batching_ratio:.2} < 2.0");
+        eprintln!("PERF REGRESSION: mixed-kind batching ratio {batching_ratio:.2} < 2.0");
         ok = false;
     }
     let (spmd, chan) = (find("mixed-kinds", "batched"), find("mixed-kinds", "batched-mp"));
     if spmd.collective_ops != chan.collective_ops {
         eprintln!(
-            "BACKEND REGRESSION: ChannelMp used {} collective ops on the v2 mixed workload, \
+            "BACKEND REGRESSION: ChannelMp used {} collective ops on the mixed-kind workload, \
              LocalSpmd used {}",
             chan.collective_ops, spmd.collective_ops
         );
@@ -951,8 +911,7 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
         standing.ingest(seed.clone()).expect("ingest");
         poller.ingest(seed).expect("ingest");
 
-        let reqs: Vec<Request<u64>> =
-            quantiles.into_iter().map(|q| Query::quantile(q).to_request()).collect();
+        let reqs: Vec<Request<u64>> = quantiles.into_iter().map(Request::quantile).collect();
         let handles: Vec<_> =
             reqs.iter().map(|r| standing.subscribe(r.clone(), RefreshPolicy::EveryBatch)).collect();
 
@@ -1124,7 +1083,7 @@ fn main() {
     let dir = results_dir();
     batching_experiment(quick, &dir);
     let index_ok = index_experiment(quick, &dir);
-    let v2_ok = api_v2_experiment(quick, &dir);
+    let mixed_ok = mixed_kinds_experiment(quick, &dir);
     let obs_ok = obs_experiment(quick, &dir);
     let sketch_ok = sketch_experiment(quick, &dir);
     let standing_ok = standing_experiment(quick, &dir);
@@ -1133,13 +1092,13 @@ fn main() {
          + engine_slo.txt + engine_sketch.{{csv,txt}} + engine_standing.{{csv,txt}}",
         dir.display()
     );
-    if check_mode() && !(index_ok && v2_ok && obs_ok && sketch_ok && standing_ok) {
+    if check_mode() && !(index_ok && mixed_ok && obs_ok && sketch_ok && standing_ok) {
         std::process::exit(1);
     }
     if check_mode() {
         println!(
             "perf smoke: indexed engine within bounds (distinct <= baseline, repeated >= 2x), \
-             v2 mixed-kind batching >= 2x with zero-collective warm inverse serving, \
+             mixed-kind batching >= 2x with zero-collective warm inverse serving, \
              ChannelMp and SocketMp collective-round counts equal LocalSpmd's, \
              observability zero-cost (identical answers, rounds and makespan), SLO \
              thresholds held, the sketch rung served >= 90% of the tolerant stream \

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
-use cgselect_engine::{Engine, EngineConfig, FrontendConfig, Query};
+use cgselect_engine::{Engine, EngineConfig, FrontendConfig, Request};
 use cgselect_workloads::{generate, Distribution};
 
 fn main() {
@@ -56,7 +56,9 @@ fn main() {
                     let tickets: Vec<_> = (0..per_client)
                         .map(|i| {
                             let k = ((c * per_client + i) * 7919) % total;
-                            let t = queue.submit(Query::Rank(k)).expect("queue sized for sweep");
+                            let t = queue
+                                .submit_request(Request::rank(k))
+                                .expect("queue sized for sweep");
                             std::thread::sleep(pace);
                             t
                         })

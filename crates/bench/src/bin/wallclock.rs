@@ -4,7 +4,7 @@
 //!
 //! Two layers, both run in kernel mode and in scalar-reference mode (the
 //! in-binary pre-PR baseline, toggled with
-//! `cgselect_seqsel::set_scalar_reference_mode`):
+//! `cgselect_seqsel::with_scalar_reference_mode`):
 //!
 //! * **Microbenches** — `count_below` over `u64`/`u32`/`i64` and
 //!   `partition_by_bounds` (64 splitters), per-element hot loops timed in
@@ -31,7 +31,7 @@ use cgselect_engine::{
     BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, Request, Response,
 };
 use cgselect_seqsel::{
-    count_below_kernel, count_below_reference, partition_by_bounds, set_scalar_reference_mode,
+    count_below_kernel, count_below_reference, partition_by_bounds, with_scalar_reference_mode,
     OpCount, SepBound,
 };
 use cgselect_workloads::{generate, Distribution};
@@ -104,11 +104,11 @@ fn micro_partition(reps: usize, raw: &[u64]) -> Measure {
         best_of(reps, || {
             let mut scratch = raw.to_vec();
             let mut ops = OpCount::new();
-            set_scalar_reference_mode(reference);
-            let wall0 = Instant::now();
-            let offsets = partition_by_bounds(&mut scratch, &bounds, &mut ops);
-            let wall = wall0.elapsed().as_secs_f64();
-            set_scalar_reference_mode(false);
+            let (offsets, wall) = with_scalar_reference_mode(reference, || {
+                let wall0 = Instant::now();
+                let offsets = partition_by_bounds(&mut scratch, &bounds, &mut ops);
+                (offsets, wall0.elapsed().as_secs_f64())
+            });
             std::hint::black_box((offsets, ops));
             wall
         })
@@ -173,9 +173,8 @@ fn e2e(
     let mut answers: [Option<Vec<Response<u64>>>; 2] = [None, None];
     for _ in 0..reps {
         for (slot, reference) in [(0usize, false), (1usize, true)] {
-            set_scalar_reference_mode(reference);
-            let (wall, ans) = e2e_run(backend(), data, p, batches);
-            set_scalar_reference_mode(false);
+            let (wall, ans) =
+                with_scalar_reference_mode(reference, || e2e_run(backend(), data, p, batches));
             walls[slot] = walls[slot].min(wall);
             match &answers[slot] {
                 None => answers[slot] = Some(ans),

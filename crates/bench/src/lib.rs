@@ -1,21 +1,25 @@
 //! # cgselect-bench — the paper's evaluation, regenerated
 //!
-//! One binary per table/figure of the paper's §5 (see `src/bin/`), all
-//! built from the shared experiment runner in this library:
+//! The paper's §5 tables and figures are subcommands of one binary,
+//! `paper <experiment> [--quick]`; the engine-era experiments keep their
+//! own binaries (see `src/bin/`). All are built from the shared experiment
+//! runner in this library:
 //!
-//! | Binary | Regenerates |
+//! | Invocation | Regenerates |
 //! |---|---|
-//! | `fig1` | Figure 1 — four algorithms, random data, p ∈ {2..128}, n ∈ {128k, 512k, 2M} |
-//! | `fig2` | Figure 2 — randomized selection × load balancers × {random, sorted} |
-//! | `fig3` | Figure 3 — fast randomized × load balancers × {random, sorted} |
-//! | `fig4` | Figure 4 — the two randomized algorithms on sorted data, best balancers |
-//! | `fig5` | Figure 5 — randomized: total vs load-balance time, n = 2M |
-//! | `fig6` | Figure 6 — fast randomized: total vs load-balance time, n = 2M |
-//! | `table1` | Table 1 — expected run-time terms + measured iteration counts |
-//! | `table2` | Table 2 — worst-case run-time terms + sorted-input measurements |
-//! | `hybrid` | §5's hybrid experiment (deterministic algorithms, randomized kernels) |
-//! | `headline` | §5's headline ratios, checked against the paper's claims |
-//! | `all_figures` | everything above, writing `results/*.csv` and `results/*.txt` |
+//! | `paper fig1` | Figure 1 — four algorithms, random data, p ∈ {2..128}, n ∈ {128k, 512k, 2M} |
+//! | `paper fig2` | Figure 2 — randomized selection × load balancers × {random, sorted} |
+//! | `paper fig3` | Figure 3 — fast randomized × load balancers × {random, sorted} |
+//! | `paper fig4` | Figure 4 — the two randomized algorithms on sorted data, best balancers |
+//! | `paper fig5` | Figure 5 — randomized: total vs load-balance time, n = 2M |
+//! | `paper fig6` | Figure 6 — fast randomized: total vs load-balance time, n = 2M |
+//! | `paper table1` | Table 1 — expected run-time terms + measured iteration counts |
+//! | `paper table2` | Table 2 — worst-case run-time terms + sorted-input measurements |
+//! | `paper hybrid` | §5's hybrid experiment (deterministic algorithms, randomized kernels) |
+//! | `paper headline` | §5's headline ratios, checked against the paper's claims |
+//! | `paper all` | everything above, writing `results/*.csv` and `results/*.txt` |
+//! | `engine` | batched vs per-query, the bucket index, mixed kinds, observability, sketch rung, standing queries (`--check` gates CI) |
+//! | `frontend` | the async frontend's micro-batch window sweep |
 //! | `ablation` | ε / δ / sample-sort / threshold sweeps (incl. the paper's ε = 0.6 tuning) |
 //! | `whatif` | the headline comparisons under modern / high-latency cost models |
 //! | `topology` | the §2.1 crossbar assumption vs hypercube & mesh with per-hop costs |

@@ -614,16 +614,20 @@ mod tests {
             vec![vec![n / 2], vec![0, n / 4, n / 2, n - 1], (0..40).map(|i| i * n / 40).collect()];
         for ranks in rank_sets {
             let run = |reference: bool| {
-                cgselect_seqsel::set_scalar_reference_mode(reference);
-                let out = cgselect_runtime::Machine::with_model(p, MachineModel::free())
-                    .run(|proc| {
-                        let c0 = proc.comm_stats().collective_ops;
-                        let got =
-                            parallel_multi_select(proc, parts[proc.rank()].clone(), &ranks, &cfg());
-                        (got, proc.comm_stats().collective_ops - c0)
-                    })
-                    .unwrap();
-                cgselect_seqsel::set_scalar_reference_mode(false);
+                let out = cgselect_seqsel::with_scalar_reference_mode(reference, || {
+                    cgselect_runtime::Machine::with_model(p, MachineModel::free())
+                        .run(|proc| {
+                            let c0 = proc.comm_stats().collective_ops;
+                            let got = parallel_multi_select(
+                                proc,
+                                parts[proc.rank()].clone(),
+                                &ranks,
+                                &cfg(),
+                            );
+                            (got, proc.comm_stats().collective_ops - c0)
+                        })
+                        .unwrap()
+                });
                 out.into_iter().next().expect("p >= 1")
             };
             let (kernel_ans, kernel_rounds) = run(false);

@@ -212,7 +212,7 @@ const PAR_SCAN_MIN: usize = 1 << 15;
 /// measured comparisons. Dispatches to the branchless counting kernel —
 /// fanned out over `scan_threads` scoped workers in deterministic
 /// chunk order when the slice is large enough — or to the scalar
-/// reference loop under `set_scalar_reference_mode`. Every path charges
+/// reference loop under `with_scalar_reference_mode`. Every path charges
 /// exactly one comparison per element, so modeled ops never depend on the
 /// kernel or the thread count.
 fn count_admitted<T: Key>(

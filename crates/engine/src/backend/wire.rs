@@ -229,8 +229,14 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Strict like the runtime's `WireMsg for bool`: a flag byte other
+    /// than 0/1 is a corrupt frame, not `true`.
     pub(crate) fn bool(&mut self) -> WireResult<bool> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireMsgError::new(format!("invalid bool byte {b:#x} on the wire"))),
+        }
     }
 
     pub(crate) fn u64(&mut self) -> WireResult<u64> {
@@ -416,6 +422,11 @@ mod tests {
         assert_eq!(r.opt_key::<u64>().unwrap(), None);
         assert_eq!(r.opt_key::<u64>().unwrap(), Some(99));
         r.finish().unwrap();
+
+        // A bit-flipped flag byte is rejected, not read as `true`.
+        let mut corrupt = frame.clone();
+        corrupt[1] = 0x02;
+        assert!(Reader::new(&corrupt).bool().is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The engine's async frontend: a submission queue with deadline
 //! micro-batching.
 //!
-//! [`Engine::execute`] is synchronous — the caller forms a batch and blocks
+//! [`Engine::run`] is synchronous — the caller forms a batch and blocks
 //! on its collective pass. A service facing many concurrent clients wants
 //! the opposite: each client submits *one* query and awaits *one* answer,
 //! while the engine amortizes the `O(log n + R)` multi-select rounds over
@@ -9,7 +9,7 @@
 //! frontend:
 //!
 //! * **[`SubmissionQueue`]** — a cloneable, thread-safe handle. Clients
-//!   [`submit`](SubmissionQueue::submit) queries (or
+//!   [`submit_request`](SubmissionQueue::submit_request) queries (or
 //!   [`submit_ingest`](SubmissionQueue::submit_ingest) /
 //!   [`submit_delete`](SubmissionQueue::submit_delete) mutations) and get a
 //!   [`Ticket`] — a future-like handle resolving to the answer.
@@ -51,8 +51,8 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 
 use crate::obs::{MetricsRegistry, TraceId};
 use crate::{
-    Answer, Engine, EngineError, MutationReport, Outcome, Query, RefreshPolicy, Request,
-    StandingHandle, SubscriptionId,
+    Engine, EngineError, MutationReport, Outcome, RefreshPolicy, Request, StandingHandle,
+    SubscriptionId,
 };
 
 /// How long the batcher sleeps between polls while idle or paused, and the
@@ -175,7 +175,7 @@ impl std::fmt::Display for AsyncError {
 impl std::error::Error for AsyncError {}
 
 /// A future-like handle to one submission's answer. Obtained from
-/// [`SubmissionQueue::submit`] and friends; resolves exactly once.
+/// [`SubmissionQueue::submit_request`] and friends; resolves exactly once.
 pub struct Ticket<R> {
     rx: Receiver<Result<R, AsyncError>>,
 }
@@ -186,11 +186,8 @@ impl<R> std::fmt::Debug for Ticket<R> {
     }
 }
 
-/// A [`Ticket`] resolving to a v1 query's [`Answer`].
-pub type QueryTicket<T> = Ticket<Answer<T>>;
-
-/// A [`Ticket`] resolving to a v2 request's [`Outcome`] (answer +
-/// provenance + attributed cost).
+/// A [`Ticket`] resolving to a request's [`Outcome`] (answer + provenance +
+/// attributed cost).
 pub type OutcomeTicket<T> = Ticket<Outcome<T>>;
 
 /// A [`Ticket`] resolving to an ingest/delete's [`MutationReport`].
@@ -389,33 +386,12 @@ impl<I> Accumulator<I> {
 // Submissions
 // ---------------------------------------------------------------------------
 
-/// Where one pending request's result goes: a v1 ticket (the outcome is
-/// folded back into an [`Answer`]) or a v2 ticket (the typed [`Outcome`]
-/// is delivered as-is).
-enum ReplyTx<T: Key> {
-    Answer(Sender<Result<Answer<T>, AsyncError>>),
-    Outcome(Sender<Result<Outcome<T>, AsyncError>>),
-}
-
-impl<T: Key> ReplyTx<T> {
-    /// Delivers one result, converting to the ticket's surface (the shared
-    /// `answer_from_response` fold for v1 tickets). The ticket may have
-    /// been dropped; a failed send is fine.
-    fn deliver(self, result: Result<Outcome<T>, AsyncError>) {
-        match self {
-            ReplyTx::Outcome(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyTx::Answer(tx) => {
-                let _ = tx.send(result.map(|o| crate::query::answer_from_response(o.response)));
-            }
-        }
-    }
-}
+/// What an [`OutcomeTicket`] resolves to.
+type Reply<T> = Result<Outcome<T>, AsyncError>;
 
 struct PendingQuery<T: Key> {
     request: Request<T>,
-    reply: ReplyTx<T>,
+    reply: Sender<Reply<T>>,
     submitted_at: Instant,
 }
 
@@ -437,9 +413,10 @@ struct PendingStanding<T: Key> {
 }
 
 enum Submission<T: Key> {
-    /// One or more queries admitted together (a [`SubmissionQueue::submit`]
-    /// carries one; a [`SubmissionQueue::submit_many`] carries the whole
-    /// aligned slice in a single queue slot).
+    /// One or more queries admitted together (a
+    /// [`SubmissionQueue::submit_request`] carries one; a
+    /// [`SubmissionQueue::submit_many`] carries the whole aligned slice in a
+    /// single queue slot).
     Queries(Vec<PendingQuery<T>>),
     Mutation(PendingMutation<T>),
     /// Register a standing query; FIFO with mutations, so the first update
@@ -562,29 +539,14 @@ impl<T: Key> SubmissionQueue<T> {
         }
     }
 
-    /// Enqueues one v1 query; the returned ticket resolves to its
-    /// [`Answer`] once the micro-batch it coalesced into has executed.
-    pub fn submit(&self, query: Query) -> Result<QueryTicket<T>, SubmitError> {
-        let (tx, rx) = unbounded();
-        self.admit(
-            Submission::Queries(vec![PendingQuery {
-                request: self.stamp(query.to_request()),
-                reply: ReplyTx::Answer(tx),
-                submitted_at: Instant::now(),
-            }]),
-            1,
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    /// Enqueues one typed v2 [`Request`]; the returned ticket resolves to
+    /// Enqueues one typed [`Request`]; the returned ticket resolves to
     /// its [`Outcome`] (answer + provenance + attributed cost).
     pub fn submit_request(&self, request: Request<T>) -> Result<OutcomeTicket<T>, SubmitError> {
         let mut tickets = self.submit_many(vec![request])?;
         Ok(tickets.pop().expect("one ticket per request"))
     }
 
-    /// Enqueues a whole slice of typed v2 [`Request`]s in **one
+    /// Enqueues a whole slice of typed [`Request`]s in **one
     /// admission** — a single bounded-queue slot, accepted or rejected
     /// atomically — and returns one ticket per request, aligned with the
     /// input. The requests ride the same micro-batch window as everything
@@ -607,11 +569,7 @@ impl<T: Key> SubmissionQueue<T> {
             .map(|request| {
                 let (tx, rx) = unbounded();
                 tickets.push(Ticket { rx });
-                PendingQuery {
-                    request: self.stamp(request),
-                    reply: ReplyTx::Outcome(tx),
-                    submitted_at: now,
-                }
+                PendingQuery { request: self.stamp(request), reply: tx, submitted_at: now }
             })
             .collect();
         self.admit(Submission::Queries(pending), count)?;
@@ -855,7 +813,7 @@ fn batcher_loop<T: Key>(
 
 /// An outcome (or error) staged for delivery to one ticket after the
 /// batch's stats have been committed.
-type Delivery<T> = (ReplyTx<T>, Result<Outcome<T>, AsyncError>);
+type Delivery<T> = (Sender<Reply<T>>, Reply<T>);
 
 /// Executes one coalesced batch: validates each request individually (an
 /// invalid request fails its own ticket, not its neighbors), runs the
@@ -945,8 +903,9 @@ fn execute_batch<T: Key>(engine: &mut Engine<T>, batch: Vec<PendingQuery<T>>, sh
         stats.standing_zero_collective = engine.standing_zero_collective();
     }
 
+    // A ticket may have been dropped; a failed send is fine.
     for (reply, result) in deliveries {
-        reply.deliver(result);
+        let _ = reply.send(result);
     }
 }
 
@@ -1030,10 +989,15 @@ mod tests {
     use cgselect_runtime::MachineModel;
     use proptest::prelude::*;
 
-    use crate::EngineConfig;
+    use crate::{EngineConfig, Response};
 
     fn free_engine(p: usize) -> Engine<u64> {
         Engine::new(EngineConfig::new(p).model(MachineModel::free())).unwrap()
+    }
+
+    /// Waits a ticket out and keeps only the answer half of its outcome.
+    fn response(t: OutcomeTicket<u64>) -> Result<Response<u64>, AsyncError> {
+        t.wait().map(|o| o.response)
     }
 
     #[test]
@@ -1047,14 +1011,14 @@ mod tests {
 
         let queue =
             SubmissionQueue::start(engine, FrontendConfig::new().window(Duration::from_millis(2)));
-        let tickets: Vec<(u64, QueryTicket<u64>)> = (0..32u64)
-            .map(|i| (i * 137 % n, queue.submit(Query::Rank(i * 137 % n)).unwrap()))
+        let tickets: Vec<(u64, OutcomeTicket<u64>)> = (0..32u64)
+            .map(|i| (i * 137 % n, queue.submit_request(Request::rank(i * 137 % n)).unwrap()))
             .collect();
         for (rank, t) in tickets {
-            assert_eq!(t.wait(), Ok(Answer::Value(oracle[rank as usize])), "rank {rank}");
+            assert_eq!(response(t), Ok(Response::Element(oracle[rank as usize])), "rank {rank}");
         }
-        let top = queue.submit(Query::TopK(3)).unwrap().wait().unwrap();
-        assert_eq!(top, Answer::Top(oracle[..3].to_vec()));
+        let top = response(queue.submit_request(Request::top_k(3)).unwrap());
+        assert_eq!(top, Ok(Response::Elements(oracle[..3].to_vec())));
 
         let stats = queue.stats();
         assert_eq!(stats.submitted, 33);
@@ -1079,18 +1043,18 @@ mod tests {
             // hard batch boundary.
             FrontendConfig::new().window(Duration::from_millis(50)),
         );
-        let before = queue.submit(Query::Rank(0)).unwrap();
+        let before = queue.submit_request(Request::rank(0)).unwrap();
         let ingest = queue.submit_ingest(vec![1, 2]).unwrap();
-        let after = queue.submit(Query::Rank(0)).unwrap();
+        let after = queue.submit_request(Request::rank(0)).unwrap();
         let del = queue.submit_delete(vec![1, 2, 99]).unwrap();
-        let last = queue.submit(Query::Rank(0)).unwrap();
+        let last = queue.submit_request(Request::rank(0)).unwrap();
 
-        assert_eq!(before.wait(), Ok(Answer::Value(10)));
+        assert_eq!(response(before), Ok(Response::Element(10)));
         assert_eq!(ingest.wait().unwrap(), MutationReport { elements: 2, rebalanced: false });
-        assert_eq!(after.wait(), Ok(Answer::Value(1)));
+        assert_eq!(response(after), Ok(Response::Element(1)));
         let rep = del.wait().unwrap();
         assert_eq!(rep.elements, 2); // 99 was never resident
-        assert_eq!(last.wait(), Ok(Answer::Value(10)));
+        assert_eq!(response(last), Ok(Response::Element(10)));
         let stats = queue.stats();
         assert_eq!(stats.mutations, 2);
         assert_eq!(stats.queries_executed, 3);
@@ -1105,16 +1069,16 @@ mod tests {
             FrontendConfig::new().start_paused(true).window(Duration::from_millis(1)),
         );
         // All three land in one batch; the middle one is out of domain.
-        let good1 = queue.submit(Query::Rank(5)).unwrap();
-        let bad = queue.submit(Query::Rank(100)).unwrap();
-        let good2 = queue.submit(Query::Median).unwrap();
+        let good1 = queue.submit_request(Request::rank(5)).unwrap();
+        let bad = queue.submit_request(Request::rank(100)).unwrap();
+        let good2 = queue.submit_request(Request::median()).unwrap();
         queue.resume();
-        assert_eq!(good1.wait(), Ok(Answer::Value(5)));
+        assert_eq!(response(good1), Ok(Response::Element(5)));
         assert_eq!(
-            bad.wait(),
+            response(bad),
             Err(AsyncError::Engine(EngineError::RankOutOfRange { rank: 100, n: 100 }))
         );
-        assert_eq!(good2.wait(), Ok(Answer::Value(49)));
+        assert_eq!(response(good2), Ok(Response::Element(49)));
         let stats = queue.stats();
         assert_eq!(stats.failures, 1);
         assert_eq!(stats.queries_executed, 2);
@@ -1134,11 +1098,14 @@ mod tests {
     #[test]
     fn queries_on_an_empty_engine_fail_individually() {
         let queue = SubmissionQueue::start(free_engine(2), FrontendConfig::new());
-        let t = queue.submit(Query::Median).unwrap();
-        assert_eq!(t.wait(), Err(AsyncError::Engine(EngineError::Empty)));
+        let t = queue.submit_request(Request::median()).unwrap();
+        assert_eq!(response(t), Err(AsyncError::Engine(EngineError::Empty)));
         // The frontend recovers: ingest then query works.
         queue.submit_ingest(vec![7, 3, 5]).unwrap().wait().unwrap();
-        assert_eq!(queue.submit(Query::Median).unwrap().wait(), Ok(Answer::Value(5)));
+        assert_eq!(
+            response(queue.submit_request(Request::median()).unwrap()),
+            Ok(Response::Element(5))
+        );
     }
 
     #[test]
@@ -1176,12 +1143,12 @@ mod tests {
         let mut engine = free_engine(2);
         engine.ingest(vec![4, 8, 15]).unwrap();
         let queue = SubmissionQueue::start(engine, FrontendConfig::new().start_paused(true));
-        let t = queue.submit(Query::Median).unwrap();
+        let t = queue.submit_request(Request::median()).unwrap();
         // Dropping every handle shuts the batcher down gracefully: the
         // already-accepted submission is still answered, not dropped
         // (closing overrides the pause, so this cannot wedge either).
         drop(queue);
-        assert_eq!(t.wait(), Ok(Answer::Value(8)));
+        assert_eq!(response(t), Ok(Response::Element(8)));
     }
 
     proptest! {

@@ -19,18 +19,16 @@
 //!   [`Accuracy`] contract (`Exact` | `WithinRank` | `HistogramOk`).
 //!   Every answer is an [`Outcome`]: the [`Response`] plus **provenance**
 //!   ([`Served::Histogram`] / [`Served::Sketch`] / [`Served::Index`] /
-//!   [`Served::Scan`]) and an attributed collective-op cost. The original
-//!   closed [`Query`] enum still works: [`Engine::execute`] is a thin
-//!   compatibility shim over the same path.
+//!   [`Served::Scan`]) and an attributed collective-op cost.
 //! * **Batched execution** — a batch's rank-direction queries are
 //!   coalesced into *one* deduplicated [`RankSet`] (contiguous runs, so
 //!   `TopK(k)` plans in O(1)) and resolved by a single lockstep
 //!   multi-select pass ([`cgselect_core::parallel_multi_select_windows`]):
 //!   `R` rank queries cost `O(log n + R)` pivot rounds instead of
 //!   `O(R·log n)`. All value probes of a batch share **one** vectorized
-//!   `count_below` Combine round. Per-batch [`BatchReport`] /
-//!   [`RunReport`] carry the measured [`cgselect_runtime::CommStats`], the
-//!   collective-operation count and the virtual-time makespan.
+//!   `count_below` Combine round. The per-batch [`RunReport`] carries the
+//!   measured [`cgselect_runtime::CommStats`], the collective-operation
+//!   count and the virtual-time makespan.
 //! * **A resident bucket index** — each shard keeps its data organized into
 //!   buckets under *shared* sample-derived splitters, and the engine caches
 //!   the global per-bucket histogram. A rank query localizes against the
@@ -76,17 +74,17 @@
 //!   `tests/backend_conformance.rs`.
 //!
 //! ```
-//! use cgselect_engine::{Engine, EngineConfig, Query, Answer};
+//! use cgselect_engine::{Engine, EngineConfig, Request, Response};
 //!
 //! let mut engine: Engine<u64> = Engine::new(EngineConfig::new(4)).unwrap();
 //! engine.ingest((0..1000u64).rev().collect()).unwrap();
 //!
 //! let report = engine
-//!     .execute(&[Query::Median, Query::Rank(10), Query::TopK(3)])
+//!     .run(&[Request::median(), Request::rank(10), Request::top_k(3)])
 //!     .unwrap();
-//! assert_eq!(report.answers[0], Answer::Value(499));
-//! assert_eq!(report.answers[1], Answer::Value(10));
-//! assert_eq!(report.answers[2], Answer::Top(vec![0, 1, 2]));
+//! assert_eq!(report.outcomes[0].response, Response::Element(499));
+//! assert_eq!(report.outcomes[1].response, Response::Element(10));
+//! assert_eq!(report.outcomes[2].response, Response::Elements(vec![0, 1, 2]));
 //! assert!(report.comm.collective_ops > 0);
 //! ```
 
@@ -108,8 +106,8 @@ pub use backend::{
     LocalSpmd, PhaseOps, RecoveryReport, ShardBatchOutcome, ShardDeletion, SocketMpTuning,
 };
 pub use frontend::{
-    AsyncError, FrontendConfig, FrontendStats, MutationTicket, OutcomeTicket, QueryTicket,
-    StandingTicket, SubmissionQueue, SubmitError, Ticket,
+    AsyncError, FrontendConfig, FrontendStats, MutationTicket, OutcomeTicket, StandingTicket,
+    SubmissionQueue, SubmitError, Ticket,
 };
 pub use index::{BucketStats, Group};
 pub use measure::{measure_rounds, ExecutionMode, RoundsMeasurement};
@@ -117,7 +115,7 @@ pub use obs::{
     BatchSpan, MetricsRegistry, MetricsSnapshot, Phase, PhaseSpan, PhaseSummary, RequestSpan,
     SloAccumulator, SloPolicy, SloReport, TraceContext, TraceId,
 };
-pub use query::{quantile_rank, Answer, Query, RankSet};
+pub use query::{quantile_rank, RankSet};
 pub use request::{
     Accuracy, Bounds, CostAttribution, Freshness, Outcome, QueryKind, Request, Response, RunReport,
     Served,
@@ -321,18 +319,18 @@ impl EngineConfig {
 pub enum EngineError {
     /// A query was submitted while no data is resident.
     Empty,
-    /// `Query::Rank` beyond the resident population.
+    /// [`QueryKind::Rank`] beyond the resident population.
     RankOutOfRange {
         /// The requested 0-based rank.
         rank: u64,
         /// The resident population.
         n: u64,
     },
-    /// `Query::Quantile` outside `[0, 1]`.
+    /// [`QueryKind::Quantile`] outside `[0, 1]`.
     InvalidQuantile(f64),
     /// A rank-error tolerance that is negative, NaN, or infinite.
     InvalidTolerance(f64),
-    /// `Query::TopK` larger than the resident population.
+    /// [`QueryKind::TopK`] larger than the resident population.
     TopKTooLarge {
         /// The requested k.
         k: u64,
@@ -386,33 +384,6 @@ impl From<BackendError> for EngineError {
             other => EngineError::Backend(other),
         }
     }
-}
-
-/// What one batch execution did and cost.
-#[derive(Clone, Debug)]
-pub struct BatchReport<T> {
-    /// Per-query answers, aligned with the submitted batch.
-    pub answers: Vec<Answer<T>>,
-    /// Communication this batch moved, summed over all processors
-    /// (`collective_ops` is summed too; divide by `nprocs` for the
-    /// per-processor SPMD count).
-    pub comm: CommStats,
-    /// Collective operations the batch started, per processor (identical
-    /// on every rank by SPMD discipline) — the "collective rounds" to
-    /// compare batched against per-query execution.
-    pub collective_ops: u64,
-    /// Virtual-time makespan of the batch under the engine's cost model.
-    pub makespan: f64,
-    /// How many distinct ranks the coalesced multi-select pass resolved.
-    pub exact_ranks: usize,
-    /// How many queries were served from the sketches.
-    pub sketch_answers: usize,
-    /// How many of the distinct exact ranks were answered from the cached
-    /// bucket histogram alone (zero element scans).
-    pub histogram_answers: usize,
-    /// Fraction of the resident population sitting in the unindexed delta
-    /// run when this batch executed (0.0 when the index is disabled).
-    pub delta_occupancy: f64,
 }
 
 /// What one ingest/delete did.
@@ -708,14 +679,7 @@ impl<T: Key> Engine<T> {
         Ok(MutationReport { elements: removed_total, rebalanced })
     }
 
-    /// Checks one v1 query's domain against the current resident
-    /// population without executing it — the compatibility twin of
-    /// [`Engine::validate_request`].
-    pub fn validate_query(&self, query: &Query) -> Result<(), EngineError> {
-        query::validate(query, self.total)
-    }
-
-    /// Checks one v2 request's domain against the current resident
+    /// Checks one request's domain against the current resident
     /// population without executing it — exactly the validation
     /// [`Engine::run`] applies to a whole batch, exposed per request so
     /// the async frontend can fail an invalid request's ticket without
@@ -823,28 +787,6 @@ impl<T: Key> Engine<T> {
         self.version
     }
 
-    /// Executes one batch of v1 [`Query`]s against the resident data —
-    /// a thin compatibility shim over [`Engine::run`]: each query is
-    /// lowered by [`Query::to_request`], the batch runs on the v2 path,
-    /// and the typed [`Outcome`]s are folded back into v1 [`Answer`]s.
-    /// Old callers compile and behave unchanged.
-    pub fn execute(&mut self, queries: &[Query]) -> Result<BatchReport<T>, EngineError> {
-        let requests: Vec<Request<T>> = queries.iter().map(Query::to_request).collect();
-        let run = self.run(&requests)?;
-        let answers =
-            run.outcomes.into_iter().map(|o| query::answer_from_response(o.response)).collect();
-        Ok(BatchReport {
-            answers,
-            comm: run.comm,
-            collective_ops: run.collective_ops,
-            makespan: run.makespan,
-            exact_ranks: run.exact_ranks,
-            sketch_answers: run.sketch_answers,
-            histogram_answers: run.histogram_answers,
-            delta_occupancy: run.delta_occupancy,
-        })
-    }
-
     /// The deterministic error guarantees the resident host-global
     /// ε-sketch can currently honor (`None` when sketches are disabled).
     /// The planner routes a `WithinRank(t)` request to the sketch rung iff
@@ -869,7 +811,7 @@ impl<T: Key> Engine<T> {
         Ok(())
     }
 
-    /// Executes one batch of typed v2 [`Request`]s against the resident
+    /// Executes one batch of typed [`Request`]s against the resident
     /// data (see [`request`](crate::Request) for the surface).
     ///
     /// Rank-direction requests are coalesced into one deduplicated
@@ -1722,6 +1664,12 @@ mod tests {
         v
     }
 
+    /// The answer halves of a report's outcomes, for comparing two runs
+    /// whose provenance and attributed cost legitimately differ.
+    fn responses(report: &RunReport<u64>) -> Vec<Response<u64>> {
+        report.outcomes.iter().map(|o| o.response.clone()).collect()
+    }
+
     #[test]
     fn exact_queries_match_oracle_across_batches() {
         let mut engine: Engine<u64> = Engine::new(free_cfg(4)).unwrap();
@@ -1733,18 +1681,30 @@ mod tests {
         // Several batches against the same session: state persistence.
         for batch in 0..3u64 {
             let queries = vec![
-                Query::Rank(batch * 100),
-                Query::Median,
-                Query::quantile(0.25),
-                Query::quantile(0.99),
-                Query::TopK(5),
+                Request::rank(batch * 100),
+                Request::median(),
+                Request::quantile(0.25),
+                Request::quantile(0.99),
+                Request::top_k(5),
             ];
-            let report = engine.execute(&queries).unwrap();
-            assert_eq!(report.answers[0], Answer::Value(sorted[(batch * 100) as usize]));
-            assert_eq!(report.answers[1], Answer::Value(sorted[((n - 1) / 2) as usize]));
-            assert_eq!(report.answers[2], Answer::Value(sorted[quantile_rank(0.25, n) as usize]));
-            assert_eq!(report.answers[3], Answer::Value(sorted[quantile_rank(0.99, n) as usize]));
-            assert_eq!(report.answers[4], Answer::Top(sorted[..5].to_vec()));
+            let report = engine.run(&queries).unwrap();
+            assert_eq!(
+                report.outcomes[0].response,
+                Response::Element(sorted[(batch * 100) as usize])
+            );
+            assert_eq!(
+                report.outcomes[1].response,
+                Response::Element(sorted[((n - 1) / 2) as usize])
+            );
+            assert_eq!(
+                report.outcomes[2].response,
+                Response::Element(sorted[quantile_rank(0.25, n) as usize])
+            );
+            assert_eq!(
+                report.outcomes[3].response,
+                Response::Element(sorted[quantile_rank(0.99, n) as usize])
+            );
+            assert_eq!(report.outcomes[4].response, Response::Elements(sorted[..5].to_vec()));
             assert!(report.collective_ops > 0);
             assert!(report.comm.msgs_sent > 0);
         }
@@ -1759,11 +1719,15 @@ mod tests {
     fn repeated_quantiles_become_histogram_only() {
         let mut engine: Engine<u64> = Engine::new(free_cfg(4)).unwrap();
         engine.ingest((0..20_000u64).rev().collect()).unwrap();
-        let queries =
-            vec![Query::quantile(0.25), Query::Median, Query::quantile(0.9), Query::Rank(17)];
-        let warm = engine.execute(&queries).unwrap();
+        let queries = vec![
+            Request::quantile(0.25),
+            Request::median(),
+            Request::quantile(0.9),
+            Request::rank(17),
+        ];
+        let warm = engine.run(&queries).unwrap();
         assert_eq!(warm.histogram_answers, 0);
-        let hot = engine.execute(&queries).unwrap();
+        let hot = engine.run(&queries).unwrap();
         // Every distinct rank of the repeated batch is a histogram answer …
         assert_eq!(hot.histogram_answers, hot.exact_ranks);
         // … so the batch paid only the synchronization barrier.
@@ -1773,7 +1737,7 @@ mod tests {
             hot.collective_ops,
             warm.collective_ops
         );
-        assert_eq!(hot.answers, warm.answers);
+        assert_eq!(responses(&hot), responses(&warm));
     }
 
     #[test]
@@ -1802,9 +1766,9 @@ mod tests {
         assert_eq!(engine.rebalances(), 1);
         assert!(engine.imbalance_ratio() <= 1.05, "ratio {}", engine.imbalance_ratio());
         // Queries still correct after the move.
-        let report = engine.execute(&[Query::Rank(0), Query::quantile(1.0)]).unwrap();
-        assert_eq!(report.answers[0], Answer::Value(0));
-        assert_eq!(report.answers[1], Answer::Value(13_999));
+        let report = engine.run(&[Request::rank(0), Request::quantile(1.0)]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Element(0));
+        assert_eq!(report.outcomes[1].response, Response::Element(13_999));
     }
 
     #[test]
@@ -1814,8 +1778,8 @@ mod tests {
         let rep = engine.delete(&[5, 99]).unwrap();
         assert_eq!(rep.elements, 4);
         assert_eq!(engine.len(), 4);
-        let report = engine.execute(&[Query::TopK(4)]).unwrap();
-        assert_eq!(report.answers[0], Answer::Top(vec![1, 2, 3, 4]));
+        let report = engine.run(&[Request::top_k(4)]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Elements(vec![1, 2, 3, 4]));
     }
 
     #[test]
@@ -1824,17 +1788,18 @@ mod tests {
         let data: Vec<u64> = (0..6000u64).map(|i| i % 500).collect();
         engine.ingest(data.clone()).unwrap();
         // Build the index, then delete value classes through it.
-        engine.execute(&[Query::Median]).unwrap();
+        engine.run(&[Request::median()]).unwrap();
         assert!(engine.index_health().buckets > 0);
         let rep = engine.delete(&[100, 250, 499]).unwrap();
         assert_eq!(rep.elements, 36); // 3 values × 12 occurrences each
         let mut oracle = oracle_sorted(&data);
         oracle.retain(|&x| x != 100 && x != 250 && x != 499);
         let n = oracle.len() as u64;
-        let report = engine.execute(&[Query::Rank(0), Query::Median, Query::Rank(n - 1)]).unwrap();
-        assert_eq!(report.answers[0], Answer::Value(oracle[0]));
-        assert_eq!(report.answers[1], Answer::Value(oracle[((n - 1) / 2) as usize]));
-        assert_eq!(report.answers[2], Answer::Value(oracle[(n - 1) as usize]));
+        let report =
+            engine.run(&[Request::rank(0), Request::median(), Request::rank(n - 1)]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Element(oracle[0]));
+        assert_eq!(report.outcomes[1].response, Response::Element(oracle[((n - 1) / 2) as usize]));
+        assert_eq!(report.outcomes[2].response, Response::Element(oracle[(n - 1) as usize]));
     }
 
     #[test]
@@ -1842,7 +1807,7 @@ mod tests {
         let mut engine: Engine<u64> = Engine::new(free_cfg(2).delta_threshold(10.0)).unwrap(); // merge never triggers
         let mut all: Vec<u64> = (0..3000u64).map(|i| i.wrapping_mul(2654435761) % 9973).collect();
         engine.ingest(all.clone()).unwrap();
-        engine.execute(&[Query::Median]).unwrap(); // builds the index
+        engine.run(&[Request::median()]).unwrap(); // builds the index
         for round in 0..4u64 {
             let burst: Vec<u64> = (0..333u64).map(|i| (round * 1000 + i * 7) % 9973).collect();
             all.extend(&burst);
@@ -1850,11 +1815,18 @@ mod tests {
             assert!(engine.index_health().delta_len > 0, "delta must accumulate");
             let sorted = oracle_sorted(&all);
             let n = sorted.len() as u64;
-            let report =
-                engine.execute(&[Query::Rank(0), Query::Median, Query::quantile(0.99)]).unwrap();
-            assert_eq!(report.answers[0], Answer::Value(sorted[0]));
-            assert_eq!(report.answers[1], Answer::Value(sorted[((n - 1) / 2) as usize]));
-            assert_eq!(report.answers[2], Answer::Value(sorted[quantile_rank(0.99, n) as usize]));
+            let report = engine
+                .run(&[Request::rank(0), Request::median(), Request::quantile(0.99)])
+                .unwrap();
+            assert_eq!(report.outcomes[0].response, Response::Element(sorted[0]));
+            assert_eq!(
+                report.outcomes[1].response,
+                Response::Element(sorted[((n - 1) / 2) as usize])
+            );
+            assert_eq!(
+                report.outcomes[2].response,
+                Response::Element(sorted[quantile_rank(0.99, n) as usize])
+            );
             assert!(report.delta_occupancy > 0.0);
         }
         assert_eq!(engine.index_health().delta_merges, 0);
@@ -1865,7 +1837,7 @@ mod tests {
         let mut engine: Engine<u64> = Engine::new(free_cfg(2).delta_threshold(0.02)).unwrap();
         let mut all: Vec<u64> = (0..8000u64).map(|i| i.wrapping_mul(48271) % 65_536).collect();
         engine.ingest(all.clone()).unwrap();
-        engine.execute(&[Query::Median]).unwrap();
+        engine.run(&[Request::median()]).unwrap();
         assert_eq!(engine.index_health().delta_merges, 0);
         // 8000 × 0.02 = 160 < 400-element burst -> merge must fire.
         let burst: Vec<u64> = (0..400u64).map(|i| i * 131 % 65_536).collect();
@@ -1876,9 +1848,12 @@ mod tests {
         assert_eq!(health.delta_len, 0);
         let sorted = oracle_sorted(&all);
         let n = sorted.len() as u64;
-        let report = engine.execute(&[Query::Median, Query::quantile(0.75)]).unwrap();
-        assert_eq!(report.answers[0], Answer::Value(sorted[((n - 1) / 2) as usize]));
-        assert_eq!(report.answers[1], Answer::Value(sorted[quantile_rank(0.75, n) as usize]));
+        let report = engine.run(&[Request::median(), Request::quantile(0.75)]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Element(sorted[((n - 1) / 2) as usize]));
+        assert_eq!(
+            report.outcomes[1].response,
+            Response::Element(sorted[quantile_rank(0.75, n) as usize])
+        );
     }
 
     #[test]
@@ -1897,15 +1872,18 @@ mod tests {
         engine.ingest(data).unwrap();
         let tol = 0.05;
         let report = engine
-            .execute(&[Query::quantile_within(0.5, tol), Query::quantile_within(0.9, tol)])
+            .run(&[
+                Request::quantile(0.5).within_rank(tol),
+                Request::quantile(0.9).within_rank(tol),
+            ])
             .unwrap();
         assert_eq!(report.sketch_answers, 2);
         assert_eq!(report.exact_ranks, 0);
         // The whole rung is served from the host-global ε-sketch.
         assert_eq!(report.collective_ops, 0);
-        for (answer, q) in report.answers.iter().zip([0.5, 0.9]) {
-            match *answer {
-                Answer::Approximate { value, target_rank, max_rank_error } => {
+        for (outcome, q) in report.outcomes.iter().zip([0.5, 0.9]) {
+            match outcome.response {
+                Response::Approximate { value, target_rank, max_rank_error } => {
                     assert_eq!(target_rank, quantile_rank(q, n));
                     // The reported error is the sketch's *guarantee*, which
                     // must honor (and usually beats) the ⌈t·n⌉ contract.
@@ -1924,9 +1902,9 @@ mod tests {
             }
         }
         // A tolerance tighter than the sketch bound must fall back to exact.
-        let report = engine.execute(&[Query::quantile_within(0.5, 1e-9)]).unwrap();
+        let report = engine.run(&[Request::quantile(0.5).within_rank(1e-9)]).unwrap();
         assert_eq!(report.sketch_answers, 0);
-        assert_eq!(report.answers[0], Answer::Value(quantile_rank(0.5, n)));
+        assert_eq!(report.outcomes[0].response, Response::Element(quantile_rank(0.5, n)));
     }
 
     #[test]
@@ -1941,12 +1919,12 @@ mod tests {
         engine.ingest(data).unwrap();
         let ranks: Vec<u64> = (1..=16).map(|i| i * 2000).collect();
 
-        let batch: Vec<Query> = ranks.iter().map(|&r| Query::Rank(r)).collect();
-        let batched = engine.execute(&batch).unwrap();
+        let batch: Vec<Request<u64>> = ranks.iter().map(|&r| Request::rank(r)).collect();
+        let batched = engine.run(&batch).unwrap();
 
         let mut single_total = 0u64;
         for &r in &ranks {
-            single_total += engine.execute(&[Query::Rank(r)]).unwrap().collective_ops;
+            single_total += engine.run(&[Request::rank(r)]).unwrap().collective_ops;
         }
         assert!(
             batched.collective_ops < single_total,
@@ -1960,17 +1938,17 @@ mod tests {
     fn indexed_engine_beats_the_baseline_on_collective_ops() {
         let data: Vec<u64> =
             (0..40_000u64).map(|i| i.wrapping_mul(2654435761) % 1_000_000).collect();
-        let queries: Vec<Query> = (1..=16).map(|i| Query::Rank(i * 2000)).collect();
+        let queries: Vec<Request<u64>> = (1..=16).map(|i| Request::rank(i * 2000)).collect();
 
         let mut baseline: Engine<u64> = Engine::new(free_cfg(4).index_buckets(0)).unwrap();
         baseline.ingest(data.clone()).unwrap();
-        let base = baseline.execute(&queries).unwrap();
+        let base = baseline.run(&queries).unwrap();
 
         let mut indexed: Engine<u64> = Engine::new(free_cfg(4)).unwrap();
         indexed.ingest(data).unwrap();
-        let idx = indexed.execute(&queries).unwrap();
+        let idx = indexed.run(&queries).unwrap();
 
-        assert_eq!(idx.answers, base.answers);
+        assert_eq!(responses(&idx), responses(&base));
         assert!(
             2 * idx.collective_ops <= base.collective_ops,
             "indexed {} vs baseline {} collective ops (first batch)",
@@ -1982,19 +1960,19 @@ mod tests {
     #[test]
     fn errors_reject_bad_batches_without_poisoning() {
         let mut engine: Engine<u64> = Engine::new(free_cfg(2)).unwrap();
-        assert_eq!(engine.execute(&[Query::Median]).unwrap_err(), EngineError::Empty);
+        assert_eq!(engine.run(&[Request::median()]).unwrap_err(), EngineError::Empty);
         engine.ingest(vec![1, 2, 3]).unwrap();
         assert_eq!(
-            engine.execute(&[Query::Rank(3)]).unwrap_err(),
+            engine.run(&[Request::rank(3)]).unwrap_err(),
             EngineError::RankOutOfRange { rank: 3, n: 3 }
         );
         assert_eq!(
-            engine.execute(&[Query::quantile(-0.1)]).unwrap_err(),
+            engine.run(&[Request::quantile(-0.1)]).unwrap_err(),
             EngineError::InvalidQuantile(-0.1)
         );
         // The session is still healthy.
-        let report = engine.execute(&[Query::Median]).unwrap();
-        assert_eq!(report.answers[0], Answer::Value(2));
+        let report = engine.run(&[Request::median()]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Element(2));
     }
 
     #[test]
@@ -2003,7 +1981,8 @@ mod tests {
         // full lifecycle; this is the in-crate smoke check of the same
         // invariant: identical answers AND identical collective-op counts.
         let data: Vec<u64> = (0..8000u64).map(|i| i.wrapping_mul(2654435761) % 50_000).collect();
-        let queries = vec![Query::Rank(17), Query::Median, Query::quantile(0.9), Query::TopK(4)];
+        let queries =
+            vec![Request::rank(17), Request::median(), Request::quantile(0.9), Request::top_k(4)];
 
         let mut local: Engine<u64> = Engine::new(free_cfg(3)).unwrap();
         let mut mp: Engine<u64> = Engine::new(free_cfg(3).channel_mp()).unwrap();
@@ -2013,9 +1992,9 @@ mod tests {
         local.ingest(data.clone()).unwrap();
         mp.ingest(data).unwrap();
         for round in 0..3 {
-            let a = local.execute(&queries).unwrap();
-            let b = mp.execute(&queries).unwrap();
-            assert_eq!(a.answers, b.answers, "round {round}");
+            let a = local.run(&queries).unwrap();
+            let b = mp.run(&queries).unwrap();
+            assert_eq!(responses(&a), responses(&b), "round {round}");
             assert_eq!(a.collective_ops, b.collective_ops, "round {round}");
             assert_eq!(a.histogram_answers, b.histogram_answers, "round {round}");
         }
@@ -2023,9 +2002,9 @@ mod tests {
         mp.delete(&[17, 99]).unwrap();
         assert_eq!(local.len(), mp.len());
         assert_eq!(local.index_health(), mp.index_health());
-        let a = local.execute(&queries).unwrap();
-        let b = mp.execute(&queries).unwrap();
-        assert_eq!(a.answers, b.answers);
+        let a = local.run(&queries).unwrap();
+        let b = mp.run(&queries).unwrap();
+        assert_eq!(responses(&a), responses(&b));
         assert_eq!(a.collective_ops, b.collective_ops);
     }
 
@@ -2033,23 +2012,23 @@ mod tests {
     fn single_shard_engine_works() {
         let mut engine: Engine<u64> = Engine::new(free_cfg(1)).unwrap();
         engine.ingest((0..100u64).rev().collect()).unwrap();
-        let report = engine.execute(&[Query::Median, Query::TopK(2)]).unwrap();
-        assert_eq!(report.answers[0], Answer::Value(49));
-        assert_eq!(report.answers[1], Answer::Top(vec![0, 1]));
+        let report = engine.run(&[Request::median(), Request::top_k(2)]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Element(49));
+        assert_eq!(report.outcomes[1].response, Response::Elements(vec![0, 1]));
     }
 
     #[test]
     fn virtual_time_advances_across_batches() {
         let mut engine: Engine<u64> = Engine::new(EngineConfig::new(4)).unwrap();
         engine.ingest((0..10_000u64).collect()).unwrap();
-        let a = engine.execute(&[Query::Median]).unwrap();
-        let b = engine.execute(&[Query::Rank(123)]).unwrap();
+        let a = engine.run(&[Request::median()]).unwrap();
+        let b = engine.run(&[Request::rank(123)]).unwrap();
         assert!(a.makespan > 0.0);
         assert!(b.makespan > 0.0);
         // A fully histogram-answered repeat costs no measured batch time —
         // that is the point of the fast path.
-        let c = engine.execute(&[Query::Median]).unwrap();
+        let c = engine.run(&[Request::median()]).unwrap();
         assert_eq!(c.histogram_answers, 1);
-        assert_eq!(c.answers, a.answers);
+        assert_eq!(responses(&c), responses(&a));
     }
 }

@@ -8,12 +8,12 @@
 
 use cgselect_runtime::Key;
 
-use crate::{Engine, EngineError, Query};
+use crate::{Engine, EngineError, Request};
 
-/// How [`measure_rounds`] executes a query set.
+/// How [`measure_rounds`] executes a request set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// The whole set as one coalesced [`Engine::execute`] batch.
+    /// The whole set as one coalesced [`Engine::run`] batch.
     Batched,
     /// Each query as its own single-element batch (the baseline the
     /// micro-batcher exists to beat).
@@ -46,26 +46,26 @@ impl RoundsMeasurement {
     }
 }
 
-/// Executes `queries` on `engine` in the given mode and returns the
+/// Executes `requests` on `engine` in the given mode and returns the
 /// collective-round accounting. This is THE definition of "collective
 /// rounds per query" — `tests/engine.rs` asserts on it and the `engine`
 /// bench binary reports it, so the two cannot drift apart.
 pub fn measure_rounds<T: Key>(
     engine: &mut Engine<T>,
-    queries: &[Query],
+    requests: &[Request<T>],
     mode: ExecutionMode,
 ) -> Result<RoundsMeasurement, EngineError> {
-    let mut m = RoundsMeasurement { queries: queries.len(), ..Default::default() };
+    let mut m = RoundsMeasurement { queries: requests.len(), ..Default::default() };
     match mode {
         ExecutionMode::Batched => {
-            let report = engine.execute(queries)?;
+            let report = engine.run(requests)?;
             m.collective_ops = report.collective_ops;
             m.makespan = report.makespan;
             m.msgs_sent = report.comm.msgs_sent;
         }
         ExecutionMode::PerQuery => {
-            for q in queries {
-                let report = engine.execute(std::slice::from_ref(q))?;
+            for r in requests {
+                let report = engine.run(std::slice::from_ref(r))?;
                 m.collective_ops += report.collective_ops;
                 m.makespan += report.makespan;
                 m.msgs_sent += report.comm.msgs_sent;
@@ -78,7 +78,7 @@ pub fn measure_rounds<T: Key>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{Bounds, EngineConfig};
     use cgselect_runtime::MachineModel;
 
     #[test]
@@ -89,7 +89,11 @@ mod tests {
         let mut engine: Engine<u64> =
             Engine::new(EngineConfig::new(4).model(MachineModel::free()).index_buckets(0)).unwrap();
         engine.ingest((0..20_000u64).rev().collect()).unwrap();
-        let queries: Vec<Query> = (1..=10u64).map(|i| Query::Rank(i * 1500)).collect();
+        // Ranks plus one of each value-direction kind: their probes share
+        // one Combine round in a batch and pay one each per query.
+        let mut queries: Vec<Request<u64>> = (1..=10u64).map(|i| Request::rank(i * 1500)).collect();
+        queries.push(Request::rank_of(7_777));
+        queries.push(Request::count_between(Bounds::closed(2_000, 11_999)));
         let batched = measure_rounds(&mut engine, &queries, ExecutionMode::Batched).unwrap();
         let single = measure_rounds(&mut engine, &queries, ExecutionMode::PerQuery).unwrap();
         assert_eq!(batched.queries, single.queries);

@@ -1,16 +1,11 @@
-//! The engine's query language and the batch planner.
+//! The batch planner behind the engine's query language.
 //!
-//! Two surfaces share this planner:
-//!
-//! * **v2** — typed [`Request`]s ([`crate::request`]): rank-direction kinds
-//!   plus the inverse direction ([`QueryKind::RankOf`],
-//!   [`QueryKind::CountBetween`]) and explicit [`Accuracy`] contracts.
-//!   [`crate::Engine::run`] plans a batch here, routes it against the
-//!   cached histogram host-side, and lowers the remainder onto the
-//!   collective ops.
-//! * **v1** — the original closed [`Query`] enum, kept as a compatibility
-//!   shim: [`Query::to_request`] lowers each variant onto the v2 surface,
-//!   so old callers compile unchanged through [`crate::Engine::execute`].
+//! [`crate::Engine::run`] takes typed [`Request`]s ([`crate::request`]):
+//! rank-direction kinds plus the inverse direction
+//! ([`QueryKind::RankOf`], [`QueryKind::CountBetween`]), each under an
+//! explicit [`Accuracy`] contract. It plans a batch here, routes it against
+//! the cached histogram host-side, and lowers the remainder onto the
+//! collective ops.
 //!
 //! Planning reduces every exact rank-direction query to 0-based global
 //! ranks and **coalesces the whole batch into one deduplicated
@@ -25,137 +20,6 @@
 //! honor are routed to the approximate path and never touch the full data.
 
 use crate::request::{Accuracy, Bounds, QueryKind, Request};
-
-/// One v1 query against the resident distributed multiset (the
-/// compatibility surface; see [`Request`] for the typed v2 surface).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Query {
-    /// The element of this 0-based global rank.
-    Rank(u64),
-    /// The element nearest to quantile `q ∈ [0, 1]`.
-    Quantile {
-        /// The quantile, `0.0 ..= 1.0`.
-        q: f64,
-        /// `Some(t)`: the engine may answer from the sample sketches as
-        /// long as the result's rank error is at most `t·n` (fraction of
-        /// the resident population). `None` demands the exact element.
-        tolerance: Option<f64>,
-    },
-    /// The median (0-based rank `(n−1)/2`, the paper's ⌈n/2⌉-th smallest).
-    Median,
-    /// The `k` smallest resident elements, in ascending order.
-    TopK(u64),
-}
-
-impl Query {
-    /// An exact quantile query.
-    pub fn quantile(q: f64) -> Query {
-        Query::Quantile { q, tolerance: None }
-    }
-
-    /// A quantile query the engine may answer approximately, with rank
-    /// error at most `tolerance · n`.
-    pub fn quantile_within(q: f64, tolerance: f64) -> Query {
-        Query::Quantile { q, tolerance: Some(tolerance) }
-    }
-
-    /// Lowers this v1 query onto the typed v2 [`Request`] surface — the
-    /// compatibility mapping [`crate::Engine::execute`] applies per query:
-    ///
-    /// | v1 | v2 |
-    /// |---|---|
-    /// | `Rank(k)` | `Request::rank(k)` |
-    /// | `Quantile { q, tolerance: None }` | `Request::quantile(q)` |
-    /// | `Quantile { q, tolerance: Some(t) }` | `Request::quantile(q).within_rank(t)` |
-    /// | `Median` | `Request::median()` |
-    /// | `TopK(k)` | `Request::top_k(k)` |
-    pub fn to_request<T>(&self) -> Request<T> {
-        match *self {
-            Query::Rank(k) => Request::rank(k),
-            Query::Quantile { q, tolerance: None } => Request::quantile(q),
-            Query::Quantile { q, tolerance: Some(t) } => Request::quantile(q).within_rank(t),
-            Query::Median => Request::median(),
-            Query::TopK(k) => Request::top_k(k),
-        }
-    }
-}
-
-/// One v1 answer, aligned with the submitted query.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Answer<T> {
-    /// Exact element (for `Rank`, `Median`, and exact `Quantile`).
-    Value(T),
-    /// The k smallest elements in ascending order (for `TopK`).
-    Top(Vec<T>),
-    /// Sketch-served quantile: `value`'s true rank is **guaranteed** to be
-    /// within `max_rank_error` of `target_rank` (the deterministic
-    /// ε-sketch's provable bound; see [`crate::EpsSketch`]).
-    Approximate {
-        /// The estimated element.
-        value: T,
-        /// The exact query's 0-based target rank.
-        target_rank: u64,
-        /// The guaranteed absolute rank-error bound — the sketch's current
-        /// provable error, which is at most the contract's `⌈tolerance·n⌉`.
-        max_rank_error: u64,
-    },
-}
-
-impl<T> Answer<T> {
-    /// Borrows the scalar answer, if this is a `Value` or `Approximate`
-    /// answer — no `Copy` bound, so the accessor works for any future
-    /// non-`Copy` key type.
-    pub fn as_value(&self) -> Option<&T> {
-        match self {
-            Answer::Value(v) | Answer::Approximate { value: v, .. } => Some(v),
-            Answer::Top(_) => None,
-        }
-    }
-
-    /// Consumes the answer into its scalar value, if any.
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            Answer::Value(v) | Answer::Approximate { value: v, .. } => Some(v),
-            Answer::Top(_) => None,
-        }
-    }
-
-    /// The top-k list, if this is a `Top` answer.
-    pub fn top(&self) -> Option<&[T]> {
-        match self {
-            Answer::Top(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-impl<T: Copy> Answer<T> {
-    /// The scalar answer by value, if this is a `Value` or `Approximate`
-    /// answer (kept for `Copy` keys; prefer [`as_value`](Self::as_value)
-    /// in generic code).
-    pub fn value(&self) -> Option<T> {
-        self.as_value().copied()
-    }
-}
-
-/// Folds a v2 [`Response`] back into a v1 [`Answer`] — THE compatibility
-/// mapping, shared by [`crate::Engine::execute`] and the async frontend's
-/// v1 tickets so the two paths cannot drift apart.
-///
-/// # Panics
-/// Panics on [`Response::Count`]: [`Query::to_request`] never lowers a v1
-/// query to a count kind, so a count can only reach here through a bug.
-pub(crate) fn answer_from_response<T>(response: crate::request::Response<T>) -> Answer<T> {
-    use crate::request::Response;
-    match response {
-        Response::Element(v) => Answer::Value(v),
-        Response::Elements(vs) => Answer::Top(vs),
-        Response::Approximate { value, target_rank, max_rank_error } => {
-            Answer::Approximate { value, target_rank, max_rank_error }
-        }
-        Response::Count { .. } => unreachable!("v1 queries never lower to count kinds"),
-    }
-}
 
 /// The 0-based rank the engine resolves quantile `q` to over `n` elements
 /// (nearest-rank definition: `round(q·(n−1))`).
@@ -275,7 +139,7 @@ impl RankSet {
 // Validation
 // ---------------------------------------------------------------------------
 
-/// Checks one v2 request's domain against a resident population of `n`
+/// Checks one request's domain against a resident population of `n`
 /// elements without planning it: the single source of truth for what
 /// [`plan_requests`] accepts, also used by the async frontend to reject an
 /// invalid request individually instead of failing its whole coalesced
@@ -311,11 +175,6 @@ pub(crate) fn validate_request<T>(request: &Request<T>, n: u64) -> Result<(), cr
         }
     }
     Ok(())
-}
-
-/// v1 validation: lowers the query and validates the request.
-pub(crate) fn validate(query: &Query, n: u64) -> Result<(), crate::EngineError> {
-    validate_request(&query.to_request::<u64>(), n)
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +231,7 @@ pub(crate) enum Resolution {
     Count(CountResolution),
 }
 
-/// A planned v2 batch: per-request resolutions, the coalesced rank set,
+/// A planned batch: per-request resolutions, the coalesced rank set,
 /// the sketch targets and the coalesced value-probe list.
 ///
 /// Probes are `(value, inclusive)` prefix counts: `inclusive = false`
@@ -409,7 +268,7 @@ fn rank_budget(t: f64, n: u64) -> u64 {
     (t * n as f64).ceil() as u64
 }
 
-/// Plans a v2 batch over `n` resident elements. `sketch` carries the
+/// Plans a batch over `n` resident elements. `sketch` carries the
 /// resident ε-sketch's current guarantees ([`crate::Engine`] derives them
 /// from the host-global sketch); `None` disables the approximate path. A
 /// `WithinRank(t)` request routes to the sketch rung iff the guarantee
@@ -578,11 +437,6 @@ fn push_probe<T>(raw: &mut Vec<(T, bool)>, probe: (T, bool)) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Request, Response};
-
-    fn v1(queries: &[Query]) -> Vec<Request<u64>> {
-        queries.iter().map(Query::to_request).collect()
-    }
 
     #[test]
     fn quantile_rank_nearest() {
@@ -637,13 +491,13 @@ mod tests {
 
     #[test]
     fn planner_coalesces_and_dedups() {
-        let queries = [
-            Query::Rank(5),
-            Query::Median, // n=11 -> rank 5, duplicate
-            Query::TopK(3),
-            Query::quantile(1.0), // rank 10
+        let requests = [
+            Request::<u64>::rank(5),
+            Request::median(), // n=11 -> rank 5, duplicate
+            Request::top_k(3),
+            Request::quantile(1.0), // rank 10
         ];
-        let plan = plan_requests(&v1(&queries), 11, None).unwrap();
+        let plan = plan_requests(&requests, 11, None).unwrap();
         assert_eq!(plan.exact_ranks.iter().collect::<Vec<_>>(), vec![0, 1, 2, 5, 10]);
         assert!(plan.sketch_targets.is_empty());
         assert!(plan.probes.is_empty());
@@ -652,8 +506,11 @@ mod tests {
     #[test]
     fn tolerant_quantiles_route_to_sketch_only_when_supported() {
         let guarantee = Some(SketchErr { rank: 10, count: 10 });
-        let queries = [Query::quantile_within(0.5, 0.05), Query::quantile_within(0.5, 0.001)];
-        let plan = plan_requests(&v1(&queries), 1000, guarantee).unwrap();
+        let requests = [
+            Request::<u64>::quantile(0.5).within_rank(0.05),
+            Request::quantile(0.5).within_rank(0.001),
+        ];
+        let plan = plan_requests(&requests, 1000, guarantee).unwrap();
         // Budget ⌈0.05·1000⌉ = 50 ≥ guarantee 10 -> sketch, reporting the
         // guarantee (not the looser budget) as the promised error;
         // ⌈0.001·1000⌉ = 1 < 10 -> exact fallback.
@@ -670,7 +527,7 @@ mod tests {
         // A sketch that never compacted is exact (guarantee 0): even the
         // tightest contract may ride the zero-collective rung.
         let plan = plan_requests(
-            &v1(&[Query::quantile_within(0.5, 0.0)]),
+            &[Request::<u64>::quantile(0.5).within_rank(0.0)],
             1000,
             Some(SketchErr { rank: 0, count: 0 }),
         )
@@ -687,10 +544,10 @@ mod tests {
         // rejected whether or not a sketch guarantee is resident.
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
             for guarantee in [None, Some(SketchErr { rank: 0, count: 0 })] {
-                let queries = [Query::quantile_within(0.5, bad)];
+                let requests = [Request::<u64>::quantile(0.5).within_rank(bad)];
                 assert!(
                     matches!(
-                        plan_requests(&v1(&queries), 100, guarantee),
+                        plan_requests(&requests, 100, guarantee),
                         Err(crate::EngineError::InvalidTolerance(_))
                     ),
                     "tolerance {bad} must be rejected"
@@ -702,19 +559,19 @@ mod tests {
     #[test]
     fn domain_errors_reject_the_batch() {
         assert!(matches!(
-            plan_requests(&v1(&[Query::Rank(10)]), 10, None),
+            plan_requests(&[Request::<u64>::rank(10)], 10, None),
             Err(crate::EngineError::RankOutOfRange { rank: 10, n: 10 })
         ));
         assert!(matches!(
-            plan_requests(&v1(&[Query::quantile(1.5)]), 10, None),
+            plan_requests(&[Request::<u64>::quantile(1.5)], 10, None),
             Err(crate::EngineError::InvalidQuantile(_))
         ));
         assert!(matches!(
-            plan_requests(&v1(&[Query::TopK(11)]), 10, None),
+            plan_requests(&[Request::<u64>::top_k(11)], 10, None),
             Err(crate::EngineError::TopKTooLarge { k: 11, n: 10 })
         ));
         assert!(matches!(
-            plan_requests(&v1(&[Query::Median]), 0, None),
+            plan_requests(&[Request::<u64>::median()], 0, None),
             Err(crate::EngineError::Empty)
         ));
         assert!(matches!(
@@ -806,20 +663,5 @@ mod tests {
             other => panic!("unexpected resolution {other:?}"),
         }
         assert_eq!(plan.exact_ranks.iter().collect::<Vec<_>>(), vec![0, 50, 100]);
-    }
-
-    #[test]
-    fn v1_conversion_is_the_documented_table() {
-        assert_eq!(Query::Rank(7).to_request::<u64>(), Request::rank(7));
-        assert_eq!(Query::Median.to_request::<u64>(), Request::median());
-        assert_eq!(Query::TopK(3).to_request::<u64>(), Request::top_k(3));
-        assert_eq!(Query::quantile(0.9).to_request::<u64>(), Request::quantile(0.9));
-        assert_eq!(
-            Query::quantile_within(0.9, 0.05).to_request::<u64>(),
-            Request::quantile(0.9).within_rank(0.05)
-        );
-        // And the response side: a Count can never come back for them.
-        let r: Response<u64> = Response::Element(4);
-        assert_eq!(r.count(), None);
     }
 }

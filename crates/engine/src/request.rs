@@ -1,18 +1,17 @@
-//! Query API v2: typed requests, accuracy contracts, and provenance-carrying
-//! outcomes.
+//! The query language: typed requests, accuracy contracts, and
+//! provenance-carrying outcomes.
 //!
 //! The paper's selection recursion is built on one collective primitive —
-//! counting the elements below a pivot — yet the engine's original surface
-//! ([`crate::Query`]) only exposed the *forward* direction (rank → element).
-//! This module adds the typed v2 surface:
+//! counting the elements below a pivot — so the surface exposes both the
+//! *forward* direction (rank → element) and its inverse:
 //!
 //! * **[`Request`]** — a [`QueryKind`] plus an explicit [`Accuracy`]
-//!   contract. New kinds cover the *inverse* direction the resident bucket
-//!   index and the host-global ε-sketch answer near-free:
+//!   contract. Beside the rank-direction kinds (ranks, quantiles,
+//!   [`QueryKind::Quantiles`], median, [`QueryKind::Min`] /
+//!   [`QueryKind::Max`], top-k), the *inverse* kinds are answered
+//!   near-free by the resident bucket index and the host-global ε-sketch:
 //!   [`QueryKind::RankOf`] (value → rank, a CDF point) and
-//!   [`QueryKind::CountBetween`] (value interval → population count), plus
-//!   [`QueryKind::Min`] / [`QueryKind::Max`] and the multi-quantile
-//!   [`QueryKind::Quantiles`].
+//!   [`QueryKind::CountBetween`] (value interval → population count).
 //! * **[`Accuracy`]** — what the caller will accept: [`Accuracy::Exact`]
 //!   (the default), [`Accuracy::WithinRank`] (a fractional rank-error
 //!   tolerance the deterministic ε-sketch serves host-side, with a
@@ -25,14 +24,12 @@
 //!   ([`Served`]: which subsystem produced it) and a per-query
 //!   collective-op [`CostAttribution`].
 //!
-//! [`crate::Engine::run`] executes a batch of requests;
-//! [`crate::Engine::execute`] is now a thin compatibility shim that lowers
-//! the old [`crate::Query`] enum onto this surface.
+//! [`crate::Engine::run`] executes a batch of requests.
 
 use crate::obs::{BatchSpan, TraceId};
 use crate::query::quantile_rank;
 
-/// What a v2 query asks for (the kind half of a [`Request`]).
+/// What a query asks for (the kind half of a [`Request`]).
 ///
 /// Rank-direction kinds (`Rank`, `Quantile`, `Quantiles`, `Median`, `Min`,
 /// `Max`, `TopK`) map ranks to elements; value-direction kinds (`RankOf`,
@@ -184,7 +181,7 @@ pub enum Accuracy {
     HistogramOk,
 }
 
-/// One typed v2 query: a [`QueryKind`] plus its [`Accuracy`] contract.
+/// One typed query: a [`QueryKind`] plus its [`Accuracy`] contract.
 ///
 /// ```
 /// use cgselect_engine::{Bounds, Request};
@@ -431,7 +428,7 @@ impl std::fmt::Display for Served {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CostAttribution {
     /// Attributed collective operations (per-processor counts, like
-    /// [`crate::BatchReport::collective_ops`]). `0.0` for histogram-served
+    /// [`RunReport::collective_ops`]). `0.0` for histogram-served
     /// answers.
     pub collective_ops: f64,
 }
@@ -573,7 +570,7 @@ mod tests {
     #[test]
     fn response_accessors_work_without_copy() {
         // A non-Copy key type: the borrow-returning accessors must compile
-        // and work (the satellite generalization of `Answer::value`).
+        // and work.
         #[derive(Debug, PartialEq)]
         struct NoCopy(u64);
         let r = Response::Element(NoCopy(9));

@@ -45,7 +45,7 @@ pub use heap_select::heap_select;
 pub use introselect::introselect;
 pub use kernels::{
     count_below_kernel, count_below_reference, partition3_kernel, partition_bound_kernel,
-    partition_bound_reference, scalar_reference_mode, set_scalar_reference_mode,
+    partition_bound_reference, scalar_reference_mode, with_scalar_reference_mode,
 };
 pub use median_of_medians::median_of_medians_select;
 pub use ops::OpCount;

@@ -101,7 +101,7 @@ pub fn bucket_search_cmps(len: usize) -> u64 {
 /// vector (an explicit worklist, safe for worker-thread stacks at any
 /// bound-set size): `O(n log B)` measured comparisons. Each halving step
 /// runs the branchless [`crate::partition_bound_kernel`] — or the scalar
-/// reference walk under [`crate::set_scalar_reference_mode`] — both of
+/// reference walk under [`crate::with_scalar_reference_mode`] — both of
 /// which charge identical measured costs.
 ///
 /// # Panics
@@ -231,10 +231,12 @@ mod tests {
         let mut reference = data;
         let mut ops_k = OpCount::new();
         let mut ops_r = OpCount::new();
-        let off_k = partition_by_bounds(&mut kernel, &bounds, &mut ops_k);
-        crate::set_scalar_reference_mode(true);
-        let off_r = partition_by_bounds(&mut reference, &bounds, &mut ops_r);
-        crate::set_scalar_reference_mode(false);
+        let off_k = crate::with_scalar_reference_mode(false, || {
+            partition_by_bounds(&mut kernel, &bounds, &mut ops_k)
+        });
+        let off_r = crate::with_scalar_reference_mode(true, || {
+            partition_by_bounds(&mut reference, &bounds, &mut ops_r)
+        });
         assert_eq!(off_k, off_r);
         assert_eq!(kernel, reference, "same permutation either way");
         assert_eq!(ops_k, ops_r, "same measured charges either way");

@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use cgselect::{Answer, Engine, EngineConfig, FrontendConfig, Query, SubmitError};
+use cgselect::{Engine, EngineConfig, FrontendConfig, Request, Response, SubmitError};
 
 fn main() {
     let p = 8;
@@ -47,12 +47,17 @@ fn main() {
                 let tickets: Vec<_> = (0..per_client)
                     .map(|i| {
                         let k = (c * per_client + i) * (n / (clients * per_client));
-                        (k, queue.submit(Query::Rank(k)).expect("capacity sized for the demo"))
+                        (
+                            k,
+                            queue
+                                .submit_request(Request::rank(k))
+                                .expect("capacity sized for the demo"),
+                        )
                     })
                     .collect();
                 for (k, t) in tickets {
                     let answer = t.wait().expect("query failed");
-                    assert_eq!(answer, Answer::Value(oracle[k as usize]), "rank {k}");
+                    assert_eq!(answer.response, Response::Element(oracle[k as usize]), "rank {k}");
                 }
             });
         }
@@ -77,12 +82,12 @@ fn main() {
     );
 
     // ---- Mutations flow through the same queue, FIFO --------------------
-    let before = queue.submit(Query::Rank(0)).unwrap();
+    let before = queue.submit_request(Request::rank(0)).unwrap();
     let ingest = queue.submit_ingest(vec![0, 0, 0]).unwrap(); // three new minima
-    let after = queue.submit(Query::TopK(4)).unwrap();
-    assert_eq!(before.wait().unwrap(), Answer::Value(oracle[0]));
+    let after = queue.submit_request(Request::top_k(4)).unwrap();
+    assert_eq!(before.wait().unwrap().response, Response::Element(oracle[0]));
     assert_eq!(ingest.wait().unwrap().elements, 3);
-    assert_eq!(after.wait().unwrap(), Answer::Top(vec![0, 0, 0, oracle[0]]));
+    assert_eq!(after.wait().unwrap().response, Response::Elements(vec![0, 0, 0, oracle[0]]));
     let removed = queue.submit_delete(vec![0]).unwrap().wait().unwrap().elements;
     assert_eq!(removed, 3, "exactly the ingested zeros are removed");
     println!("FIFO mutations: ingested 3 zeros, deleted {removed} again");
@@ -90,8 +95,8 @@ fn main() {
     // ---- Admission control ----------------------------------------------
     let tiny = queue.shutdown().expect("hand the engine back");
     let queue = tiny.into_frontend(FrontendConfig::new().queue_capacity(4).start_paused(true));
-    let staged: Vec<_> = (0..4).map(|i| queue.submit(Query::Rank(i)).unwrap()).collect();
-    match queue.submit(Query::Median) {
+    let staged: Vec<_> = (0..4).map(|i| queue.submit_request(Request::rank(i)).unwrap()).collect();
+    match queue.submit_request(Request::median()) {
         Err(SubmitError::Saturated { capacity }) => {
             println!("5th submission rejected: queue saturated at capacity {capacity}")
         }
@@ -99,7 +104,7 @@ fn main() {
     }
     queue.resume();
     for (i, t) in staged.into_iter().enumerate() {
-        assert_eq!(t.wait().unwrap(), Answer::Value(oracle[i]));
+        assert_eq!(t.wait().unwrap().response, Response::Element(oracle[i]));
     }
     println!("queue drained and recovered; rejected = {}", queue.stats().rejected);
 

@@ -11,7 +11,13 @@
 //! cargo run --release --example engine_service
 //! ```
 
-use cgselect::{Answer, BackendKind, Engine, EngineConfig, Query};
+use cgselect::{BackendKind, Engine, EngineConfig, QueryKind, Request, Response, RunReport};
+
+/// The answer halves of a report's outcomes (provenance and attributed cost
+/// legitimately differ between a cold and a hot run of the same batch).
+fn responses(report: &RunReport<u64>) -> Vec<&Response<u64>> {
+    report.outcomes.iter().map(|o| &o.response).collect()
+}
 
 fn main() {
     let p = 8;
@@ -39,37 +45,37 @@ fn main() {
     // ---- One mixed batch of 120 queries, answered in one session ------
     let mut queries = Vec::new();
     for i in 0..60 {
-        queries.push(Query::Rank(i * (n / 60) + i % 7)); // 60 rank queries
+        queries.push(Request::rank(i * (n / 60) + i % 7)); // 60 rank queries
     }
     for i in 1..=40 {
-        queries.push(Query::quantile(i as f64 / 41.0)); // 40 exact quantiles
+        queries.push(Request::quantile(i as f64 / 41.0)); // 40 exact quantiles
     }
     for _ in 0..10 {
-        queries.push(Query::Median); // 10 medians
+        queries.push(Request::median()); // 10 medians
     }
     for k in [1u64, 5, 25, 100, 500, 1000, 2500, 5000, 7500, 10_000] {
-        queries.push(Query::TopK(k)); // 10 top-k queries
+        queries.push(Request::top_k(k)); // 10 top-k queries
     }
     assert!(queries.len() >= 100, "the service demo batches at least 100 queries");
 
-    let report = engine.execute(&queries).unwrap();
+    let report = engine.run(&queries).unwrap();
     let mut checked = 0;
-    for (query, answer) in queries.iter().zip(&report.answers) {
-        match (*query, answer) {
-            (Query::Rank(k), Answer::Value(v)) => {
+    for (query, outcome) in queries.iter().zip(&report.outcomes) {
+        match (&query.kind, &outcome.response) {
+            (&QueryKind::Rank(k), Response::Element(v)) => {
                 assert_eq!(*v, oracle[k as usize], "rank {k}");
                 checked += 1;
             }
-            (Query::Quantile { q, .. }, Answer::Value(v)) => {
+            (&QueryKind::Quantile(q), Response::Element(v)) => {
                 let k = cgselect::quantile_rank(q, n);
                 assert_eq!(*v, oracle[k as usize], "quantile {q}");
                 checked += 1;
             }
-            (Query::Median, Answer::Value(v)) => {
+            (QueryKind::Median, Response::Element(v)) => {
                 assert_eq!(*v, oracle[(n as usize - 1) / 2], "median");
                 checked += 1;
             }
-            (Query::TopK(k), Answer::Top(vs)) => {
+            (&QueryKind::TopK(k), Response::Elements(vs)) => {
                 assert_eq!(vs.as_slice(), &oracle[..k as usize], "top-{k}");
                 checked += 1;
             }
@@ -90,12 +96,12 @@ fn main() {
     // Batched vs one-at-a-time, on the same engine: the whole point.
     // (The singles use fresh ranks — repeats of the batch's ranks would be
     // answered from the bucket index's histogram for free, see below.)
-    let solo_ranks: Vec<Query> = (0..16).map(|i| Query::Rank(i * (n / 16))).collect();
-    let batched = engine.execute(&solo_ranks).unwrap();
+    let solo_ranks: Vec<Request<u64>> = (0..16).map(|i| Request::rank(i * (n / 16))).collect();
+    let batched = engine.run(&solo_ranks).unwrap();
     let mut single_ops = 0;
     for i in 0..16 {
-        let fresh = Query::Rank(i * (n / 16) + 137);
-        single_ops += engine.execute(&[fresh]).unwrap().collective_ops;
+        let fresh = Request::rank(i * (n / 16) + 137);
+        single_ops += engine.run(&[fresh]).unwrap().collective_ops;
     }
     assert!(batched.collective_ops < single_ops);
     println!(
@@ -108,8 +114,8 @@ fn main() {
     // Re-running the same batch hits the resident bucket index: the first
     // pass refined the splitters around its answers, so every repeat is
     // answered from the cached histogram — zero scans, zero collectives.
-    let repeat = engine.execute(&solo_ranks).unwrap();
-    assert_eq!(repeat.answers, batched.answers);
+    let repeat = engine.run(&solo_ranks).unwrap();
+    assert_eq!(responses(&repeat), responses(&batched));
     assert_eq!(repeat.histogram_answers, repeat.exact_ranks);
     println!(
         "the same 16 ranks again: {} collective ops, {} of {} answered from the \
@@ -123,12 +129,12 @@ fn main() {
     // ---- Approximate quantiles from the resident sketches --------------
     let tol = 0.02; // promise: rank error <= 2% of n
     let approx = engine
-        .execute(&[Query::quantile_within(0.5, tol), Query::quantile_within(0.95, tol)])
+        .run(&[Request::quantile(0.5).within_rank(tol), Request::quantile(0.95).within_rank(tol)])
         .unwrap();
     assert_eq!(approx.sketch_answers, 2, "the sketches must serve these");
-    for answer in &approx.answers {
-        let Answer::Approximate { value, target_rank, max_rank_error } = *answer else {
-            panic!("expected an approximate answer, got {answer:?}");
+    for outcome in &approx.outcomes {
+        let Response::Approximate { value, target_rank, max_rank_error } = outcome.response else {
+            panic!("expected an approximate answer, got {:?}", outcome.response);
         };
         // The value's TRUE rank, from the oracle.
         let true_rank = oracle.partition_point(|&x| x < value) as u64;
@@ -165,12 +171,12 @@ fn main() {
     // And the engine still answers correctly over the merged population.
     let n = oracle.len() as u64;
     let after = engine
-        .execute(&[Query::Median, Query::Rank(0), Query::Rank(n - 1), Query::TopK(3)])
+        .run(&[Request::median(), Request::rank(0), Request::rank(n - 1), Request::top_k(3)])
         .unwrap();
-    assert_eq!(after.answers[0], Answer::Value(oracle[(n as usize - 1) / 2]));
-    assert_eq!(after.answers[1], Answer::Value(oracle[0]));
-    assert_eq!(after.answers[2], Answer::Value(oracle[n as usize - 1]));
-    assert_eq!(after.answers[3], Answer::Top(oracle[..3].to_vec()));
+    assert_eq!(after.outcomes[0].response, Response::Element(oracle[(n as usize - 1) / 2]));
+    assert_eq!(after.outcomes[1].response, Response::Element(oracle[0]));
+    assert_eq!(after.outcomes[2].response, Response::Element(oracle[n as usize - 1]));
+    assert_eq!(after.outcomes[3].response, Response::Elements(oracle[..3].to_vec()));
 
     // ---- Deletes keep everything coherent -------------------------------
     let victims: Vec<u64> = oracle.iter().copied().step_by(1000).take(50).collect();
@@ -178,8 +184,8 @@ fn main() {
     oracle.retain(|x| !victims.contains(x));
     assert_eq!(removed as usize + oracle.len(), n as usize);
     let n = oracle.len() as u64;
-    let post = engine.execute(&[Query::Median]).unwrap();
-    assert_eq!(post.answers[0], Answer::Value(oracle[(n as usize - 1) / 2]));
+    let post = engine.run(&[Request::median()]).unwrap();
+    assert_eq!(post.outcomes[0].response, Response::Element(oracle[(n as usize - 1) / 2]));
     println!("deleted {removed} elements; median still matches the oracle");
 
     println!(
@@ -201,11 +207,11 @@ fn main() {
     let sample: Vec<u64> = (0..40_000u64).map(|i| next(7_000_000 + i)).collect();
     reference.ingest(sample.clone()).unwrap();
     mp.ingest(sample).unwrap();
-    let batch: Vec<Query> =
-        (1..=20).map(|i| Query::quantile(i as f64 / 21.0)).chain([Query::TopK(5)]).collect();
-    let a = reference.execute(&batch).unwrap();
-    let b = mp.execute(&batch).unwrap();
-    assert_eq!(a.answers, b.answers, "backends must agree on every answer");
+    let batch: Vec<Request<u64>> =
+        (1..=20).map(|i| Request::quantile(i as f64 / 21.0)).chain([Request::top_k(5)]).collect();
+    let a = reference.run(&batch).unwrap();
+    let b = mp.run(&batch).unwrap();
+    assert_eq!(responses(&a), responses(&b), "backends must agree on every answer");
     assert_eq!(
         a.collective_ops, b.collective_ops,
         "backends must agree on the collective-round budget"

@@ -9,7 +9,7 @@
 
 use cgselect::{
     BackendChoice, Bounds, ChannelMpTuning, Distribution, Engine, EngineConfig, MachineModel,
-    Query, Request, SloAccumulator, TraceId,
+    Request, SloAccumulator, TraceId,
 };
 
 fn main() {
@@ -25,18 +25,18 @@ fn main() {
         let cfg = EngineConfig::new(p).model(MachineModel::cm5()).backend(backend).observe(true);
         let mut engine: Engine<u64> = Engine::new(cfg).expect("engine");
         engine.ingest(data.clone()).expect("ingest");
-        engine.execute(&[Query::Median]).expect("warm-up builds the index");
+        engine.run(&[Request::median()]).expect("warm-up builds the index");
 
         // A mixed batch: forward selections, an inverse rank probe, and a
         // range count. Stamping trace IDs is optional — the engine assigns
         // them when absent — but a caller-supplied ID lets an upstream
         // service correlate the span with its own request log.
         let requests: Vec<Request<u64>> = vec![
-            Query::Median.to_request().traced(TraceId(1001)),
-            Query::quantile(0.99).to_request().traced(TraceId(1002)),
+            Request::median().traced(TraceId(1001)),
+            Request::quantile(0.99).traced(TraceId(1002)),
             Request::rank_of(data[0]).traced(TraceId(1003)),
             Request::count_between(Bounds::closed(100, 10_000)).traced(TraceId(1004)),
-            Query::TopK(3).to_request().traced(TraceId(1005)),
+            Request::top_k(3).traced(TraceId(1005)),
         ];
 
         let mut slo = SloAccumulator::new();

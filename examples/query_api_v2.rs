@@ -1,4 +1,4 @@
-//! Query API v2 tour: typed requests, inverse queries, accuracy
+//! Query language tour: typed requests, inverse queries, accuracy
 //! contracts, provenance and per-query cost attribution.
 //!
 //! ```text
@@ -17,12 +17,12 @@
 //! subsystem produced it (histogram / sketch / index / scan) and its
 //! share of the batch's collective work.
 
-use cgselect::{Accuracy, Bounds, Engine, EngineConfig, Query, Request, Served};
+use cgselect::{Accuracy, Bounds, Engine, EngineConfig, Request, Served};
 
 fn main() {
     let p = 8;
     let n: u64 = 2_000_000;
-    println!("== Query API v2 tour: {n} resident samples on {p} shards ==\n");
+    println!("== Query language tour: {n} resident samples on {p} shards ==\n");
 
     let mut engine: Engine<u64> = Engine::new(EngineConfig::new(p)).unwrap();
     // Synthetic latency samples, microseconds, heavy right tail.
@@ -84,10 +84,6 @@ fn main() {
         o.served,
         Accuracy::WithinRank(0.02)
     );
-
-    // -- The v1 surface still works, byte-for-byte, through the shim.
-    let v1 = engine.execute(&[Query::Median, Query::TopK(3)]).unwrap();
-    println!("\nv1 compat: median={:?}, top3={:?}", v1.answers[0], v1.answers[1]);
 
     // -- The async frontend's one-admission bulk submission.
     let queue = engine.into_frontend(cgselect::FrontendConfig::new());

@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use cgselect::{
-    Distribution, Engine, EngineConfig, FrontendConfig, Query, RefreshPolicy, Response,
+    Distribution, Engine, EngineConfig, FrontendConfig, RefreshPolicy, Request, Response,
     StandingHandle, StandingUpdate,
 };
 
@@ -59,17 +59,17 @@ fn main() {
     // FIFO with mutations: each handle's first update reflects exactly the
     // data ingested before the subscribe.
     let p50 = queue
-        .submit_standing(Query::Median.to_request(), RefreshPolicy::EveryBatch)
+        .submit_standing(Request::median(), RefreshPolicy::EveryBatch)
         .expect("admit p50")
         .wait()
         .expect("subscribe p50");
     let p99 = queue
-        .submit_standing(Query::quantile(0.99).to_request(), RefreshPolicy::OnDelta(0.02))
+        .submit_standing(Request::quantile(0.99), RefreshPolicy::OnDelta(0.02))
         .expect("admit p99")
         .wait()
         .expect("subscribe p99");
     let p999 = queue
-        .submit_standing(Query::quantile(0.999).to_request(), RefreshPolicy::Deadline(5))
+        .submit_standing(Request::quantile(0.999), RefreshPolicy::Deadline(5))
         .expect("admit p999")
         .wait()
         .expect("subscribe p999");

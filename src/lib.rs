@@ -33,24 +33,23 @@
 //! ## Serving queries instead of running one selection
 //!
 //! For the one-shot paper experiments use [`select_on_machine`]; to keep
-//! data resident across many queries use the [`Engine`]. Its typed v2
-//! surface ([`Engine::run`]) covers both directions — rank → element and
-//! the inverse element → rank / range → count — with per-answer
-//! provenance; the original [`Query`] enum keeps working through the
-//! [`Engine::execute`] compatibility shim:
+//! data resident across many queries use the [`Engine`]. Its typed
+//! [`Request`] surface ([`Engine::run`]) covers both directions — rank →
+//! element and the inverse element → rank / range → count — with
+//! per-answer provenance:
 //!
 //! ```
-//! use cgselect::{Answer, Bounds, Engine, EngineConfig, Query, Request};
+//! use cgselect::{Bounds, Engine, EngineConfig, Request, Response};
 //!
 //! let mut engine: Engine<u64> = Engine::new(EngineConfig::new(4)).unwrap();
 //! engine.ingest((0..10_000u64).rev().collect()).unwrap();
 //! let report = engine
-//!     .execute(&[Query::Median, Query::quantile(0.99), Query::TopK(3)])
+//!     .run(&[Request::median(), Request::quantile(0.99), Request::top_k(3)])
 //!     .unwrap();
-//! assert_eq!(report.answers[0], Answer::Value(4_999));
-//! assert_eq!(report.answers[2], Answer::Top(vec![0, 1, 2]));
+//! assert_eq!(report.outcomes[0].response, Response::Element(4_999));
+//! assert_eq!(report.outcomes[2].response, Response::Elements(vec![0, 1, 2]));
 //!
-//! // v2: inverse queries with provenance and accuracy contracts.
+//! // Inverse queries, in the same batch shape.
 //! let run = engine
 //!     .run(&[
 //!         Request::rank_of(2_500),
@@ -67,15 +66,15 @@
 //! window into one collective pass:
 //!
 //! ```
-//! use cgselect::{Answer, Engine, EngineConfig, FrontendConfig, Query};
+//! use cgselect::{Engine, EngineConfig, FrontendConfig, Request, Response};
 //!
 //! let mut engine: Engine<u64> = Engine::new(EngineConfig::new(4)).unwrap();
 //! engine.ingest((0..10_000u64).rev().collect()).unwrap();
 //! let queue = engine.into_frontend(FrontendConfig::new());
-//! let t1 = queue.submit(Query::Median).unwrap();
-//! let t2 = queue.submit(Query::TopK(2)).unwrap();
-//! assert_eq!(t1.wait(), Ok(Answer::Value(4_999)));
-//! assert_eq!(t2.wait(), Ok(Answer::Top(vec![0, 1])));
+//! let t1 = queue.submit_request(Request::median()).unwrap();
+//! let t2 = queue.submit_request(Request::top_k(2)).unwrap();
+//! assert_eq!(t1.wait().unwrap().response, Response::Element(4_999));
+//! assert_eq!(t2.wait().unwrap().response, Response::Elements(vec![0, 1]));
 //! ```
 //!
 //! ## Quickstart
@@ -131,15 +130,14 @@ pub use cgselect_core::{
     SelectionConfig, SelectionOutcome, Weighted,
 };
 pub use cgselect_engine::{
-    measure_rounds, quantile_rank, Accuracy, Answer, AsyncError, BackendChoice, BackendError,
-    BackendKind, BatchReport, BatchSpan, Bounds, ChannelMpTuning, CostAttribution, Engine,
-    EngineConfig, EngineError, EpsSketch, ExecBackend, ExecutionMode, Fault, Freshness,
-    FrontendConfig, FrontendStats, IndexHealth, LocalSpmd, MetricsRegistry, MetricsSnapshot,
-    MutationReport, MutationTicket, Outcome, OutcomeTicket, Phase, PhaseOps, PhaseSpan,
-    PhaseSummary, Query, QueryKind, QueryTicket, RankSet, RecoveryReport, RefreshPolicy, Request,
-    RequestSpan, Response, RoundsMeasurement, RunReport, Served, SloAccumulator, SloPolicy,
-    SloReport, SocketMpTuning, StandingHandle, StandingTicket, StandingUpdate, SubmissionQueue,
-    SubmitError, SubscriptionId, Ticket, TraceId,
+    measure_rounds, quantile_rank, Accuracy, AsyncError, BackendChoice, BackendError, BackendKind,
+    BatchSpan, Bounds, ChannelMpTuning, CostAttribution, Engine, EngineConfig, EngineError,
+    EpsSketch, ExecBackend, ExecutionMode, Fault, Freshness, FrontendConfig, FrontendStats,
+    IndexHealth, LocalSpmd, MetricsRegistry, MetricsSnapshot, MutationReport, MutationTicket,
+    Outcome, OutcomeTicket, Phase, PhaseOps, PhaseSpan, PhaseSummary, QueryKind, RankSet,
+    RecoveryReport, RefreshPolicy, Request, RequestSpan, Response, RoundsMeasurement, RunReport,
+    Served, SloAccumulator, SloPolicy, SloReport, SocketMpTuning, StandingHandle, StandingTicket,
+    StandingUpdate, SubmissionQueue, SubmitError, SubscriptionId, Ticket, TraceId,
 };
 pub use cgselect_runtime::{
     CommStats, Key, Machine, MachineModel, OrdF64, Proc, RunError, Session, ShardStore,

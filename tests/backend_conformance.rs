@@ -16,9 +16,9 @@
 use std::time::{Duration, Instant};
 
 use cgselect::{
-    quantile_rank, Answer, BackendChoice, BackendError, BackendKind, ChannelMpTuning, Distribution,
-    Engine, EngineConfig, EngineError, Fault, FrontendConfig, IndexHealth, MachineModel, Query,
-    SocketMpTuning, SubmitError,
+    quantile_rank, BackendChoice, BackendError, BackendKind, ChannelMpTuning, Distribution, Engine,
+    EngineConfig, EngineError, Fault, FrontendConfig, IndexHealth, MachineModel, QueryKind,
+    Request, Response, RunReport, SocketMpTuning, SubmitError,
 };
 
 const ALL_DISTRIBUTIONS: [Distribution; 8] = [
@@ -46,30 +46,36 @@ fn channel_mp() -> BackendChoice {
     BackendChoice::ChannelMp(ChannelMpTuning::default())
 }
 
-fn mixed_batch(n: u64) -> Vec<Query> {
+fn mixed_batch(n: u64) -> Vec<Request<u64>> {
     vec![
-        Query::Rank(0),
-        Query::Rank(n / 3),
-        Query::Rank(n - 1),
-        Query::quantile(0.1),
-        Query::quantile(0.5),
-        Query::quantile(0.9),
-        Query::Median,
-        Query::TopK(5.min(n)),
+        Request::rank(0),
+        Request::rank(n / 3),
+        Request::rank(n - 1),
+        Request::quantile(0.1),
+        Request::quantile(0.5),
+        Request::quantile(0.9),
+        Request::median(),
+        Request::top_k(5.min(n)),
     ]
 }
 
-fn oracle_answers(sorted: &[u64], queries: &[Query]) -> Vec<Answer<u64>> {
+fn oracle_answers(sorted: &[u64], queries: &[Request<u64>]) -> Vec<Response<u64>> {
     let n = sorted.len() as u64;
     queries
         .iter()
-        .map(|q| match *q {
-            Query::Rank(k) => Answer::Value(sorted[k as usize]),
-            Query::Median => Answer::Value(sorted[((n - 1) / 2) as usize]),
-            Query::Quantile { q, .. } => Answer::Value(sorted[quantile_rank(q, n) as usize]),
-            Query::TopK(k) => Answer::Top(sorted[..k as usize].to_vec()),
+        .map(|q| match q.kind {
+            QueryKind::Rank(k) => Response::Element(sorted[k as usize]),
+            QueryKind::Median => Response::Element(sorted[((n - 1) / 2) as usize]),
+            QueryKind::Quantile(q) => Response::Element(sorted[quantile_rank(q, n) as usize]),
+            QueryKind::TopK(k) => Response::Elements(sorted[..k as usize].to_vec()),
+            ref other => panic!("no oracle for {other:?} in the mixed batch"),
         })
         .collect()
+}
+
+/// The answer halves of a report's outcomes.
+fn responses(report: &RunReport<u64>) -> Vec<Response<u64>> {
+    report.outcomes.iter().map(|o| o.response.clone()).collect()
 }
 
 /// What one lifecycle step observed — everything that must be identical
@@ -77,7 +83,7 @@ fn oracle_answers(sorted: &[u64], queries: &[Query]) -> Vec<Answer<u64>> {
 #[derive(Debug, Clone, PartialEq)]
 struct Step {
     label: String,
-    answers: Vec<Answer<u64>>,
+    answers: Vec<Response<u64>>,
     collective_ops: u64,
     histogram_answers: usize,
     len: u64,
@@ -99,16 +105,16 @@ fn run_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Step> {
         let mut sorted = all.to_vec();
         sorted.sort_unstable();
         let queries = mixed_batch(sorted.len() as u64);
-        let report = engine.execute(&queries).unwrap();
+        let report = engine.run(&queries).unwrap();
         assert_eq!(
-            report.answers,
+            responses(&report),
             oracle_answers(&sorted, &queries),
             "{} diverged from the oracle at step {label} ({dist:?})",
             engine.backend_kind(),
         );
         steps.push(Step {
             label,
-            answers: report.answers,
+            answers: responses(&report),
             collective_ops: report.collective_ops,
             histogram_answers: report.histogram_answers,
             len: engine.len(),
@@ -208,7 +214,7 @@ fn backends_agree_on_answers_and_collective_rounds() {
 /// ingest-burst / delete phases on one backend, oracle-checking every
 /// answer and recording the per-batch collective-round counts.
 fn run_inverse_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<(Vec<u64>, u64)> {
-    use cgselect::{Bounds, Request};
+    use cgselect::Bounds;
     let p = 4;
     let n = 3000usize;
     let data: Vec<u64> = cgselect::generate(dist, n, p, 41).into_iter().flatten().collect();
@@ -258,7 +264,7 @@ fn run_inverse_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<(Vec
     let (bulk, tail) = data.split_at(2 * n / 3);
     all.extend_from_slice(bulk);
     engine.ingest(bulk.to_vec()).unwrap();
-    engine.execute(&[Query::Median]).unwrap();
+    engine.run(&[Request::median()]).unwrap();
     check(&mut engine, &all, "bulk");
     // A burst rides the delta run: probes must fold it in exactly.
     all.extend_from_slice(tail);
@@ -290,7 +296,6 @@ fn inverse_ops_agree_on_answers_and_rounds_across_backends() {
 
 #[test]
 fn probe_round_count_is_independent_of_probe_batch_size_on_both_backends() {
-    use cgselect::Request;
     // The acceptance bar for the new op: the whole probe batch rides ONE
     // vectorized Combine, so 12 probes cost exactly the rounds of 1 — on
     // both backends, with identical counts.
@@ -299,7 +304,7 @@ fn probe_round_count_is_independent_of_probe_batch_size_on_both_backends() {
     for backend in backends() {
         let mut engine: Engine<u64> = Engine::new(cfg(4, backend)).unwrap();
         engine.ingest(data.clone()).unwrap();
-        engine.execute(&[Query::Median]).unwrap(); // builds the index
+        engine.run(&[Request::median()]).unwrap(); // builds the index
         let one = engine.run(&[Request::rank_of(500_001)]).unwrap();
         let batch: Vec<Request<u64>> =
             (0..12u64).map(|i| Request::rank_of(500_003 + i * 39_119)).collect();
@@ -334,9 +339,9 @@ fn worker_panic_mid_batch_surfaces_typed_error_and_poisons() {
     engine.ingest((0..3000u64).rev().collect()).unwrap();
 
     // Execute 0 is healthy; execute 1 hits the injected mid-batch panic.
-    let ok = engine.execute(&[Query::Median]).unwrap();
-    assert_eq!(ok.answers[0], Answer::Value(1499));
-    let err = engine.execute(&[Query::quantile(0.25)]).unwrap_err();
+    let ok = engine.run(&[Request::median()]).unwrap();
+    assert_eq!(ok.outcomes[0].response, Response::Element(1499));
+    let err = engine.run(&[Request::quantile(0.25)]).unwrap_err();
     match err {
         EngineError::Backend(BackendError::WorkerPanicked { rank, ref message }) => {
             assert_eq!(rank, 1, "the injected faulty rank must be reported, got {err:?}");
@@ -348,7 +353,7 @@ fn worker_panic_mid_batch_surfaces_typed_error_and_poisons() {
     // Poisoned: subsequent batches are rejected fast (no collective work,
     // no timeout waits), as are mutations.
     let t0 = Instant::now();
-    let err = engine.execute(&[Query::Median]).unwrap_err();
+    let err = engine.run(&[Request::median()]).unwrap_err();
     assert_eq!(err, EngineError::Backend(BackendError::Poisoned));
     assert!(
         t0.elapsed() < Duration::from_millis(100),
@@ -367,13 +372,13 @@ fn dropped_reply_surfaces_worker_unresponsive_and_poisons() {
     let mut engine: Engine<u64> =
         Engine::new(cfg(3, faulty(&[Fault::DropReplyOnExecute { rank: 2, nth: 0 }]))).unwrap();
     engine.ingest((0..2000u64).collect()).unwrap();
-    let err = engine.execute(&[Query::Median]).unwrap_err();
+    let err = engine.run(&[Request::median()]).unwrap_err();
     assert_eq!(
         err,
         EngineError::Backend(BackendError::WorkerUnresponsive { rank: 2 }),
         "a lost reply must surface as a typed timeout on the silent rank"
     );
-    let err = engine.execute(&[Query::Median]).unwrap_err();
+    let err = engine.run(&[Request::median()]).unwrap_err();
     assert_eq!(err, EngineError::Backend(BackendError::Poisoned));
 }
 
@@ -389,10 +394,10 @@ fn slow_shard_stays_correct_within_timeouts() {
     slow.ingest(data.clone()).unwrap();
     reference.ingest(data).unwrap();
     let queries = mixed_batch(2000);
-    let a = slow.execute(&queries).unwrap();
-    let b = reference.execute(&queries).unwrap();
+    let a = slow.run(&queries).unwrap();
+    let b = reference.run(&queries).unwrap();
     // A straggler changes wall-clock latency, never results or rounds.
-    assert_eq!(a.answers, b.answers);
+    assert_eq!(responses(&a), responses(&b));
     assert_eq!(a.collective_ops, b.collective_ops);
 }
 
@@ -413,16 +418,16 @@ fn frontend_shutdown_mid_window_hands_engine_back_on_both_backends() {
         // A very wide window: the submitted queries hold the batch open, so
         // shutdown lands while a micro-batch window is collecting.
         let queue = engine.into_frontend(FrontendConfig::new().window(Duration::from_secs(5)));
-        let t1 = queue.submit(Query::Median).unwrap();
-        let t2 = queue.submit(Query::Rank(0)).unwrap();
+        let t1 = queue.submit_request(Request::median()).unwrap();
+        let t2 = queue.submit_request(Request::rank(0)).unwrap();
         let mut engine = queue.shutdown().expect("first shutdown claims the engine");
         // Accepted submissions were drained before the hand-off.
-        assert_eq!(t1.wait(), Ok(Answer::Value(249)), "{kind}");
-        assert_eq!(t2.wait(), Ok(Answer::Value(0)), "{kind}");
+        assert_eq!(t1.wait().map(|o| o.response), Ok(Response::Element(249)), "{kind}");
+        assert_eq!(t2.wait().map(|o| o.response), Ok(Response::Element(0)), "{kind}");
         // The engine comes back intact and serviceable.
         assert_eq!(engine.len(), 500, "{kind}");
-        let report = engine.execute(&[Query::TopK(2)]).unwrap();
-        assert_eq!(report.answers[0], Answer::Top(vec![0, 1]), "{kind}");
+        let report = engine.run(&[Request::top_k(2)]).unwrap();
+        assert_eq!(report.outcomes[0].response, Response::Elements(vec![0, 1]), "{kind}");
     }
 }
 
@@ -436,18 +441,22 @@ fn frontend_shutdown_under_saturation_keeps_engine_intact_on_both_backends() {
         // the backlog still parked.
         let queue =
             engine.into_frontend(FrontendConfig::new().queue_capacity(2).start_paused(true));
-        let parked: Vec<_> = (0..2).map(|_| queue.submit(Query::Median).unwrap()).collect();
-        match queue.submit(Query::Median) {
+        let parked: Vec<_> =
+            (0..2).map(|_| queue.submit_request(Request::median()).unwrap()).collect();
+        match queue.submit_request(Request::median()) {
             Err(SubmitError::Saturated { capacity: 2 }) => {}
             other => panic!("{kind}: expected saturation, got {other:?}"),
         }
         let mut engine = queue.shutdown().expect("first shutdown claims the engine");
         // The parked backlog was drained (closing overrides the pause).
         for t in parked {
-            assert_eq!(t.wait(), Ok(Answer::Value(249)), "{kind}");
+            assert_eq!(t.wait().map(|o| o.response), Ok(Response::Element(249)), "{kind}");
         }
         assert_eq!(engine.len(), 500, "{kind}");
-        assert_eq!(engine.execute(&[Query::Median]).unwrap().answers[0], Answer::Value(249));
+        assert_eq!(
+            engine.run(&[Request::median()]).unwrap().outcomes[0].response,
+            Response::Element(249)
+        );
     }
 }
 
@@ -484,7 +493,7 @@ fn dropping_engine_mid_lifecycle_leaks_no_threads_on_both_backends() {
                 assert_eq!(engine.join_worker().unwrap(), 5, "{kind}");
                 assert_eq!(engine.retire_worker(4).unwrap(), 4, "{kind}");
             }
-            engine.execute(&[Query::Median]).unwrap(); // builds the index
+            engine.run(&[Request::median()]).unwrap(); // builds the index
             engine.ingest((0..100u64).collect()).unwrap(); // populates the delta run
             assert!(
                 engine.index_health().delta_len > 0,
@@ -525,15 +534,18 @@ mod interleavings {
                     // A query batch: two quantiles + a rank derived from the seed.
                     let n = resident.len() as u64;
                     let queries = vec![
-                        Query::quantile((seed % 101) as f64 / 100.0),
-                        Query::Median,
-                        Query::Rank(seed % n),
+                        Request::quantile((seed % 101) as f64 / 100.0),
+                        Request::median(),
+                        Request::rank(seed % n),
                     ];
-                    let report = engine.execute(&queries).unwrap();
+                    let report = engine.run(&queries).unwrap();
                     // "Byte-identical answer sequences": compare the full
                     // rendered answers, not just values.
-                    transcript
-                        .push(format!("{i}: {:?} ops={}", report.answers, report.collective_ops));
+                    transcript.push(format!(
+                        "{i}: {:?} ops={}",
+                        responses(&report),
+                        report.collective_ops
+                    ));
                 }
                 1 | 0 | 3 => {
                     // Ingest a burst derived from the seed.
@@ -585,7 +597,7 @@ mod interleavings {
 
 #[test]
 fn span_trees_agree_across_backends() {
-    use cgselect::{Bounds, Request};
+    use cgselect::Bounds;
     // Phase brackets ride the deterministic virtual clock and the comm
     // counters, so with observability on, both backends must produce the
     // SAME span tree: same phases in the same order, same per-phase
@@ -596,13 +608,13 @@ fn span_trees_agree_across_backends() {
     for backend in backends() {
         let mut engine: Engine<u64> = Engine::new(cfg(4, backend).observe(true)).unwrap();
         engine.ingest(data.clone()).unwrap();
-        engine.execute(&[Query::Median]).unwrap(); // builds the index
+        engine.run(&[Request::median()]).unwrap(); // builds the index
         let requests: Vec<Request<u64>> = vec![
-            Query::quantile(0.25).to_request(),
-            Query::Rank(17).to_request(),
+            Request::quantile(0.25),
+            Request::rank(17),
             Request::rank_of(50_000),
             Request::count_between(Bounds::closed(10_000, 20_000)),
-            Query::TopK(3).to_request(),
+            Request::top_k(3),
         ]
         .into_iter()
         .enumerate()
@@ -634,8 +646,7 @@ fn observing_engines_answer_identically_with_identical_rounds() {
         let mut observed: Engine<u64> = Engine::new(cfg(4, backend).observe(true)).unwrap();
         plain.ingest(data.clone()).unwrap();
         observed.ingest(data.clone()).unwrap();
-        let requests: Vec<cgselect::Request<u64>> =
-            mixed_batch(data.len() as u64).iter().map(Query::to_request).collect();
+        let requests = mixed_batch(data.len() as u64);
         for label in ["build", "steady"] {
             let a = plain.run(&requests).unwrap();
             let b = observed.run(&requests).unwrap();
@@ -760,7 +771,7 @@ fn socket_mp_inverse_ops_match_in_process_answers_and_rounds() {
 fn socket_mp_sigkill_mid_batch_surfaces_typed_error_and_poisons() {
     let mut engine: Engine<u64> = Engine::new(cfg(3, socket_mp_faulty())).unwrap();
     engine.ingest((0..3000u64).map(|i| i.wrapping_mul(2654435761)).collect()).unwrap();
-    engine.execute(&[Query::Median]).unwrap();
+    engine.run(&[Request::median()]).unwrap();
 
     let pids = engine.worker_pids();
     assert_eq!(pids.len(), 3, "one OS process per shard");
@@ -770,7 +781,7 @@ fn socket_mp_sigkill_mid_batch_surfaces_typed_error_and_poisons() {
     // never a hang (survivors self-release via the proc timeout, and their
     // disconnect fallout is triaged as secondary).
     let t0 = Instant::now();
-    let err = engine.execute(&mixed_batch(3000)).unwrap_err();
+    let err = engine.run(&mixed_batch(3000)).unwrap_err();
     assert!(
         t0.elapsed() < Duration::from_secs(8),
         "a killed worker must fail the batch fast, took {:?}",
@@ -786,7 +797,7 @@ fn socket_mp_sigkill_mid_batch_surfaces_typed_error_and_poisons() {
 
     // Poisoned: subsequent work is rejected without touching the ring.
     let t0 = Instant::now();
-    let err = engine.execute(&[Query::Median]).unwrap_err();
+    let err = engine.run(&[Request::median()]).unwrap_err();
     assert_eq!(err, EngineError::Backend(BackendError::Poisoned));
     assert!(t0.elapsed() < Duration::from_millis(100), "poisoned rejection must be fast");
     drop(engine); // must still reap the two survivors (checked below)
@@ -796,7 +807,7 @@ fn socket_mp_sigkill_mid_batch_surfaces_typed_error_and_poisons() {
 fn socket_mp_drop_reaps_every_worker_process() {
     let mut engine: Engine<u64> = Engine::new(cfg(4, socket_mp())).unwrap();
     engine.ingest((0..1000u64).rev().collect()).unwrap();
-    engine.execute(&[Query::Median]).unwrap();
+    engine.run(&[Request::median()]).unwrap();
     let pids = engine.worker_pids();
     assert_eq!(pids.len(), 4);
     for &pid in &pids {
@@ -836,10 +847,10 @@ fn migration_mid_query_stream_is_invisible(backend: BackendChoice) {
         let mut sorted = all.to_vec();
         sorted.sort_unstable();
         let queries = mixed_batch(sorted.len() as u64);
-        let a = migrating.execute(&queries).unwrap();
-        let b = reference.execute(&queries).unwrap();
-        assert_eq!(a.answers, oracle_answers(&sorted, &queries), "{label}: oracle divergence");
-        assert_eq!(a.answers, b.answers, "{label}: migration changed answers");
+        let a = migrating.run(&queries).unwrap();
+        let b = reference.run(&queries).unwrap();
+        assert_eq!(responses(&a), oracle_answers(&sorted, &queries), "{label}: oracle divergence");
+        assert_eq!(responses(&a), responses(&b), "{label}: migration changed answers");
         assert_eq!(a.collective_ops, b.collective_ops, "{label}: migration changed round counts");
         assert_eq!(
             migrating.index_health(),
@@ -905,8 +916,8 @@ fn join_and_retire_keep_serving_exact_answers(backend: BackendChoice) {
         let mut sorted = all.to_vec();
         sorted.sort_unstable();
         let queries = mixed_batch(sorted.len() as u64);
-        let report = engine.execute(&queries).unwrap();
-        assert_eq!(report.answers, oracle_answers(&sorted, &queries), "{label}: wrong answers");
+        let report = engine.run(&queries).unwrap();
+        assert_eq!(responses(&report), oracle_answers(&sorted, &queries), "{label}: wrong answers");
         assert_eq!(engine.len(), all.len() as u64, "{label}: population drifted");
     };
     check(&mut engine, &all, "initial p=3");
@@ -963,7 +974,7 @@ struct SketchStep {
 /// asserting at every step that the whole batch rides the sketch rung at
 /// zero collectives and every answer honors its reported guarantee.
 fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<SketchStep> {
-    use cgselect::{Bounds, Request, Served};
+    use cgselect::{Bounds, Served};
     let p = 4;
     let n = 3000usize;
     let tol = 0.05;
@@ -1126,12 +1137,12 @@ fn socket_mp_sketch_rung_matches_in_process_through_migration() {
 
 #[test]
 fn socket_mp_self_heal_replaces_killed_worker_and_serves_survivors() {
-    use cgselect::{Bounds, Request};
+    use cgselect::Bounds;
     let p = 4;
     let mut engine: Engine<u64> = Engine::new(cfg(p, socket_mp_faulty()).self_heal(true)).unwrap();
     let data: Vec<u64> = (0..2000u64).map(|i| i.wrapping_mul(2654435761) % 1_000_003).collect();
     engine.ingest(data.clone()).unwrap();
-    engine.execute(&[Query::Median]).unwrap();
+    engine.run(&[Request::median()]).unwrap();
 
     // One ingest from a fresh engine round-robins element i onto shard
     // i % p, so the post-crash surviving multiset is computable exactly.
@@ -1163,8 +1174,8 @@ fn socket_mp_self_heal_replaces_killed_worker_and_serves_survivors() {
     assert_eq!(after.len(), p);
     assert_ne!(after[killed], pids[killed], "the killed rank must have been respawned");
     let queries = mixed_batch(surviving.len() as u64);
-    let exact = engine.execute(&queries).unwrap();
-    assert_eq!(exact.answers, oracle_answers(&surviving, &queries));
+    let exact = engine.run(&queries).unwrap();
+    assert_eq!(responses(&exact), oracle_answers(&surviving, &queries));
 }
 
 #[test]
@@ -1184,8 +1195,8 @@ fn channel_mp_self_heal_retries_a_panicked_batch_and_loses_nothing() {
     sorted.sort_unstable();
 
     let queries = mixed_batch(sorted.len() as u64);
-    let report = engine.execute(&queries).unwrap();
-    assert_eq!(report.answers, oracle_answers(&sorted, &queries));
+    let report = engine.run(&queries).unwrap();
+    assert_eq!(responses(&report), oracle_answers(&sorted, &queries));
     assert_eq!(engine.len(), sorted.len() as u64, "recovery must not lose an element");
     let recoveries = |engine: &Engine<u64>| {
         let snapshot = engine.metrics().expect("observing engine").snapshot();
@@ -1199,6 +1210,6 @@ fn channel_mp_self_heal_retries_a_panicked_batch_and_loses_nothing() {
     sorted.extend([7, 8, 9]);
     sorted.sort_unstable();
     let queries = mixed_batch(sorted.len() as u64);
-    assert_eq!(engine.execute(&queries).unwrap().answers, oracle_answers(&sorted, &queries));
+    assert_eq!(responses(&engine.run(&queries).unwrap()), oracle_answers(&sorted, &queries));
     assert_eq!(recoveries(&engine), Some(1));
 }

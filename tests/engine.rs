@@ -4,8 +4,8 @@
 //! persistence across the whole ingest/query/re-balance/delete lifecycle.
 
 use cgselect::{
-    measure_rounds, quantile_rank, Answer, Distribution, Engine, EngineConfig, ExecutionMode,
-    MachineModel, Query,
+    measure_rounds, quantile_rank, Distribution, Engine, EngineConfig, ExecutionMode, MachineModel,
+    Request, Response,
 };
 
 fn free_engine(p: usize) -> Engine<u64> {
@@ -22,31 +22,34 @@ fn check_mixed_batch(engine: &mut Engine<u64>, data: Vec<u64>) {
     assert_eq!(engine.len(), n);
 
     let queries = vec![
-        Query::Rank(0),
-        Query::Rank(n / 3),
-        Query::Rank(n - 1),
-        Query::quantile(0.1),
-        Query::quantile(0.5),
-        Query::quantile(0.9),
-        Query::Median,
-        Query::TopK(7.min(n)),
+        Request::rank(0),
+        Request::rank(n / 3),
+        Request::rank(n - 1),
+        Request::quantile(0.1),
+        Request::quantile(0.5),
+        Request::quantile(0.9),
+        Request::median(),
+        Request::top_k(7.min(n)),
     ];
-    let report = engine.execute(&queries).unwrap();
-    assert_eq!(report.answers.len(), queries.len());
+    let report = engine.run(&queries).unwrap();
+    assert_eq!(report.outcomes.len(), queries.len());
     assert_eq!(report.sketch_answers, 0, "exact batch must not touch the sketches");
 
-    assert_eq!(report.answers[0], Answer::Value(oracle[0]));
-    assert_eq!(report.answers[1], Answer::Value(oracle[(n / 3) as usize]));
-    assert_eq!(report.answers[2], Answer::Value(oracle[(n - 1) as usize]));
+    assert_eq!(report.outcomes[0].response, Response::Element(oracle[0]));
+    assert_eq!(report.outcomes[1].response, Response::Element(oracle[(n / 3) as usize]));
+    assert_eq!(report.outcomes[2].response, Response::Element(oracle[(n - 1) as usize]));
     for (i, q) in [0.1, 0.5, 0.9].into_iter().enumerate() {
         assert_eq!(
-            report.answers[3 + i],
-            Answer::Value(oracle[quantile_rank(q, n) as usize]),
+            report.outcomes[3 + i].response,
+            Response::Element(oracle[quantile_rank(q, n) as usize]),
             "quantile {q}"
         );
     }
-    assert_eq!(report.answers[6], Answer::Value(oracle[((n - 1) / 2) as usize]));
-    assert_eq!(report.answers[7], Answer::Top(oracle[..7.min(n as usize)].to_vec()));
+    assert_eq!(report.outcomes[6].response, Response::Element(oracle[((n - 1) / 2) as usize]));
+    assert_eq!(
+        report.outcomes[7].response,
+        Response::Elements(oracle[..7.min(n as usize)].to_vec())
+    );
 }
 
 #[test]
@@ -86,10 +89,10 @@ fn batched_ranks_use_strictly_fewer_collective_rounds_than_single_calls() {
 
     let r = 12;
     let ranks: Vec<u64> = (0..r).map(|i| (i * n) / r).collect();
-    let batch: Vec<Query> = ranks.iter().map(|&k| Query::Rank(k)).collect();
+    let batch: Vec<Request<u64>> = ranks.iter().map(|&k| Request::rank(k)).collect();
 
     // The planner must resolve all 12 distinct ranks on the exact path.
-    let report = engine.execute(&batch).unwrap();
+    let report = engine.run(&batch).unwrap();
     assert_eq!(report.exact_ranks, ranks.len());
 
     // The same accounting the `engine` bench binary reports — the shared
@@ -133,9 +136,9 @@ fn lifecycle_ingest_query_rebalance_delete_in_one_session() {
     // Queries agree with the oracle after the move.
     oracle.sort_unstable();
     let n = oracle.len() as u64;
-    let report = engine.execute(&[Query::Median, Query::TopK(5)]).unwrap();
-    assert_eq!(report.answers[0], Answer::Value(oracle[((n - 1) / 2) as usize]));
-    assert_eq!(report.answers[1], Answer::Top(oracle[..5].to_vec()));
+    let report = engine.run(&[Request::median(), Request::top_k(5)]).unwrap();
+    assert_eq!(report.outcomes[0].response, Response::Element(oracle[((n - 1) / 2) as usize]));
+    assert_eq!(report.outcomes[1].response, Response::Elements(oracle[..5].to_vec()));
 
     // Delete a value class entirely.
     let removed = engine.delete(&[42]).unwrap().elements;
@@ -144,8 +147,11 @@ fn lifecycle_ingest_query_rebalance_delete_in_one_session() {
     oracle.retain(|&x| x != 42);
     let n = oracle.len() as u64;
     assert_eq!(engine.len(), n);
-    let report = engine.execute(&[Query::quantile(0.5)]).unwrap();
-    assert_eq!(report.answers[0], Answer::Value(oracle[quantile_rank(0.5, n) as usize]));
+    let report = engine.run(&[Request::quantile(0.5)]).unwrap();
+    assert_eq!(
+        report.outcomes[0].response,
+        Response::Element(oracle[quantile_rank(0.5, n) as usize])
+    );
 }
 
 #[test]
@@ -162,12 +168,13 @@ fn approximate_quantiles_honor_their_tolerance_against_the_oracle() {
 
     let tol = 0.03;
     let qs = [0.25, 0.5, 0.75, 0.99];
-    let batch: Vec<Query> = qs.iter().map(|&q| Query::quantile_within(q, tol)).collect();
-    let report = engine.execute(&batch).unwrap();
+    let batch: Vec<Request<u64>> =
+        qs.iter().map(|&q| Request::quantile(q).within_rank(tol)).collect();
+    let report = engine.run(&batch).unwrap();
     assert_eq!(report.sketch_answers, qs.len(), "all four must be sketch-served");
-    for answer in &report.answers {
-        let Answer::Approximate { value, target_rank, max_rank_error } = *answer else {
-            panic!("expected approximate answer, got {answer:?}");
+    for outcome in &report.outcomes {
+        let Response::Approximate { value, target_rank, max_rank_error } = outcome.response else {
+            panic!("expected approximate answer, got {:?}", outcome.response);
         };
         // True rank range of `value` in the oracle (duplicates allowed).
         let lo = oracle.partition_point(|&x| x < value) as u64;

@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use cgselect::seqsel::KernelRng;
 use cgselect::{
-    quantile_rank, Answer, Distribution, Engine, EngineConfig, FrontendConfig, MachineModel, Query,
-    SubmitError,
+    quantile_rank, Distribution, Engine, EngineConfig, FrontendConfig, MachineModel, QueryKind,
+    Request, Response, SubmitError,
 };
 
 /// Generous ticket deadline: a lost wakeup or dropped ticket fails the test
@@ -38,25 +38,26 @@ fn sorted(mut v: Vec<u64>) -> Vec<u64> {
 }
 
 /// The expected exact answer for `query` over static sorted data.
-fn oracle_answer(oracle: &[u64], query: &Query) -> Answer<u64> {
+fn oracle_answer(oracle: &[u64], query: &Request<u64>) -> Response<u64> {
     let n = oracle.len() as u64;
-    match *query {
-        Query::Rank(k) => Answer::Value(oracle[k as usize]),
-        Query::Median => Answer::Value(oracle[((n - 1) / 2) as usize]),
-        Query::Quantile { q, .. } => Answer::Value(oracle[quantile_rank(q, n) as usize]),
-        Query::TopK(k) => Answer::Top(oracle[..k as usize].to_vec()),
+    match query.kind {
+        QueryKind::Rank(k) => Response::Element(oracle[k as usize]),
+        QueryKind::Median => Response::Element(oracle[((n - 1) / 2) as usize]),
+        QueryKind::Quantile(q) => Response::Element(oracle[quantile_rank(q, n) as usize]),
+        QueryKind::TopK(k) => Response::Elements(oracle[..k as usize].to_vec()),
+        ref other => panic!("no oracle for {other:?} in this file's mixes"),
     }
 }
 
 /// A deterministic per-thread query mix over `n` resident elements.
-fn query_mix(seed: u64, count: usize, n: u64) -> Vec<Query> {
+fn query_mix(seed: u64, count: usize, n: u64) -> Vec<Request<u64>> {
     let mut rng = KernelRng::new(seed);
     (0..count)
         .map(|_| match rng.below(4) {
-            0 => Query::Rank(rng.below(n)),
-            1 => Query::quantile(rng.below(1000) as f64 / 999.0),
-            2 => Query::Median,
-            _ => Query::TopK(1 + rng.below(32.min(n))),
+            0 => Request::rank(rng.below(n)),
+            1 => Request::quantile(rng.below(1000) as f64 / 999.0),
+            2 => Request::median(),
+            _ => Request::top_k(1 + rng.below(32.min(n))),
         })
         .collect()
 }
@@ -90,14 +91,17 @@ fn concurrent_clients_match_oracle_on_three_distributions() {
                     // across the client threads.
                     let tickets: Vec<_> = queries
                         .iter()
-                        .map(|&q| (q, queue.submit(q).expect("queue sized for the test")))
+                        .map(|q| {
+                            let t = queue.submit_request(q.clone());
+                            (q, t.expect("queue sized for the test"))
+                        })
                         .collect();
                     for (q, t) in tickets {
                         let got = t
                             .wait_for(TICKET_TIMEOUT)
                             .unwrap_or_else(|| panic!("ticket timed out for {q:?}"))
                             .unwrap_or_else(|e| panic!("{q:?} failed: {e}"));
-                        assert_eq!(got, oracle_answer(oracle, &q), "{dist:?}: {q:?}");
+                        assert_eq!(got.response, oracle_answer(oracle, q), "{dist:?}: {q:?}");
                     }
                 });
             }
@@ -113,8 +117,8 @@ fn concurrent_clients_match_oracle_on_three_distributions() {
         assert!(stats.collective_ops > 0, "{dist:?}");
         // Hand the engine back: the session must still be healthy.
         let mut engine = queue.shutdown().expect("first shutdown claims the engine");
-        let report = engine.execute(&[Query::Median]).unwrap();
-        assert_eq!(report.answers[0], oracle_answer(&oracle, &Query::Median));
+        let report = engine.run(&[Request::median()]).unwrap();
+        assert_eq!(report.outcomes[0].response, oracle_answer(&oracle, &Request::median()));
     }
 }
 
@@ -180,23 +184,25 @@ fn queries_interleaved_with_ingest_delete_stay_correct() {
                                 // are invariant under the mutator.
                                 let k = rng.below(n_lo);
                                 let got = queue
-                                    .submit(Query::Rank(k))
+                                    .submit_request(Request::rank(k))
                                     .expect("queue sized for the test")
                                     .wait_for(TICKET_TIMEOUT)
                                     .expect("rank ticket timed out")
-                                    .expect("rank query failed");
-                                assert_eq!(got, Answer::Value(oracle[k as usize]), "rank {k}");
+                                    .expect("rank query failed")
+                                    .response;
+                                assert_eq!(got, Response::Element(oracle[k as usize]), "rank {k}");
                             }
                             1 => {
                                 // Exact: the k smallest never change.
                                 let k = 1 + rng.below(64);
                                 let got = queue
-                                    .submit(Query::TopK(k))
+                                    .submit_request(Request::top_k(k))
                                     .expect("queue sized for the test")
                                     .wait_for(TICKET_TIMEOUT)
                                     .expect("top-k ticket timed out")
-                                    .expect("top-k query failed");
-                                assert_eq!(got, Answer::Top(oracle[..k as usize].to_vec()));
+                                    .expect("top-k query failed")
+                                    .response;
+                                assert_eq!(got, Response::Elements(oracle[..k as usize].to_vec()));
                             }
                             _ => {
                                 // Interval-checked: the population is
@@ -204,17 +210,18 @@ fn queries_interleaved_with_ingest_delete_stay_correct() {
                                 // must fall in the induced rank interval.
                                 let q = rng.below(900) as f64 / 999.0;
                                 let got = queue
-                                    .submit(Query::quantile(q))
+                                    .submit_request(Request::quantile(q))
                                     .expect("queue sized for the test")
                                     .wait_for(TICKET_TIMEOUT)
                                     .expect("quantile ticket timed out")
-                                    .expect("quantile query failed");
+                                    .expect("quantile query failed")
+                                    .response;
                                 let (r_lo, r_hi) = (quantile_rank(q, n_lo), quantile_rank(q, n_hi));
                                 assert!(
                                     r_hi < n_lo,
                                     "test invariant: quantile targets stay in the base prefix"
                                 );
-                                let Answer::Value(v) = got else {
+                                let Response::Element(v) = got else {
                                     panic!("expected a value answer, got {got:?}");
                                 };
                                 assert!(
@@ -253,11 +260,11 @@ fn saturation_rejects_with_typed_error_then_recovers() {
         engine.into_frontend(FrontendConfig::new().queue_capacity(capacity).start_paused(true));
 
     let tickets: Vec<_> =
-        (0..capacity as u64).map(|i| queue.submit(Query::Rank(i)).unwrap()).collect();
+        (0..capacity as u64).map(|i| queue.submit_request(Request::rank(i)).unwrap()).collect();
     assert_eq!(queue.queue_depth(), capacity);
 
     // The queue is full: admission control must reject, not block or panic.
-    match queue.submit(Query::Median) {
+    match queue.submit_request(Request::median()) {
         Err(SubmitError::Saturated { capacity: c }) => assert_eq!(c, capacity),
         other => panic!("expected Saturated, got {other:?}"),
     }
@@ -273,13 +280,15 @@ fn saturation_rejects_with_typed_error_then_recovers() {
         let got = t
             .wait_for(TICKET_TIMEOUT)
             .expect("drained ticket timed out")
-            .expect("drained query failed");
-        assert_eq!(got, Answer::Value(i as u64));
+            .expect("drained query failed")
+            .response;
+        assert_eq!(got, Response::Element(i as u64));
     }
 
     // Recovered: new submissions are accepted and answered again.
-    let t = queue.submit(Query::Median).expect("queue must recover after draining");
-    assert_eq!(t.wait_for(TICKET_TIMEOUT).unwrap(), Ok(Answer::Value(499)));
+    let t = queue.submit_request(Request::median()).expect("queue must recover after draining");
+    let got = t.wait_for(TICKET_TIMEOUT).unwrap().map(|o| o.response);
+    assert_eq!(got, Ok(Response::Element(499)));
     let stats = queue.stats();
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.submitted, capacity as u64 + 1);
@@ -302,12 +311,12 @@ fn prefilled_queue_coalesces_into_size_capped_batches() {
             .start_paused(true),
     );
     let tickets: Vec<_> =
-        (0..submissions).map(|i| queue.submit(Query::Rank(i * 100)).unwrap()).collect();
+        (0..submissions).map(|i| queue.submit_request(Request::rank(i * 100)).unwrap()).collect();
     queue.resume();
     for (i, t) in tickets.into_iter().enumerate() {
         assert_eq!(
-            t.wait_for(TICKET_TIMEOUT).expect("ticket timed out"),
-            Ok(Answer::Value(i as u64 * 100))
+            t.wait_for(TICKET_TIMEOUT).expect("ticket timed out").map(|o| o.response),
+            Ok(Response::Element(i as u64 * 100))
         );
     }
     let stats = queue.stats();
@@ -337,7 +346,7 @@ fn rounds_per_query_drop_monotonically_as_the_window_widens() {
         let queue = engine.into_frontend(FrontendConfig::new().window(window).queue_capacity(4096));
         let tickets: Vec<_> = (0..submissions)
             .map(|i| {
-                let t = queue.submit(Query::Rank((i * 311) % 20_000)).unwrap();
+                let t = queue.submit_request(Request::rank((i * 311) % 20_000)).unwrap();
                 std::thread::sleep(pace);
                 t
             })

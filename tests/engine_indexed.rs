@@ -8,7 +8,10 @@
 //! collective operations per query than the pre-index baseline, with
 //! steady-state repeats answered from the cached histogram alone.
 
-use cgselect::{quantile_rank, Answer, Distribution, Engine, EngineConfig, MachineModel, Query};
+use cgselect::{
+    quantile_rank, Distribution, Engine, EngineConfig, MachineModel, QueryKind, Request, Response,
+    RunReport,
+};
 
 fn engine_with(p: usize, index_buckets: usize, delta_threshold: f64) -> Engine<u64> {
     Engine::new(
@@ -21,30 +24,37 @@ fn engine_with(p: usize, index_buckets: usize, delta_threshold: f64) -> Engine<u
 }
 
 /// The mixed batch every lifecycle step is checked with.
-fn mixed_batch(n: u64) -> Vec<Query> {
+fn mixed_batch(n: u64) -> Vec<Request<u64>> {
     vec![
-        Query::Rank(0),
-        Query::Rank(n / 3),
-        Query::Rank(n - 1),
-        Query::quantile(0.1),
-        Query::quantile(0.5),
-        Query::quantile(0.9),
-        Query::Median,
-        Query::TopK(5.min(n)),
+        Request::rank(0),
+        Request::rank(n / 3),
+        Request::rank(n - 1),
+        Request::quantile(0.1),
+        Request::quantile(0.5),
+        Request::quantile(0.9),
+        Request::median(),
+        Request::top_k(5.min(n)),
     ]
 }
 
-fn oracle_answers(sorted: &[u64], queries: &[Query]) -> Vec<Answer<u64>> {
+fn oracle_answers(sorted: &[u64], queries: &[Request<u64>]) -> Vec<Response<u64>> {
     let n = sorted.len() as u64;
     queries
         .iter()
-        .map(|q| match *q {
-            Query::Rank(k) => Answer::Value(sorted[k as usize]),
-            Query::Median => Answer::Value(sorted[((n - 1) / 2) as usize]),
-            Query::Quantile { q, .. } => Answer::Value(sorted[quantile_rank(q, n) as usize]),
-            Query::TopK(k) => Answer::Top(sorted[..k as usize].to_vec()),
+        .map(|q| match q.kind {
+            QueryKind::Rank(k) => Response::Element(sorted[k as usize]),
+            QueryKind::Median => Response::Element(sorted[((n - 1) / 2) as usize]),
+            QueryKind::Quantile(q) => Response::Element(sorted[quantile_rank(q, n) as usize]),
+            QueryKind::TopK(k) => Response::Elements(sorted[..k as usize].to_vec()),
+            ref other => panic!("no oracle for {other:?} in this file's batches"),
         })
         .collect()
+}
+
+/// The answer halves of a report: the two engines' provenance and
+/// attributed cost legitimately differ, their responses must not.
+fn responses(report: &RunReport<u64>) -> Vec<Response<u64>> {
+    report.outcomes.iter().map(|o| o.response.clone()).collect()
 }
 
 /// Executes the mixed batch on both engines and checks both against the
@@ -55,10 +65,10 @@ fn check_step(label: &str, indexed: &mut Engine<u64>, baseline: &mut Engine<u64>
     let n = sorted.len() as u64;
     let queries = mixed_batch(n);
     let expect = oracle_answers(&sorted, &queries);
-    let got_indexed = indexed.execute(&queries).unwrap();
-    let got_baseline = baseline.execute(&queries).unwrap();
-    assert_eq!(got_indexed.answers, expect, "indexed path diverged: {label}");
-    assert_eq!(got_baseline.answers, expect, "baseline path diverged: {label}");
+    let got_indexed = indexed.run(&queries).unwrap();
+    let got_baseline = baseline.run(&queries).unwrap();
+    assert_eq!(responses(&got_indexed), expect, "indexed path diverged: {label}");
+    assert_eq!(responses(&got_baseline), expect, "baseline path diverged: {label}");
     assert_eq!(indexed.len(), n, "{label}");
     assert_eq!(baseline.len(), n, "{label}");
 }
@@ -143,10 +153,10 @@ fn repeated_quantile_workload_needs_half_the_collective_ops() {
     let p = 4;
     let data: Vec<u64> =
         cgselect::generate(Distribution::Random, 60_000, p, 7).into_iter().flatten().collect();
-    let batch: Vec<Query> = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+    let batch: Vec<Request<u64>> = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
         .into_iter()
-        .map(Query::quantile)
-        .chain([Query::Median])
+        .map(Request::quantile)
+        .chain([Request::median()])
         .collect();
     let rounds = 6;
 
@@ -155,9 +165,9 @@ fn repeated_quantile_workload_needs_half_the_collective_ops() {
         let mut total_ops = 0u64;
         let mut answers = Vec::new();
         for _ in 0..rounds {
-            let report = engine.execute(&batch).unwrap();
+            let report = engine.run(&batch).unwrap();
             total_ops += report.collective_ops;
-            answers.push(report.answers.clone());
+            answers.push(responses(&report));
         }
         (total_ops, answers, engine.index_health())
     };
@@ -189,11 +199,11 @@ fn steady_state_repeats_are_scan_free() {
     sorted.sort_unstable();
     engine.ingest(data).unwrap();
 
-    let batch = vec![Query::quantile(0.5), Query::quantile(0.99), Query::Rank(41)];
-    let warm = engine.execute(&batch).unwrap();
-    let hot = engine.execute(&batch).unwrap();
-    assert_eq!(hot.answers, warm.answers);
-    assert_eq!(hot.answers, oracle_answers(&sorted, &batch));
+    let batch = vec![Request::quantile(0.5), Request::quantile(0.99), Request::rank(41)];
+    let warm = engine.run(&batch).unwrap();
+    let hot = engine.run(&batch).unwrap();
+    assert_eq!(responses(&hot), responses(&warm));
+    assert_eq!(responses(&hot), oracle_answers(&sorted, &batch));
     assert_eq!(
         hot.histogram_answers, hot.exact_ranks,
         "every repeated rank must come from the histogram"
@@ -204,9 +214,9 @@ fn steady_state_repeats_are_scan_free() {
     // A *nearby* quantile after refinement localizes to a refined window:
     // no costlier than the warm batch (strictly cheaper on large windows),
     // exact nonetheless.
-    let near = vec![Query::quantile(0.501)];
-    let report = engine.execute(&near).unwrap();
-    assert_eq!(report.answers, oracle_answers(&sorted, &near));
+    let near = vec![Request::quantile(0.501)];
+    let report = engine.run(&near).unwrap();
+    assert_eq!(responses(&report), oracle_answers(&sorted, &near));
     assert!(
         report.collective_ops <= warm.collective_ops,
         "near-quantile {} vs warm {} collective ops",

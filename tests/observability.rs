@@ -11,8 +11,8 @@
 use std::time::Duration;
 
 use cgselect::{
-    Answer, BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, FrontendConfig,
-    MachineModel, Phase, Query, Request, Served, SloAccumulator, SloPolicy, TraceId,
+    BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, FrontendConfig, MachineModel,
+    Phase, Request, Response, Served, SloAccumulator, SloPolicy, TraceId,
 };
 
 fn cfg(p: usize, backend: BackendChoice) -> EngineConfig {
@@ -34,12 +34,12 @@ fn data(n: u64) -> Vec<u64> {
 
 fn mixed_requests() -> Vec<Request<u64>> {
     vec![
-        Query::Median.to_request(),
-        Query::quantile(0.9).to_request(),
-        Query::Rank(12).to_request(),
+        Request::median(),
+        Request::quantile(0.9),
+        Request::rank(12),
         Request::rank_of(40_000),
         Request::count_between(Bounds::closed(5_000, 25_000)),
-        Query::TopK(4).to_request(),
+        Request::top_k(4),
     ]
 }
 
@@ -52,7 +52,7 @@ fn span_links_every_outcome_to_its_phases_on_both_backends() {
     for backend in backends() {
         let mut engine: Engine<u64> = Engine::new(cfg(4, backend)).unwrap();
         engine.ingest(data(6000)).unwrap();
-        engine.execute(&[Query::Median]).unwrap(); // builds the index
+        engine.run(&[Request::median()]).unwrap(); // builds the index
 
         let requests: Vec<Request<u64>> = mixed_requests()
             .into_iter()
@@ -193,9 +193,10 @@ fn frontend_stamps_traces_and_records_request_wall_latency() {
         v.sort_unstable();
         v[(v.len() - 1) / 2]
     };
-    let tickets: Vec<_> = (0..6).map(|_| queue.submit(Query::Median).unwrap()).collect();
+    let tickets: Vec<_> =
+        (0..6).map(|_| queue.submit_request(Request::median()).unwrap()).collect();
     for t in tickets {
-        assert_eq!(t.wait().unwrap(), Answer::Value(median));
+        assert_eq!(t.wait().unwrap().response, Response::Element(median));
     }
     queue.shutdown().unwrap();
     let snap = metrics.snapshot();
@@ -216,7 +217,7 @@ fn frontend_stamps_traces_and_records_request_wall_latency() {
 fn slo_accumulator_folds_runs_into_the_ci_gated_line() {
     let mut engine: Engine<u64> = Engine::new(cfg(4, BackendChoice::LocalSpmd)).unwrap();
     engine.ingest(data(6000)).unwrap();
-    engine.execute(&[Query::Median]).unwrap();
+    engine.run(&[Request::median()]).unwrap();
 
     let mut acc = SloAccumulator::new();
     for _ in 0..4 {

@@ -1,7 +1,7 @@
-//! Query API v2: typed requests, inverse queries, accuracy contracts and
-//! provenance.
+//! The query language: typed requests, inverse queries, accuracy contracts
+//! and provenance.
 //!
-//! The acceptance bar for the v2 surface:
+//! The acceptance bar for the request surface:
 //!
 //! * `RankOf` / `CountBetween` match the sequential oracle across all 8
 //!   workload distributions, on both execution backends, with identical
@@ -10,13 +10,11 @@
 //!   served with **zero data scans** (provenance = `Histogram`, zero
 //!   collectives — the backend is never consulted);
 //! * otherwise the whole probe batch costs **one collective Combine
-//!   round**, no matter how many probes it carries;
-//! * the old `Query` surface keeps working unchanged through the
-//!   `Engine::execute` compatibility shim.
+//!   round**, no matter how many probes it carries.
 
 use cgselect::{
-    generate, quantile_rank, Accuracy, Answer, BackendChoice, Bounds, ChannelMpTuning,
-    Distribution, Engine, EngineConfig, MachineModel, Query, QueryKind, Request, Response, Served,
+    generate, quantile_rank, BackendChoice, Bounds, ChannelMpTuning, Distribution, Engine,
+    EngineConfig, MachineModel, Request, Response, Served,
 };
 
 const ALL_DISTRIBUTIONS: [Distribution; 8] = [
@@ -387,7 +385,7 @@ fn histogram_ok_contract_brackets_within_the_bucket_resolution() {
 }
 
 // ---------------------------------------------------------------------------
-// New rank-direction kinds, cost attribution, and the compat shim.
+// Rank-direction kinds beyond rank/quantile, and cost attribution.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -444,35 +442,8 @@ fn provenance_distinguishes_scan_index_and_histogram() {
     assert_eq!(hot.outcomes[0].cost.collective_ops, 0.0);
 }
 
-#[test]
-fn v1_queries_compile_and_run_unchanged_through_the_shim() {
-    // This is the compat contract: the old enum, the old execute, the old
-    // answers — byte-for-byte the same results as the v2 path they now
-    // ride on.
-    let mut engine: Engine<u64> = Engine::new(cfg(3, BackendChoice::LocalSpmd)).unwrap();
-    engine.ingest((0..1000u64).rev().collect()).unwrap();
-    let queries = vec![Query::Rank(10), Query::Median, Query::quantile(0.25), Query::TopK(3)];
-    let report = engine.execute(&queries).unwrap();
-    assert_eq!(report.answers[0], Answer::Value(10));
-    assert_eq!(report.answers[1], Answer::Value(499));
-    assert_eq!(report.answers[2], Answer::Value(250));
-    assert_eq!(report.answers[3], Answer::Top(vec![0, 1, 2]));
-
-    let requests: Vec<Request<u64>> = queries.iter().map(Query::to_request).collect();
-    assert!(matches!(requests[1].kind, QueryKind::Median));
-    assert!(matches!(requests[1].accuracy, Accuracy::Exact));
-    let run = engine.run(&requests).unwrap();
-    for (answer, outcome) in report.answers.iter().zip(&run.outcomes) {
-        match (answer, &outcome.response) {
-            (Answer::Value(a), Response::Element(b)) => assert_eq!(a, b),
-            (Answer::Top(a), Response::Elements(b)) => assert_eq!(a, b),
-            other => panic!("shim mismatch: {other:?}"),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The async frontend's v2 surface.
+// The async frontend.
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -5,18 +5,12 @@
 //!
 //! These tests run in their own binary (process) because they flip the
 //! process-global scalar-reference switch, which must not interleave with
-//! twin-run makespan assertions elsewhere; within the file a mutex
-//! serializes them for the same reason.
+//! twin-run makespan assertions elsewhere; within the file every twin run
+//! sits inside a `with_scalar_reference_mode` scope, whose lock serializes
+//! them for the same reason.
 
-use std::sync::Mutex;
-
-use cgselect::{
-    Answer, Bounds, Engine, EngineConfig, MachineModel, Query, Request, Response, RunReport,
-};
-
-/// Serializes the tests in this file: both touch the process-global
-/// scalar-reference mode (directly or by comparing twin runs).
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+use cgselect::seqsel::with_scalar_reference_mode;
+use cgselect::{Bounds, Engine, EngineConfig, MachineModel, Request, Response, RunReport};
 
 fn dataset(n: u64) -> Vec<u64> {
     (0..n).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (4 * n)).collect()
@@ -61,13 +55,14 @@ fn lifecycle(scan_threads: usize, index_buckets: usize) -> Vec<(Vec<Response<u64
 
 #[test]
 fn scan_threads_change_no_answer_no_ops_no_makespan() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Indexed and index-free engines, sequential vs fanned-out scans: the
     // deterministic chunk-order reduction must make every report —
-    // responses, collective ops, virtual makespan — bit-identical.
+    // responses, collective ops, virtual makespan — bit-identical. Both
+    // twins run under one kernel-mode scope: charged ops differ by mode.
     for index_buckets in [0usize, 64] {
-        let base = lifecycle(1, index_buckets);
-        let fanned = lifecycle(4, index_buckets);
+        let (base, fanned) = with_scalar_reference_mode(false, || {
+            (lifecycle(1, index_buckets), lifecycle(4, index_buckets))
+        });
         assert_eq!(base.len(), fanned.len());
         for (b, f) in base.iter().zip(&fanned) {
             assert_eq!(b.0, f.0, "answers must not depend on scan_threads");
@@ -84,7 +79,6 @@ fn scan_threads_change_no_answer_no_ops_no_makespan() {
 
 #[test]
 fn scan_threads_are_reported_for_cost_attribution() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = EngineConfig::new(2).model(MachineModel::free()).scan_threads(3);
     let mut engine: Engine<u64> = Engine::new(cfg).unwrap();
     engine.ingest((0..10_000u64).collect()).unwrap();
@@ -94,35 +88,16 @@ fn scan_threads_are_reported_for_cost_attribution() {
 
 #[test]
 fn kernel_and_reference_paths_agree_end_to_end() {
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // The in-binary pre-PR baseline (scalar reference loops + sort
     // finisher) must produce the same answers and the same collective
     // rounds as the kernels — the wall-clock work is the only difference.
     // (Charged local ops legitimately differ on the finisher: Floyd–Rivest
     // measures fewer comparisons than sorting, and both are charged as
     // measured, so makespans are compared per-mode, not across modes.)
-    let run = |reference: bool| {
-        cgselect::seqsel::set_scalar_reference_mode(reference);
-        let out = lifecycle(1, 64);
-        cgselect::seqsel::set_scalar_reference_mode(false);
-        out
-    };
-    let kernel = run(false);
-    let reference = run(true);
+    let kernel = with_scalar_reference_mode(false, || lifecycle(1, 64));
+    let reference = with_scalar_reference_mode(true, || lifecycle(1, 64));
     for (k, r) in kernel.iter().zip(&reference) {
         assert_eq!(k.0, r.0, "answers must not depend on the kernel path");
         assert_eq!(k.1, r.1, "collective rounds must not depend on the kernel path");
     }
-
-    // The legacy Query surface agrees too.
-    cgselect::seqsel::set_scalar_reference_mode(true);
-    let mut engine: Engine<u64> = Engine::new(EngineConfig::new(2)).unwrap();
-    engine.ingest(dataset(1 << 14)).unwrap();
-    let reference_answers = engine.execute(&[Query::Median, Query::Rank(17)]).unwrap().answers;
-    cgselect::seqsel::set_scalar_reference_mode(false);
-    let mut engine: Engine<u64> = Engine::new(EngineConfig::new(2)).unwrap();
-    engine.ingest(dataset(1 << 14)).unwrap();
-    let kernel_answers = engine.execute(&[Query::Median, Query::Rank(17)]).unwrap().answers;
-    assert_eq!(reference_answers, kernel_answers);
-    assert!(matches!(kernel_answers[0], Answer::Value(_)));
 }
