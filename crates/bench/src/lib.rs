@@ -19,7 +19,6 @@
 //! | `paper headline` | §5's headline ratios, checked against the paper's claims |
 //! | `paper all` | everything above, writing `results/*.csv` and `results/*.txt` |
 //! | `engine` | batched vs per-query, the bucket index, mixed kinds, observability, sketch rung, standing queries (`--check` gates CI) |
-//! | `frontend` | the async frontend's micro-batch window sweep |
 //! | `ablation` | ε / δ / sample-sort / threshold sweeps (incl. the paper's ε = 0.6 tuning) |
 //! | `whatif` | the headline comparisons under modern / high-latency cost models |
 //! | `topology` | the §2.1 crossbar assumption vs hypercube & mesh with per-hop costs |

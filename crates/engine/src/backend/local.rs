@@ -21,10 +21,6 @@ use super::{BackendError, BackendKind, BatchPlan, ExecBackend, ShardBatchOutcome
 pub struct LocalSpmd<T: Key> {
     session: Session,
     balancer: Balancer,
-    /// Intra-shard scan fan-out ([`EngineConfig::scan_threads`]); only this
-    /// in-process backend honors it — the message-passing backends keep
-    /// their workers single-threaded.
-    scan_threads: usize,
     _marker: PhantomData<fn(T)>,
 }
 
@@ -36,12 +32,7 @@ impl<T: Key> LocalSpmd<T> {
         session.run(move |_proc, store| {
             store.insert(ops::init_shard::<T>(capacity));
         })?;
-        Ok(LocalSpmd {
-            session,
-            balancer: cfg.balancer,
-            scan_threads: cfg.scan_threads,
-            _marker: PhantomData,
-        })
+        Ok(LocalSpmd { session, balancer: cfg.balancer, _marker: PhantomData })
     }
 
     /// The shard installed at construction; its absence means the store was
@@ -123,10 +114,9 @@ impl<T: Key> ExecBackend<T> for LocalSpmd<T> {
 
     fn execute(&mut self, plan: &BatchPlan<T>) -> Result<Vec<ShardBatchOutcome<T>>, BackendError> {
         let plan = plan.clone();
-        let scan_threads = self.scan_threads;
-        Ok(self.session.run(move |proc, store| {
-            ops::execute_shard(proc, Self::shard_mut(store), &plan, scan_threads)
-        })?)
+        Ok(self
+            .session
+            .run(move |proc, store| ops::execute_shard(proc, Self::shard_mut(store), &plan))?)
     }
 
     fn export_sketches(&mut self) -> Result<Vec<crate::sketch::EpsSketch<T>>, BackendError> {

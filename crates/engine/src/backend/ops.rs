@@ -204,49 +204,14 @@ pub(crate) fn merge_delta_shard<T: Key>(proc: &mut Proc, shard: &mut Shard<T>) -
     dstats
 }
 
-/// Slices shorter than this are never worth fanning out over scoped
-/// threads: the spawn/join overhead of a scope dwarfs the scan itself.
-const PAR_SCAN_MIN: usize = 1 << 15;
-
 /// The local prefix count of one value probe over a plain slice, with
-/// measured comparisons. Dispatches to the branchless counting kernel —
-/// fanned out over `scan_threads` scoped workers in deterministic
-/// chunk order when the slice is large enough — or to the scalar
-/// reference loop under `with_scalar_reference_mode`. Every path charges
-/// exactly one comparison per element, so modeled ops never depend on the
-/// kernel or the thread count.
-fn count_admitted<T: Key>(
-    data: &[T],
-    value: T,
-    inclusive: bool,
-    cmps: &mut u64,
-    scan_threads: usize,
-) -> u64 {
+/// measured comparisons. Dispatches to the branchless counting kernel, or
+/// to the scalar reference loop under `with_scalar_reference_mode`. Both
+/// charge exactly one comparison per element, so modeled ops never depend
+/// on the kernel.
+fn count_admitted<T: Key>(data: &[T], value: T, inclusive: bool, cmps: &mut u64) -> u64 {
     if scalar_reference_mode() {
         return count_below_reference(data, value, inclusive, cmps);
-    }
-    if scan_threads > 1 && data.len() >= PAR_SCAN_MIN {
-        *cmps += data.len() as u64;
-        let chunk = data.len().div_ceil(scan_threads);
-        let partials = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(chunk)
-                .map(|c| {
-                    s.spawn(move || {
-                        let mut uncharged = 0u64;
-                        count_below_kernel(c, value, inclusive, &mut uncharged)
-                    })
-                })
-                .collect();
-            // Joined in spawn order: the reduction is a fixed left fold
-            // over chunk partials, identical for every thread schedule.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect::<Vec<u64>>()
-        })
-        .expect("scan scope failed");
-        return partials.into_iter().sum();
     }
     count_below_kernel(data, value, inclusive, cmps)
 }
@@ -256,12 +221,7 @@ fn count_admitted<T: Key>(
 /// index, a full scan otherwise — then **one** vectorized Combine for the
 /// whole probe batch. Runs *before* the multi-select phase, which permutes
 /// the windows and refines the splitters.
-fn count_probes_shard<T: Key>(
-    proc: &mut Proc,
-    shard: &Shard<T>,
-    probes: &[(T, bool)],
-    scan_threads: usize,
-) -> Vec<u64> {
+fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, bool)]) -> Vec<u64> {
     if probes.is_empty() {
         return Vec::new();
     }
@@ -304,23 +264,14 @@ fn count_probes_shard<T: Key>(
                             v,
                             inclusive,
                             &mut cmps,
-                            scan_threads,
                         )
-                        + count_admitted(
-                            &shard.data[delta_start..],
-                            v,
-                            inclusive,
-                            &mut cmps,
-                            scan_threads,
-                        )
+                        + count_admitted(&shard.data[delta_start..], v, inclusive, &mut cmps)
                 })
                 .collect()
         }
         None => probes
             .iter()
-            .map(|&(v, inclusive)| {
-                count_admitted(&shard.data, v, inclusive, &mut cmps, scan_threads)
-            })
+            .map(|&(v, inclusive)| count_admitted(&shard.data, v, inclusive, &mut cmps))
             .collect(),
     };
     proc.charge_ops(ops.total() + cmps);
@@ -339,7 +290,6 @@ pub(crate) fn execute_shard<T: Key>(
     proc: &mut Proc,
     shard: &mut Shard<T>,
     plan: &BatchPlan<T>,
-    scan_threads: usize,
 ) -> ShardBatchOutcome<T> {
     let n_exact = plan.exact_ranks.len();
     let run_full = !plan.use_index && n_exact > 0;
@@ -359,7 +309,7 @@ pub(crate) fn execute_shard<T: Key>(
     if observe {
         proc.phase_begin(Phase::Probes.as_str());
     }
-    let probe_counts = count_probes_shard(proc, shard, &plan.value_probes, scan_threads);
+    let probe_counts = count_probes_shard(proc, shard, &plan.value_probes);
     if observe {
         proc.phase_end(Phase::Probes.as_str());
     }

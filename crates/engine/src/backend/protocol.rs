@@ -495,10 +495,7 @@ pub(crate) fn run_command<T: Key>(
         Some(CMD_EXECUTE) => {
             let plan = decode_execute::<T>(&mut r, &cfg.selection).map_err(wire)?;
             r.finish().map_err(wire)?;
-            // Message-passing workers stay single-threaded: scan fan-out is
-            // a LocalSpmd-only knob (counts are thread-count-independent,
-            // so conformance across backends is unaffected).
-            let o = ops::execute_shard(proc, shard, &plan, 1);
+            let o = ops::execute_shard(proc, shard, &plan);
             encode_outcome(&mut w, &o);
         }
         other => {

@@ -896,12 +896,8 @@ fn execute_batch<T: Key>(engine: &mut Engine<T>, batch: Vec<PendingQuery<T>>, sh
             stats.index_rebuilds = health.rebuilds;
             stats.delta_merges = health.delta_merges;
         }
-        // Standing refreshes ride query batches; mirror the engine's
-        // cumulative counters whenever a batch ran.
-        stats.standing_active = engine.standing_active();
-        stats.standing_updates = engine.standing_refreshes();
-        stats.standing_zero_collective = engine.standing_zero_collective();
     }
+    sync_standing_stats(engine, shared);
 
     // A ticket may have been dropped; a failed send is fine.
     for (reply, result) in deliveries {
@@ -976,10 +972,8 @@ fn execute_mutation<T: Key>(engine: &mut Engine<T>, m: PendingMutation<T>, share
             Ok(_) => stats.mutations += 1,
             Err(_) => stats.failures += 1,
         }
-        stats.standing_active = engine.standing_active();
-        stats.standing_updates = engine.standing_refreshes();
-        stats.standing_zero_collective = engine.standing_zero_collective();
     }
+    sync_standing_stats(engine, shared);
     let _ = m.tx.send(result.map_err(AsyncError::Engine));
 }
 

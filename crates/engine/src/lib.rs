@@ -73,6 +73,12 @@
 //!   *and* identical collective-round counts — enforced by
 //!   `tests/backend_conformance.rs`.
 //!
+//! A batch moves through six stages — plan → route → lower → execute →
+//! refine → assemble — each a function in the private `pipeline` module
+//! whose signature says what it may read and mutate; [`Engine::run`] wraps
+//! them with standing-query admission, the self-healing retry and
+//! observability.
+//!
 //! ```
 //! use cgselect_engine::{Engine, EngineConfig, Request, Response};
 //!
@@ -96,6 +102,7 @@ pub mod frontend;
 mod index;
 mod measure;
 pub mod obs;
+mod pipeline;
 mod query;
 mod request;
 pub mod sketch;
@@ -127,12 +134,12 @@ use std::sync::Arc;
 
 use cgselect_balance::Balancer;
 use cgselect_core::SelectionConfig;
-use cgselect_runtime::{CommStats, Key, MachineModel, RunError};
+use cgselect_runtime::{Key, MachineModel, RunError};
 
 use backend::channel_mp::ThreadTransport;
 use backend::mp::MessagePassing;
 use backend::socket_mp::SocketTransport;
-use index::{merge_stats, GlobalIndex};
+use index::GlobalIndex;
 use query::Resolution;
 
 /// Configuration of a persistent engine.
@@ -181,15 +188,6 @@ pub struct EngineConfig {
     /// contract (rebuild the engine) stays strict unless explicitly opted
     /// into.
     pub self_heal: bool,
-    /// Intra-shard scan fan-out: large per-shard scans split into this
-    /// many chunks executed on scoped threads with a deterministic
-    /// chunk-order reduction, so answers and modeled ops are independent
-    /// of the setting (pinned by a twin-run test). Default 1 = fully
-    /// sequential (the pre-knob behavior). Honored by the in-process
-    /// [`LocalSpmd`] backend only; message-passing shard workers stay
-    /// single-threaded. Recorded in every [`RunReport::scan_threads`] so
-    /// SLO lines from differently-tuned engines stay comparable.
-    pub scan_threads: usize,
 }
 
 impl EngineConfig {
@@ -209,7 +207,6 @@ impl EngineConfig {
             backend: BackendChoice::LocalSpmd,
             observe: false,
             self_heal: false,
-            scan_threads: 1,
         }
     }
 
@@ -284,16 +281,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style intra-shard scan fan-out (see
-    /// [`EngineConfig::scan_threads`]).
-    pub fn scan_threads(mut self, threads: usize) -> Self {
-        self.scan_threads = threads;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.nprocs >= 1, "an engine needs at least one shard");
-        assert!(self.scan_threads >= 1, "scan_threads must be >= 1 (1 = sequential scans)");
         assert!(
             self.imbalance_watermark >= 1.0,
             "imbalance watermark must be >= 1.0 (max/mean ratio), got {}",
@@ -758,17 +747,23 @@ impl<T: Key> Engine<T> {
     /// so idle pollers (the frontend's batcher serving
     /// [`RefreshPolicy::Deadline`]) can call it every tick.
     pub fn refresh_standing(&mut self) -> Result<u64, EngineError> {
-        let any_serviceable = self
-            .standing
-            .due_requests(self.version, self.mutated, self.total)
-            .iter()
-            .any(|(_, r)| query::validate_request(r, self.total).is_ok());
-        if !any_serviceable {
+        let due = self.admit_standing();
+        if due.is_empty() {
             return Ok(0);
         }
         let before = self.standing_refreshes;
-        self.run(&[])?;
+        self.run_admitted(&[], due)?;
         Ok(self.standing_refreshes - before)
+    }
+
+    /// Standing admission: the subscriptions due under the current
+    /// mutation state whose request is answerable right now. One whose
+    /// request is invalid at the moment (e.g. a rank beyond a shrunk
+    /// population) is skipped, never failing the batch it would ride.
+    fn admit_standing(&self) -> Vec<(SubscriptionId, Request<T>)> {
+        let mut due = self.standing.due_requests(self.version, self.mutated, self.total);
+        due.retain(|(_, r)| query::validate_request(r, self.total).is_ok());
+        due
     }
 
     /// Cumulative standing-query updates delivered.
@@ -854,35 +849,47 @@ impl<T: Key> Engine<T> {
     /// [`Engine::recover`] and retries once; request-validation errors
     /// never trigger recovery.
     pub fn run(&mut self, requests: &[Request<T>]) -> Result<RunReport<T>, EngineError> {
-        match self.run_once(requests) {
+        let due = self.admit_standing();
+        self.run_admitted(requests, due)
+    }
+
+    /// The self-healing wrapper: one batch attempt, plus one recovery and
+    /// retry when the configuration asks for it.
+    fn run_admitted(
+        &mut self,
+        requests: &[Request<T>],
+        due: Vec<(SubscriptionId, Request<T>)>,
+    ) -> Result<RunReport<T>, EngineError> {
+        match self.run_once(requests, due) {
             Err(e @ (EngineError::Backend(_) | EngineError::Runtime(_)))
                 if self.cfg.self_heal && self.backend.supports_membership() =>
             {
                 if self.recover().is_err() {
                     return Err(e);
                 }
-                self.run_once(requests)
+                // Recovery invalidated every subscription: admit afresh.
+                let due = self.admit_standing();
+                self.run_once(requests, due)
             }
             other => other,
         }
     }
 
-    /// One batch attempt (the whole pipeline documented on
-    /// [`Engine::run`], without the self-healing retry).
-    fn run_once(&mut self, requests: &[Request<T>]) -> Result<RunReport<T>, EngineError> {
-        // -- Standing admission: subscriptions due under the current
-        // mutation state append their requests to the caller's batch, so a
-        // refresh shares the batch's probe Combine, multi-select pass and
-        // splitter refinement instead of paying its own rounds. A
-        // subscription whose request is invalid *right now* (e.g. a rank
-        // beyond a shrunk population) is skipped, never failing the batch.
+    /// One batch attempt: the [`pipeline`] stages in order, inside the
+    /// standing wrapper (`due` subscriptions ride the batch and are
+    /// delivered from its tail) and the observability wrapper (trace opened
+    /// before `lower`, span and metrics after `assemble`). A validation
+    /// error or a poisoned backend returns before `batches`, the seed
+    /// stream or the trace-ID counter move.
+    fn run_once(
+        &mut self,
+        requests: &[Request<T>],
+        due: Vec<(SubscriptionId, Request<T>)>,
+    ) -> Result<RunReport<T>, EngineError> {
+        // Riders append to the caller's batch, so a refresh shares the
+        // batch's probe Combine, multi-select pass and splitter refinement
+        // instead of paying its own rounds.
         let user_len = requests.len();
-        let due: Vec<(SubscriptionId, Request<T>)> = self
-            .standing
-            .due_requests(self.version, self.mutated, self.total)
-            .into_iter()
-            .filter(|(_, r)| query::validate_request(r, self.total).is_ok())
-            .collect();
         let combined: Vec<Request<T>>;
         let requests: &[Request<T>] = if due.is_empty() {
             requests
@@ -898,338 +905,70 @@ impl<T: Key> Engine<T> {
         if self.backend.is_poisoned() {
             return Err(EngineError::Backend(BackendError::Poisoned));
         }
-        let needs_hist_ranks =
-            plan.resolutions.iter().any(|r| matches!(r, Resolution::HistRank { .. }));
+        let hist_ranks = plan.resolutions.iter().any(|r| matches!(r, Resolution::HistRank { .. }));
         if self.cfg.index_buckets > 0
-            && (!plan.exact_ranks.is_empty() || !plan.probes.is_empty() || needs_hist_ranks)
+            && (!plan.exact_ranks.is_empty() || !plan.probes.is_empty() || hist_ranks)
         {
             self.ensure_index()?;
         }
+        let routed = pipeline::route(&plan, self.index.as_ref(), &mut self.sketch);
 
         // Per-batch pivot seed: deterministic, but decorrelated across
         // batches so one unlucky stream cannot haunt every batch.
-        let mut sel_cfg = self.cfg.selection.clone();
-        sel_cfg.seed ^= (self.batches + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mut selection = self.cfg.selection.clone();
+        selection.seed ^= (self.batches + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
         self.batches += 1;
-
-        // Observability admission: every request keeps its stamped trace ID
-        // or is assigned one here, and the batch context flows into the
-        // plan (and, on the message-passing backend, across the wire).
-        let wall_start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let trace_ctx = self.metrics.is_some().then(|| {
-            let ids: Vec<TraceId> =
-                requests.iter().map(|r| r.trace.unwrap_or_else(TraceId::next)).collect();
-            let root = ids.first().copied().unwrap_or_else(TraceId::next);
-            (TraceContext { batch: self.batches, root }, ids)
-        });
-
-        let n = self.total;
-        let use_index = self.index.is_some();
-        let exact_served = if use_index { Served::Index } else { Served::Scan };
-
-        // -- Host-side value-probe routing against the cached histogram:
-        // zero collectives. A probe whose bracket is exact never reaches
-        // any backend; the rest are split per the owning request's
-        // accuracy contract.
-        let probe_brackets: Vec<(u64, u64)> = plan
-            .probes
-            .iter()
-            .map(|&(v, inclusive)| match &self.index {
-                Some(gidx) => gidx.count_bounds(v, inclusive),
-                None => (0, n),
-            })
-            .collect();
-        let probe_exact: Vec<Option<u64>> =
-            probe_brackets.iter().map(|&(lo, hi)| (lo == hi).then_some(lo)).collect();
-
-        let mut probe_backend = vec![false; plan.probes.len()];
-        let mut probe_sketch = vec![false; plan.probes.len()];
-        let mut count_routes: Vec<Option<CountRoute>> = vec![None; plan.resolutions.len()];
-        for (i, res) in plan.resolutions.iter().enumerate() {
-            let Resolution::Count(c) = res else { continue };
-            let endpoints = [c.minuend, c.subtrahend];
-            let route = if c.empty {
-                CountRoute::Empty
-            } else if endpoints.iter().flatten().all(|&p| probe_exact[p].is_some()) {
-                CountRoute::Histogram
-            } else if c.histogram_ok && use_index {
-                CountRoute::HistogramApprox
-            } else if c.sketch_error.is_some() {
-                for p in endpoints.into_iter().flatten() {
-                    probe_sketch[p] |= probe_exact[p].is_none();
-                }
-                CountRoute::Sketch
-            } else {
-                for p in endpoints.into_iter().flatten() {
-                    probe_backend[p] |= probe_exact[p].is_none();
-                }
-                CountRoute::Backend
-            };
-            count_routes[i] = Some(route);
+        let observed = self.metrics.is_some().then(|| obs::Observed::open(self.batches, requests));
+        let batch = pipeline::lower(&routed, selection, observed.as_ref().map(|o| o.ctx));
+        let shards = pipeline::execute(self.backend.as_mut(), batch.as_ref())?;
+        if let (Some(gidx), false) = (&mut self.index, shards.is_empty()) {
+            let cap = self.cfg.bucket_cap();
+            self.index_dirty |= pipeline::refine(gidx, &routed, &shards, cap);
         }
-        let (value_probes, probe_backend_pos) = sublist(&plan.probes, &probe_backend);
-        let value_probes = Arc::new(value_probes);
-        let (sketch_probes, probe_sketch_pos) = sublist(&plan.probes, &probe_sketch);
+        let freshness = Freshness { version: self.version, elements: self.total };
+        let (mut report, units) = pipeline::assemble(plan, routed, &shards, freshness);
+        self.histogram_hits += report.histogram_answers as u64;
 
-        // -- ε-sketch serving, entirely host-side: rank targets and probe
-        // estimates come straight off the resident global sketch, so the
-        // sketch rung costs zero collectives no matter the backend. The
-        // planner already checked the guarantee against each contract.
-        let sketch_values: Vec<T> =
-            plan.sketch_targets.iter().map(|&r| self.sketch.query_rank(r)).collect();
-        let sketch_ranks: Vec<u64> =
-            sketch_probes.iter().map(|&(v, inclusive)| self.sketch.rank_of(v, inclusive)).collect();
-
-        // -- Histogram-contract rank requests: serve from the cached
-        // histogram when a single bucket bounds the target, fall back to
-        // the exact rank set otherwise.
-        let mut hist_rank_served: Vec<Option<(T, u64)>> = vec![None; plan.resolutions.len()];
-        let mut fallback_ranks: Vec<u64> = Vec::new();
-        for (i, res) in plan.resolutions.iter().enumerate() {
-            let Resolution::HistRank { target_rank } = res else { continue };
-            match self.index.as_ref().and_then(|g| g.approx_value(*target_rank)) {
-                Some(answer) => hist_rank_served[i] = Some(answer),
-                None => fallback_ranks.push(*target_rank),
-            }
+        if let (Some(m), Some(o)) = (&self.metrics, &observed) {
+            report.span = Some(o.span(requests, &report.outcomes, &units, &shards));
+            o.record(m, &report);
         }
-        fallback_ranks.sort_unstable();
-        fallback_ranks.dedup();
-        let residual = Arc::new(plan.exact_ranks.union_points(&fallback_ranks));
+        let riders = report.outcomes.split_off(user_len);
+        self.deliver_standing(due, riders, observed.as_ref());
+        Ok(report)
+    }
 
-        // -- Rank routing against the cached histogram: zero collectives.
-        let (groups, fast): (Arc<Vec<Group>>, Vec<(usize, T)>) = match &self.index {
-            Some(gidx) if !residual.is_empty() => {
-                let routing = gidx.route(residual.iter());
-                (Arc::new(routing.groups), routing.fast)
-            }
-            _ => (Arc::new(Vec::new()), Vec::new()),
-        };
-        let delta_total = self.index.as_ref().map_or(0, |g| g.delta_total);
-        let delta_occupancy = self.index_health().delta_occupancy;
-
-        // -- The backend-independent batch plan: the shards' half of the
-        // work (the vectorized probe Combine, delta localization, borrowed
-        // candidate windows, the lockstep multi-select, answer refinement)
-        // runs wherever the configured [`ExecBackend`] keeps the shards. A
-        // batch fully resolved host-side — histogram hits and the whole
-        // sketch rung — skips the backend entirely: zero collectives, zero
-        // scans.
-        let backend_needed =
-            !groups.is_empty() || !value_probes.is_empty() || (!use_index && !residual.is_empty());
-        let outcomes = if backend_needed {
-            let batch_plan = BatchPlan {
-                groups: groups.clone(),
-                exact_ranks: residual.clone(),
-                value_probes: value_probes.clone(),
-                selection: sel_cfg,
-                use_index,
-                full_total: n,
-                delta_total,
-                trace: trace_ctx.as_ref().map(|(ctx, _)| *ctx),
-            };
-            self.backend.execute(&batch_plan)?
-        } else {
-            Vec::new()
-        };
-
-        let mut comm = CommStats::default();
-        let mut makespan = 0.0f64;
-        for o in &outcomes {
-            comm = comm.merged(&o.comm);
-            makespan = makespan.max(o.elapsed);
-        }
-
-        // Fold the refinement back into the cached histogram, replaying
-        // the shards' bound splices in lockstep so the host mirror of the
-        // shared splitter array stays bit-identical to every shard's:
-        // group refines first (descending), then the probe carves in plan
-        // order — exactly the order `execute_shard` applied them.
-        if use_index && !outcomes.is_empty() {
-            let gidx = self.index.as_mut().expect("index cached");
-            for (g, group) in groups.iter().enumerate().rev() {
-                let answers: Vec<T> = group
-                    .out
-                    .iter()
-                    .map(|&slot| outcomes[0].exact[slot].expect("group ranks resolved"))
-                    .collect();
-                gidx.refine_window_bounds(group.lo, group.hi, &answers);
-                let mut merged = outcomes[0].refines[g].clone();
-                for o in &outcomes[1..] {
-                    merge_stats(&mut merged, &o.refines[g]);
-                }
-                gidx.splice_window(group.lo, group.hi, &merged);
-            }
-            // Probe-driven refinement: a resolved probe carves its
-            // `(v,<)(v,≤)` equality-class pair host-side iff the shards
-            // carved it (the skip test depends only on the shared bounds,
-            // so both sides agree without any extra communication).
-            let mut carved = 0usize;
-            for &(v, _) in value_probes.iter() {
-                if let Some(b) = gidx.refine_probe_bounds(v) {
-                    let mut merged = outcomes[0].probe_refines[carved].clone();
-                    for o in &outcomes[1..] {
-                        merge_stats(&mut merged, &o.probe_refines[carved]);
-                    }
-                    gidx.splice_window(b, b, &merged);
-                    carved += 1;
-                }
-            }
-            debug_assert_eq!(
-                carved,
-                outcomes[0].probe_refines.len(),
-                "host probe replay must carve exactly the buckets the shards did"
-            );
-            gidx.rebuild_prefix();
-            gidx.reclassify_delta();
-            if gidx.num_buckets() > self.cfg.bucket_cap() {
-                self.index_dirty = true;
-            }
-        }
-
-        // -- Assemble the per-request outcomes.
-        let mut exact_slots: Vec<Option<T>> = match outcomes.first() {
-            Some(rank0) => rank0.exact.clone(),
-            None => vec![None; residual.len()],
-        };
-        let mut slot_fast = vec![false; residual.len()];
-        for &(slot, v) in &fast {
-            exact_slots[slot] = Some(v);
-            slot_fast[slot] = true;
-        }
-        let exact_values: Vec<T> = exact_slots
-            .into_iter()
-            .map(|v| v.expect("every coalesced rank must have been resolved"))
-            .collect();
-        let assembled = assemble_outcomes(
-            &plan,
-            &AssemblyContext {
-                n,
-                residual: &residual,
-                exact_values: &exact_values,
-                slot_fast: &slot_fast,
-                exact_served,
-                probe_brackets: &probe_brackets,
-                probe_exact: &probe_exact,
-                probe_backend_pos: &probe_backend_pos,
-                probe_sketch_pos: &probe_sketch_pos,
-                count_routes: &count_routes,
-                hist_rank_served: &hist_rank_served,
-                sketch_values: &sketch_values,
-                sketch_ranks: &sketch_ranks,
-                rank0: outcomes.first(),
-                freshness: Freshness { version: self.version, elements: n },
-            },
-        );
-        let histogram_answers = fast.len()
-            + assembled
-                .outcomes
-                .iter()
-                .zip(&plan.resolutions)
-                .filter(|(o, res)| {
-                    o.served == Served::Histogram
-                        && matches!(res, Resolution::HistRank { .. } | Resolution::Count(_))
-                })
-                .count();
-        self.histogram_hits += histogram_answers as u64;
-
-        let collective_ops = outcomes.first().map_or(0, |o| o.comm.collective_ops);
-
-        // -- Span assembly + metrics: link each outcome back to the phases
-        // it paid for, and feed the registry. All of it is behind the one
-        // `observe` branch; a non-observing engine does none of this work.
-        let span = trace_ctx.map(|(ctx, ids)| {
-            let shard_spans: Vec<Vec<PhaseSpan>> =
-                outcomes.iter().map(|o| o.spans.clone()).collect();
-            let request_spans = ids
-                .into_iter()
-                .zip(requests)
-                .zip(assembled.outcomes.iter().zip(&assembled.units))
-                .map(|((trace, req), (outcome, units))| RequestSpan {
-                    trace,
-                    kind: req.kind.label(),
-                    served: outcome.served,
-                    phases: Phase::ALL
-                        .into_iter()
-                        .zip(units)
-                        .filter(|&(_, u)| *u > 0)
-                        .map(|(p, _)| p)
-                        .collect(),
-                    collective_ops: outcome.cost.collective_ops,
-                })
-                .collect();
-            BatchSpan {
-                batch: ctx.batch,
-                root: ctx.root,
-                requests: request_spans,
-                phases: obs::summarize_phases(&shard_spans),
-            }
-        });
-        if let Some(m) = &self.metrics {
-            m.counter_add("requests_total", requests.len() as u64);
-            m.counter_add("batches_total", 1);
-            m.counter_add("collective_ops_total", collective_ops);
-            for o in &assembled.outcomes {
-                m.counter_add(
-                    match o.served {
-                        Served::Histogram => "served_histogram",
-                        Served::Sketch => "served_sketch",
-                        Served::Index => "served_index",
-                        Served::Scan => "served_scan",
-                    },
-                    1,
-                );
-            }
-            m.histogram_observe("batch_occupancy", requests.len() as u64);
-            m.gauge_set("delta_occupancy", delta_occupancy);
-            m.latency_observe("batch_virtual", (makespan * 1e9) as u64);
-            if let Some(t0) = wall_start {
-                m.latency_observe("batch_wall", t0.elapsed().as_nanos() as u64);
-            }
-        }
-
-        // -- Standing delivery: the batch's tail outcomes belong to the due
-        // subscriptions, in admission order. Each update carries the next
-        // gap-free sequence number and this batch's freshness stamp; a
-        // dropped handle auto-unsubscribes here. Refreshes whose outcome
-        // cost zero attributed collective ops (histogram / sketch served)
-        // are counted separately — the incremental-refresh win.
-        let mut outcomes = assembled.outcomes;
-        let standing_outcomes = outcomes.split_off(user_len);
+    /// Standing delivery: the batch's tail outcomes belong to the due
+    /// subscriptions, in admission order. Each update carries the next
+    /// gap-free sequence number and the batch's freshness stamp; a dropped
+    /// handle auto-unsubscribes here. Refreshes whose outcome cost zero
+    /// attributed collective ops (histogram / sketch served) are counted
+    /// separately — the incremental-refresh win.
+    fn deliver_standing(
+        &mut self,
+        due: Vec<(SubscriptionId, Request<T>)>,
+        riders: Vec<Outcome<T>>,
+        observed: Option<&obs::Observed>,
+    ) {
         let mut delivered = 0u64;
         let mut zero_collective = 0u64;
-        for ((id, _), outcome) in due.iter().zip(standing_outcomes) {
+        for ((id, _), outcome) in due.into_iter().zip(riders) {
             let zero = outcome.cost.collective_ops == 0.0;
-            if self.standing.deliver(*id, outcome, self.version, self.mutated) {
+            if self.standing.deliver(id, outcome, self.version, self.mutated) {
                 delivered += 1;
                 zero_collective += u64::from(zero);
             }
         }
         self.standing_refreshes += delivered;
         self.standing_zero_collective += zero_collective;
-        if let Some(m) = &self.metrics {
+        if let (Some(m), Some(o)) = (&self.metrics, observed) {
             m.gauge_set("standing_active", self.standing.len() as f64);
             if delivered > 0 {
                 m.counter_add("standing_refresh", delivered);
                 m.counter_add("standing_zero_collective", zero_collective);
-                if let Some(t0) = wall_start {
-                    m.latency_observe("refresh_wall", t0.elapsed().as_nanos() as u64);
-                }
+                m.latency_observe("refresh_wall", o.wall_start.elapsed().as_nanos() as u64);
             }
         }
-
-        Ok(RunReport {
-            outcomes,
-            comm,
-            collective_ops,
-            makespan,
-            exact_ranks: residual.len(),
-            sketch_answers: assembled.sketch_answers,
-            histogram_answers,
-            value_probes: probe_backend_pos.iter().flatten().count(),
-            delta_occupancy,
-            scan_threads: self.cfg.scan_threads,
-            span,
-        })
     }
 
     /// (Re)builds the resident bucket index when it is missing or stale:
@@ -1271,6 +1010,13 @@ impl<T: Key> Engine<T> {
         self.shard_sizes = sizes;
     }
 
+    /// Forgets the cached histogram (the shards' placement or membership
+    /// moved); [`Engine::ensure_index`] rebuilds it on the next exact batch.
+    fn drop_index(&mut self) {
+        self.index = None;
+        self.index_dirty = false;
+    }
+
     // --- Dynamic membership (message passing only; see [`ExecBackend`]) --
 
     /// True when the engine's backend supports the membership verbs below
@@ -1309,8 +1055,7 @@ impl<T: Key> Engine<T> {
         let sizes = self.backend.join_worker()?;
         self.cfg.nprocs = sizes.len();
         self.set_sizes(sizes);
-        self.index = None;
-        self.index_dirty = false;
+        self.drop_index();
         self.standing.invalidate_all();
         self.ingest_cursor %= self.cfg.nprocs;
         Ok(self.cfg.nprocs)
@@ -1323,8 +1068,7 @@ impl<T: Key> Engine<T> {
         let sizes = self.backend.retire_worker(rank)?;
         self.cfg.nprocs = sizes.len();
         self.set_sizes(sizes);
-        self.index = None;
-        self.index_dirty = false;
+        self.drop_index();
         self.standing.invalidate_all();
         self.ingest_cursor %= self.cfg.nprocs;
         Ok(self.cfg.nprocs)
@@ -1339,8 +1083,7 @@ impl<T: Key> Engine<T> {
     pub fn recover(&mut self) -> Result<RecoveryReport, EngineError> {
         let report = self.backend.recover()?;
         self.set_sizes(report.sizes.clone());
-        self.index = None;
-        self.index_dirty = false;
+        self.drop_index();
         // Recovery changes the multiset (dead shards' data is gone), so it
         // is a mutation: the version moves and every subscription refreshes.
         self.version += 1;
@@ -1369,284 +1112,9 @@ impl<T: Key> Engine<T> {
         }
         let sizes = self.backend.rebalance()?;
         self.set_sizes(sizes);
-        self.index = None;
-        self.index_dirty = false;
+        self.drop_index();
         self.rebalances += 1;
         Ok(true)
-    }
-}
-
-/// How one value-direction request is served, decided host-side during
-/// probe routing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CountRoute {
-    /// Empty interval: exactly 0, no work at all.
-    Empty,
-    /// Every endpoint probe resolved exactly from the cached histogram.
-    Histogram,
-    /// Bucket-resolution brackets accepted by the contract.
-    HistogramApprox,
-    /// Estimated from the sketches under a `WithinRank` contract.
-    Sketch,
-    /// Exact resolution through the backend's probe Combine round.
-    Backend,
-}
-
-/// Extracts the selected probes as a dense sub-list plus, per original
-/// probe, its position in that sub-list.
-fn sublist<T: Copy>(
-    probes: &[(T, bool)],
-    selected: &[bool],
-) -> (Vec<(T, bool)>, Vec<Option<usize>>) {
-    let mut list = Vec::new();
-    let mut pos = vec![None; probes.len()];
-    for (i, (&p, &sel)) in probes.iter().zip(selected).enumerate() {
-        if sel {
-            pos[i] = Some(list.len());
-            list.push(p);
-        }
-    }
-    (list, pos)
-}
-
-/// Everything [`assemble_outcomes`] needs to turn resolutions into typed
-/// outcomes: the resolved rank slots, the host-side probe routing, and the
-/// backend's (rank-0) shard outcome when one ran.
-struct AssemblyContext<'a, T: Key> {
-    n: u64,
-    residual: &'a RankSet,
-    exact_values: &'a [T],
-    slot_fast: &'a [bool],
-    exact_served: Served,
-    probe_brackets: &'a [(u64, u64)],
-    probe_exact: &'a [Option<u64>],
-    probe_backend_pos: &'a [Option<usize>],
-    probe_sketch_pos: &'a [Option<usize>],
-    count_routes: &'a [Option<CountRoute>],
-    hist_rank_served: &'a [Option<(T, u64)>],
-    /// Host-computed ε-sketch answers, aligned with the plan's sketch
-    /// targets / the sketch-probe sub-list. No backend involvement.
-    sketch_values: &'a [T],
-    sketch_ranks: &'a [u64],
-    rank0: Option<&'a ShardBatchOutcome<T>>,
-    /// The mutation state every outcome of this batch reflects.
-    freshness: Freshness,
-}
-
-struct Assembled<T> {
-    outcomes: Vec<Outcome<T>>,
-    sketch_answers: usize,
-    /// Per-request phase slot counts (`[probes, exact, sketch]`), aligned
-    /// with `outcomes` — the span builder reads a request's phase
-    /// participation off these.
-    units: Vec<[u64; 3]>,
-}
-
-/// One response before cost attribution: `units` counts this request's
-/// slots per execution phase (`[probes, exact, sketch]`).
-struct Draft<T> {
-    response: Response<T>,
-    served: Served,
-    units: [u64; 3],
-}
-
-/// Turns the plan's resolutions into typed [`Outcome`]s and attributes
-/// each measured phase's collective ops proportionally over the requests
-/// that used the phase (so the per-query costs sum to the batch total).
-fn assemble_outcomes<T: Key>(
-    plan: &query::RequestPlan<T>,
-    cx: &AssemblyContext<'_, T>,
-) -> Assembled<T> {
-    let value_at = |r: u64| -> (T, bool) {
-        let slot = cx.residual.slot_of(r);
-        (cx.exact_values[slot], cx.slot_fast[slot])
-    };
-    let rank_served = |fast: bool| if fast { Served::Histogram } else { cx.exact_served };
-    // One draft for any multi-rank kind (`TopK` runs, `Quantiles` lists):
-    // gather the values, count the slots the multi-select actually paid
-    // for, and label provenance by whether any slot left the histogram.
-    let multi_rank_draft = |ranks: &mut dyn Iterator<Item = u64>| -> Draft<T> {
-        let mut values = Vec::new();
-        let mut slow = 0u64;
-        for r in ranks {
-            let (v, fast) = value_at(r);
-            slow += u64::from(!fast);
-            values.push(v);
-        }
-        Draft {
-            response: Response::Elements(values),
-            served: if slow == 0 { Served::Histogram } else { cx.exact_served },
-            units: [0, slow, 0],
-        }
-    };
-
-    let mut next_sketch = 0usize;
-    let mut sketch_answers = 0usize;
-    let mut drafts: Vec<Draft<T>> = Vec::with_capacity(plan.resolutions.len());
-    for (i, res) in plan.resolutions.iter().enumerate() {
-        let draft = match res {
-            Resolution::Exact(r) => {
-                let (v, fast) = value_at(*r);
-                Draft {
-                    response: Response::Element(v),
-                    served: rank_served(fast),
-                    units: [0, u64::from(!fast), 0],
-                }
-            }
-            Resolution::ExactRun { len } => multi_rank_draft(&mut (0..*len)),
-            Resolution::MultiExact(ranks) => multi_rank_draft(&mut ranks.iter().copied()),
-            Resolution::Sketch { target_rank, max_rank_error } => {
-                let value = cx.sketch_values[next_sketch];
-                next_sketch += 1;
-                sketch_answers += 1;
-                Draft {
-                    response: Response::Approximate {
-                        value,
-                        target_rank: *target_rank,
-                        max_rank_error: *max_rank_error,
-                    },
-                    served: Served::Sketch,
-                    units: [0, 0, 1],
-                }
-            }
-            Resolution::HistRank { target_rank } => match cx.hist_rank_served[i] {
-                Some((v, 0)) => Draft {
-                    response: Response::Element(v),
-                    served: Served::Histogram,
-                    units: [0, 0, 0],
-                },
-                Some((v, err)) => Draft {
-                    response: Response::Approximate {
-                        value: v,
-                        target_rank: *target_rank,
-                        max_rank_error: err,
-                    },
-                    served: Served::Histogram,
-                    units: [0, 0, 0],
-                },
-                None => {
-                    let (v, fast) = value_at(*target_rank);
-                    Draft {
-                        response: Response::Element(v),
-                        served: rank_served(fast),
-                        units: [0, u64::from(!fast), 0],
-                    }
-                }
-            },
-            Resolution::Count(c) => {
-                let route = cx.count_routes[i].expect("count resolution routed");
-                assemble_count(c, route, cx, &mut sketch_answers)
-            }
-        };
-        drafts.push(draft);
-    }
-
-    let phase = cx.rank0.map(|o| o.phase_ops).unwrap_or_default();
-    let phase_ops = [phase.probes, phase.exact, phase.sketch];
-    let mut totals = [0u64; 3];
-    for d in &drafts {
-        for (t, u) in totals.iter_mut().zip(d.units) {
-            *t += u;
-        }
-    }
-    let units: Vec<[u64; 3]> = drafts.iter().map(|d| d.units).collect();
-    let outcomes = drafts
-        .into_iter()
-        .map(|d| {
-            let mut collective_ops = 0.0f64;
-            for k in 0..3 {
-                if d.units[k] > 0 && totals[k] > 0 {
-                    collective_ops += phase_ops[k] as f64 * d.units[k] as f64 / totals[k] as f64;
-                }
-            }
-            Outcome {
-                response: d.response,
-                served: d.served,
-                cost: CostAttribution { collective_ops },
-                freshness: cx.freshness,
-            }
-        })
-        .collect();
-    Assembled { outcomes, sketch_answers, units }
-}
-
-/// Assembles one value-direction count along its decided route.
-fn assemble_count<T: Key>(
-    c: &query::CountResolution,
-    route: CountRoute,
-    cx: &AssemblyContext<'_, T>,
-    sketch_answers: &mut usize,
-) -> Draft<T> {
-    match route {
-        CountRoute::Empty => Draft {
-            response: Response::Count { count: 0, max_error: 0 },
-            served: Served::Histogram,
-            units: [0, 0, 0],
-        },
-        CountRoute::Histogram => {
-            let m = c.minuend.map_or(cx.n, |p| cx.probe_exact[p].expect("histogram-exact probe"));
-            let s = c.subtrahend.map_or(0, |p| cx.probe_exact[p].expect("histogram-exact probe"));
-            Draft {
-                response: Response::Count { count: m.saturating_sub(s), max_error: 0 },
-                served: Served::Histogram,
-                units: [0, 0, 0],
-            }
-        }
-        CountRoute::HistogramApprox => {
-            let (m_lo, m_hi) = c.minuend.map_or((cx.n, cx.n), |p| cx.probe_brackets[p]);
-            let (s_lo, s_hi) = c.subtrahend.map_or((0, 0), |p| cx.probe_brackets[p]);
-            let lo = m_lo.saturating_sub(s_hi);
-            let hi = m_hi.saturating_sub(s_lo);
-            let count = lo + (hi - lo) / 2;
-            Draft {
-                response: Response::Count { count, max_error: hi - count },
-                served: Served::Histogram,
-                units: [0, 0, 0],
-            }
-        }
-        CountRoute::Sketch => {
-            let resolve = |p: usize| {
-                cx.probe_exact[p].unwrap_or_else(|| {
-                    cx.sketch_ranks[cx.probe_sketch_pos[p].expect("sketch probe listed")]
-                })
-            };
-            let m = c.minuend.map_or(cx.n, resolve);
-            let s = c.subtrahend.map_or(0, resolve);
-            let estimated = [c.minuend, c.subtrahend]
-                .into_iter()
-                .flatten()
-                .filter(|&p| cx.probe_exact[p].is_none())
-                .count() as u64;
-            *sketch_answers += 1;
-            Draft {
-                response: Response::Count {
-                    count: m.saturating_sub(s),
-                    max_error: c.sketch_error.expect("sketch route requires a contract"),
-                },
-                served: Served::Sketch,
-                units: [0, 0, estimated],
-            }
-        }
-        CountRoute::Backend => {
-            let resolve = |p: usize| {
-                cx.probe_exact[p].unwrap_or_else(|| {
-                    cx.rank0.expect("probe batch executed").probe_counts
-                        [cx.probe_backend_pos[p].expect("backend probe listed")]
-                })
-            };
-            let m = c.minuend.map_or(cx.n, resolve);
-            let s = c.subtrahend.map_or(0, resolve);
-            let probed = [c.minuend, c.subtrahend]
-                .into_iter()
-                .flatten()
-                .filter(|&p| cx.probe_exact[p].is_none())
-                .count() as u64;
-            Draft {
-                response: Response::Count { count: m.saturating_sub(s), max_error: 0 },
-                served: cx.exact_served,
-                units: [probed, 0, 0],
-            }
-        }
     }
 }
 

@@ -38,9 +38,11 @@ mod slo;
 pub use metrics::{HistogramSnapshot, LatencySummary, MetricsRegistry, MetricsSnapshot};
 pub use slo::{SloAccumulator, SloPolicy, SloReport};
 
-use crate::request::Served;
+use crate::backend::ShardBatchOutcome;
+use crate::request::{Outcome, Request, RunReport, Served};
 use cgselect_runtime::CommStats;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// The shard-side execution phases a batch moves through, in pipeline
 /// order — the span tree's leaf labels.
@@ -228,6 +230,86 @@ impl BatchSpan {
             ));
         }
         out
+    }
+}
+
+/// The observability wrapper's state for one batch. [`crate::Engine::run`]
+/// opens it only on an observing engine, and only once the batch can no
+/// longer be refused — a rejected batch consumes no trace IDs.
+pub(crate) struct Observed {
+    /// Flows into the batch plan (and, on the message-passing backend,
+    /// across the wire).
+    pub ctx: TraceContext,
+    /// One ID per request: the one it was stamped with, or assigned here.
+    ids: Vec<TraceId>,
+    pub wall_start: Instant,
+}
+
+impl Observed {
+    pub(crate) fn open<T>(batch: u64, requests: &[Request<T>]) -> Self {
+        let wall_start = Instant::now();
+        let ids: Vec<TraceId> =
+            requests.iter().map(|r| r.trace.unwrap_or_else(TraceId::next)).collect();
+        let root = ids.first().copied().unwrap_or_else(TraceId::next);
+        Observed { ctx: TraceContext { batch, root }, ids, wall_start }
+    }
+
+    /// Span assembly: links each outcome back to the phases it paid for
+    /// (`units` holds its slot counts per phase, in [`Phase::ALL`] order).
+    pub(crate) fn span<T>(
+        &self,
+        requests: &[Request<T>],
+        outcomes: &[Outcome<T>],
+        units: &[[u64; 3]],
+        shards: &[ShardBatchOutcome<T>],
+    ) -> BatchSpan {
+        let shard_spans: Vec<Vec<PhaseSpan>> = shards.iter().map(|o| o.spans.clone()).collect();
+        let request_spans = self
+            .ids
+            .iter()
+            .zip(requests)
+            .zip(outcomes.iter().zip(units))
+            .map(|((&trace, req), (outcome, units))| RequestSpan {
+                trace,
+                kind: req.kind.label(),
+                served: outcome.served,
+                phases: Phase::ALL
+                    .into_iter()
+                    .zip(units)
+                    .filter(|&(_, u)| *u > 0)
+                    .map(|(p, _)| p)
+                    .collect(),
+                collective_ops: outcome.cost.collective_ops,
+            })
+            .collect();
+        BatchSpan {
+            batch: self.ctx.batch,
+            root: self.ctx.root,
+            requests: request_spans,
+            phases: summarize_phases(&shard_spans),
+        }
+    }
+
+    /// Feeds the registry with one finished batch (riders included).
+    pub(crate) fn record<T>(&self, m: &MetricsRegistry, report: &RunReport<T>) {
+        m.counter_add("requests_total", report.outcomes.len() as u64);
+        m.counter_add("batches_total", 1);
+        m.counter_add("collective_ops_total", report.collective_ops);
+        for o in &report.outcomes {
+            m.counter_add(
+                match o.served {
+                    Served::Histogram => "served_histogram",
+                    Served::Sketch => "served_sketch",
+                    Served::Index => "served_index",
+                    Served::Scan => "served_scan",
+                },
+                1,
+            );
+        }
+        m.histogram_observe("batch_occupancy", report.outcomes.len() as u64);
+        m.gauge_set("delta_occupancy", report.delta_occupancy);
+        m.latency_observe("batch_virtual", (report.makespan * 1e9) as u64);
+        m.latency_observe("batch_wall", self.wall_start.elapsed().as_nanos() as u64);
     }
 }
 

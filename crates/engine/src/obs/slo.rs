@@ -174,7 +174,6 @@ mod tests {
             histogram_answers: 0,
             value_probes: 0,
             delta_occupancy: 0.0,
-            scan_threads: 1,
             span: None,
         }
     }

@@ -231,20 +231,19 @@ pub(crate) enum Resolution {
     Count(CountResolution),
 }
 
-/// A planned batch: per-request resolutions, the coalesced rank set,
-/// the sketch targets and the coalesced value-probe list.
+/// A planned batch: per-request resolutions, the coalesced rank set and
+/// the coalesced value-probe list.
 ///
 /// Probes are `(value, inclusive)` prefix counts: `inclusive = false`
 /// counts `x < value`, `true` counts `x ≤ value` — the paper's
 /// count-below-pivot primitive, batched.
 #[derive(Clone, Debug)]
 pub(crate) struct RequestPlan<T> {
+    /// The resident population the batch was planned against.
+    pub n: u64,
     pub resolutions: Vec<Resolution>,
     /// Deduplicated ranks committed to exact resolution, as runs.
     pub exact_ranks: RankSet,
-    /// Target ranks of the sketch-served rank-direction queries, in
-    /// resolution order.
-    pub sketch_targets: Vec<u64>,
     /// Distinct, sorted value probes feeding the single `count_below`
     /// Combine round (or the histogram / sketch fast paths).
     pub probes: Vec<(T, bool)>,
@@ -287,7 +286,6 @@ pub(crate) fn plan_requests<T: Copy + Ord>(
     }
     let mut resolutions = Vec::with_capacity(requests.len());
     let mut rank_runs: Vec<(u64, u64)> = Vec::new();
-    let mut sketch_targets = Vec::new();
     let mut raw_probes: Vec<(T, bool)> = Vec::new();
 
     // Stage 1: resolve kinds; collect rank runs and raw probe references.
@@ -325,8 +323,7 @@ pub(crate) fn plan_requests<T: Copy + Ord>(
             Resolution::Exact(r) => rank_runs.push((*r, 1)),
             Resolution::ExactRun { len } => rank_runs.push((0, *len)),
             Resolution::MultiExact(ranks) => rank_runs.extend(ranks.iter().map(|&r| (r, 1))),
-            Resolution::Sketch { target_rank, .. } => sketch_targets.push(*target_rank),
-            Resolution::HistRank { .. } | Resolution::Count(_) => {}
+            Resolution::Sketch { .. } | Resolution::HistRank { .. } | Resolution::Count(_) => {}
         }
         resolutions.push(res);
     }
@@ -348,12 +345,7 @@ pub(crate) fn plan_requests<T: Copy + Ord>(
         }
     }
 
-    Ok(RequestPlan {
-        resolutions,
-        exact_ranks: RankSet::from_runs(rank_runs),
-        sketch_targets,
-        probes,
-    })
+    Ok(RequestPlan { n, resolutions, exact_ranks: RankSet::from_runs(rank_runs), probes })
 }
 
 /// Resolution of a single-rank kind under its accuracy contract.
@@ -499,7 +491,7 @@ mod tests {
         ];
         let plan = plan_requests(&requests, 11, None).unwrap();
         assert_eq!(plan.exact_ranks.iter().collect::<Vec<_>>(), vec![0, 1, 2, 5, 10]);
-        assert!(plan.sketch_targets.is_empty());
+        assert!(!plan.resolutions.iter().any(|r| matches!(r, Resolution::Sketch { .. })));
         assert!(plan.probes.is_empty());
     }
 
@@ -514,7 +506,6 @@ mod tests {
         // Budget ⌈0.05·1000⌉ = 50 ≥ guarantee 10 -> sketch, reporting the
         // guarantee (not the looser budget) as the promised error;
         // ⌈0.001·1000⌉ = 1 < 10 -> exact fallback.
-        assert_eq!(plan.sketch_targets, vec![500]);
         assert_eq!(plan.exact_ranks.iter().collect::<Vec<_>>(), vec![500]);
         match plan.resolutions[0] {
             Resolution::Sketch { target_rank: 500, max_rank_error: 10 } => {}

@@ -490,6 +490,12 @@ pub struct Outcome<T> {
 
 /// What one [`crate::Engine::run`] batch did and cost.
 ///
+/// `outcomes` holds the caller's requests only. Due standing queries ride
+/// the same batch (see [`crate::Engine::subscribe`]); their outcomes go to
+/// their [`crate::StandingHandle`]s, but every batch total below — `comm`,
+/// `collective_ops`, `makespan`, the answer counters, the span — covers
+/// the riders too.
+///
 /// ```
 /// use cgselect_engine::{Engine, EngineConfig, Request};
 ///
@@ -498,17 +504,21 @@ pub struct Outcome<T> {
 /// let report = engine.run(&[Request::median(), Request::rank(10)]).unwrap();
 /// assert_eq!(report.outcomes.len(), 2);
 /// assert_eq!(report.exact_ranks, 2);
-/// // Per-query attribution reproduces the batch total.
+/// // With no standing query riding along, per-query attribution
+/// // reproduces the batch total (riders' shares are in their updates).
 /// let sum: f64 = report.outcomes.iter().map(|o| o.cost.collective_ops).sum();
 /// assert!((sum - report.collective_ops as f64).abs() < 1e-9);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RunReport<T> {
-    /// Per-request outcomes, aligned with the submitted batch.
+    /// The caller's per-request outcomes, aligned with the submitted batch
+    /// (riders excluded).
     pub outcomes: Vec<Outcome<T>>,
     /// Communication the batch moved, summed over all processors.
     pub comm: cgselect_runtime::CommStats,
-    /// Collective operations the batch started, per processor.
+    /// Collective operations the batch started, per processor — the sum of
+    /// the attributed costs of `outcomes` *and* of the standing updates the
+    /// batch delivered.
     pub collective_ops: u64,
     /// Virtual-time makespan of the batch under the engine's cost model.
     pub makespan: f64,
@@ -524,14 +534,8 @@ pub struct RunReport<T> {
     /// Fraction of the resident population in the unindexed delta run when
     /// the batch executed.
     pub delta_occupancy: f64,
-    /// The intra-shard scan fan-out the engine ran with
-    /// ([`crate::EngineConfig::scan_threads`]); part of the cost
-    /// attribution so SLO lines from differently-tuned engines stay
-    /// comparable. Modeled ops and answers never depend on it — only wall
-    /// time does.
-    pub scan_threads: usize,
-    /// The batch's span tree — `Some` only when the engine runs with
-    /// observability enabled (`EngineConfig::observe`).
+    /// The batch's span tree, riders included — `Some` only when the engine
+    /// runs with observability enabled (`EngineConfig::observe`).
     pub span: Option<BatchSpan>,
 }
 

@@ -234,13 +234,6 @@ impl<T: Key> StandingRegistry<T> {
             .collect()
     }
 
-    /// True if any subscription would refresh right now. Cheap guard so idle
-    /// pollers can skip running an empty batch.
-    #[cfg(test)]
-    pub(crate) fn any_due(&self, version: u64, mutated: u64, total: u64) -> bool {
-        self.subs.iter().any(|s| s.is_due(version, mutated, total))
-    }
-
     /// Deliver one update to subscription `id`, stamping the next sequence
     /// number and recording the refresh point. Returns `false` (and removes
     /// the subscription) if the receiver was dropped.
@@ -289,10 +282,10 @@ mod tests {
         let mut reg: StandingRegistry<u64> = StandingRegistry::default();
         let h = reg.subscribe(Request::median(), RefreshPolicy::EveryBatch);
         // Never refreshed: due immediately.
-        assert!(reg.any_due(0, 0, 10));
+        assert!(!reg.due_requests(0, 0, 10).is_empty());
         assert!(reg.deliver(h.id(), dummy_outcome(), 3, 5));
-        assert!(!reg.any_due(3, 5, 10), "same version: not due");
-        assert!(reg.any_due(4, 6, 10), "version moved: due");
+        assert!(reg.due_requests(3, 5, 10).is_empty(), "same version: not due");
+        assert!(!reg.due_requests(4, 6, 10).is_empty(), "version moved: due");
         let got = h.drain();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 0);
@@ -304,9 +297,9 @@ mod tests {
         let h = reg.subscribe(Request::median(), RefreshPolicy::OnDelta(0.10));
         assert!(reg.deliver(h.id(), dummy_outcome(), 1, 0));
         // 5 mutated out of 100 resident: below 10%.
-        assert!(!reg.any_due(2, 5, 100));
+        assert!(reg.due_requests(2, 5, 100).is_empty());
         // 10 mutated out of 100: at threshold.
-        assert!(reg.any_due(3, 10, 100));
+        assert!(!reg.due_requests(3, 10, 100).is_empty());
     }
 
     #[test]
@@ -336,11 +329,11 @@ mod tests {
         let mut reg: StandingRegistry<u64> = StandingRegistry::default();
         let h = reg.subscribe(Request::median(), RefreshPolicy::OnDelta(0.5));
         assert!(reg.deliver(h.id(), dummy_outcome(), 1, 0));
-        assert!(!reg.any_due(1, 0, 100));
+        assert!(reg.due_requests(1, 0, 100).is_empty());
         reg.invalidate_all();
-        assert!(reg.any_due(1, 0, 100), "invalidated subs are always due");
+        assert!(!reg.due_requests(1, 0, 100).is_empty(), "invalidated subs are always due");
         // Delivering clears the invalidation.
         assert!(reg.deliver(h.id(), dummy_outcome(), 1, 0));
-        assert!(!reg.any_due(1, 0, 100));
+        assert!(reg.due_requests(1, 0, 100).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! contracts, provenance and per-query cost attribution.
 //!
 //! ```text
-//! cargo run --release --example query_api_v2
+//! cargo run --release --example query_api
 //! ```
 //!
 //! The scenario: a latency-monitoring service keeps 2 million samples

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use cgselect::{
-    quantile_rank, BackendChoice, ChannelMpTuning, Distribution, Engine, EngineConfig,
+    quantile_rank, BackendChoice, Bounds, ChannelMpTuning, Distribution, Engine, EngineConfig,
     FrontendConfig, MachineModel, RefreshPolicy, Request, Response, SocketMpTuning, StandingUpdate,
 };
 use proptest::prelude::*;
@@ -268,6 +268,36 @@ fn on_delta_policy_batches_small_churn() {
     let updates = handle.drain();
     assert_eq!(updates.len(), 2);
     assert_eq!(updates[1].outcome.freshness.elements, 1130);
+}
+
+/// A rider's cost is part of the batch totals, not of the caller's
+/// outcomes: attribution sums to `collective_ops` only once the delivered
+/// updates are counted in, and riding along changes nothing the caller sees.
+#[test]
+fn batch_totals_cover_the_riders_and_user_outcomes_ignore_them() {
+    let data: Vec<u64> = (0..20_000u64).map(|i| i.wrapping_mul(2654435761) % 50_000).collect();
+    let mut engine: Engine<u64> = Engine::new(cfg(3, BackendChoice::LocalSpmd)).unwrap();
+    let mut twin: Engine<u64> = Engine::new(cfg(3, BackendChoice::LocalSpmd)).unwrap();
+    let handle = engine.subscribe(Request::quantile(0.99), RefreshPolicy::EveryBatch);
+    engine.ingest(data.clone()).unwrap();
+    twin.ingest(data).unwrap();
+
+    // The caller's requests pay only the probe phase, the rider only the
+    // exact phase, so the caller's attributed shares are undiluted.
+    let user = [Request::rank_of(25_000), Request::count_between(Bounds::closed(10_000, 30_000))];
+    let report = engine.run(&user).unwrap();
+    let plain = twin.run(&user).unwrap();
+    assert_eq!(report.outcomes, plain.outcomes);
+
+    let updates = handle.drain();
+    assert_eq!(updates.len(), 1);
+    let cost = |o: &cgselect::Outcome<u64>| o.cost.collective_ops;
+    let user_cost: f64 = report.outcomes.iter().map(cost).sum();
+    let rider_cost: f64 = updates.iter().map(|u| cost(&u.outcome)).sum();
+    assert!(rider_cost > 0.0, "the exact rider must have paid for its rank");
+    assert!(report.collective_ops > plain.collective_ops);
+    assert_eq!(report.exact_ranks, 1, "the rider's rank is in the batch totals");
+    assert!((user_cost + rider_cost - report.collective_ops as f64).abs() < 1e-9);
 }
 
 proptest! {
