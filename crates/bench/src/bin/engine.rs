@@ -53,6 +53,15 @@
 //! update is bit-equal to the poller's from-scratch answer at the same
 //! prefix.
 //!
+//! **Experiment 7 — what a delete costs** (`results/engine_churn.txt`): a
+//! sliding window over uniformly fresh keys — each slide ingests a
+//! fortieth of the resident data and deletes the slide that entered eight
+//! slides earlier — with a `WithinRank(0.01)` read after every delete.
+//! Counts, not times: how many deletes tipped a shard into re-sketching
+//! its resident data (the rest only note the removed elements on the
+//! signed sketch's removed side), and how many of those reads were served
+//! from the sketch at zero collectives.
+//!
 //! Pass `--quick` for a reduced grid. Pass `--check` to exit non-zero
 //! unless the indexed engine uses no more collective ops/query than the
 //! baseline on both workloads *and* at least 2× fewer on the
@@ -63,8 +72,11 @@
 //! rung serves >= 90% of the tolerant stream at zero collectives with
 //! measured error within every reported guarantee, and the standing
 //! dashboard serves >= 80% of refreshes at zero collectives while
-//! beating re-submission >= 3x on collective ops per refresh — the CI
-//! perf-smoke regression guard.
+//! beating re-submission >= 3x on collective ops per refresh, and a
+//! 24-slide churn re-sketches each shard at most every fourth delete —
+//! equally often on LocalSpmd and ChannelMp — with every read after a
+//! delete sketch-served at zero collectives — the CI perf-smoke
+//! regression guard.
 
 use std::time::Instant;
 
@@ -1078,6 +1090,92 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
     ok
 }
 
+/// Experiment 7: exact counts over a sliding-window churn (see the module
+/// docs). Nothing here is timed, so the gate holds on a shared runner.
+fn churn_experiment(quick: bool, dir: &std::path::Path) -> bool {
+    let p = 2usize;
+    let base: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let slide = base / 32;
+    let (window, slides) = (8u64, 24u64);
+    let tol = 0.01;
+    // An odd multiplier permutes u64: every key of the stream is distinct.
+    let keys = |from: u64, count: u64| -> Vec<u64> {
+        (from..from + count).map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
+    };
+    let slide_keys = |j: u64| keys(base + j * slide, slide);
+
+    let mut ok = true;
+    let mut lines = Vec::new();
+    let mut rebuild_counts = Vec::new();
+    for backend in [BackendChoice::LocalSpmd, BackendChoice::ChannelMp(ChannelMpTuning::default())]
+    {
+        let mut engine: Engine<u64> =
+            Engine::new(EngineConfig::new(p).backend(backend).observe(true)).expect("engine start");
+        let kind = engine.backend_kind();
+        engine.ingest(keys(0, base)).expect("ingest");
+        let mut sketch_reads = 0u64;
+        for j in 0..window + slides {
+            for part in slide_keys(j).chunks((slide / 8) as usize) {
+                engine.ingest(part.to_vec()).expect("ingest");
+            }
+            if j < window {
+                continue;
+            }
+            engine.delete(&slide_keys(j - window)).expect("delete");
+            let read = [Request::median(), Request::<u64>::quantile(0.99).within_rank(tol)];
+            let report = engine.run(&read).expect("run");
+            let tolerant = &report.outcomes[1];
+            sketch_reads +=
+                u64::from(tolerant.served == Served::Sketch && tolerant.cost.collective_ops == 0.0);
+        }
+        let counters = engine.metrics().expect("observing engine").snapshot().counters;
+        let counter = |name: &str| counters.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
+        let (deletes, rebuilds) = (counter("deletes_total"), counter("sketch_rebuilds_total"));
+        let line = format!(
+            "{kind} churn: {deletes} deletes of {slide} keys over {} resident on {p} shards, \
+             {rebuilds} shard re-sketches ({:.2} per shard, ceiling {}), \
+             {sketch_reads}/{slides} reads after a delete sketch-served at zero collectives",
+            engine.len(),
+            rebuilds as f64 / p as f64,
+            slides / 4,
+        );
+        println!("{line}");
+        lines.push(line);
+        if deletes != slides || rebuilds > p as u64 * (slides / 4) {
+            eprintln!(
+                "CHURN REGRESSION ({kind}): {rebuilds} shard re-sketches over {deletes} deletes \
+                 on {p} shards (ceiling: one per shard every fourth of {slides} deletes)"
+            );
+            ok = false;
+        }
+        if sketch_reads != slides {
+            eprintln!(
+                "CHURN REGRESSION ({kind}): only {sketch_reads} of {slides} tolerant reads after \
+                 a delete were served from the sketch at zero collectives"
+            );
+            ok = false;
+        }
+        rebuild_counts.push(rebuilds);
+    }
+    if rebuild_counts.windows(2).any(|w| w[0] != w[1]) {
+        eprintln!("CHURN REGRESSION: backends disagree on shard re-sketches: {rebuild_counts:?}");
+        ok = false;
+    }
+    write_text(
+        &dir.join("engine_churn.txt"),
+        &format!(
+            "What a delete costs: sliding-window churn, exact counts\n\
+             (base {base} keys, {window}-slide window of {slide}-key slides, p = {p}, default\n\
+             sketch capacity; gate: <= {} re-sketches per shard over {slides} deletes, equal on\n\
+             both backends, every WithinRank({tol}) read after a delete sketch-served at zero\n\
+             collectives)\n\n{}\n",
+            slides / 4,
+            lines.join("\n")
+        ),
+    );
+    ok
+}
+
 fn main() {
     let quick = quick_mode();
     let dir = results_dir();
@@ -1087,12 +1185,14 @@ fn main() {
     let obs_ok = obs_experiment(quick, &dir);
     let sketch_ok = sketch_experiment(quick, &dir);
     let standing_ok = standing_experiment(quick, &dir);
+    let churn_ok = churn_experiment(quick, &dir);
     println!(
         "engine -> {}/engine.{{csv,txt}} + engine_indexed.{{csv,txt}} + engine_api_v2.{{csv,txt}} \
-         + engine_slo.txt + engine_sketch.{{csv,txt}} + engine_standing.{{csv,txt}}",
+         + engine_slo.txt + engine_sketch.{{csv,txt}} + engine_standing.{{csv,txt}} \
+         + engine_churn.txt",
         dir.display()
     );
-    if check_mode() && !(index_ok && mixed_ok && obs_ok && sketch_ok && standing_ok) {
+    if check_mode() && !(index_ok && mixed_ok && obs_ok && sketch_ok && standing_ok && churn_ok) {
         std::process::exit(1);
     }
     if check_mode() {
@@ -1104,7 +1204,8 @@ fn main() {
              thresholds held, the sketch rung served >= 90% of the tolerant stream \
              at zero collectives within every reported guarantee, and the standing \
              dashboard served >= 80% of refreshes zero-collective while beating \
-             re-submission >= 3x on collective ops/refresh"
+             re-submission >= 3x on collective ops/refresh, and the churn re-sketched each \
+             shard at most every fourth delete with every read after a delete sketch-served"
         );
     }
 }

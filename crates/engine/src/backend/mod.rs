@@ -314,6 +314,10 @@ pub struct ShardDeletion {
     /// Per-bucket removal counts (`num_buckets + 1` entries, the last one
     /// the delta run's) when the shard holds an index; empty otherwise.
     pub removed: Vec<u64>,
+    /// Whether this delete tipped the shard into re-sketching its resident
+    /// data (the removals its sketch carried outweighed a quarter of what
+    /// was left); otherwise the sketch only noted the removed elements.
+    pub resketched: bool,
 }
 
 /// The execution seam of the engine: owns shard residency and realizes

@@ -47,8 +47,9 @@ use super::{BackendError, BatchPlan, PhaseOps, ShardBatchOutcome, ShardDeletion}
 
 /// Protocol revision carried in every frame header. Revision 2 added the
 /// splitter bounds to the BUILD_INDEX reply and the probe-refinement stats
-/// to the EXECUTE reply.
-pub(crate) const WIRE_VERSION: u8 = 2;
+/// to the EXECUTE reply; revision 3 the re-sketch flag to the DELETE reply
+/// and the removed side to every ε-sketch payload.
+pub(crate) const WIRE_VERSION: u8 = 3;
 
 /// Size of the frame header (`version` byte + `seq` u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 9;
@@ -229,7 +230,7 @@ pub(crate) fn decode_u64_reply(r: &mut Reader<'_>) -> WireResult<u64> {
 }
 
 pub(crate) fn decode_deletion_reply(r: &mut Reader<'_>) -> WireResult<ShardDeletion> {
-    Ok(ShardDeletion { remaining: r.u64()?, removed: r.u64s()? })
+    Ok(ShardDeletion { remaining: r.u64()?, removed: r.u64s()?, resketched: r.bool()? })
 }
 
 pub(crate) fn decode_bucket_stats_reply<T: Key>(r: &mut Reader<'_>) -> WireResult<BucketStats<T>> {
@@ -470,6 +471,7 @@ pub(crate) fn run_command<T: Key>(
             let d = ops::delete_shard(proc, shard, &values);
             w.u64(d.remaining);
             w.u64s(&d.removed);
+            w.bool(d.resketched);
         }
         Some(CMD_REBALANCE) => {
             r.finish().map_err(wire)?;

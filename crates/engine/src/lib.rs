@@ -424,9 +424,11 @@ pub struct Engine<T: Key> {
     delta_merges: u64,
     histogram_hits: u64,
     /// Host-global deterministic ε-sketch over the resident multiset: fed
-    /// incrementally at ingest, rebuilt by merging the shards' exports
-    /// after any operation that removes elements (delete, recovery). Every
-    /// sketch-rung answer is served from it with zero collectives.
+    /// incrementally at ingest, re-merged from the shards' exports after
+    /// any operation that removes elements (delete, recovery) — the shards'
+    /// sketches are signed, so the merge carries their removals and nobody
+    /// re-reads the data. Every sketch-rung answer is served from it with
+    /// zero collectives.
     sketch: EpsSketch<T>,
     /// Live only when `cfg.observe` is set: the metrics registry every
     /// batch reports into, shared with the frontend's batcher thread.
@@ -637,8 +639,13 @@ impl<T: Key> Engine<T> {
 
     /// Deletes **all** resident occurrences of the given values, returning
     /// how many elements were removed. The bucket index and its histogram
-    /// are maintained in place; shard sketches are rebuilt and the
-    /// watermark is checked afterwards.
+    /// are maintained in place. Each shard's ε-sketch notes exactly the
+    /// elements it lost on its removed side — a shard re-sketches its
+    /// resident data only when those removals have come to outweigh a
+    /// quarter of it — and the host-global sketch is re-merged from the
+    /// shards' exports, so a tolerant read right after a delete is still
+    /// served from the sketch, under the (slightly wider) bound the signed
+    /// sketch reports. The watermark is checked afterwards.
     pub fn delete(&mut self, values: &[T]) -> Result<MutationReport, EngineError> {
         if values.is_empty() || self.total == 0 {
             return Ok(MutationReport { elements: 0, rebalanced: false });
@@ -651,6 +658,7 @@ impl<T: Key> Engine<T> {
         // matching how the selection kernels charge their measured work.
         let results = self.backend.delete(sorted.clone())?;
         let before = self.total;
+        let resketched = results.iter().filter(|d| d.resketched).count() as u64;
         let (sizes, removed): (Vec<u64>, Vec<Vec<u64>>) =
             results.into_iter().map(|d| (d.remaining, d.removed)).unzip();
         self.set_sizes(sizes);
@@ -663,6 +671,11 @@ impl<T: Key> Engine<T> {
             self.version += 1;
             self.mutated += removed_total;
             self.refresh_sketch()?;
+        }
+        if let Some(m) = &self.metrics {
+            m.counter_add("deletes_total", 1);
+            m.counter_add("elements_deleted_total", removed_total);
+            m.counter_add("sketch_rebuilds_total", resketched);
         }
         let rebalanced = self.maybe_rebalance()?;
         Ok(MutationReport { elements: removed_total, rebalanced })
@@ -794,9 +807,10 @@ impl<T: Key> Engine<T> {
         })
     }
 
-    /// Rebuilds the host-global ε-sketch by merging every shard's resident
-    /// sketch ([`EpsSketch::merge`] is closed under the error bound), after
-    /// an operation that removed elements from the multiset.
+    /// Re-derives the host-global ε-sketch by merging every shard's
+    /// resident sketch, removed sides included ([`EpsSketch::merge`] is
+    /// closed under the error bound), after an operation that removed
+    /// elements from the multiset.
     fn refresh_sketch(&mut self) -> Result<(), EngineError> {
         let mut merged = EpsSketch::new(self.cfg.sketch_capacity);
         for shard in self.backend.export_sketches()? {

@@ -173,6 +173,10 @@ pub enum Accuracy {
     /// is served host-side with **zero collectives**, and the answer
     /// carries the sketch's guarantee (never larger than `⌈fraction·n⌉`)
     /// as its reported maximum error; otherwise it falls back to exact.
+    /// Deletes widen that bound a little at a time (the sketch's removed
+    /// side adds its own error) until a shard re-sketches, so a contract
+    /// with no headroom over a fresh sketch's bound is served exactly more
+    /// often on a deleting workload.
     WithinRank(f64),
     /// A bucket-resolution answer straight from the cached histogram is
     /// acceptable: zero element scans, zero collectives, with the error
@@ -305,11 +309,21 @@ pub enum Response<T> {
         /// `|count − true count| ≤ max_error`, guaranteed.
         max_error: u64,
     },
-    /// An estimated element whose true rank is **guaranteed** to be within
-    /// `max_rank_error` of `target_rank` (sketch- or histogram-served
-    /// rank-direction queries under a loosened contract).
+    /// An estimated element whose rank window is **guaranteed** to be
+    /// within `max_rank_error` of `target_rank` (sketch- or
+    /// histogram-served rank-direction queries under a loosened contract).
+    ///
+    /// The guarantee is on the value's **rank window** among the resident
+    /// elements, `[count below it, count at or below it − 1]`, not on its
+    /// residency: the ε-sketch is signed (deletes land on a removed side
+    /// instead of forcing a rebuild), so between re-sketches it may answer
+    /// with a value whose every copy has since been deleted. Such a value
+    /// occupies its insertion position — the rank it would take if it were
+    /// put back — and that position is within `max_rank_error` of the
+    /// target all the same.
     Approximate {
-        /// The estimated element.
+        /// The estimated element: ingested at some point, possibly no
+        /// longer resident.
         value: T,
         /// The exact query's 0-based target rank.
         target_rank: u64,

@@ -957,7 +957,8 @@ fn join_and_retire_keep_serving_exact_answers(backend: BackendChoice) {
 // stream must be served from the host-global deterministic sketch with ZERO
 // collectives, and — because the sketch is RNG-free — with bit-identical
 // answers, guarantees and `Served` routing on every backend, through the
-// full ingest / delete / migrate / rebalance lifecycle.
+// full ingest / delete / migrate / rebalance lifecycle and a sliding window
+// that crosses the shards' re-sketch rule.
 // ---------------------------------------------------------------------------
 
 /// What one tolerant-batch step observed — everything that must be
@@ -967,6 +968,9 @@ struct SketchStep {
     label: String,
     outcomes: Vec<(cgselect::Served, String)>,
     collective_ops: u64,
+    /// Shard re-sketches so far (`sketch_rebuilds_total`): which deletes
+    /// tipped how many shards over the rule is part of the surface.
+    sketch_rebuilds: u64,
 }
 
 /// Drives a WithinRank-tolerant mixed stream (rank→value quantiles plus
@@ -977,13 +981,21 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
     use cgselect::{Bounds, Served};
     let p = 4;
     let n = 3000usize;
+    // The tolerance of the request stream; the sliding window asks for
+    // twice as much, because between re-sketches a signed sketch's bound may
+    // drift up to 2 × a fresh one's.
     let tol = 0.05;
     let data: Vec<u64> = cgselect::generate(dist, n, p, 59).into_iter().flatten().collect();
-    let mut engine: Engine<u64> = Engine::new(cfg(p, backend).sketch_capacity(256)).unwrap();
+    let mut engine: Engine<u64> =
+        Engine::new(cfg(p, backend).sketch_capacity(256).observe(true)).unwrap();
     let mut all: Vec<u64> = Vec::new();
     let mut steps: Vec<SketchStep> = Vec::new();
+    let sketch_rebuilds = |engine: &Engine<u64>| {
+        let counters = engine.metrics().expect("observing engine").snapshot().counters;
+        counters.iter().find(|(name, _)| *name == "sketch_rebuilds_total").map_or(0, |&(_, v)| v)
+    };
 
-    let check = |engine: &mut Engine<u64>, all: &[u64], label: &str| -> SketchStep {
+    let check = |engine: &mut Engine<u64>, all: &[u64], label: &str, tol: f64| -> SketchStep {
         let mut sorted = all.to_vec();
         sorted.sort_unstable();
         let m = sorted.len();
@@ -1029,7 +1041,8 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
                 // within the reported guarantee of the target.
                 let target = quantile_rank(q, m as u64);
                 let v = outcome.response.element().expect("value answer");
-                let (lo_r, hi_r) = (oracle(v, false), oracle(v, true) - 1);
+                let lo_r = oracle(v, false);
+                let hi_r = oracle(v, true).saturating_sub(1).max(lo_r);
                 let dist_to =
                     if target < lo_r { lo_r - target } else { target.saturating_sub(hi_r) };
                 assert!(
@@ -1061,6 +1074,7 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
                 .map(|o| (o.served, format!("{:?}", o.response)))
                 .collect(),
             collective_ops: report.collective_ops,
+            sketch_rebuilds: sketch_rebuilds(engine),
         }
     };
 
@@ -1068,13 +1082,14 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
     let (bulk, tail) = data.split_at(2 * n / 3);
     all.extend_from_slice(bulk);
     engine.ingest(bulk.to_vec()).unwrap();
-    steps.push(check(&mut engine, &all, "bulk"));
+    steps.push(check(&mut engine, &all, "bulk", tol));
     all.extend_from_slice(tail);
     engine.ingest(tail.to_vec()).unwrap();
-    steps.push(check(&mut engine, &all, "delta"));
+    steps.push(check(&mut engine, &all, "delta", tol));
 
-    // A delete rebuilds the host sketch by merging the shards' exports
-    // (skipped for the single-value distribution, which it would empty).
+    // A delete re-merges the host sketch from the shards' exports, removed
+    // sides included (skipped for the single-value distribution, which it
+    // would empty).
     if all.iter().any(|&x| x != all[0]) {
         let victims = {
             let mut sorted = all.clone();
@@ -1083,7 +1098,7 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
         };
         engine.delete(&victims).unwrap();
         all.retain(|x| !victims.contains(x));
-        steps.push(check(&mut engine, &all, "delete"));
+        steps.push(check(&mut engine, &all, "delete", tol));
     }
 
     // Migration moves a shard — and its sketch, inside the snapshot — to a
@@ -1093,7 +1108,7 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
     if engine.supports_membership() {
         let before = steps.last().expect("at least one step recorded").clone();
         engine.migrate_shard(1).unwrap();
-        let after = check(&mut engine, &all, "migrate");
+        let after = check(&mut engine, &all, "migrate", tol);
         assert_eq!(
             after.outcomes, before.outcomes,
             "{dist:?}: migration must be invisible to the sketch rung"
@@ -1106,7 +1121,66 @@ fn run_sketch_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Sketc
     all.extend(&hot);
     let rep = engine.ingest_pinned(1, hot).unwrap();
     assert!(rep.rebalanced, "{dist:?}: watermark must trip");
-    steps.push(check(&mut engine, &all, "rebalance"));
+    steps.push(check(&mut engine, &all, "rebalance", tol));
+
+    // A sliding window: every slide ingests fresh keys and deletes the
+    // slide that entered `WINDOW` slides earlier. Each delete lands on the
+    // shard sketches' removed sides; only when those outweigh a quarter of
+    // a shard does it re-sketch — a pure function of shard state, so every
+    // backend rebuilds at the same delete. Mid-cycle, with removals pending,
+    // an exact batch builds the bucket index from the signed shard sketches
+    // (later deletes compact bucket by bucket) and, on the message-passing
+    // legs, a shard migrates with its signed sketch inside the snapshot.
+    const SLIDES: u64 = 12;
+    const WINDOW: u64 = 3;
+    const SLIDE_KEYS: u64 = 480;
+    let slide_keys = |slide: u64| -> Vec<u64> {
+        // An odd multiplier permutes u64: keys are distinct across slides.
+        let key = |i: u64| (slide * SLIDE_KEYS + i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (0..SLIDE_KEYS).map(key).collect()
+    };
+    let rebuilds_before = sketch_rebuilds(&engine);
+    for slide in 0..SLIDES {
+        let fresh = slide_keys(slide);
+        all.extend(&fresh);
+        engine.ingest(fresh).unwrap();
+        steps.push(check(&mut engine, &all, &format!("slide {slide} ingest"), 2.0 * tol));
+        if slide >= WINDOW {
+            let mut oldest = slide_keys(slide - WINDOW);
+            engine.delete(&oldest).unwrap();
+            oldest.sort_unstable();
+            all.retain(|x| oldest.binary_search(x).is_err());
+            steps.push(check(&mut engine, &all, &format!("slide {slide} delete"), 2.0 * tol));
+        }
+        if slide == 5 {
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            let report = engine.run(&[Request::median()]).unwrap();
+            assert_eq!(responses(&report), vec![Response::Element(sorted[(sorted.len() - 1) / 2])]);
+            steps.push(SketchStep {
+                label: "exact median builds the index".to_string(),
+                outcomes: vec![(
+                    report.outcomes[0].served,
+                    format!("{:?}", report.outcomes[0].response),
+                )],
+                collective_ops: report.collective_ops,
+                sketch_rebuilds: sketch_rebuilds(&engine),
+            });
+        }
+        if slide == 8 && engine.supports_membership() {
+            let before = steps.last().expect("slide recorded").clone();
+            engine.migrate_shard(2).unwrap();
+            let after = check(&mut engine, &all, &before.label, 2.0 * tol);
+            assert_eq!(after, before, "{dist:?}: a signed sketch must survive migration exactly");
+        }
+    }
+    let rebuilds = sketch_rebuilds(&engine) - rebuilds_before;
+    let deletes = SLIDES - WINDOW;
+    assert!(
+        rebuilds >= p as u64 && rebuilds <= p as u64 * deletes / 2,
+        "{dist:?}: {rebuilds} shard re-sketches over {deletes} deletes on {p} shards — the \
+         window must cross the rule, and the rule must skip most deletes"
+    );
     steps
 }
 

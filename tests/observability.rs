@@ -183,6 +183,35 @@ fn metrics_snapshot_tracks_batches_and_serves_latency_percentiles() {
 }
 
 #[test]
+fn delete_counters_light_up_the_mutation_path_on_both_backends() {
+    for backend in backends() {
+        let p = 2;
+        let mut engine: Engine<u64> = Engine::new(cfg(p, backend)).unwrap();
+        let resident = data(4000);
+        engine.ingest(resident.clone()).unwrap();
+        let counters = |engine: &Engine<u64>| {
+            let snap = engine.metrics().expect("observing engine").snapshot();
+            ["deletes_total", "elements_deleted_total", "sketch_rebuilds_total"]
+                .map(|name| snap.counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v))
+        };
+        assert_eq!(counters(&engine), [None; 3], "nothing is recorded before the first delete");
+
+        // A delete that finds nothing still counts as a delete.
+        assert_eq!(engine.delete(&[u64::MAX]).unwrap().elements, 0);
+        assert_eq!(counters(&engine), [Some(1), Some(0), Some(0)]);
+
+        // A small delete lands on the shard sketches' removed sides only.
+        let few = engine.delete(&resident[..100]).unwrap().elements;
+        assert!(few >= 100);
+        assert_eq!(counters(&engine), [Some(2), Some(few), Some(0)]);
+
+        // Removing most of every shard tips each one into a re-sketch.
+        let most = engine.delete(&resident[100..3000]).unwrap().elements;
+        assert_eq!(counters(&engine), [Some(3), Some(few + most), Some(p as u64)]);
+    }
+}
+
+#[test]
 fn frontend_stamps_traces_and_records_request_wall_latency() {
     let mut engine: Engine<u64> = Engine::new(cfg(3, BackendChoice::LocalSpmd)).unwrap();
     engine.ingest(data(3000)).unwrap();
