@@ -18,8 +18,8 @@ use cgselect_seqsel::{
 };
 
 use crate::index::{
-    bucket_stats, build_shard_index, refined_bounds, splitters_from_samples, BucketStats,
-    ShardIndex,
+    bucket_stats, merge_minmax, recut_shard_index, refined_bounds, splitters_from_samples,
+    BucketStats, ShardIndex,
 };
 use crate::obs::{Phase, PhaseSpan};
 use crate::sketch::EpsSketch;
@@ -140,6 +140,11 @@ pub(crate) fn delete_shard<T: Key>(
                     let gone = compact(lo..hi, &sorted[start..cut]);
                     shifted += gone as usize;
                     idx.offsets[b + 1] = hi - shifted;
+                    // Removal only shrinks a bucket's range, so its min/max
+                    // stay valid (if wide) until nothing is left.
+                    if gone as usize == hi - lo {
+                        idx.minmax[b] = None;
+                    }
                     lo = hi;
                     gone
                 })
@@ -180,11 +185,19 @@ pub(crate) fn rebalance_shard<T: Key>(
 }
 
 /// Index (re)build: the shards pool their sample sketches through one
-/// collective, derive the identical splitter vector, partition their data
-/// (delta run included) and report the shared splitters plus the
+/// collective, derive the identical splitter vector, bring their data into
+/// bucket order under it and report the shared splitters plus the
 /// per-bucket summary for the host's cached global histogram (the host
 /// mirrors the splitters so it can classify delta elements and replay
 /// refinement without a collective).
+///
+/// A shard that already holds an index **re-cuts its resident runs**
+/// ([`recut_shard_index`]) after folding a pending delta run in: the cost is
+/// the buckets the new splitters cut, which is nothing when they are
+/// resident bounds already — the refinement-growth rebuild over an
+/// unchanged sketch. A shard without one partitions everything, as the
+/// degenerate input of the same walk. The modeled charge is what was
+/// measured: comparisons, moves and scanned elements.
 pub(crate) fn build_index_shard<T: Key>(
     proc: &mut Proc,
     shard: &mut Shard<T>,
@@ -206,9 +219,13 @@ pub(crate) fn build_index_shard<T: Key>(
     pool.sort_unstable();
     proc.charge_ops(m * (1 + m.max(2).ilog2() as u64));
     let bounds = splitters_from_samples(&pool, nb);
+    if shard.index.as_ref().is_some_and(|idx| idx.delta_start() < shard.data.len()) {
+        merge_delta_shard(proc, shard);
+    }
     let mut ops = OpCount::new();
-    let (idx, stats) = build_shard_index(&mut shard.data, bounds.clone(), &mut ops);
-    proc.charge_ops(ops.total() + shard.data.len() as u64);
+    let (idx, stats) =
+        recut_shard_index(&mut shard.data, shard.index.take(), bounds.clone(), &mut ops);
+    proc.charge_ops(ops.total());
     shard.index = Some(idx);
     (bounds, stats)
 }
@@ -239,6 +256,9 @@ pub(crate) fn merge_delta_shard<T: Key>(proc: &mut Proc, shard: &mut Shard<T>) -
     proc.charge_ops(ops.total() + merged.len() as u64);
     *data = merged;
     idx.offsets = new_offsets;
+    for (mm, &(_, dmm)) in idx.minmax.iter_mut().zip(&dstats) {
+        *mm = merge_minmax(*mm, dmm);
+    }
     dstats
 }
 
@@ -441,16 +461,12 @@ pub(crate) fn execute_shard<T: Key>(
             let upper = (group.hi < idx.bounds.len()).then(|| idx.bounds[group.hi]);
             let new_bounds =
                 refined_bounds(&idx.bounds[group.lo..group.hi], &answers, lower, upper);
-            let base = idx.offsets[group.lo];
-            let range = &mut indexed_part[base..idx.offsets[group.hi + 1]];
+            let range = &mut indexed_part[idx.offsets[group.lo]..idx.offsets[group.hi + 1]];
             let mut ops = OpCount::new();
             let local = partition_by_bounds(range, &new_bounds, &mut ops);
             proc.charge_ops(ops.total() + range.len() as u64);
             refines[g] = bucket_stats(range, &local);
-            idx.bounds.splice(group.lo..group.hi, new_bounds);
-            let internal: Vec<usize> =
-                local[1..local.len() - 1].iter().map(|&o| base + o).collect();
-            idx.offsets.splice(group.lo + 1..group.hi + 1, internal);
+            idx.splice_refined(group.lo, group.hi, new_bounds, &local, &refines[g]);
         }
     } else if run_full {
         // No index: resolve over the whole resident slice, still
@@ -489,15 +505,12 @@ pub(crate) fn execute_shard<T: Key>(
                     proc.charge_ops(ops.total());
                     continue;
                 }
-                let base = idx.offsets[b];
-                let range = &mut indexed_part[base..idx.offsets[b + 1]];
+                let range = &mut indexed_part[idx.offsets[b]..idx.offsets[b + 1]];
                 let local = partition_by_bounds(range, &inserted, &mut ops);
                 proc.charge_ops(ops.total() + range.len() as u64);
-                probe_refines.push(bucket_stats(range, &local));
-                idx.bounds.splice(b..b, inserted);
-                let internal: Vec<usize> =
-                    local[1..local.len() - 1].iter().map(|&o| base + o).collect();
-                idx.offsets.splice(b + 1..b + 1, internal);
+                let stats = bucket_stats(range, &local);
+                idx.splice_refined(b, b, inserted, &local, &stats);
+                probe_refines.push(stats);
             }
         }
     }
@@ -591,7 +604,7 @@ mod tests {
     fn indexed_shard(indexed: &[u64], bounds: Vec<SepBound<u64>>, delta: &[u64]) -> Shard<u64> {
         let mut shard: Shard<u64> = init_shard(64);
         shard.data = indexed.to_vec();
-        let (idx, _) = build_shard_index(&mut shard.data, bounds, &mut OpCount::new());
+        let (idx, _) = recut_shard_index(&mut shard.data, None, bounds, &mut OpCount::new());
         shard.index = Some(idx);
         shard.data.extend_from_slice(delta);
         shard.sketch = EpsSketch::from_data(64, &shard.data);
@@ -666,6 +679,77 @@ mod tests {
             "cut at the bounds: {indexed_ops} ops, whole list: {}",
             proc.ops_charged()
         );
+    }
+
+    /// What the host would see after a rebuild, against a from-scratch build
+    /// over a clone of the shard with its index dropped: the same splitters
+    /// and counts, min/max that contain the scanned ones.
+    fn assert_rebuild_matches_from_scratch(shard: &mut Shard<u64>, nb: usize, exact: bool) {
+        let mut scratch =
+            Shard { data: shard.data.clone(), sketch: shard.sketch.clone(), index: None };
+        let (bounds, stats) = build_index_shard(&mut lone_proc(), shard, nb);
+        let (scratch_bounds, scratch_stats) = build_index_shard(&mut lone_proc(), &mut scratch, nb);
+        assert_eq!(bounds, scratch_bounds, "the splitters come from the sketch alone");
+        assert_eq!(stats.len(), scratch_stats.len());
+        for (b, (&(count, mm), &(want_count, want_mm))) in
+            stats.iter().zip(&scratch_stats).enumerate()
+        {
+            assert_eq!(count, want_count, "bucket {b}");
+            match (mm, want_mm) {
+                (None, None) => {}
+                (Some((lo, hi)), Some((want_lo, want_hi))) => {
+                    assert!(lo <= want_lo && want_hi <= hi, "bucket {b}: {mm:?} vs {want_mm:?}");
+                    assert!(!exact || mm == want_mm, "bucket {b}: {mm:?} vs {want_mm:?}");
+                }
+                _ => panic!("bucket {b}: {mm:?} vs {want_mm:?}"),
+            }
+        }
+        let (mut ours, mut theirs) = (shard.data.clone(), scratch.data);
+        ours.sort_unstable();
+        theirs.sort_unstable();
+        assert_eq!(ours, theirs);
+    }
+
+    #[test]
+    fn a_rebuild_over_a_resident_index_reports_what_a_from_scratch_build_would() {
+        let mut proc = lone_proc();
+        let mut shard: Shard<u64> = init_shard(64);
+        ingest_shard(&mut proc, &mut shard, keys(0..6000));
+        let (sample_bounds, _) = build_index_shard(&mut proc, &mut shard, 16);
+
+        // Refinement growth: equality-class pairs around resolved answers,
+        // then the cap-trip rebuild over the unchanged sketch. Its splitters
+        // are resident bounds, so it moves nothing and is charged for the
+        // sample collective only.
+        let mut grown = sample_bounds.clone();
+        for &answer in &shard.data[..40] {
+            grown.extend([SepBound::lt(answer), SepBound::le(answer)]);
+        }
+        grown.sort_unstable();
+        grown.dedup();
+        let idx = shard.index.take();
+        let (idx, _) = recut_shard_index(&mut shard.data, idx, grown, &mut OpCount::new());
+        shard.index = Some(idx);
+        let (before, charged) = (shard.data.clone(), proc.ops_charged());
+        let (bounds, _) = build_index_shard(&mut proc, &mut shard, 16);
+        assert_eq!(bounds, sample_bounds);
+        assert_eq!(shard.data, before, "no element moves");
+        assert!(
+            proc.ops_charged() - charged < shard.data.len() as u64 / 4,
+            "charged {} for a rebuild that touched no element",
+            proc.ops_charged() - charged
+        );
+        assert_rebuild_matches_from_scratch(&mut shard, 16, true);
+
+        // A mutating stream: the sketch, and so the splitters, drift; a
+        // delete left min/max stale and a delta run is pending at the rebuild.
+        let mut victims: Vec<u64> = shard.data.iter().copied().step_by(3).collect();
+        victims.sort_unstable();
+        delete_shard(&mut proc, &mut shard, &victims);
+        ingest_shard(&mut proc, &mut shard, keys(9000..9800));
+        assert!(shard.index.as_ref().unwrap().delta_start() < shard.data.len());
+        assert_rebuild_matches_from_scratch(&mut shard, 16, false);
+        assert_eq!(shard.index.as_ref().unwrap().delta_start(), shard.data.len());
     }
 
     /// The churn shape of `perf`'s `ingest_churn`, scaled down 32 × on one

@@ -385,6 +385,11 @@ pub(crate) fn encode_snapshot<T: Key>(w: &mut Writer, shard: &Shard<T>) {
     w.eps_sketch(&shard.sketch);
 }
 
+/// Total over arbitrary bytes: besides the field codecs' own checks, an
+/// index is installed only once [`ShardIndex::from_snapshot`] has proved it
+/// describes `data` — a wrong length, a decreasing pair, an offset past the
+/// data or a bucket holding a foreign value is a typed error here, not a
+/// slice panic (or a silently wrong answer) batches later.
 pub(crate) fn decode_snapshot<T: Key>(r: &mut Reader<'_>) -> WireResult<Shard<T>> {
     let data = r.keys::<T>()?;
     let index = if r.bool()? {
@@ -393,8 +398,13 @@ pub(crate) fn decode_snapshot<T: Key>(r: &mut Reader<'_>) -> WireResult<Shard<T>
             .into_iter()
             .map(|(value, inclusive)| SepBound { value, inclusive })
             .collect();
-        let offsets = r.u64s()?.into_iter().map(|o| o as usize).collect();
-        Some(ShardIndex { bounds, offsets })
+        let offsets = r
+            .u64s()?
+            .into_iter()
+            .map(usize::try_from)
+            .collect::<Result<Vec<usize>, _>>()
+            .map_err(|_| WireMsgError::new("snapshot index offset overflows usize"))?;
+        Some(ShardIndex::from_snapshot(bounds, offsets, &data).map_err(WireMsgError::new)?)
     } else {
         None
     };
@@ -427,6 +437,13 @@ pub(crate) fn decode_import<T: Key>(body: &[u8]) -> WireResult<(u8, Shard<T>)> {
 /// merge-import of the empty snapshot (nothing to add; merging an empty
 /// ε-sketch is the identity, so the survivor's sketch — still a valid
 /// summary of its unchanged multiset — is kept as is).
+///
+/// The reset is load-bearing. A batch that died mid-collective may have
+/// left a survivor's candidate windows half permuted under bounds that were
+/// never refined, and the next index build *re-cuts the resident runs* it
+/// finds (`index::recut_shard_index`), trusting every bucket it does not
+/// cut. Dropping the index makes that build the degenerate case — one
+/// bucket spanning the data, partitioned from nothing.
 pub(crate) fn encode_index_reset<T: Key>() -> Vec<u8> {
     let mut w = Writer::new(REPLY_OK);
     encode_snapshot(
@@ -681,6 +698,93 @@ mod tests {
                 let deadline = Instant::now() + Duration::from_millis(50);
                 let err = collect_frame(&rx, deadline, current_seq, 7).unwrap_err();
                 prop_assert_eq!(err, BackendError::WorkerUnresponsive { rank: 7 });
+            }
+        }
+    }
+
+    /// A shard with a real index (equality-class pair, an empty bucket, a
+    /// delta run) and a fed sketch, as an IMPORT body.
+    fn valid_import_body() -> Vec<u8> {
+        let mut shard: Shard<u64> = ops::init_shard(8);
+        for x in [5u64, 1, 9, 7, 3, 3, 8, 2, 6, 4, 0, 11, 13, 12, 7, 7] {
+            shard.sketch.offer(x);
+            shard.data.push(x);
+        }
+        let bounds = vec![SepBound::lt(4u64), SepBound::lt(7), SepBound::le(7), SepBound::le(9)];
+        let (idx, _) = crate::index::recut_shard_index(
+            &mut shard.data[..13],
+            None,
+            bounds,
+            &mut cgselect_seqsel::OpCount::new(),
+        );
+        shard.index = Some(idx);
+        let mut w = Writer::new(REPLY_OK);
+        encode_snapshot(&mut w, &shard);
+        encode_import(IMPORT_REPLACE, &w.into_frame())
+    }
+
+    #[test]
+    fn snapshot_decoding_is_total_over_truncated_and_bit_flipped_bytes() {
+        let body = valid_import_body();
+        let (mode, shard) = decode_import::<u64>(&body).expect("the valid snapshot decodes");
+        assert_eq!(mode, IMPORT_REPLACE);
+        assert_eq!(shard.index.as_ref().expect("index rides the snapshot").num_buckets(), 5);
+        // Every strict prefix is refused (never a panic, never a shard).
+        for cut in 0..body.len() {
+            assert!(decode_import::<u64>(&body[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        }
+        // Every single-bit flip is refused, or decodes to a shard whose
+        // index still describes its data: what the re-cut relies on.
+        let mut survived = 0;
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let Ok((_, shard)) = decode_import::<u64>(&flipped) else { continue };
+            survived += 1;
+            if let Some(idx) = &shard.index {
+                let again =
+                    ShardIndex::from_snapshot(idx.bounds.clone(), idx.offsets.clone(), &shard.data);
+                assert_eq!(again.map(|i| i.minmax), Ok(idx.minmax.clone()), "bit {bit}");
+                assert!(idx.delta_start() <= shard.data.len());
+            }
+        }
+        assert!(survived > 0, "a flipped key inside its bucket's range must still decode");
+    }
+
+    #[test]
+    fn a_snapshot_index_that_does_not_describe_its_data_is_refused() {
+        // An index over data [1, 2, 5, 9], as it would arrive on the wire.
+        let decode = |bounds: [SepBound<u64>; 2], offsets: &[u64]| {
+            let mut w = Writer::new(REPLY_OK);
+            w.keys(&[1u64, 2, 5, 9]);
+            w.bool(true);
+            w.probes(&bounds.map(|b| (b.value, b.inclusive)));
+            w.u64s(offsets);
+            w.eps_sketch(&EpsSketch::<u64>::new(0));
+            let frame = w.into_frame();
+            let decoded = decode_snapshot::<u64>(&mut Reader::new(&frame));
+            decoded.map(|shard| shard.index.expect("an index was sent").minmax)
+        };
+        let le = SepBound::le;
+        assert_eq!(
+            decode([le(2), le(5)], &[0, 2, 3, 4]).expect("the index that describes the data"),
+            vec![Some((1, 2)), Some((5, 5)), Some((9, 9))]
+        );
+        for (bounds, offsets, why) in [
+            ([le(2), le(5)], &[0u64, 2, 3][..], "offsets for"),
+            ([le(2), le(5)], &[1, 2, 3, 4], "start at 0"),
+            ([le(2), le(5)], &[0, 3, 2, 4], "never decrease"),
+            ([le(2), le(5)], &[0, 2, 3, 5], "the shard holds 4"),
+            ([le(5), le(2)], &[0, 2, 3, 4], "strictly increasing"),
+            ([le(2), le(2)], &[0, 2, 2, 4], "strictly increasing"),
+            // In range, well formed — and wrong: 5 sits in the bucket `≤ 2`,
+            // or 2 in the bucket above it.
+            ([le(2), le(5)], &[0, 3, 3, 4], "outside its bounds"),
+            ([le(2), le(5)], &[0, 1, 3, 4], "outside its bounds"),
+        ] {
+            match decode(bounds, offsets) {
+                Err(e) => assert!(e.detail.contains(why), "{offsets:?}: {e}"),
+                Ok(_) => panic!("{bounds:?} / {offsets:?} decoded; expected a refusal: {why}"),
             }
         }
     }

@@ -725,8 +725,8 @@ fn run_worker() -> Result<i32, String> {
 mod tests {
     use super::super::ops::{self, Shard};
     use super::*;
-    use crate::index::ShardIndex;
-    use cgselect_seqsel::SepBound;
+    use crate::index::recut_shard_index;
+    use cgselect_seqsel::{OpCount, SepBound};
 
     #[test]
     fn init_frame_round_trips() {
@@ -787,13 +787,13 @@ mod tests {
             shard.sketch.offer(x);
             shard.data.push(x);
         }
-        shard.index = Some(ShardIndex {
-            bounds: vec![
-                SepBound { value: 4, inclusive: false },
-                SepBound { value: 9, inclusive: true },
-            ],
-            offsets: vec![0, 5, 11, 14],
-        });
+        // Bucket-order the first eleven under two splitters; the last three
+        // stay behind as the delta run.
+        let bounds =
+            vec![SepBound { value: 4, inclusive: false }, SepBound { value: 9, inclusive: true }];
+        let (idx, _) = recut_shard_index(&mut shard.data[..11], None, bounds, &mut OpCount::new());
+        assert_eq!(idx.offsets, vec![0, 5, 11, 11]);
+        shard.index = Some(idx);
         let mut w = Writer::new(REPLY_OK);
         protocol::encode_snapshot(&mut w, &shard);
         let frame = w.into_frame();
@@ -805,6 +805,7 @@ mod tests {
         let orig = shard.index.as_ref().unwrap();
         assert_eq!(idx.bounds, orig.bounds);
         assert_eq!(idx.offsets, orig.offsets);
+        assert_eq!(idx.minmax, orig.minmax, "recomputed on import, never on the wire");
         assert_eq!(restored.sketch, shard.sketch);
         assert_eq!(restored.sketch.to_bytes(), shard.sketch.to_bytes());
     }

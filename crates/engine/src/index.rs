@@ -7,8 +7,15 @@
 //! * **Shared splitters** — at (re)build time the shards agree, through one
 //!   collective over their ingest-maintained sample sketches, on a vector
 //!   of [`SepBound`] splitters (Nowicki-style regular sampling). Every
-//!   shard partitions its resident data into the *same* value-range buckets
-//!   ([`ShardIndex`]), so "bucket `b`" means one global value interval.
+//!   shard orders its resident data into the *same* value-range buckets
+//!   ([`ShardIndex`]), so "bucket `b`" means one global value interval. A
+//!   build **re-cuts the resident runs** ([`recut_shard_index`]): a new
+//!   splitter that is already a resident bound costs nothing, one that
+//!   falls inside a resident bucket partitions and re-scans that bucket's
+//!   run only, and every other bucket is carried over with the min/max the
+//!   shard already holds for it ([`ShardIndex::minmax`]). A shard without
+//!   an index is the degenerate input — one bucket spanning the data — so
+//!   only then is everything partitioned from nothing.
 //! * **A cached global histogram** — the engine host caches the per-bucket
 //!   global counts (plus per-bucket min/max) in a [`GlobalIndex`]. A rank
 //!   query then *localizes* without touching data: binary search over the
@@ -53,6 +60,16 @@ pub(crate) struct ShardIndex<T> {
     /// non-decreasing, `offsets[0] == 0`; bucket `b` is
     /// `data[offsets[b]..offsets[b + 1]]`.
     pub offsets: Vec<usize>,
+    /// Shard-local `(min, max)` per bucket, under the **containment rule**
+    /// the host mirror follows for [`GlobalIndex::apply_removals`]: every
+    /// element of bucket `b` lies inside `minmax[b]`, and both ends lie
+    /// inside the bucket's value range (its lower bound admits neither, its
+    /// upper bound admits both). Exact after a build's scan, a refinement
+    /// and a delta merge; a delete may leave it wider than what is left
+    /// (removal only shrinks a bucket's range); `None` exactly for an empty
+    /// bucket. This is what lets [`recut_shard_index`] carry a bucket it
+    /// does not cut into the next index without touching its elements.
+    pub minmax: Vec<Option<(T, T)>>,
 }
 
 impl<T: Key> ShardIndex<T> {
@@ -64,6 +81,72 @@ impl<T: Key> ShardIndex<T> {
     /// Where the unindexed delta run begins in the shard's data vector.
     pub fn delta_start(&self) -> usize {
         *self.offsets.last().expect("offsets never empty")
+    }
+
+    /// The index a snapshot carries, checked against the `data` it claims to
+    /// order — a snapshot is input from outside the process, and a re-cut
+    /// *relies* on the resident index. Structure first (`offsets` has
+    /// `bounds.len() + 2` entries, starts at 0, never decreases, ends inside
+    /// `data`; `bounds` strictly increase), then one scan that both
+    /// recomputes [`minmax`](Self::minmax) — which is why the wire format
+    /// carries none — and proves every bucket holds only values of its
+    /// range: its min is not admitted by the bound below, its max is
+    /// admitted by the bound above.
+    pub(crate) fn from_snapshot(
+        bounds: Vec<SepBound<T>>,
+        offsets: Vec<usize>,
+        data: &[T],
+    ) -> Result<Self, String> {
+        if offsets.len() != bounds.len() + 2 {
+            return Err(format!(
+                "snapshot index has {} offsets for {} bounds",
+                offsets.len(),
+                bounds.len()
+            ));
+        }
+        if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("snapshot index offsets must start at 0 and never decrease".into());
+        }
+        let indexed = offsets[offsets.len() - 1];
+        if indexed > data.len() {
+            return Err(format!(
+                "snapshot index covers {indexed} elements, the shard holds {}",
+                data.len()
+            ));
+        }
+        if bounds.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("snapshot index bounds must be strictly increasing".into());
+        }
+        let minmax: Vec<Option<(T, T)>> =
+            bucket_stats(data, &offsets).into_iter().map(|(_, mm)| mm).collect();
+        for (b, mm) in minmax.iter().enumerate() {
+            let Some((mn, mx)) = mm else { continue };
+            let below = b > 0 && bounds[b - 1].admits(mn);
+            let above = b < bounds.len() && !bounds[b].admits(mx);
+            if below || above {
+                return Err(format!("snapshot index bucket {b} holds values outside its bounds"));
+            }
+        }
+        Ok(ShardIndex { bounds, offsets, minmax })
+    }
+
+    /// Replaces buckets `lo..=hi` by the sub-buckets a refinement carved
+    /// out of them: `inserted` are the splitters now strictly inside the
+    /// range (the old internal ones among them), `local` the partition's
+    /// offsets relative to the range's start and `stats` its scanned
+    /// summary.
+    pub(crate) fn splice_refined(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        inserted: Vec<SepBound<T>>,
+        local: &[usize],
+        stats: &BucketStats<T>,
+    ) {
+        let base = self.offsets[lo];
+        self.bounds.splice(lo..hi, inserted);
+        self.offsets.splice(lo + 1..hi + 1, local[1..local.len() - 1].iter().map(|&o| base + o));
+        self.minmax.splice(lo..=hi, stats.iter().map(|&(_, mm)| mm));
     }
 }
 
@@ -326,15 +409,38 @@ impl<T: Key> GlobalIndex<T> {
     /// admitted by the probe `(v, inclusive)` (`x < v`, or `x ≤ v` when
     /// inclusive) — zero element scans, zero collectives.
     ///
-    /// Buckets are value-disjoint under the shared splitters, so at most
-    /// one bucket's contribution is ambiguous, and only when its tracked
-    /// `min`/`max` straddle the probe; refined equality-class buckets
-    /// (`min == max`) always resolve exactly. The pending delta
-    /// contributes **exactly** — the sorted mirror answers the probe with
-    /// one binary search — so the bracket is exact (`lo == hi`) precisely
-    /// when every indexed bucket resolves: "the splitters bound the
-    /// answer", delta or no delta.
+    /// Buckets are value-disjoint and ordered under the shared splitters,
+    /// so only the bucket the probe falls in — the one past every bound the
+    /// probe (read as a [`SepBound`]) is not below — can be ambiguous:
+    /// everything before it is admitted, nothing after it is, and one
+    /// `partition_point` plus its prefix sum replaces a walk over all
+    /// buckets. That bucket resolves too unless its tracked `min`/`max`
+    /// straddle the probe; refined equality-class buckets (`min == max`)
+    /// always resolve exactly. The pending delta contributes **exactly** —
+    /// the sorted mirror answers the probe with one binary search — so the
+    /// bracket is exact (`lo == hi`) precisely when that one bucket
+    /// resolves: "the splitters bound the answer", delta or no delta.
     pub fn count_bounds(&self, v: T, inclusive: bool) -> (u64, u64) {
+        let probe = SepBound { value: v, inclusive };
+        let b = self.bounds.partition_point(|bound| *bound <= probe);
+        let mut below = self.prefix[b];
+        let mut ambiguous = 0u64;
+        if let Some((mn, mx)) = self.minmax[b] {
+            if probe.admits(&mx) {
+                below += self.counts[b];
+            } else if probe.admits(&mn) {
+                ambiguous = self.counts[b];
+            }
+        }
+        let d_below = self.delta_vals.partition_point(|x| probe.admits(x)) as u64;
+        (below + d_below, below + ambiguous + d_below)
+    }
+
+    /// The bracket as a walk over every bucket's `(count, min/max)` — what
+    /// [`count_bounds`](Self::count_bounds) did before it used the buckets'
+    /// order; kept as its reference.
+    #[cfg(test)]
+    fn count_bounds_linear(&self, v: T, inclusive: bool) -> (u64, u64) {
         let mut below = 0u64;
         let mut ambiguous = 0u64;
         for (&count, &mm) in self.counts.iter().zip(&self.minmax) {
@@ -475,25 +581,88 @@ pub(crate) fn merge_stats<T: Key>(into: &mut BucketStats<T>, other: &BucketStats
     }
 }
 
-fn merge_minmax<T: Key>(a: Option<(T, T)>, b: Option<(T, T)>) -> Option<(T, T)> {
+pub(crate) fn merge_minmax<T: Key>(a: Option<(T, T)>, b: Option<(T, T)>) -> Option<(T, T)> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some((alo, ahi)), Some((blo, bhi))) => Some((alo.min(blo), ahi.max(bhi))),
     }
 }
 
-/// Shard-side (re)build: partitions the whole data vector (delta included)
-/// by the shared `bounds` and installs the index. Returns the per-bucket
-/// summary for the host cache. Measured costs land in `ops`; the caller
-/// charges them plus one pass for the summary scan.
-pub(crate) fn build_shard_index<T: Key>(
+/// Shard-side (re)build: brings `data` into bucket order under the shared
+/// `bounds` by **re-cutting the resident runs**, installs nothing itself and
+/// returns the new index plus the per-bucket summary for the host cache.
+///
+/// One forward cursor over `bounds` walks the resident buckets. A new
+/// splitter equal to a resident bound closes a bucket where one already
+/// closes: free. New splitters strictly inside a resident bucket are applied
+/// by [`partition_by_bounds`] to that bucket's run only, and only that run
+/// is re-scanned for its min/max. Every other bucket keeps its place and its
+/// [`ShardIndex::minmax`]; resident bounds the new vector drops simply stop
+/// separating their neighbours, whose counts add and whose ranges widen.
+/// `resident` must have no pending delta run (the caller folds it in
+/// first). `None` — first build, or the index was dropped by a rebalance, a
+/// merge-import or recovery — is the degenerate input of the same walk: no
+/// bounds, one bucket spanning `data` with no summary yet, so every
+/// splitter falls inside it and the whole shard is partitioned and scanned.
+///
+/// Measured costs land in `ops`: the partition's comparisons and moves,
+/// plus one comparison per element of every run the summary scan read.
+pub(crate) fn recut_shard_index<T: Key>(
     data: &mut [T],
+    resident: Option<ShardIndex<T>>,
     bounds: Vec<SepBound<T>>,
     ops: &mut OpCount,
 ) -> (ShardIndex<T>, BucketStats<T>) {
-    let offsets = partition_by_bounds(data, &bounds, ops);
-    let stats = bucket_stats(data, &offsets);
-    (ShardIndex { bounds, offsets }, stats)
+    let unscanned = resident.is_none();
+    let old = resident.unwrap_or_else(|| ShardIndex {
+        bounds: Vec::new(),
+        offsets: vec![0, data.len()],
+        minmax: vec![None],
+    });
+    debug_assert_eq!(old.delta_start(), data.len(), "fold the delta run in before a re-cut");
+    let mut stats: BucketStats<T> = Vec::with_capacity(bounds.len() + 1);
+    // The new bucket being assembled: resident pieces join it until a new
+    // splitter closes it.
+    let mut open: (u64, Option<(T, T)>) = (0, None);
+    let mut next = 0usize;
+    for b in 0..old.num_buckets() {
+        let (lo, hi) = (old.offsets[b], old.offsets[b + 1]);
+        let upper = old.bounds.get(b);
+        let first = next;
+        while next < bounds.len() && upper.is_none_or(|u| bounds[next] < *u) {
+            next += 1;
+        }
+        let inside = &bounds[first..next];
+        let pieces = if inside.is_empty() && !unscanned {
+            vec![((hi - lo) as u64, old.minmax[b])]
+        } else {
+            let run = &mut data[lo..hi];
+            let local = partition_by_bounds(run, inside, ops);
+            ops.cmps += run.len() as u64;
+            bucket_stats(run, &local)
+        };
+        // Each of `inside` closes the piece before it; the last piece stays
+        // open unless this bucket's own bound survives into the new vector.
+        let kept = next < bounds.len() && upper == Some(&bounds[next]);
+        next += usize::from(kept);
+        let last = pieces.len() - 1;
+        for (i, (count, mm)) in pieces.into_iter().enumerate() {
+            open = (open.0 + count, merge_minmax(open.1, mm));
+            if i < last || kept {
+                stats.push(std::mem::take(&mut open));
+            }
+        }
+    }
+    stats.push(open);
+    debug_assert_eq!(stats.len(), bounds.len() + 1, "every new splitter closes one bucket");
+    let offsets = std::iter::once(0)
+        .chain(stats.iter().scan(0usize, |end, &(count, _)| {
+            *end += count as usize;
+            Some(*end)
+        }))
+        .collect();
+    let minmax = stats.iter().map(|&(_, mm)| mm).collect();
+    (ShardIndex { bounds, offsets, minmax }, stats)
 }
 
 /// Picks up to `nb - 1` splitters from the pooled (sorted) sample values:
@@ -604,6 +773,7 @@ mod tests {
     fn count_bounds_are_exact_when_splitters_bound_the_probe() {
         // Buckets: 10×1 | 5 in [3,6] | 4×9.
         let mut g = idx(&[10, 5, 4], &[1, 0, 9]);
+        g.bounds = vec![SepBound::le(2u64), SepBound::le(8)];
         g.minmax[1] = Some((3, 6));
         // Probes resolved by constant buckets alone are exact.
         assert_eq!(g.count_bounds(1, false), (0, 0));
@@ -622,6 +792,53 @@ mod tests {
         assert_eq!(g.count_bounds(1, false), (1, 1));
         assert_eq!(g.count_bounds(9, false), (18, 18));
         assert_eq!(g.count_bounds(5, false), (12, 17)); // straddle remains
+    }
+
+    #[test]
+    fn count_bounds_agrees_with_the_linear_walk_on_random_indexes() {
+        // Random splitters (equality-class pairs included) over a small
+        // domain; every bucket gets a count and a min/max anywhere inside
+        // its value range — exact, stale-wide after a delete, or still set
+        // on a bucket a delete emptied — plus a pending delta mirror.
+        let mut rng = cgselect_seqsel::KernelRng::new(77);
+        const DOMAIN: u64 = 40;
+        for _ in 0..300 {
+            let specs: Vec<(u64, u8)> = (0..rng.next_u64() % 9)
+                .map(|_| (rng.next_u64() % (DOMAIN + 2), (rng.next_u64() % 3) as u8))
+                .collect();
+            let bounds = bounds_from(&specs);
+            let (mut counts, mut minmax) = (Vec::new(), Vec::new());
+            for b in 0..=bounds.len() {
+                let range: Vec<u64> = (0..DOMAIN)
+                    .filter(|x| b == 0 || !bounds[b - 1].admits(x))
+                    .filter(|x| b == bounds.len() || bounds[b].admits(x))
+                    .collect();
+                let mut pick = || range[(rng.next_u64() % range.len() as u64) as usize];
+                let ends = (!range.is_empty()).then(|| {
+                    let (a, z) = (pick(), pick());
+                    (a.min(z), a.max(z))
+                });
+                let count = if ends.is_some() { rng.next_u64() % 6 } else { 0 };
+                counts.push(count);
+                minmax.push(if count == 0 && rng.next_u64() & 1 == 0 { None } else { ends });
+            }
+            let mut g = idx(&counts, &vec![0; counts.len()]);
+            g.bounds = bounds;
+            g.minmax = minmax;
+            g.note_ingest((0..rng.next_u64() % 12).map(|_| rng.next_u64() % DOMAIN));
+            for v in 0..=DOMAIN {
+                for inclusive in [false, true] {
+                    assert_eq!(
+                        g.count_bounds(v, inclusive),
+                        g.count_bounds_linear(v, inclusive),
+                        "probe ({v}, {inclusive}) over {:?} / {:?} / {:?}",
+                        g.bounds,
+                        g.counts,
+                        g.minmax
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -756,6 +973,284 @@ mod tests {
                 SepBound::le(30)
             ]
         );
+    }
+
+    // --- the re-cut against a from-scratch partition of the same data ---
+
+    use crate::backend::ops::{delete_shard, ingest_shard, init_shard, merge_delta_shard, Shard};
+    use cgselect_runtime::{Machine, Proc};
+
+    fn lone_proc() -> Proc {
+        Machine::new(1).procs().remove(0)
+    }
+
+    /// `n` keys drawn from `0..modulus` (duplicates as `modulus` shrinks;
+    /// all equal at 1).
+    fn keys(seed: u64, n: usize, modulus: u64) -> Vec<u64> {
+        let mut rng = cgselect_seqsel::KernelRng::new(seed);
+        (0..n).map(|_| rng.next_u64() % modulus).collect()
+    }
+
+    /// A strictly increasing bound vector from `(value, kind)` specs: kind 0
+    /// is `(v,<)`, 1 is `(v,≤)`, 2 the equality-class pair.
+    fn bounds_from(specs: &[(u64, u8)]) -> Vec<SepBound<u64>> {
+        let mut v = Vec::new();
+        for &(value, kind) in specs {
+            if kind != 1 {
+                v.push(SepBound::lt(value));
+            }
+            if kind != 0 {
+                v.push(SepBound::le(value));
+            }
+        }
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// What a from-scratch build over a copy of `data` lands on: offsets,
+    /// each bucket's sorted multiset, and the scanned summary.
+    fn from_scratch(
+        data: &[u64],
+        bounds: &[SepBound<u64>],
+    ) -> (Vec<usize>, Vec<Vec<u64>>, BucketStats<u64>) {
+        let mut copy = data.to_vec();
+        let offsets = partition_by_bounds(&mut copy, bounds, &mut OpCount::new());
+        let stats = bucket_stats(&copy, &offsets);
+        let buckets = offsets
+            .windows(2)
+            .map(|w| {
+                let mut b = copy[w[0]..w[1]].to_vec();
+                b.sort_unstable();
+                b
+            })
+            .collect();
+        (offsets, buckets, stats)
+    }
+
+    /// Asserts the re-cut `(idx, stats)` over `data` equals the from-scratch
+    /// build over `before` in offsets, per-bucket multisets (so the element
+    /// multiset is preserved) and counts, that every
+    /// reported min/max *contains* the scanned one (`exact`: equals it) and
+    /// is `None` exactly for an empty bucket, and that the index passes the
+    /// snapshot decoder's validation.
+    fn assert_matches_from_scratch(
+        before: &[u64],
+        data: &[u64],
+        idx: &ShardIndex<u64>,
+        stats: &BucketStats<u64>,
+        exact: bool,
+    ) {
+        let (offsets, buckets, scanned) = from_scratch(before, &idx.bounds);
+        assert_eq!(idx.offsets, offsets);
+        for (b, want) in buckets.iter().enumerate() {
+            let mut got = data[idx.offsets[b]..idx.offsets[b + 1]].to_vec();
+            got.sort_unstable();
+            assert_eq!(&got, want, "bucket {b} holds a different multiset");
+        }
+        assert_eq!(stats.len(), scanned.len());
+        for (b, (&(count, mm), &(want_count, want_mm))) in stats.iter().zip(&scanned).enumerate() {
+            assert_eq!(count, want_count, "bucket {b} count");
+            assert_eq!(mm, idx.minmax[b], "the reply and the resident min/max are one thing");
+            match (mm, want_mm) {
+                (None, None) => {}
+                (Some((lo, hi)), Some((want_lo, want_hi))) => {
+                    assert!(lo <= want_lo && want_hi <= hi, "bucket {b}: {mm:?} vs {want_mm:?}");
+                    assert!(!exact || mm == want_mm, "bucket {b}: {mm:?} is not the scanned one");
+                    assert!(b == 0 || !idx.bounds[b - 1].admits(&lo), "bucket {b} min escapes");
+                    assert!(b == idx.bounds.len() || idx.bounds[b].admits(&hi), "bucket {b} max");
+                }
+                _ => panic!("bucket {b}: min/max must be None exactly when empty: {mm:?}"),
+            }
+        }
+        let checked = ShardIndex::from_snapshot(idx.bounds.clone(), idx.offsets.clone(), data);
+        assert!(checked.is_ok(), "{:?}", checked.err());
+    }
+
+    #[test]
+    fn an_indexless_shard_is_the_degenerate_recut_and_does_the_whole_shard_partition() {
+        let data = keys(3, 2000, 500);
+        let bounds = bounds_from(&[(40, 1), (120, 2), (333, 0), (499, 1), (900, 1)]);
+        let mut recut = data.clone();
+        let mut ops = OpCount::new();
+        let (idx, stats) = recut_shard_index(&mut recut, None, bounds.clone(), &mut ops);
+        // Exactly the old whole-shard build: same permutation, same measured
+        // partition work, plus the one summary pass it used to be charged.
+        let mut reference = data.clone();
+        let mut ref_ops = OpCount::new();
+        let ref_offsets = partition_by_bounds(&mut reference, &bounds, &mut ref_ops);
+        assert_eq!(recut, reference);
+        assert_eq!(idx.offsets, ref_offsets);
+        assert_eq!(ops.total(), ref_ops.total() + data.len() as u64);
+        assert_matches_from_scratch(&data, &recut, &idx, &stats, true);
+    }
+
+    #[test]
+    fn a_degenerate_recut_with_few_or_no_splitters_still_scans_its_min_max() {
+        // AllEqual yields no splitter, FewDistinct may yield one: the single
+        // spanning bucket has no summary to carry, so it is scanned.
+        for (modulus, bounds) in [(1u64, vec![]), (2, vec![SepBound::le(0u64)]), (50, vec![])] {
+            let data = keys(11, 300, modulus);
+            let mut recut = data.clone();
+            let mut ops = OpCount::new();
+            let (idx, stats) = recut_shard_index(&mut recut, None, bounds, &mut ops);
+            assert!(ops.total() >= data.len() as u64, "the scan is charged");
+            assert_matches_from_scratch(&data, &recut, &idx, &stats, true);
+            let (lo, hi) = (*data.iter().min().unwrap(), *data.iter().max().unwrap());
+            let all = stats.iter().fold(None, |acc, &(_, mm)| merge_minmax(acc, mm));
+            assert_eq!(all, Some((lo, hi)));
+        }
+        // Nothing resident at all: one empty bucket, nothing to scan.
+        let (idx, stats) =
+            recut_shard_index(&mut [], None, Vec::<SepBound<u64>>::new(), &mut OpCount::new());
+        assert_eq!((idx.offsets, stats), (vec![0, 0], vec![(0, None)]));
+    }
+
+    #[test]
+    fn resident_bounds_cost_nothing_and_move_nothing() {
+        // The refinement-growth rebuild: the re-derived sample splitters are
+        // resident bounds the refinement pairs grew around.
+        let data = keys(5, 3000, 10_000);
+        let sample = bounds_from(&[(2500, 1), (5000, 1), (7500, 1)]);
+        let grown =
+            bounds_from(&[(1200, 2), (2500, 1), (5000, 1), (6100, 2), (7500, 1), (9000, 2)]);
+        let mut resident = data.clone();
+        let (idx, _) = recut_shard_index(&mut resident, None, grown, &mut OpCount::new());
+        let before = resident.clone();
+        let mut ops = OpCount::new();
+        let (idx, stats) = recut_shard_index(&mut resident, Some(idx), sample.clone(), &mut ops);
+        assert_eq!(ops.total(), 0);
+        assert_eq!(resident, before, "no element moves");
+        assert_eq!(idx.bounds, sample);
+        assert_matches_from_scratch(&before, &resident, &idx, &stats, true);
+    }
+
+    #[test]
+    fn only_the_cut_buckets_are_partitioned_and_scanned() {
+        let data = keys(9, 4000, 8000);
+        let resident_bounds = bounds_from(&[(1000, 1), (2000, 1), (3000, 1), (6000, 1)]);
+        let mut resident = data.clone();
+        let (idx, _) = recut_shard_index(&mut resident, None, resident_bounds, &mut OpCount::new());
+        let (cut_lo, cut_hi) = (idx.offsets[2], idx.offsets[3]);
+        let before = resident.clone();
+        // 2500 falls inside bucket 2 = (2000, 3000]; 1000 and 6000 are kept;
+        // 2000 and 3000 are dropped, so buckets 1 and 2's halves re-merge.
+        let new_bounds = bounds_from(&[(1000, 1), (2500, 1), (6000, 1)]);
+        let mut ops = OpCount::new();
+        let (idx, stats) = recut_shard_index(&mut resident, Some(idx), new_bounds, &mut ops);
+        assert_eq!(resident[..cut_lo], before[..cut_lo]);
+        assert_eq!(resident[cut_hi..], before[cut_hi..]);
+        assert!(ops.cmps >= 2 * (cut_hi - cut_lo) as u64, "one partition pass and one scan");
+        assert!(ops.total() < data.len() as u64 / 2, "{ops:?}: nothing outside the cut bucket");
+        assert_matches_from_scratch(&before, &resident, &idx, &stats, true);
+    }
+
+    #[test]
+    fn a_delete_leaves_min_max_wide_and_empties_to_none_through_a_recut() {
+        // Buckets ≤10 | (10,20) | [20,20] | >20; the delete takes the whole
+        // equality class {20} and bucket 0's extremes.
+        let mut shard: Shard<u64> = init_shard(16);
+        ingest_shard(&mut lone_proc(), &mut shard, vec![3, 7, 10, 1, 15, 12, 20, 20, 20, 44, 31]);
+        let bounds = bounds_from(&[(10, 1), (20, 2)]);
+        let (idx, _) =
+            recut_shard_index(&mut shard.data, None, bounds.clone(), &mut OpCount::new());
+        shard.index = Some(idx);
+        delete_shard(&mut lone_proc(), &mut shard, &[1, 10, 20]);
+        let idx = shard.index.take().unwrap();
+        assert_eq!(idx.minmax, vec![Some((1, 10)), Some((12, 15)), None, Some((31, 44))]);
+        // Same bounds: nothing is cut, the stale-wide summary is carried and
+        // contains what a scan would find; the emptied bucket stays `None`.
+        let before = shard.data.clone();
+        let mut ops = OpCount::new();
+        let (idx, stats) = recut_shard_index(&mut shard.data, Some(idx), bounds, &mut ops);
+        assert_eq!(ops.total(), 0);
+        assert_eq!(stats[0], (2, Some((1, 10))));
+        assert_eq!(stats[2], (0, None));
+        assert_matches_from_scratch(&before, &shard.data, &idx, &stats, false);
+        // Cutting the stale bucket re-scans it: exact again.
+        let cut = bounds_from(&[(5, 1), (10, 1), (20, 2)]);
+        let (idx, stats) = recut_shard_index(&mut shard.data, Some(idx), cut, &mut ops);
+        assert_eq!(stats[..2], [(1, Some((3, 3))), (1, Some((7, 7)))]);
+        assert_matches_from_scratch(&before, &shard.data, &idx, &stats, false);
+    }
+
+    mod recut_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// Random data (duplicates, empty buckets, all-equal), random
+            /// resident bounds with equality-class pairs, new bounds that
+            /// are a subset of / disjoint from / interleaved with them —
+            /// with and without a pending delta run, before and after a
+            /// delete that empties buckets: the re-cut is the from-scratch
+            /// partition in offsets, per-bucket multisets and counts, its
+            /// min/max contain the scanned ones, and subset bounds are free.
+            #[test]
+            fn recut_equals_a_from_scratch_partition(
+                seed in 0u64..1_000_000,
+                n in 0usize..400,
+                modulus in prop::sample::select(vec![1u64, 3, 17, 1000]),
+                resident_specs in prop::collection::vec((0u64..1002, 0u8..3), 0..10),
+                fresh_specs in prop::collection::vec((0u64..1002, 0u8..3), 0..10),
+                mode in 0u8..3,
+                delta_len in prop::sample::select(vec![0usize, 0, 7, 60]),
+                victims in prop::collection::vec(0u64..20, 0..4),
+            ) {
+                let mut proc = lone_proc();
+                let mut shard: Shard<u64> = init_shard(16);
+                ingest_shard(&mut proc, &mut shard, keys(seed, n, modulus));
+                let resident_bounds = bounds_from(&resident_specs);
+                let original = shard.data.clone();
+                let (idx, stats) =
+                    recut_shard_index(&mut shard.data, None, resident_bounds.clone(), &mut OpCount::new());
+                assert_matches_from_scratch(&original, &shard.data, &idx, &stats, true);
+                shard.index = Some(idx);
+
+                // A delete through the index (small values: whole classes go
+                // when the modulus is small), then a pending delta run.
+                let mut victims = victims;
+                victims.sort_unstable();
+                victims.dedup();
+                let deleted = delete_shard(&mut proc, &mut shard, &victims).removed;
+                let exact = deleted.iter().all(|&gone| gone == 0);
+                ingest_shard(&mut proc, &mut shard, keys(seed ^ 0xD1B5, delta_len, modulus));
+
+                // Subset of / disjoint from / interleaved with the resident.
+                let kept: Vec<SepBound<u64>> = resident_bounds
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, &b)| ((seed >> (i % 60)) & 1 == 0).then_some(b))
+                    .collect();
+                let mut fresh = bounds_from(&fresh_specs);
+                fresh.retain(|b| !resident_bounds.contains(b));
+                let new_bounds = match mode {
+                    0 => kept,
+                    1 => fresh,
+                    _ => {
+                        let mut both = [kept, fresh].concat();
+                        both.sort_unstable();
+                        both
+                    }
+                };
+
+                // What `build_index_shard` does once the splitters are agreed.
+                if delta_len > 0 {
+                    merge_delta_shard(&mut proc, &mut shard);
+                }
+                let before = shard.data.clone();
+                let mut ops = OpCount::new();
+                let (idx, stats) =
+                    recut_shard_index(&mut shard.data, shard.index.take(), new_bounds, &mut ops);
+                assert_matches_from_scratch(&before, &shard.data, &idx, &stats, exact);
+                if mode == 0 {
+                    prop_assert_eq!(ops.total(), 0, "resident bounds are free");
+                    prop_assert_eq!(&shard.data, &before, "and move nothing");
+                }
+            }
+        }
     }
 
     #[test]

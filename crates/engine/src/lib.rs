@@ -44,7 +44,11 @@
 //!   (and a batch fully resolved this way never consults the backend at
 //!   all). Ingest appends to a
 //!   small unindexed *delta run* that is merged amortized; rebalance
-//!   rebuilds the splitters. See [`EngineConfig::index_buckets`],
+//!   rebuilds the splitters, and so does refinement once it has grown the
+//!   bucket count past a cap — but that rebuild only *re-cuts* the
+//!   resident bucket runs: splitters that are already bounds cost nothing,
+//!   and only a shard that holds no index partitions its data from
+//!   nothing. See [`EngineConfig::index_buckets`],
 //!   [`EngineConfig::delta_threshold`] and [`Engine::index_health`].
 //! * **Incremental ingest/delete** with an **imbalance watermark**: shard
 //!   sizes are tracked, and when `max/mean` exceeds
@@ -395,7 +399,12 @@ pub struct IndexHealth {
     /// `delta_len / resident population` (0.0 when empty).
     pub delta_occupancy: f64,
     /// Index (re)builds so far — the initial build counts as one; further
-    /// rebuilds come from rebalances and refinement growing past the cap.
+    /// rebuilds come from rebalances, membership moves and refinement
+    /// growing past the cap. Only a build over shards that hold no index
+    /// (the first, or after a rebalance / retire / recovery dropped it)
+    /// partitions the resident data; the others re-cut the shards'
+    /// resident bucket runs and cost what the new splitters cut — nothing
+    /// but the sample collective when refinement growth is the cause.
     pub rebuilds: u64,
     /// Amortized delta-run merges so far.
     pub delta_merges: u64,
@@ -987,15 +996,26 @@ impl<T: Key> Engine<T> {
 
     /// (Re)builds the resident bucket index when it is missing or stale:
     /// the shards pool their sample sketches through one collective, derive
-    /// the identical splitter vector, partition their data (delta run
-    /// included) and report per-bucket summaries, which the host caches as
-    /// the global histogram.
+    /// the identical splitter vector, bring their data into bucket order
+    /// under it and report per-bucket summaries, which the host caches as
+    /// the global histogram. A shard that still holds its index — the
+    /// refinement-growth rebuild, a join — re-cuts its resident runs, so the
+    /// rebuild costs the buckets the new splitters cut (none, while the
+    /// sketch they come from has not changed) plus the one sample
+    /// collective; only a shard without an index partitions everything.
+    /// Observing engines count it (`index_rebuilds_total`) and time the
+    /// backend call (`index_rebuild_wall`).
     fn ensure_index(&mut self) -> Result<(), EngineError> {
         if self.index.is_some() && !self.index_dirty {
             return Ok(());
         }
         debug_assert!(self.total > 0, "index builds only over resident data");
+        let started = self.metrics.is_some().then(std::time::Instant::now);
         let (bounds, stats) = self.backend.build_index(self.cfg.index_buckets)?;
+        if let (Some(m), Some(started)) = (&self.metrics, started) {
+            m.counter_add("index_rebuilds_total", 1);
+            m.latency_observe("index_rebuild_wall", started.elapsed().as_nanos() as u64);
+        }
         self.index = Some(GlobalIndex::from_shard_stats(bounds, &stats));
         self.index_dirty = false;
         self.index_rebuilds += 1;

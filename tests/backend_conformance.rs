@@ -90,6 +90,20 @@ struct Step {
     health: IndexHealth,
 }
 
+impl Step {
+    /// What `engine` shows right after the batch that produced `report`.
+    fn record(label: String, report: &RunReport<u64>, engine: &Engine<u64>) -> Step {
+        Step {
+            label,
+            answers: responses(report),
+            collective_ops: report.collective_ops,
+            histogram_answers: report.histogram_answers,
+            len: engine.len(),
+            health: engine.index_health(),
+        }
+    }
+}
+
 /// Drives one engine through the full mutation lifecycle for one
 /// distribution, oracle-checking every step, and records what the backend
 /// did. The op sequence is identical for every backend by construction.
@@ -112,14 +126,7 @@ fn run_lifecycle(backend: BackendChoice, dist: Distribution) -> Vec<Step> {
             "{} diverged from the oracle at step {label} ({dist:?})",
             engine.backend_kind(),
         );
-        steps.push(Step {
-            label,
-            answers: responses(&report),
-            collective_ops: report.collective_ops,
-            histogram_answers: report.histogram_answers,
-            len: engine.len(),
-            health: engine.index_health(),
-        });
+        steps.push(Step::record(label, &report, engine));
     };
 
     // Phase 1: bulk ingest of two thirds; the first batch builds the index.
@@ -950,6 +957,250 @@ fn join_and_retire_keep_serving_exact_answers(backend: BackendChoice) {
         "retiring the last shard must be a typed refusal, got {err:?}"
     );
     check(&mut engine, &all, "still serving after the refusal");
+}
+
+// ---------------------------------------------------------------------------
+// Refinement-growth rebuilds. Fresh exact ranks insert splitter pairs until
+// the bucket count passes the cap and the next batch rebuilds the index; a
+// shard that still holds its index *re-cuts its resident runs* instead of
+// partitioning from nothing, so the rebuild is part of the conformance
+// surface: same answers, same rounds, same `IndexHealth` at the same batches
+// on every backend — with a delta pending, after deletes left min/max stale
+// and buckets empty, over an index that arrived by migration, next to a
+// joiner that has none, and after a retire or a recovery dropped it.
+// ---------------------------------------------------------------------------
+
+/// A bucket target small enough (cap = 20 buckets) that eight fresh ranks
+/// per batch cross the cap every other batch.
+const CAP_TRIP_BUCKETS: usize = 4;
+
+/// Eight exact ranks nobody asked for before (an odd multiplier permutes
+/// `u64`), so every batch reaches the shards and refines the splitters.
+fn fresh_ranks(batch: u64, n: u64) -> Vec<Request<u64>> {
+    (0..8)
+        .map(|j| Request::rank((batch * 8 + j + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n))
+        .collect()
+}
+
+/// What the cap-trip lifecycle saw besides its steps: rebuilds by cause.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct RebuildCensus {
+    /// Rebuilds after the initial build.
+    total: u64,
+    /// … with a delta run pending on the shards.
+    with_delta: u64,
+    /// … after a delete went through the index.
+    after_delete: u64,
+    /// … right after a shard migrated (message passing only).
+    after_migration: u64,
+}
+
+/// Fresh-rank batches over a fixed mutation schedule — small ingests that
+/// stay under the merge threshold before batches 3–5, deletes of every fifth
+/// resident value plus every earlier answer (emptying their equality-class
+/// buckets) before batches 7 and 10 — and, on membership-capable backends, a
+/// shard migration before batches 12–14. Every answer is oracle-checked.
+/// `buckets = 0` is the index-free reference: same ops, same answers.
+fn run_cap_trip_lifecycle(
+    backend: BackendChoice,
+    dist: Distribution,
+    buckets: usize,
+) -> (Vec<Step>, RebuildCensus) {
+    let p = 3;
+    let mut all: Vec<u64> = cgselect::generate(dist, 3000, p, 61).into_iter().flatten().collect();
+    let mut engine: Engine<u64> = Engine::new(cfg(p, backend).index_buckets(buckets)).unwrap();
+    engine.ingest(all.clone()).unwrap();
+    let mut steps = Vec::new();
+    let mut census = RebuildCensus::default();
+    let mut answered: Vec<u64> = Vec::new();
+    let mut deleted = false;
+    for batch in 0..16u64 {
+        if (3..=5).contains(&batch) {
+            let burst: Vec<u64> =
+                (0..20).map(|i| (batch * 20 + i).wrapping_mul(2654435761)).collect();
+            all.extend(&burst);
+            engine.ingest(burst).unwrap();
+        }
+        if (batch == 7 || batch == 10) && all.iter().any(|&x| x != all[0]) {
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            let mut victims: Vec<u64> = sorted.iter().copied().step_by(5).collect();
+            victims.append(&mut answered);
+            victims.sort_unstable();
+            engine.delete(&victims).unwrap();
+            all.retain(|x| victims.binary_search(x).is_err());
+            deleted = true;
+        }
+        let migrated = (12..=14).contains(&batch) && engine.supports_membership();
+        if migrated {
+            engine.migrate_shard(batch as usize % p).unwrap();
+        }
+
+        let mut sorted = all.clone();
+        sorted.sort_unstable();
+        let queries = fresh_ranks(batch, sorted.len() as u64);
+        let before = engine.index_health();
+        let report = engine.run(&queries).unwrap();
+        let step = Step::record(format!("fresh {batch}"), &report, &engine);
+        assert_eq!(
+            step.answers,
+            oracle_answers(&sorted, &queries),
+            "{} diverged from the oracle at fresh batch {batch} ({dist:?}, {buckets} buckets)",
+            engine.backend_kind(),
+        );
+        answered.extend(step.answers.iter().filter_map(|r| r.element()));
+        if batch > 0 && step.health.rebuilds > before.rebuilds {
+            census.total += 1;
+            census.with_delta += u64::from(before.delta_len > 0);
+            census.after_delete += u64::from(deleted);
+            census.after_migration += u64::from(migrated);
+        }
+        steps.push(step);
+    }
+    (steps, census)
+}
+
+/// The distributions whose values are (nearly) all distinct: fresh ranks keep
+/// finding new splitters, so the cap keeps tripping. On the few-valued ones
+/// the equality classes are soon all carved and the histogram answers alone.
+const CAP_TRIPPING: [Distribution; 4] =
+    [Distribution::Random, Distribution::Sorted, Distribution::Gaussian, Distribution::OrganPipe];
+
+fn assert_cap_trips_covered(dist: Distribution, census: RebuildCensus, membership: bool) {
+    if !CAP_TRIPPING.contains(&dist) {
+        return;
+    }
+    assert!(census.total >= 3, "{dist:?}: the stream must cross the cap repeatedly: {census:?}");
+    assert!(census.with_delta >= 1, "{dist:?}: a rebuild must find a delta pending: {census:?}");
+    assert!(census.after_delete >= 1, "{dist:?}: a rebuild must follow the deletes: {census:?}");
+    assert!(
+        !membership || census.after_migration >= 1,
+        "{dist:?}: a rebuild must re-cut a migrated index: {census:?}"
+    );
+}
+
+#[test]
+fn cap_trip_rebuilds_agree_across_in_process_backends_and_the_index_free_reference() {
+    for dist in ALL_DISTRIBUTIONS {
+        let (local, local_census) =
+            run_cap_trip_lifecycle(BackendChoice::LocalSpmd, dist, CAP_TRIP_BUCKETS);
+        let (mp, mp_census) = run_cap_trip_lifecycle(channel_mp(), dist, CAP_TRIP_BUCKETS);
+        assert_cap_trips_covered(dist, local_census, false);
+        assert_cap_trips_covered(dist, mp_census, true);
+        // The migrations are invisible: steps agree bit for bit, rebuilds
+        // advance at the same batches.
+        assert_eq!(local, mp, "{dist:?}: backends diverged across cap-trip rebuilds");
+        let (reference, _) = run_cap_trip_lifecycle(BackendChoice::LocalSpmd, dist, 0);
+        for (step, free) in local.iter().zip(&reference) {
+            assert_eq!(
+                step.answers, free.answers,
+                "{dist:?} {}: index changed an answer",
+                step.label
+            );
+        }
+    }
+}
+
+#[test]
+fn socket_mp_cap_trip_rebuilds_match_in_process_through_migration() {
+    for dist in [Distribution::Random, Distribution::Zipf, Distribution::OrganPipe] {
+        let (local, _) = run_cap_trip_lifecycle(BackendChoice::LocalSpmd, dist, CAP_TRIP_BUCKETS);
+        let (sock, census) = run_cap_trip_lifecycle(socket_mp(), dist, CAP_TRIP_BUCKETS);
+        assert_cap_trips_covered(dist, census, true);
+        assert_eq!(local, sock, "{dist:?}: the process boundary showed across cap-trip rebuilds");
+    }
+}
+
+/// Rebuilds forced by membership moves: after a join the old shards re-cut
+/// their runs (folding the delta the grown ring's first ingest left) while
+/// the joiner builds from nothing; after a retire the survivor that absorbed
+/// the leaver has no index and the others re-cut theirs.
+fn run_membership_rebuilds(backend: BackendChoice) -> Vec<Step> {
+    let mut all: Vec<u64> =
+        cgselect::generate(Distribution::Random, 3000, 3, 67).into_iter().flatten().collect();
+    let mut engine: Engine<u64> =
+        Engine::new(cfg(3, backend).index_buckets(CAP_TRIP_BUCKETS)).unwrap();
+    engine.ingest(all.clone()).unwrap();
+    let mut steps = Vec::new();
+    let mut batch = 0u64;
+    let mut check = |engine: &mut Engine<u64>, all: &[u64], label: &str| {
+        let mut sorted = all.to_vec();
+        sorted.sort_unstable();
+        let queries = fresh_ranks(batch, sorted.len() as u64);
+        batch += 1;
+        let report = engine.run(&queries).unwrap();
+        assert_eq!(responses(&report), oracle_answers(&sorted, &queries), "{label}");
+        steps.push(Step::record(label.to_string(), &report, engine));
+    };
+    check(&mut engine, &all, "build");
+    check(&mut engine, &all, "refined");
+
+    assert_eq!(engine.join_worker().unwrap(), 4);
+    let burst: Vec<u64> = (0..400u64).map(|i| i.wrapping_mul(69621) % 99_991).collect();
+    all.extend(&burst);
+    engine.ingest(burst).unwrap();
+    let rebuilds = engine.index_health().rebuilds;
+    check(&mut engine, &all, "rebuild after join");
+    assert_eq!(engine.index_health().rebuilds, rebuilds + 1);
+    check(&mut engine, &all, "refined on four shards");
+
+    assert_eq!(engine.retire_worker(0).unwrap(), 3);
+    check(&mut engine, &all, "rebuild after retire");
+    assert_eq!(engine.index_health().rebuilds, rebuilds + 2);
+    let victims: Vec<u64> = all.iter().copied().step_by(7).collect();
+    engine.delete(&victims).unwrap();
+    all.retain(|x| !victims.contains(x));
+    for label in ["after delete", "across the next cap trip", "and the one after"] {
+        check(&mut engine, &all, label);
+    }
+    assert!(engine.index_health().rebuilds > rebuilds + 2, "{:?}", engine.index_health());
+    steps
+}
+
+#[test]
+fn membership_moves_force_rebuilds_that_agree_across_transports() {
+    let channel = run_membership_rebuilds(channel_mp());
+    let socket = run_membership_rebuilds(socket_mp());
+    assert_eq!(channel, socket, "transports diverged across membership-forced rebuilds");
+}
+
+#[test]
+fn channel_mp_recovery_resets_the_index_so_the_rebuild_starts_from_nothing() {
+    // Rank 1 dies inside its fifth execute, after the peers have entered the
+    // batch: their windows may be half permuted under an index that was never
+    // refined. Recovery resets every survivor's index, so the next build
+    // partitions from nothing instead of re-cutting runs it cannot trust.
+    let backend = faulty(&[Fault::PanicOnExecute { rank: 1, nth: 4 }]);
+    let mut engine: Engine<u64> =
+        Engine::new(cfg(3, backend).index_buckets(CAP_TRIP_BUCKETS)).unwrap();
+    let all: Vec<u64> =
+        cgselect::generate(Distribution::Random, 3000, 3, 71).into_iter().flatten().collect();
+    engine.ingest(all.clone()).unwrap();
+    let mut sorted = all;
+    sorted.sort_unstable();
+    let n = sorted.len() as u64;
+    for batch in 0..4 {
+        let queries = fresh_ranks(batch, n);
+        assert_eq!(responses(&engine.run(&queries).unwrap()), oracle_answers(&sorted, &queries));
+    }
+    let err = engine.run(&fresh_ranks(4, n)).unwrap_err();
+    assert!(
+        matches!(err, EngineError::Backend(BackendError::WorkerPanicked { rank: 1, .. })),
+        "{err:?}"
+    );
+    let rebuilds = engine.index_health().rebuilds;
+    let report = engine.recover().unwrap();
+    assert!(report.replaced.is_empty(), "a panicked worker thread keeps its shard");
+    assert_eq!(engine.len(), n, "recovery must not lose an element");
+    for batch in 4..10 {
+        let queries = fresh_ranks(batch, n);
+        assert_eq!(
+            responses(&engine.run(&queries).unwrap()),
+            oracle_answers(&sorted, &queries),
+            "fresh batch {batch} after recovery"
+        );
+    }
+    assert!(engine.index_health().rebuilds >= rebuilds + 3, "{:?}", engine.index_health());
 }
 
 // ---------------------------------------------------------------------------

@@ -212,6 +212,45 @@ fn delete_counters_light_up_the_mutation_path_on_both_backends() {
 }
 
 #[test]
+fn index_rebuilds_are_counted_and_timed_on_both_backends() {
+    for backend in backends() {
+        // A small bucket target: fresh ranks refine past the cap every few
+        // batches, so the stream crosses several rebuilds.
+        let mut engine: Engine<u64> =
+            Engine::new(cfg(2, backend.clone()).index_buckets(4)).unwrap();
+        let mut plain: Engine<u64> =
+            Engine::new(cfg(2, backend).index_buckets(4).observe(false)).unwrap();
+        engine.ingest(data(4000)).unwrap();
+        plain.ingest(data(4000)).unwrap();
+        let rebuilds = |engine: &Engine<u64>| {
+            let snap = engine.metrics().expect("observing engine").snapshot();
+            let counted =
+                snap.counters.iter().find(|(n, _)| *n == "index_rebuilds_total").map(|&(_, v)| v);
+            let timed = snap.latencies.iter().find(|l| l.name == "index_rebuild_wall");
+            (counted, timed.map(|l| l.count))
+        };
+        assert_eq!(rebuilds(&engine), (None, None), "nothing is recorded before the first build");
+        for batch in 0..12u64 {
+            let fresh: Vec<Request<u64>> =
+                (0..6).map(|i| Request::rank(37 + batch * 331 + i * 53)).collect();
+            let observed = engine.run(&fresh).unwrap();
+            let unobserved = plain.run(&fresh).unwrap();
+            // Off: nothing recorded, and nothing about the batch changes.
+            let answers = |r: &cgselect::RunReport<u64>| {
+                r.outcomes.iter().map(|o| o.response.clone()).collect::<Vec<_>>()
+            };
+            assert_eq!(answers(&observed), answers(&unobserved));
+            assert_eq!(observed.collective_ops, unobserved.collective_ops);
+            assert_eq!(engine.index_health(), plain.index_health());
+            let n = engine.index_health().rebuilds;
+            assert_eq!(rebuilds(&engine), (Some(n), Some(n)), "batch {batch}");
+        }
+        assert!(engine.index_health().rebuilds >= 3, "{:?}", engine.index_health());
+        assert!(plain.metrics().is_none());
+    }
+}
+
+#[test]
 fn frontend_stamps_traces_and_records_request_wall_latency() {
     let mut engine: Engine<u64> = Engine::new(cfg(3, BackendChoice::LocalSpmd)).unwrap();
     engine.ingest(data(3000)).unwrap();
