@@ -75,8 +75,10 @@
 //! beating re-submission >= 3x on collective ops per refresh, and a
 //! 24-slide churn re-sketches each shard at most every fourth delete —
 //! equally often on LocalSpmd and ChannelMp — with every read after a
-//! delete sketch-served at zero collectives — the CI perf-smoke
-//! regression guard.
+//! delete sketch-served at zero collectives, and a fresh 16-rank exact
+//! batch on a warm index (n = 2^20, p = 2) costs at most 24 collective ops
+//! on LocalSpmd and the identical count on ChannelMp and SocketMp — the CI
+//! perf-smoke regression guard.
 
 use std::time::Instant;
 
@@ -420,6 +422,39 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
             ratio("repeated-quantiles")
         );
         ok = false;
+    }
+
+    // Count gate on the exact pass itself, at the size the wall-clock
+    // benchmark runs it (so not reduced by --quick): one fresh 16-rank
+    // batch on a warm index, n = 2^20, p = 2. Sampled brackets take each
+    // window under the finish threshold in about three rounds of four
+    // collective ops; shared-pivot rounds alone took 88. Counts repeat
+    // exactly, so this holds on a shared runner where wall time would not.
+    let exact_n = 1u64 << 20;
+    let exact_data: Vec<u64> =
+        generate(Distribution::Random, exact_n as usize, 2, 11).into_iter().flatten().collect();
+    let fresh = |shift: u64| -> Vec<Request<u64>> {
+        (0..16u64).map(|i| Request::rank(i * exact_n / 16 + shift)).collect()
+    };
+    let exact_ops = |mode: &'static str, backend: BackendChoice| {
+        let cfg = EngineConfig::new(2).backend(backend);
+        drive("fresh-exact", mode, cfg, &exact_data, &fresh(101), &[fresh(30_011)]).collective_ops
+    };
+    let spmd = exact_ops("indexed", BackendChoice::LocalSpmd);
+    println!("fresh 16-rank exact batch, n = 2^20, p = 2: {spmd} collective ops");
+    if spmd > 24 {
+        eprintln!("PERF REGRESSION: a fresh 16-rank exact batch cost {spmd} collective ops (> 24)");
+        ok = false;
+    }
+    for (mode, backend) in [("indexed-mp", mp()), ("indexed-sock", sock())] {
+        let ops = exact_ops(mode, backend);
+        if ops != spmd {
+            eprintln!(
+                "BACKEND REGRESSION: {mode} used {ops} collective ops on the fresh exact \
+                 batch, LocalSpmd used {spmd}"
+            );
+            ok = false;
+        }
     }
     ok
 }
@@ -1200,6 +1235,7 @@ fn main() {
             "perf smoke: indexed engine within bounds (distinct <= baseline, repeated >= 2x), \
              mixed-kind batching >= 2x with zero-collective warm inverse serving, \
              ChannelMp and SocketMp collective-round counts equal LocalSpmd's, \
+             a fresh 16-rank exact batch <= 24 collective ops on all three backends, \
              observability zero-cost (identical answers, rounds and makespan), SLO \
              thresholds held, the sketch rung served >= 90% of the tolerant stream \
              at zero collectives within every reported guarantee, and the standing \

@@ -73,6 +73,20 @@ impl Narrow {
     }
 }
 
+/// Algorithm 4's bracket arithmetic: the ranks, in a sorted sample of `s ≥ 1`
+/// keys drawn from `n`, between which the element of global rank `k` is
+/// expected — `k₁ = ⌊m − δ⌋` and `k₂ = ⌈m + δ⌉` around `m = k·s/n`, each
+/// clamped into the sample (a bracket reaching past either end stops at
+/// the sample's minimum or maximum).
+pub(crate) fn bracket_ranks(k: u64, n: u64, s: u64, delta: f64) -> (u64, u64) {
+    let m = (k as f64) * (s as f64) / (n as f64);
+    let max_rank = (s - 1) as f64;
+    (
+        (m - delta).floor().clamp(0.0, max_rank) as u64,
+        (m + delta).ceil().clamp(0.0, max_rank) as u64,
+    )
+}
+
 /// Applies a [`Step`] to the physical local vector, charging the element
 /// moves that the shrink actually performs (a front drain shifts the
 /// surviving suffix).
@@ -197,6 +211,15 @@ mod tests {
         let mut nr = Narrow { n: 20, k: 15 };
         assert!(matches!(nr.decide_eq((10, 3, 7), 4, 6), Step::High(6)));
         assert_eq!((nr.n, nr.k), (7, 2));
+    }
+
+    #[test]
+    fn bracket_ranks_center_on_the_scaled_rank_and_clamp_into_the_sample() {
+        // k = 500 of n = 1000 in a sample of 100: m = 50.
+        assert_eq!(bracket_ranks(500, 1000, 100, 7.5), (42, 58));
+        assert_eq!(bracket_ranks(0, 1000, 100, 7.5), (0, 8));
+        assert_eq!(bracket_ranks(999, 1000, 100, 7.5), (92, 99));
+        assert_eq!(bracket_ranks(3, 10, 1, 2.0), (0, 0));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use cgselect_runtime::{Key, Proc, PHASE_SORT};
 use cgselect_seqsel::{partition3, KernelRng, OpCount};
 use cgselect_sort::sorted_ranks_of;
 
-use crate::common::{apply_step, combine_zone_counts, finish, Narrow};
+use crate::common::{apply_step, bracket_ranks, combine_zone_counts, finish, Narrow};
 use crate::randomized::random_pivot_step;
 use crate::{AlgoResult, Algorithm, SelectionConfig};
 
@@ -72,11 +72,8 @@ pub(crate) fn run<T: Key>(
         // Steps 2–4: parallel-sort the sample; fetch k₁ and k₂.
         let s_total = proc.combine(si, |a, b| a + b);
         debug_assert!(s_total > 0, "sample cannot be empty while n > 0");
-        let m = (nr.k as f64) * (s_total as f64) / (nr.n as f64);
         let delta = cfg.delta_coeff * ((s_total as f64) * (nr.n as f64).ln()).sqrt();
-        let max_rank = s_total - 1;
-        let k1 = (m - delta).floor().clamp(0.0, max_rank as f64) as u64;
-        let k2 = (m + delta).ceil().clamp(0.0, max_rank as f64) as u64;
+        let (k1, k2) = bracket_ranks(nr.k, nr.n, s_total, delta);
         proc.phase_begin(PHASE_SORT);
         let vs = sorted_ranks_of(proc, cfg.sample_sort, sample, &[k1, k2]);
         proc.phase_end(PHASE_SORT);

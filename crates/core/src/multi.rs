@@ -3,11 +3,23 @@
 //! An extension beyond the paper: applications often need a whole set of
 //! quantiles (p50/p90/p99/…) of the same distributed data. Running the
 //! single-rank algorithm per quantile rescans the data `R` times; this
-//! module partitions the data around shared random pivots and routes each
-//! requested rank into its segment, so the expected total work is
-//! `O((n/p)·(1 + log R))` plus the collective terms — the classic
-//! multi-select recursion, parallelized with the paper's machinery
-//! (shared-seed pivots, owner broadcast, Combine counts).
+//! module runs the paper's Algorithm 4 (fast randomized selection) for all
+//! requested ranks at once. Every round pools a random sample of each live
+//! segment on every processor, brackets each requested rank between two
+//! sample values, partitions the segment by those values and keeps only
+//! the cells that hold a rank — a cell of about `3/√S` of the segment for a
+//! sample of `S ≈ n^ε` keys, so a window shrinks super-geometrically
+//! (`O(log log n)` rounds w.h.p.) where a shared random pivot halves it.
+//!
+//! The sample only ever *proposes* cuts: which cells survive is decided
+//! from Combined global counts, so answers are exact whatever the sample
+//! does. A bracket that misses its rank leaves the rank in a wider cell for
+//! one more round; a cell cut out by `(v, <)`, `(v, ≤)` is `v`'s equality
+//! class and resolves its ranks at once (heavy duplicates, all-equal
+//! windows); and a segment whose round discarded nothing takes one
+//! shared-pivot round (Algorithm 3's body: shared-seed pivot, owner
+//! broadcast), which always makes progress — the same degeneracy guard
+//! Algorithm 4 itself carries, not a selectable path.
 //!
 //! Three entry points, cheapest last:
 //!
@@ -19,19 +31,29 @@
 //!   resident data and no population collective.
 //! * [`parallel_multi_select_windows`] — the engine's resident-bucket-index
 //!   form: many pre-localized candidate windows resolved **in lockstep**.
-//!   Every recursion round issues one vectorized prefix-sum, one vectorized
-//!   owner broadcast and one vectorized count Combine *for all live
-//!   segments together*, and all small-enough segments share a single
-//!   gather/broadcast finish — so a batch of `R` windows costs
-//!   `O(log(max window))` collective rounds, not `R` times that.
+//!   Every round issues one segmented sample Concatenate and one vectorized
+//!   count Combine *for all live segments together*, and all small-enough
+//!   segments share a single gather/broadcast finish — so a batch of `R`
+//!   windows costs `O(log log(max window))` collective rounds, not `R`
+//!   times that.
 
-use cgselect_runtime::{Key, Proc, PHASE_FINISH};
+use cgselect_runtime::{Key, Proc, PHASE_FINISH, PHASE_SORT};
 use cgselect_seqsel::{
-    floyd_rivest_multi_select, partition3, partition3_kernel, scalar_reference_mode, KernelRng,
-    OpCount,
+    floyd_rivest_multi_select, partition3, partition3_kernel, partition_by_bounds,
+    scalar_reference_mode, KernelRng, OpCount, SepBound,
 };
 
+use crate::common::bracket_ranks;
 use crate::SelectionConfig;
+
+/// Bracket half-width in units of `√S`: a requested rank is bracketed at
+/// sample ranks `k·S/n ± δ` with `δ = delta_coeff · BRACKET_WIDTH · √S`.
+/// The sample rank of a fixed element is binomial with `σ ≤ ½√S`, so 1.5
+/// is about 3σ: a bracket misses roughly once in several hundred, and a
+/// miss costs one more round, never an answer. (The paper's `√(S ln n)` is
+/// about 6σ at the engine's window sizes — safer than exactness needs, and
+/// its wider cells measured one round more per window.)
+const BRACKET_WIDTH: f64 = 1.5;
 
 /// One pre-localized candidate window handed to
 /// [`parallel_multi_select_windows`]: a borrowed slice of this processor's
@@ -56,12 +78,26 @@ struct Segment<'a, T> {
     slice: &'a mut [T],
     extra: Vec<T>,
     n: u64,
+    /// Ascending `(rank within the segment, output slot)` pairs.
     ranks: Vec<(u64, usize)>,
+    /// The round that produced this segment discarded nothing (everything
+    /// fell between two distinct sample values): its next round cuts at a
+    /// shared pivot instead of sampling again.
+    stalled: bool,
 }
 
-impl<T> Segment<'_, T> {
+impl<T: Copy> Segment<'_, T> {
     fn local_len(&self) -> u64 {
         (self.slice.len() + self.extra.len()) as u64
+    }
+
+    /// The local element at position `at` of `slice ++ extra`.
+    fn at(&self, at: usize) -> T {
+        if at < self.slice.len() {
+            self.slice[at]
+        } else {
+            self.extra[at - self.slice.len()]
+        }
     }
 }
 
@@ -147,8 +183,13 @@ pub fn parallel_multi_select_windows<T: Key>(
     cfg: &SelectionConfig,
 ) -> Vec<Option<T>> {
     cfg.validate();
+    // Read once per pass: a scoped flip of the switch cannot mix kernels
+    // within one answer.
+    let reference = scalar_reference_mode();
     let mut out: Vec<Option<T>> = vec![None; out_len];
-    let mut shared_rng = KernelRng::new(cfg.seed ^ 0x6D75_6C74); // "mult"
+    let stream = cfg.seed ^ 0x6D75_6C74; // "mult"
+    let mut shared_rng = KernelRng::new(stream);
+    let mut local_rng = KernelRng::derive(stream, proc.rank() as u64 + 1);
     let threshold = cfg.threshold(proc.nprocs());
 
     let mut active: Vec<Segment<'_, T>> = Vec::with_capacity(windows.len());
@@ -162,7 +203,7 @@ pub fn parallel_multi_select_windows<T: Key>(
         }
         let mut ranks = w.ranks;
         ranks.sort_unstable();
-        active.push(Segment { slice: w.slice, extra: w.extra, n: w.n, ranks });
+        active.push(Segment { slice: w.slice, extra: w.extra, n: w.n, ranks, stalled: false });
     }
 
     let mut rounds = 0u32;
@@ -178,122 +219,227 @@ pub fn parallel_multi_select_windows<T: Key>(
         // one shared gather + broadcast; the rest take a vectorized
         // partition round. The split is driven by global counts only, so it
         // is identical on every processor.
-        let (finish, mut big): (Vec<_>, Vec<_>) = active.drain(..).partition(|s| s.n <= threshold);
+        let (finish, big): (Vec<_>, Vec<_>) = active.drain(..).partition(|s| s.n <= threshold);
         if !finish.is_empty() {
-            solve_finishers(proc, finish, &mut out);
+            solve_finishers(proc, finish, reference, &mut out);
         }
         if big.is_empty() {
             continue;
         }
 
-        // One shared pivot per live segment (identical stream everywhere),
-        // located via a single vectorized exclusive prefix sum and published
-        // via a single vectorized owner broadcast.
-        let pivot_idx: Vec<u64> = big.iter().map(|s| shared_rng.below(s.n)).collect();
-        let lens: Vec<u64> = big.iter().map(Segment::local_len).collect();
-        let incl = proc
-            .scan(lens.clone(), |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect::<Vec<u64>>());
-        let owners: Vec<(Option<T>, u64)> = big
+        // Every live segment is cut at sampled brackets around its ranks;
+        // only one whose last round discarded nothing is cut at a shared
+        // pivot instead. `stalled` derives from global counts, so every
+        // processor issues the same collectives.
+        let mut brackets = sampled_brackets(proc, &big, cfg, &mut local_rng).into_iter();
+        let mut pivots = shared_pivots(proc, &big, &mut shared_rng).into_iter();
+        let cuts: Vec<Vec<SepBound<T>>> = big
             .iter()
-            .zip(&lens)
-            .zip(&incl)
-            .zip(&pivot_idx)
-            .map(|(((seg, &len), &inc), &idx)| {
-                let before = inc - len;
-                let mine = (before <= idx && idx < before + len).then(|| {
-                    let at = (idx - before) as usize;
-                    if at < seg.slice.len() {
-                        seg.slice[at]
-                    } else {
-                        seg.extra[at - seg.slice.len()]
-                    }
-                });
-                (mine, u64::from(mine.is_some()))
-            })
+            .map(|seg| if seg.stalled { pivots.next() } else { brackets.next() })
+            .map(|cut| cut.expect("one cut per live segment"))
             .collect();
-        let merged = proc.combine(owners, |a, b| {
-            a.into_iter().zip(b).map(|((va, ca), (vb, cb))| (va.or(vb), ca + cb)).collect()
-        });
-        let pivots: Vec<T> = merged
-            .into_iter()
-            .map(|(v, c)| {
-                assert_eq!(c, 1, "each segment pivot needs exactly one owner, found {c}");
-                v.expect("owner count is 1, value must exist")
-            })
-            .collect();
+        split_segments(proc, big, &cuts, reference, &mut out, &mut active);
+    }
+    out
+}
 
-        // Local three-way partitions, then one vectorized count Combine.
-        // The branchless kernel reproduces `partition3`'s permutation and
-        // charges exactly (pivot choices index physical positions, so the
-        // permutation is part of the cross-backend contract); the scalar
-        // original stays reachable as the wall-clock reference baseline.
-        let reference = scalar_reference_mode();
-        let mut ops = OpCount::new();
-        let p3 = |data: &mut [T], pivot: T, ops: &mut OpCount| {
-            if reference {
-                partition3(data, pivot, pivot, ops)
+/// Algorithm 4's Steps 1–4, vectorized over every segment that is not
+/// stalled: each processor draws `⌈mᵢ·n^(ε−1)⌉` of its `mᵢ` local elements
+/// per segment (with replacement — the sample only proposes cuts), one
+/// segmented Concatenate pools the draws everywhere, and every processor
+/// sorts each pool and reads off the *identical* bracket bounds
+/// `(v₁, <)`, `(v₂, ≤)` around every requested rank — so no broadcast.
+/// Returns one strictly increasing bound vector per sampled segment, in
+/// segment order; issues no collective when every segment is stalled.
+fn sampled_brackets<T: Key>(
+    proc: &mut Proc,
+    segs: &[Segment<'_, T>],
+    cfg: &SelectionConfig,
+    rng: &mut KernelRng,
+) -> Vec<Vec<SepBound<T>>> {
+    let segs: Vec<&Segment<'_, T>> = segs.iter().filter(|s| !s.stalled).collect();
+    if segs.is_empty() {
+        return Vec::new();
+    }
+    proc.phase_begin(PHASE_SORT);
+    let mut lens: Vec<u32> = Vec::with_capacity(segs.len());
+    let mut draws: Vec<T> = Vec::new();
+    for seg in &segs {
+        let m = seg.local_len();
+        let frac = (seg.n as f64).powf(cfg.epsilon - 1.0);
+        let take = ((m as f64 * frac).ceil() as u64).min(m);
+        draws.extend((0..take).map(|_| seg.at(rng.below(m) as usize)));
+        lens.push(u32::try_from(take).expect("a segment's local sample fits in u32"));
+    }
+    proc.charge_ops(2 * draws.len() as u64);
+    let pooled = proc.all_gatherv_runs(lens, draws);
+
+    let mut cursors = vec![0usize; pooled.len()];
+    let mut ops = OpCount::new();
+    let cuts = segs
+        .iter()
+        .enumerate()
+        .map(|(j, seg)| {
+            let mut pool: Vec<T> = Vec::new();
+            for ((lens, values), at) in pooled.iter().zip(&mut cursors) {
+                let len = lens[j] as usize;
+                pool.extend_from_slice(&values[*at..*at + len]);
+                *at += len;
+            }
+            ops.moves += pool.len() as u64;
+            pool.sort_unstable_by(|a, b| {
+                ops.cmps += 1;
+                a.cmp(b)
+            });
+            let s = pool.len() as u64;
+            debug_assert!(s > 0, "a segment above the finish threshold has a sample");
+            let delta = cfg.delta_coeff * BRACKET_WIDTH * (s as f64).sqrt();
+            let mut cut: Vec<SepBound<T>> = Vec::with_capacity(2 * seg.ranks.len());
+            for &(r, _) in &seg.ranks {
+                let (k1, k2) = bracket_ranks(r, seg.n, s, delta);
+                cut.push(SepBound::lt(pool[k1 as usize]));
+                cut.push(SepBound::le(pool[k2 as usize]));
+            }
+            cut.sort_unstable();
+            cut.dedup();
+            cut
+        })
+        .collect();
+    proc.charge_ops(ops.total());
+    proc.phase_end(PHASE_SORT);
+    cuts
+}
+
+/// The guaranteed-progress cut for stalled segments (Algorithm 3's Steps
+/// 1–3, vectorized): one shared random index per segment (identical stream
+/// everywhere), located via a single vectorized prefix sum and published
+/// via a single vectorized owner broadcast. The pivot is an element of the
+/// segment, so cutting out its equality class `(v, <)`, `(v, ≤)` either
+/// resolves every rank or leaves strictly smaller cells. Returns one bound
+/// pair per stalled segment; issues no collective when there is none.
+fn shared_pivots<T: Key>(
+    proc: &mut Proc,
+    segs: &[Segment<'_, T>],
+    shared_rng: &mut KernelRng,
+) -> Vec<Vec<SepBound<T>>> {
+    let segs: Vec<&Segment<'_, T>> = segs.iter().filter(|s| s.stalled).collect();
+    if segs.is_empty() {
+        return Vec::new();
+    }
+    let pivot_idx: Vec<u64> = segs.iter().map(|s| shared_rng.below(s.n)).collect();
+    let lens: Vec<u64> = segs.iter().map(|s| s.local_len()).collect();
+    let incl =
+        proc.scan(lens.clone(), |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect::<Vec<u64>>());
+    let owners: Vec<(Option<T>, u64)> = segs
+        .iter()
+        .zip(&lens)
+        .zip(&incl)
+        .zip(&pivot_idx)
+        .map(|(((seg, &len), &inc), &idx)| {
+            let before = inc - len;
+            let mine =
+                (before <= idx && idx < before + len).then(|| seg.at((idx - before) as usize));
+            (mine, u64::from(mine.is_some()))
+        })
+        .collect();
+    let merged = proc.combine(owners, |a, b| {
+        a.into_iter().zip(b).map(|((va, ca), (vb, cb))| (va.or(vb), ca + cb)).collect()
+    });
+    merged
+        .into_iter()
+        .map(|(v, c)| {
+            assert_eq!(c, 1, "each segment pivot needs exactly one owner, found {c}");
+            let pivot = v.expect("owner count is 1, value must exist");
+            vec![SepBound::lt(pivot), SepBound::le(pivot)]
+        })
+        .collect()
+}
+
+/// Partitions every segment by its cut, Combines the cell counts of all
+/// segments in one collective, and pushes every cell that holds a rank onto
+/// `active` as a child segment (in segment, then cell order — deterministic
+/// across processors). A cell between `(v, <)` and `(v, ≤)` holds only
+/// copies of `v` and resolves its ranks instead.
+fn split_segments<'a, T: Key>(
+    proc: &mut Proc,
+    mut segs: Vec<Segment<'a, T>>,
+    cuts: &[Vec<SepBound<T>>],
+    reference: bool,
+    out: &mut [Option<T>],
+    active: &mut Vec<Segment<'a, T>>,
+) {
+    // A lone bracket (and every pivot cut) is one three-way pass; the
+    // branchless kernel reproduces `partition3`'s permutation and charges
+    // exactly (samples and pivots index physical positions, so the
+    // permutation is part of the cross-backend contract), and the scalar
+    // original stays reachable as the wall-clock reference baseline.
+    // Brackets of several ranks sharing a segment go multiway.
+    let cells = |data: &mut [T], cut: &[SepBound<T>], ops: &mut OpCount| match *cut {
+        [SepBound { value: lo, inclusive: false }, SepBound { value: hi, inclusive: true }] => {
+            let (a, b) = if reference {
+                partition3(data, lo, hi, ops)
             } else {
-                partition3_kernel(data, pivot, pivot, ops)
-            }
-        };
-        let splits: Vec<(usize, usize, usize, usize)> = big
-            .iter_mut()
-            .zip(&pivots)
-            .map(|(seg, &pivot)| {
-                let (a1, b1) = p3(seg.slice, pivot, &mut ops);
-                let (a2, b2) = p3(&mut seg.extra, pivot, &mut ops);
-                (a1, b1, a2, b2)
-            })
-            .collect();
-        proc.charge_ops(ops.total());
-        let local_counts: Vec<(u64, u64)> = splits
-            .iter()
-            .map(|&(a1, b1, a2, b2)| ((a1 + a2) as u64, ((b1 - a1) + (b2 - a2)) as u64))
-            .collect();
-        let totals = proc.combine(local_counts, |a, b| {
-            a.into_iter().zip(b).map(|((l1, e1), (l2, e2))| (l1 + l2, e1 + e2)).collect()
-        });
+                partition3_kernel(data, lo, hi, ops)
+            };
+            vec![0, a, b, data.len()]
+        }
+        _ => partition_by_bounds(data, cut, ops),
+    };
+    let mut ops = OpCount::new();
+    let offsets: Vec<(Vec<usize>, Vec<usize>)> = segs
+        .iter_mut()
+        .zip(cuts)
+        .map(|(seg, cut)| (cells(seg.slice, cut, &mut ops), cells(&mut seg.extra, cut, &mut ops)))
+        .collect();
+    proc.charge_ops(ops.total());
+    let local: Vec<u64> = offsets
+        .iter()
+        .flat_map(|(s, e)| {
+            s.windows(2).zip(e.windows(2)).map(|(s, e)| (s[1] - s[0] + e[1] - e[0]) as u64)
+        })
+        .collect();
+    let mut totals = proc
+        .combine(local, |a, b| a.into_iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>())
+        .into_iter();
 
-        // Split every segment into its surviving children, in segment order
-        // (left before right) — deterministic across processors.
-        let mut extra_moves = 0u64;
-        for ((seg, &(a1, b1, a2, b2)), (&pivot, &(c_lt, c_eq))) in
-            big.into_iter().zip(&splits).zip(pivots.iter().zip(&totals))
-        {
-            let mut left_ranks = Vec::new();
-            let mut right_ranks = Vec::new();
-            for (r, i) in seg.ranks {
-                if r < c_lt {
-                    left_ranks.push((r, i));
-                } else if r < c_lt + c_eq {
-                    out[i] = Some(pivot);
-                } else {
-                    right_ranks.push((r - c_lt - c_eq, i));
+    let mut extra_moves = 0u64;
+    for ((seg, cut), (s_off, e_off)) in segs.into_iter().zip(cuts).zip(offsets) {
+        let Segment { slice, extra, n, ranks, .. } = seg;
+        // The borrowed slice splits in place (no copies); only the owned
+        // overflow pays for its split.
+        let mut rest = slice;
+        let mut ranks = ranks.as_slice();
+        let mut below = 0u64;
+        for c in 0..=cut.len() {
+            let count = totals.next().expect("one count per cell");
+            let (cell, tail) = std::mem::take(&mut rest).split_at_mut(s_off[c + 1] - s_off[c]);
+            rest = tail;
+            let first = below;
+            below += count;
+            let (here, above) = ranks.split_at(ranks.partition_point(|&(r, _)| r < below));
+            ranks = above;
+            if here.is_empty() {
+                continue;
+            }
+            if c > 0 && c < cut.len() && cut[c - 1].value == cut[c].value {
+                for &(_, slot) in here {
+                    out[slot] = Some(cut[c].value);
                 }
-            }
-            // The borrowed slice splits in place (no copies); only the
-            // owned overflow pays for its split.
-            let (left_slice, rest) = seg.slice.split_at_mut(a1);
-            let (_eq_slice, right_slice) = rest.split_at_mut(b1 - a1);
-            let mut extra = seg.extra;
-            let right_extra = extra.split_off(b2);
-            extra.truncate(a2);
-            extra_moves += (extra.len() + right_extra.len()) as u64;
-            if !left_ranks.is_empty() {
-                active.push(Segment { slice: left_slice, extra, n: c_lt, ranks: left_ranks });
-            }
-            if !right_ranks.is_empty() {
+            } else {
+                let cell_extra = extra[e_off[c]..e_off[c + 1]].to_vec();
+                extra_moves += cell_extra.len() as u64;
                 active.push(Segment {
-                    slice: right_slice,
-                    extra: right_extra,
-                    n: seg.n - c_lt - c_eq,
-                    ranks: right_ranks,
+                    slice: cell,
+                    extra: cell_extra,
+                    n: count,
+                    ranks: here.iter().map(|&(r, slot)| (r - first, slot)).collect(),
+                    stalled: count == n,
                 });
             }
         }
-        proc.charge_ops(extra_moves);
+        debug_assert!(ranks.is_empty(), "every rank lies in some cell");
     }
-    out
+    proc.charge_ops(extra_moves);
 }
 
 /// Finishes all small segments of one round together: a single flat gather
@@ -302,7 +448,12 @@ pub fn parallel_multi_select_windows<T: Key>(
 /// pairs otherwise — one sort-and-read-off per segment, and a single
 /// broadcast of every answer. Both branches issue the identical collective
 /// sequence, and `segs.len()` is globally agreed, so SPMD order holds.
-fn solve_finishers<T: Key>(proc: &mut Proc, segs: Vec<Segment<'_, T>>, out: &mut [Option<T>]) {
+fn solve_finishers<T: Key>(
+    proc: &mut Proc,
+    segs: Vec<Segment<'_, T>>,
+    reference: bool,
+    out: &mut [Option<T>],
+) {
     proc.phase_begin(PHASE_FINISH);
     let gathered: Option<Vec<Vec<T>>> = if segs.len() == 1 {
         let seg = &segs[0];
@@ -329,7 +480,6 @@ fn solve_finishers<T: Key>(proc: &mut Proc, segs: Vec<Segment<'_, T>>, out: &mut
     let answers: Option<Vec<T>> = gathered.map(|mut per| {
         let mut res = Vec::new();
         let mut local = OpCount::new();
-        let reference = scalar_reference_mode();
         for (seg, bucket) in segs.iter().zip(&mut per) {
             local.moves += bucket.len() as u64;
             debug_assert_eq!(

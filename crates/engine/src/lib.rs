@@ -24,8 +24,8 @@
 //!   coalesced into *one* deduplicated [`RankSet`] (contiguous runs, so
 //!   `TopK(k)` plans in O(1)) and resolved by a single lockstep
 //!   multi-select pass ([`cgselect_core::parallel_multi_select_windows`]):
-//!   `R` rank queries cost `O(log n + R)` pivot rounds instead of
-//!   `O(R·log n)`. All value probes of a batch share **one** vectorized
+//!   `R` rank queries share `O(log log n)` sampled-bracket rounds instead
+//!   of paying them `R` times. All value probes of a batch share **one** vectorized
 //!   `count_below` Combine round. The per-batch [`RunReport`] carries the
 //!   measured [`cgselect_runtime::CommStats`], the collective-operation
 //!   count and the virtual-time makespan.

@@ -12,9 +12,9 @@
 //! [`RankSet`]** — stored as contiguous *runs*, so `TopK(k)` contributes
 //! one `(0, k)` run instead of `k` materialized ranks — which the engine
 //! resolves with a single [`cgselect_core::parallel_multi_select_windows`]
-//! pass: `R` rank queries cost one multi-select recursion (`O(log n + R)`
-//! pivot rounds) instead of `R` independent selections (`O(R·log n)`
-//! rounds). Value-direction queries coalesce their endpoints into one
+//! pass: `R` rank queries cost one multi-select recursion (`O(log log n)`
+//! sampled-bracket rounds, shared) instead of `R` independent selections.
+//! Value-direction queries coalesce their endpoints into one
 //! deduplicated probe list resolved by a single vectorized `count_below`
 //! Combine round. Queries whose [`Accuracy`] the resident sketches can
 //! honor are routed to the approximate path and never touch the full data.

@@ -207,57 +207,44 @@ impl Proc {
     /// `root`, ordered by rank. Binomial tree, `O(τ log p + μ p m)`.
     /// Returns `Some` on the root, `None` elsewhere.
     pub fn gather<T: WireMsg>(&mut self, root: usize, value: T) -> Option<Vec<T>> {
-        let p = self.nprocs();
-        let rank = self.rank();
-        assert!(root < p, "gather root {root} out of range (p = {p})");
-        let tag = self.collective_tag();
-        let elem_bytes = std::mem::size_of::<T>() as u64;
-        let rel = (rank + p - root) % p;
-        let mut items: Vec<(usize, T)> = vec![(rank, value)];
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask == 0 {
-                let src_rel = rel | mask;
-                if src_rel < p {
-                    let src = (src_rel + root) % p;
-                    let recvd: Vec<(usize, T)> = self.irecv(src, tag);
-                    items.extend(recvd);
-                }
-            } else {
-                let dst = (rel - mask + root) % p;
-                let bytes = items.len() as u64 * elem_bytes;
-                self.isend_sized(dst, tag, bytes, items);
-                return None;
-            }
-            mask <<= 1;
-        }
-        items.sort_unstable_by_key(|(origin, _)| *origin);
-        Some(items.into_iter().map(|(_, v)| v).collect())
+        self.gather_sized(root, value, |_| std::mem::size_of::<T>() as u64)
     }
 
     /// Variable-size gather: collects each processor's vector on `root`,
     /// indexed by source rank. Same tree and cost shape as
     /// [`gather`](Proc::gather) with `m` the per-processor payload.
     pub fn gatherv<T: WireMsg>(&mut self, root: usize, data: Vec<T>) -> Option<Vec<Vec<T>>> {
+        self.gather_sized(root, data, |v| (v.len() * std::mem::size_of::<T>()) as u64)
+    }
+
+    /// The binomial gather tree behind [`gather`](Proc::gather),
+    /// [`gatherv`](Proc::gatherv) and [`all_gatherv_runs`](Proc::all_gatherv_runs):
+    /// one item per processor, each forwarded message modeled as the sum of
+    /// `bytes_of` over the items it carries.
+    fn gather_sized<I: WireMsg>(
+        &mut self,
+        root: usize,
+        item: I,
+        bytes_of: impl Fn(&I) -> u64,
+    ) -> Option<Vec<I>> {
         let p = self.nprocs();
         let rank = self.rank();
-        assert!(root < p, "gatherv root {root} out of range (p = {p})");
+        assert!(root < p, "gather root {root} out of range (p = {p})");
         let tag = self.collective_tag();
-        let elem_bytes = std::mem::size_of::<T>() as u64;
         let rel = (rank + p - root) % p;
-        let mut items: Vec<(usize, Vec<T>)> = vec![(rank, data)];
+        let mut items: Vec<(usize, I)> = vec![(rank, item)];
         let mut mask = 1usize;
         while mask < p {
             if rel & mask == 0 {
                 let src_rel = rel | mask;
                 if src_rel < p {
                     let src = (src_rel + root) % p;
-                    let recvd: Vec<(usize, Vec<T>)> = self.irecv(src, tag);
+                    let recvd: Vec<(usize, I)> = self.irecv(src, tag);
                     items.extend(recvd);
                 }
             } else {
                 let dst = (rel - mask + root) % p;
-                let bytes: u64 = items.iter().map(|(_, v)| v.len() as u64 * elem_bytes).sum();
+                let bytes: u64 = items.iter().map(|(_, v)| bytes_of(v)).sum();
                 self.isend_sized(dst, tag, bytes, items);
                 return None;
             }
@@ -291,6 +278,24 @@ impl Proc {
     /// Variable-size Global Concatenate, indexed by source rank.
     pub fn all_gatherv<T: Clone + WireMsg>(&mut self, data: Vec<T>) -> Vec<Vec<T>> {
         let gathered = self.gatherv(0, data);
+        self.broadcast(0, gathered)
+    }
+
+    /// Segmented Global Concatenate: every processor contributes one flat
+    /// `values` vector cut into consecutive runs of `run_lens[j]` elements
+    /// (so `run_lens` sums to `values.len()`), and all processors receive
+    /// every contribution, indexed by source rank. One gather plus one
+    /// broadcast, like [`all_gatherv`](Proc::all_gatherv); the gather is
+    /// modeled at 4 bytes per run length plus `size_of::<T>()` per value.
+    pub fn all_gatherv_runs<T: Clone + WireMsg>(
+        &mut self,
+        run_lens: Vec<u32>,
+        values: Vec<T>,
+    ) -> Vec<(Vec<u32>, Vec<T>)> {
+        debug_assert_eq!(run_lens.iter().map(|&c| c as usize).sum::<usize>(), values.len());
+        let gathered = self.gather_sized(0, (run_lens, values), |(lens, vals)| {
+            (lens.len() * std::mem::size_of::<u32>() + vals.len() * std::mem::size_of::<T>()) as u64
+        });
         self.broadcast(0, gathered)
     }
 
@@ -581,6 +586,29 @@ mod tests {
                 assert_eq!(*part, vec![i as u8; i + 1]);
             }
         }
+    }
+
+    #[test]
+    fn all_gatherv_runs_round_trip_and_modeled_bytes() {
+        // Rank r contributes r+1 runs holding 0, 1, …, r values of r.
+        let out = Machine::new(3)
+            .run(|proc| {
+                let r = proc.rank();
+                let lens: Vec<u32> = (0..=r as u32).collect();
+                let values = vec![r as u64; lens.iter().sum::<u32>() as usize];
+                (proc.all_gatherv_runs(lens, values), proc.comm_stats().bytes_sent)
+            })
+            .unwrap();
+        for (all, _) in &out {
+            for (r, (lens, values)) in all.iter().enumerate() {
+                assert_eq!(*lens, (0..=r as u32).collect::<Vec<_>>());
+                assert_eq!(*values, vec![r as u64; r * (r + 1) / 2]);
+            }
+        }
+        // Leaves send their own payload up the gather tree: 4 bytes per run
+        // length, 8 per value.
+        assert_eq!(out[1].1, 2 * 4 + 8);
+        assert_eq!(out[2].1, 3 * 4 + 3 * 8);
     }
 
     #[test]

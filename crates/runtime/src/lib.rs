@@ -19,7 +19,7 @@
 //! | Combine               | [`Proc::combine`]                   | `O((τ+μ) log p)`      |
 //! | Parallel Prefix       | [`Proc::scan`]                      | `O((τ+μ) log p)`      |
 //! | Gather                | [`Proc::gather`] / [`Proc::gatherv`]| `O(τ log p + μp·m)`   |
-//! | Global Concatenate    | [`Proc::all_gather`] / `…v`         | `O(τ log p + μp·m)`   |
+//! | Global Concatenate    | [`Proc::all_gather`] / `…v` / `…v_runs` | `O(τ log p + μp·m)` |
 //! | Transportation        | [`Proc::all_to_allv`]               | `O(τp + 2μt)`         |
 //!
 //! ## Virtual time
