@@ -59,7 +59,7 @@ pub use config::SelectionConfig;
 pub use driver::{median_on_machine, parallel_median, parallel_select, select_on_machine};
 pub use multi::{
     multi_select_on_machine, parallel_multi_select, parallel_multi_select_in,
-    parallel_multi_select_windows, RankedWindow,
+    parallel_multi_select_windows, Carve, RankedWindow,
 };
 pub use outcome::{MachineSelection, SelectionOutcome};
 pub use top_k::{parallel_top_k, top_k_on_machine};

@@ -35,7 +35,10 @@
 //!   count Combine *for all live segments together*, and all small-enough
 //!   segments share a single gather/broadcast finish — so a batch of `R`
 //!   windows costs `O(log log(max window))` collective rounds, not `R`
-//!   times that.
+//!   times that. Algorithm 4 partitions in place, so a window comes back
+//!   ordered around its answers; the pass returns those cuts (each window's
+//!   *carve*) so that a caller maintaining an order over the slice need not
+//!   find them again.
 
 use cgselect_runtime::{Key, Proc, PHASE_FINISH, PHASE_SORT};
 use cgselect_seqsel::{
@@ -71,10 +74,20 @@ pub struct RankedWindow<'a, T> {
     pub ranks: Vec<(u64, usize)>,
 }
 
+/// The cuts a lockstep pass left in one window's borrowed slice: `(bound,
+/// offset)` pairs with strictly increasing bounds — every slice element
+/// before `offset` is admitted by `bound`, none from `offset` on is.
+pub type Carve<T> = Vec<(SepBound<T>, usize)>;
+
 /// One live segment of the lockstep recursion. Segments split and shrink in
 /// an order determined solely by global counts, so every processor tracks
 /// the identical list (SPMD-safe).
 struct Segment<'a, T> {
+    /// The window this segment descends from, and where `slice` begins in
+    /// that window's borrowed slice — what turns a cut of this segment into
+    /// an entry of the window's carve.
+    window: usize,
+    base: usize,
     slice: &'a mut [T],
     extra: Vec<T>,
     n: u64,
@@ -161,7 +174,7 @@ pub fn parallel_multi_select_in<T: Key>(
     assert!(n > 0, "multi-select on an empty distributed set");
     let pairs = ranks.iter().copied().enumerate().map(|(i, r)| (r, i)).collect();
     let window = RankedWindow { slice: local, extra, n, ranks: pairs };
-    let out = parallel_multi_select_windows(proc, vec![window], ranks.len(), cfg);
+    let (out, _carve) = parallel_multi_select_windows(proc, vec![window], ranks.len(), cfg);
     out.into_iter().map(|v| v.expect("every requested rank must have been resolved")).collect()
 }
 
@@ -169,6 +182,17 @@ pub fn parallel_multi_select_in<T: Key>(
 /// docs): resolves every window's ranks into a `Vec<Option<T>>` of length
 /// `out_len`, indexed by the windows' output slots. Slots not named by any
 /// window remain `None`.
+///
+/// Beside the answers comes each window's [`Carve`], in window order: the
+/// cuts the rounds left in its borrowed slice. Bracket cuts and
+/// shared-pivot cuts of every round are all in it, whichever cell the ranks
+/// then followed; the innermost cell around an answer is left as the last
+/// round found it (processor 0 finishes it on a gathered copy). The bounds
+/// derive from pooled samples and global counts, so they are identical on
+/// every processor; the offsets are local. A window without ranks is never
+/// touched and has an empty carve. A caller that keeps the slice ordered —
+/// the engine's bucket index — starts from these cuts instead of
+/// partitioning the window again.
 ///
 /// Windows must be constructed identically on every processor (same count,
 /// same `n`s, same ranks — the local slices naturally differ); output slots
@@ -181,7 +205,7 @@ pub fn parallel_multi_select_windows<T: Key>(
     windows: Vec<RankedWindow<'_, T>>,
     out_len: usize,
     cfg: &SelectionConfig,
-) -> Vec<Option<T>> {
+) -> (Vec<Option<T>>, Vec<Carve<T>>) {
     cfg.validate();
     // Read once per pass: a scoped flip of the switch cannot mix kernels
     // within one answer.
@@ -192,8 +216,9 @@ pub fn parallel_multi_select_windows<T: Key>(
     let mut local_rng = KernelRng::derive(stream, proc.rank() as u64 + 1);
     let threshold = cfg.threshold(proc.nprocs());
 
+    let mut carves: Vec<Carve<T>> = vec![Vec::new(); windows.len()];
     let mut active: Vec<Segment<'_, T>> = Vec::with_capacity(windows.len());
-    for w in windows {
+    for (window, w) in windows.into_iter().enumerate() {
         if w.ranks.is_empty() {
             continue;
         }
@@ -203,7 +228,15 @@ pub fn parallel_multi_select_windows<T: Key>(
         }
         let mut ranks = w.ranks;
         ranks.sort_unstable();
-        active.push(Segment { slice: w.slice, extra: w.extra, n: w.n, ranks, stalled: false });
+        active.push(Segment {
+            window,
+            base: 0,
+            slice: w.slice,
+            extra: w.extra,
+            n: w.n,
+            ranks,
+            stalled: false,
+        });
     }
 
     let mut rounds = 0u32;
@@ -238,9 +271,17 @@ pub fn parallel_multi_select_windows<T: Key>(
             .map(|seg| if seg.stalled { pivots.next() } else { brackets.next() })
             .map(|cut| cut.expect("one cut per live segment"))
             .collect();
-        split_segments(proc, big, &cuts, reference, &mut out, &mut active);
+        split_segments(proc, big, &cuts, reference, &mut out, &mut active, &mut carves);
     }
-    out
+    // A child's sample can propose a bound its parent already cut at (the
+    // child's first or last cell is then empty): the same bound at the same
+    // offset, recorded twice.
+    for carve in &mut carves {
+        carve.sort_unstable();
+        carve.dedup();
+        debug_assert!(carve.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+    }
+    (out, carves)
 }
 
 /// Algorithm 4's Steps 1–4, vectorized over every segment that is not
@@ -359,7 +400,8 @@ fn shared_pivots<T: Key>(
 /// segments in one collective, and pushes every cell that holds a rank onto
 /// `active` as a child segment (in segment, then cell order — deterministic
 /// across processors). A cell between `(v, <)` and `(v, ≤)` holds only
-/// copies of `v` and resolves its ranks instead.
+/// copies of `v` and resolves its ranks instead. Every cut lands in its
+/// window's entry of `carves`, at its offset in the window's slice.
 fn split_segments<'a, T: Key>(
     proc: &mut Proc,
     mut segs: Vec<Segment<'a, T>>,
@@ -367,6 +409,7 @@ fn split_segments<'a, T: Key>(
     reference: bool,
     out: &mut [Option<T>],
     active: &mut Vec<Segment<'a, T>>,
+    carves: &mut [Carve<T>],
 ) {
     // A lone bracket (and every pivot cut) is one three-way pass; the
     // branchless kernel reproduces `partition3`'s permutation and charges
@@ -404,7 +447,8 @@ fn split_segments<'a, T: Key>(
 
     let mut extra_moves = 0u64;
     for ((seg, cut), (s_off, e_off)) in segs.into_iter().zip(cuts).zip(offsets) {
-        let Segment { slice, extra, n, ranks, .. } = seg;
+        let Segment { window, base, slice, extra, n, ranks, .. } = seg;
+        carves[window].extend(cut.iter().zip(&s_off[1..]).map(|(&bound, &at)| (bound, base + at)));
         // The borrowed slice splits in place (no copies); only the owned
         // overflow pays for its split.
         let mut rest = slice;
@@ -429,6 +473,8 @@ fn split_segments<'a, T: Key>(
                 let cell_extra = extra[e_off[c]..e_off[c + 1]].to_vec();
                 extra_moves += cell_extra.len() as u64;
                 active.push(Segment {
+                    window,
+                    base: base + s_off[c],
                     slice: cell,
                     extra: cell_extra,
                     n: count,
@@ -714,7 +760,7 @@ mod tests {
                     },
                 ];
                 let c0 = proc.comm_stats().collective_ops;
-                let got = parallel_multi_select_windows(proc, windows, 4, &cfg());
+                let (got, _) = parallel_multi_select_windows(proc, windows, 4, &cfg());
                 (got, proc.comm_stats().collective_ops - c0)
             })
             .unwrap();
@@ -798,6 +844,6 @@ mod tests {
                 parallel_multi_select_windows(proc, windows, 0, &cfg())
             })
             .unwrap();
-        assert!(outs.iter().all(Vec::is_empty));
+        assert!(outs.iter().all(|(got, carves)| got.is_empty() && carves == &[Vec::new()]));
     }
 }

@@ -2,14 +2,15 @@
 //! four algorithms — the selected element must equal the oracle's, and the
 //! bookkeeping must stay coherent. The lockstep multi-select pass gets the
 //! same treatment over a deterministic grid of machine sizes and window
-//! shapes.
+//! shapes, and so does the carve it returns: every cut it reports must be
+//! where the slice really is cut.
 
 use cgselect_core::{
     parallel_multi_select_windows, select_on_machine, Algorithm, Balancer, RankedWindow,
     SelectionConfig,
 };
 use cgselect_runtime::{Machine, MachineModel};
-use cgselect_seqsel::KernelRng;
+use cgselect_seqsel::{KernelRng, SepBound};
 use proptest::prelude::*;
 
 fn oracle(parts: &[Vec<u64>], k: u64) -> u64 {
@@ -128,8 +129,9 @@ impl WindowSpec {
 }
 
 /// Runs one lockstep pass over `specs` on `p` processors and checks every
-/// processor's answers against the sorted-vector oracle and every borrowed
-/// slice against its multiset. Returns the collective ops the pass cost.
+/// processor's answers against the sorted-vector oracle, every borrowed
+/// slice against its multiset, and every window's carve against the slice
+/// it describes. Returns the collective ops the pass cost.
 fn check_windows(p: usize, specs: &[WindowSpec], cfg: &SelectionConfig) -> u64 {
     let out_len: usize = specs.iter().map(|w| w.ranks.len()).sum();
     let outs = Machine::with_model(p, MachineModel::free())
@@ -155,8 +157,8 @@ fn check_windows(p: usize, specs: &[WindowSpec], cfg: &SelectionConfig) -> u64 {
                 })
                 .collect();
             let c0 = proc.comm_stats().collective_ops;
-            let got = parallel_multi_select_windows(proc, windows, out_len, cfg);
-            (got, proc.comm_stats().collective_ops - c0, slices)
+            let (got, carves) = parallel_multi_select_windows(proc, windows, out_len, cfg);
+            (got, proc.comm_stats().collective_ops - c0, slices, carves)
         })
         .unwrap();
     let expect: Vec<Option<u64>> = specs
@@ -166,14 +168,30 @@ fn check_windows(p: usize, specs: &[WindowSpec], cfg: &SelectionConfig) -> u64 {
             w.ranks.iter().map(move |&r| Some(all[r as usize]))
         })
         .collect();
-    for (me, (got, ops, slices)) in outs.iter().enumerate() {
+    let bounds_of = |carve: &[(SepBound<u64>, usize)]| -> Vec<SepBound<u64>> {
+        carve.iter().map(|&(bound, _)| bound).collect()
+    };
+    for (me, (got, ops, slices, carves)) in outs.iter().enumerate() {
         assert_eq!(*got, expect, "processor {me} disagrees with the oracle");
         assert_eq!(*ops, outs[0].1, "processors count different collectives");
-        for (slice, w) in slices.iter().zip(specs) {
-            let (mut a, mut b) = (slice.clone(), w.slices[me].clone());
+        assert_eq!(carves.len(), specs.len(), "one carve per window");
+        for (w, ((slice, spec), carve)) in slices.iter().zip(specs).zip(carves).enumerate() {
+            let (mut a, mut b) = (slice.clone(), spec.slices[me].clone());
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "processor {me}: a borrowed slice is not a permutation of its input");
+
+            let at = format!("processor {me}, window {w}");
+            let rounds = !spec.ranks.is_empty() && spec.population() > cfg.threshold(p);
+            assert_eq!(carve.is_empty(), !rounds, "{at}: a carve exactly when a round cut");
+            assert_eq!(bounds_of(carve), bounds_of(&outs[0].3[w]), "{at}: bounds differ from P0's");
+            assert!(carve.windows(2).all(|c| c[0].0 < c[1].0), "{at}: bounds must increase");
+            assert!(carve.windows(2).all(|c| c[0].1 <= c[1].1), "{at}: offsets must not decrease");
+            for &(bound, cut) in carve {
+                assert!(cut <= slice.len(), "{at}: cut {cut} outside a slice of {}", slice.len());
+                assert!(slice[..cut].iter().all(|x| bound.admits(x)), "{at}: left of {bound:?}");
+                assert!(!slice[cut..].iter().any(|x| bound.admits(x)), "{at}: right of {bound:?}");
+            }
         }
     }
     outs[0].1
@@ -225,6 +243,8 @@ fn lockstep_windows_match_the_oracle_on_every_shape() {
                     // One rank in a window that lives on the last processor
                     // alone: everyone else samples and partitions nothing.
                     WindowSpec::deal(shaped(shape, n, &mut rng), p, p - 1, 0, vec![rng.below(m)]),
+                    // Nobody asks for a rank: never touched, an empty carve.
+                    WindowSpec::deal(shaped(shape, 200, &mut rng), p, 0, 3, vec![]),
                 ];
                 check_windows(p, &specs, &cfg(seed));
             }
@@ -236,7 +256,9 @@ fn lockstep_windows_match_the_oracle_on_every_shape() {
 fn a_missed_bracket_costs_a_round_never_an_answer() {
     // With δ ≈ 0 the bracket is two neighbouring sample values, so most
     // ranks fall outside it; they must still come back exact, and inside a
-    // round budget far below the default safety valve.
+    // round budget far below the default safety valve. Rounds that discard
+    // nothing stall into shared-pivot cuts, which land in the carve like
+    // any bracket cut.
     for shape in SHAPES {
         for p in [2usize, 4] {
             let cfg = SelectionConfig {

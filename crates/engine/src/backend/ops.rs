@@ -19,7 +19,7 @@ use cgselect_seqsel::{
 
 use crate::index::{
     bucket_stats, merge_minmax, recut_shard_index, refined_bounds, splitters_from_samples,
-    BucketStats, ShardIndex,
+    BucketStats, ResidentRuns, ShardIndex,
 };
 use crate::obs::{Phase, PhaseSpan};
 use crate::sketch::EpsSketch;
@@ -223,8 +223,8 @@ pub(crate) fn build_index_shard<T: Key>(
         merge_delta_shard(proc, shard);
     }
     let mut ops = OpCount::new();
-    let (idx, stats) =
-        recut_shard_index(&mut shard.data, shard.index.take(), bounds.clone(), &mut ops);
+    let resident = shard.index.take().map(Into::into);
+    let (idx, stats) = recut_shard_index(&mut shard.data, resident, bounds.clone(), &mut ops);
     proc.charge_ops(ops.total());
     shard.index = Some(idx);
     (bounds, stats)
@@ -264,11 +264,17 @@ pub(crate) fn merge_delta_shard<T: Key>(proc: &mut Proc, shard: &mut Shard<T>) -
 
 /// The local prefix count of one value probe over a plain slice, with
 /// measured comparisons. Dispatches to the branchless counting kernel, or
-/// to the scalar reference loop under `with_scalar_reference_mode`. Both
-/// charge exactly one comparison per element, so modeled ops never depend
-/// on the kernel.
-fn count_admitted<T: Key>(data: &[T], value: T, inclusive: bool, cmps: &mut u64) -> u64 {
-    if scalar_reference_mode() {
+/// to the scalar reference loop when the batch runs under
+/// `with_scalar_reference_mode` (`reference`). Both charge exactly one
+/// comparison per element, so modeled ops never depend on the kernel.
+fn count_admitted<T: Key>(
+    data: &[T],
+    value: T,
+    inclusive: bool,
+    reference: bool,
+    cmps: &mut u64,
+) -> u64 {
+    if reference {
         return count_below_reference(data, value, inclusive, cmps);
     }
     count_below_kernel(data, value, inclusive, cmps)
@@ -279,7 +285,12 @@ fn count_admitted<T: Key>(data: &[T], value: T, inclusive: bool, cmps: &mut u64)
 /// index, a full scan otherwise — then **one** vectorized Combine for the
 /// whole probe batch. Runs *before* the multi-select phase, which permutes
 /// the windows and refines the splitters.
-fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, bool)]) -> Vec<u64> {
+fn count_probes_shard<T: Key>(
+    proc: &mut Proc,
+    shard: &Shard<T>,
+    probes: &[(T, bool)],
+    reference: bool,
+) -> Vec<u64> {
     if probes.is_empty() {
         return Vec::new();
     }
@@ -296,7 +307,7 @@ fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, b
             // is grid-pinned to it), so modeled ops are unchanged. The
             // per-probe search survives as the reference baseline and as
             // the fallback for unsorted batches.
-            let merge = !scalar_reference_mode() && probes.windows(2).all(|w| w[0].0 <= w[1].0);
+            let merge = !reference && probes.windows(2).all(|w| w[0].0 <= w[1].0);
             let mut next = 0usize;
             probes
                 .iter()
@@ -316,20 +327,17 @@ fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, b
                     } else {
                         bucket_of(&idx.bounds, &v, &mut ops)
                     };
+                    let bucket = &shard.data[idx.offsets[b]..idx.offsets[b + 1]];
+                    let delta = &shard.data[delta_start..];
                     idx.offsets[b] as u64
-                        + count_admitted(
-                            &shard.data[idx.offsets[b]..idx.offsets[b + 1]],
-                            v,
-                            inclusive,
-                            &mut cmps,
-                        )
-                        + count_admitted(&shard.data[delta_start..], v, inclusive, &mut cmps)
+                        + count_admitted(bucket, v, inclusive, reference, &mut cmps)
+                        + count_admitted(delta, v, inclusive, reference, &mut cmps)
                 })
                 .collect()
         }
         None => probes
             .iter()
-            .map(|&(v, inclusive)| count_admitted(&shard.data, v, inclusive, &mut cmps))
+            .map(|&(v, inclusive)| count_admitted(&shard.data, v, inclusive, reference, &mut cmps))
             .collect(),
     };
     proc.charge_ops(ops.total() + cmps);
@@ -339,6 +347,10 @@ fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, b
 /// Batch execution: the whole per-shard half of [`crate::Engine::run`]
 /// — the vectorized value-probe Combine, delta localization, borrowed
 /// candidate windows, the lockstep multi-select, and answer refinement.
+/// A window is passed over once: the select pass partitions it in place
+/// and reports the cuts it made, and the refinement re-cuts those
+/// ([`recut_shard_index`]) instead of partitioning and scanning the window
+/// again; its modeled charge is what that re-cut measured.
 /// (Sketch-served answers are computed host-side off the global ε-sketch
 /// and never reach the backend; the sketch phase bracket survives only so
 /// the span schema stays stable, always at zero collectives.) The measured
@@ -357,6 +369,9 @@ pub(crate) fn execute_shard<T: Key>(
     // collectives, so execution with spans on is indistinguishable — in
     // answers, comm counts, and makespan — from execution with spans off.
     let observe = plan.trace.is_some();
+    // Read once per batch: a scoped flip of the kernel switch cannot mix
+    // kernels within one batch's probe counts.
+    let reference = scalar_reference_mode();
 
     // Synchronize clocks so the elapsed virtual time is a makespan.
     proc.barrier();
@@ -367,7 +382,7 @@ pub(crate) fn execute_shard<T: Key>(
     if observe {
         proc.phase_begin(Phase::Probes.as_str());
     }
-    let probe_counts = count_probes_shard(proc, shard, &plan.value_probes);
+    let probe_counts = count_probes_shard(proc, shard, &plan.value_probes, reference);
     if observe {
         proc.phase_end(Phase::Probes.as_str());
     }
@@ -445,16 +460,23 @@ pub(crate) fn execute_shard<T: Key>(
                     .collect(),
             });
         }
-        exact = parallel_multi_select_windows(proc, windows, n_exact, &plan.selection);
+        let (answers, carves) =
+            parallel_multi_select_windows(proc, windows, n_exact, &plan.selection);
+        exact = answers;
 
         // Refine each window by its answers (descending, so earlier
         // windows' bucket indices stay valid): the resolved values
-        // become equality-class splitters, restoring the index the
-        // in-place pass permuted and making repeated/nearby ranks
-        // histogram-only next batch.
+        // become equality-class splitters, making repeated/nearby ranks
+        // histogram-only next batch. The pass left the window cut around
+        // those answers, so the refinement re-cuts that carve: a bound
+        // the pass cut at is free, only the innermost cell around an
+        // answer (processor 0 finished it on a copy) is partitioned, and
+        // the window's old internal bounds come back by the same walk.
+        // The carve is scaffolding — the index keeps `refined_bounds`,
+        // the same function of the answers the host replays.
         let (indexed_part, _) = data.split_at_mut(delta_start);
         refines = vec![Vec::new(); plan.groups.len()];
-        for (g, group) in plan.groups.iter().enumerate().rev() {
+        for (g, (group, carve)) in plan.groups.iter().zip(carves).enumerate().rev() {
             let answers: Vec<T> =
                 group.out.iter().map(|&slot| exact[slot].expect("group rank resolved")).collect();
             let lower = (group.lo > 0).then(|| idx.bounds[group.lo - 1]);
@@ -462,11 +484,22 @@ pub(crate) fn execute_shard<T: Key>(
             let new_bounds =
                 refined_bounds(&idx.bounds[group.lo..group.hi], &answers, lower, upper);
             let range = &mut indexed_part[idx.offsets[group.lo]..idx.offsets[group.hi + 1]];
+            // A cut at an outer bound separates nothing from the window.
+            let (bounds, cuts): (Vec<SepBound<T>>, Vec<usize>) = carve
+                .into_iter()
+                .filter(|(b, _)| lower.is_none_or(|lo| *b > lo) && upper.is_none_or(|hi| *b < hi))
+                .unzip();
+            let offsets = std::iter::once(0).chain(cuts).chain([range.len()]).collect();
+            // The window's outer extrema are the resident ones; every cell
+            // between them is unread until a new bucket ends in it.
+            let outer =
+                (idx.minmax[group.lo].map(|(mn, _)| mn), idx.minmax[group.hi].map(|(_, mx)| mx));
+            let resident = ResidentRuns::from_cuts(bounds, offsets, outer);
             let mut ops = OpCount::new();
-            let local = partition_by_bounds(range, &new_bounds, &mut ops);
-            proc.charge_ops(ops.total() + range.len() as u64);
-            refines[g] = bucket_stats(range, &local);
-            idx.splice_refined(group.lo, group.hi, new_bounds, &local, &refines[g]);
+            let (cut, stats) = recut_shard_index(range, Some(resident), new_bounds, &mut ops);
+            proc.charge_ops(ops.total());
+            idx.splice_refined(group.lo, group.hi, cut.bounds, &cut.offsets, &stats);
+            refines[g] = stats;
         }
     } else if run_full {
         // No index: resolve over the whole resident slice, still
@@ -480,7 +513,7 @@ pub(crate) fn execute_shard<T: Key>(
             n: plan.full_total,
             ranks: pairs,
         };
-        exact = parallel_multi_select_windows(proc, vec![window], n_exact, &plan.selection);
+        (exact, _) = parallel_multi_select_windows(proc, vec![window], n_exact, &plan.selection);
     }
 
     // Probe-driven splitter refinement: every resolved value probe carves
@@ -588,7 +621,11 @@ fn binary_search_counting<T: Ord>(sorted: &[T], x: &T, cmps: &mut u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Group;
+    use crate::query::RankSet;
+    use cgselect_core::SelectionConfig;
     use cgselect_runtime::Machine;
+    use std::sync::Arc;
 
     fn lone_proc() -> Proc {
         Machine::new(1).procs().remove(0)
@@ -727,7 +764,7 @@ mod tests {
         }
         grown.sort_unstable();
         grown.dedup();
-        let idx = shard.index.take();
+        let idx = shard.index.take().map(Into::into);
         let (idx, _) = recut_shard_index(&mut shard.data, idx, grown, &mut OpCount::new());
         shard.index = Some(idx);
         let (before, charged) = (shard.data.clone(), proc.ops_charged());
@@ -750,6 +787,244 @@ mod tests {
         assert!(shard.index.as_ref().unwrap().delta_start() < shard.data.len());
         assert_rebuild_matches_from_scratch(&mut shard, 16, false);
         assert_eq!(shard.index.as_ref().unwrap().delta_start(), shard.data.len());
+    }
+
+    /// The whole-window refinement `execute_shard` ran before the select pass
+    /// reported its carve — partition every window by its refined bounds,
+    /// scan every bucket that leaves — kept as the re-cut's reference.
+    fn refine_window_reference(
+        idx: &mut ShardIndex<u64>,
+        indexed: &mut [u64],
+        group: &Group,
+        answers: &[u64],
+    ) -> BucketStats<u64> {
+        let lower = (group.lo > 0).then(|| idx.bounds[group.lo - 1]);
+        let upper = (group.hi < idx.bounds.len()).then(|| idx.bounds[group.hi]);
+        let new_bounds = refined_bounds(&idx.bounds[group.lo..group.hi], answers, lower, upper);
+        let range = &mut indexed[idx.offsets[group.lo]..idx.offsets[group.hi + 1]];
+        let local = partition_by_bounds(range, &new_bounds, &mut OpCount::new());
+        let stats = bucket_stats(range, &local);
+        idx.splice_refined(group.lo, group.hi, new_bounds, &local, &stats);
+        stats
+    }
+
+    /// The window over buckets `lo..=hi` of a lone shard, as the host's
+    /// router would describe it: `ranks` count within the window's indexed
+    /// and pending elements; the group's count within the window plus the
+    /// *whole* delta run, so they shift up by the delta below the window.
+    fn group_over(shard: &Shard<u64>, lo: usize, hi: usize, ranks: &[u64], slot0: usize) -> Group {
+        let idx = shard.index.as_ref().unwrap();
+        let delta = &shard.data[idx.delta_start()..];
+        let below = delta.iter().filter(|x| lo > 0 && idx.bounds[lo - 1].admits(x)).count() as u64;
+        Group {
+            lo,
+            hi,
+            n: (idx.offsets[hi + 1] - idx.offsets[lo] + delta.len()) as u64,
+            ranks: ranks.iter().map(|r| r + below).collect(),
+            out: (slot0..slot0 + ranks.len()).collect(),
+        }
+    }
+
+    /// Executes one exact batch over `groups` on a lone shard and holds it
+    /// against the reference run on a copy: oracle answers, the same bounds
+    /// and per-bucket counts and multisets, extrema equal to the reference's
+    /// (`exact`) or containing them (a delete left the resident ones stale),
+    /// a shard the snapshot decoder accepts. Returns the ops charged.
+    fn check_exact_batch(
+        shard: &mut Shard<u64>,
+        groups: Vec<Group>,
+        cfg: &SelectionConfig,
+        exact: bool,
+    ) -> u64 {
+        let idx = shard.index.as_ref().unwrap();
+        let delta_start = idx.delta_start();
+        let first_rank: Vec<usize> = groups.iter().map(|g| idx.offsets[g.lo]).collect();
+        let mut sorted = shard.data.clone();
+        sorted.sort_unstable();
+        let mut ref_data = shard.data.clone();
+        let mut ref_idx = ShardIndex {
+            bounds: idx.bounds.clone(),
+            offsets: idx.offsets.clone(),
+            minmax: idx.minmax.clone(),
+        };
+
+        let n_exact: usize = groups.iter().map(|g| g.out.len()).sum();
+        let plan = BatchPlan {
+            groups: Arc::new(groups),
+            exact_ranks: Arc::new(RankSet::from_runs(vec![(0, n_exact as u64)])),
+            value_probes: Arc::new(Vec::new()),
+            selection: cfg.clone(),
+            use_index: true,
+            full_total: shard.data.len() as u64,
+            delta_total: (shard.data.len() - delta_start) as u64,
+            trace: None,
+        };
+        let mut proc = lone_proc();
+        let outcome = execute_shard(&mut proc, shard, &plan);
+
+        let contains =
+            |got: Option<(u64, u64)>, want: Option<(u64, u64)>, at: &str| match (got, want) {
+                (None, None) => {}
+                (Some((lo, hi)), Some((want_lo, want_hi))) => {
+                    assert!(lo <= want_lo && want_hi <= hi, "{at}: {got:?} vs {want:?}");
+                    assert!(!exact || got == want, "{at}: {got:?} is not the scanned {want:?}");
+                }
+                _ => panic!("{at}: min/max must be None exactly when empty: {got:?} vs {want:?}"),
+            };
+        for (g, group) in plan.groups.iter().enumerate().rev() {
+            let answers: Vec<u64> =
+                group.out.iter().map(|&slot| outcome.exact[slot].expect("resolved")).collect();
+            for (&r, &a) in group.ranks.iter().zip(&answers) {
+                assert_eq!(a, sorted[first_rank[g] + r as usize], "group {g} rank {r}");
+            }
+            let want = refine_window_reference(
+                &mut ref_idx,
+                &mut ref_data[..delta_start],
+                group,
+                &answers,
+            );
+            assert_eq!(outcome.refines[g].len(), want.len(), "group {g}");
+            for (b, (&(count, mm), &(want_count, want_mm))) in
+                outcome.refines[g].iter().zip(&want).enumerate()
+            {
+                assert_eq!(count, want_count, "group {g} bucket {b}");
+                contains(mm, want_mm, &format!("group {g} reply bucket {b}"));
+            }
+        }
+        let idx = shard.index.as_ref().unwrap();
+        assert_eq!(idx.bounds, ref_idx.bounds);
+        assert_eq!(idx.offsets, ref_idx.offsets);
+        for b in 0..idx.num_buckets() {
+            contains(idx.minmax[b], ref_idx.minmax[b], &format!("bucket {b}"));
+            let (mut ours, mut theirs) = (
+                shard.data[idx.offsets[b]..idx.offsets[b + 1]].to_vec(),
+                ref_data[idx.offsets[b]..idx.offsets[b + 1]].to_vec(),
+            );
+            ours.sort_unstable();
+            theirs.sort_unstable();
+            assert_eq!(ours, theirs, "bucket {b} holds a different multiset");
+        }
+        let checked =
+            ShardIndex::from_snapshot(idx.bounds.clone(), idx.offsets.clone(), &shard.data);
+        assert!(checked.is_ok(), "{:?}", checked.err());
+        proc.ops_charged()
+    }
+
+    /// Sample splitters over `resident`, as an index build would agree on.
+    fn sample_bounds(resident: &[u64], nb: usize) -> Vec<SepBound<u64>> {
+        let mut pool = resident.to_vec();
+        pool.sort_unstable();
+        splitters_from_samples(&pool, nb)
+    }
+
+    #[test]
+    fn a_single_bucket_window_refines_for_a_fraction_of_its_size() {
+        let resident = keys(0..80_000);
+        let mut shard = indexed_shard(&resident, sample_bounds(&resident, 2), &[]);
+        let cfg = SelectionConfig::with_seed(7);
+        let window = shard.data[..shard.index.as_ref().unwrap().offsets[1]].to_vec();
+        let m = window.len() as u64;
+        let group = group_over(&shard, 0, 0, &[m / 3], 0);
+
+        // What the select pass alone charges for this window: the batch
+        // charges that plus the refinement.
+        let mut alone = lone_proc();
+        let mut copy = window;
+        let ranked =
+            RankedWindow { slice: &mut copy, extra: Vec::new(), n: m, ranks: vec![(m / 3, 0)] };
+        let (_, carves) = parallel_multi_select_windows(&mut alone, vec![ranked], 1, &cfg);
+        assert!(carves[0].len() >= 2, "a window of {m} takes a bracket round: {carves:?}");
+
+        let charged = check_exact_batch(&mut shard, vec![group], &cfg, true);
+        let refine = charged - alone.ops_charged();
+        assert!(refine < m / 4, "refining a window of {m} was charged {refine} ops");
+    }
+
+    #[test]
+    fn the_recut_refinement_installs_what_the_whole_window_pass_did() {
+        // Small finish threshold, so windows of a few hundred take rounds.
+        let cfg = |seed| SelectionConfig { min_sequential: 32, ..SelectionConfig::with_seed(seed) };
+        let resident = keys(0..6000);
+        let bounds = sample_bounds(&resident, 8);
+        let fresh = || indexed_shard(&resident, bounds.clone(), &[]);
+        let width = |shard: &Shard<u64>, b: usize| {
+            let idx = shard.index.as_ref().unwrap();
+            (idx.offsets[b + 1] - idx.offsets[b]) as u64
+        };
+
+        // Two windows, the second with two ranks sharing its bucket: the
+        // brackets of both ranks cut one window.
+        let mut shard = fresh();
+        let groups = vec![
+            group_over(&shard, 1, 1, &[width(&shard, 1) / 2], 0),
+            group_over(&shard, 5, 5, &[10, width(&shard, 5) - 3], 1),
+        ];
+        check_exact_batch(&mut shard, groups, &cfg(1), true);
+        // The same buckets again, now refined: narrower windows, a rank on an
+        // equality class the last batch carved.
+        let groups = vec![
+            group_over(&shard, 1, 2, &[1, width(&shard, 1)], 0),
+            group_over(&shard, 9, 9, &[5], 2),
+        ];
+        check_exact_batch(&mut shard, groups, &cfg(2), true);
+
+        // A window over three buckets with a delta run pending: the pass
+        // destroys the old internal bounds' order, the re-cut restores it.
+        let mut shard = indexed_shard(&resident, bounds.clone(), &keys(6000..6400));
+        let span: u64 = (2..=4).map(|b| width(&shard, b)).sum();
+        let groups = vec![group_over(&shard, 2, 4, &[7, span / 2, span + 20], 0)];
+        check_exact_batch(&mut shard, groups, &cfg(3), true);
+
+        // Answers equal to the window's outer bounds: bucket 3 is
+        // `(bounds[2], bounds[3]]` with inclusive sample splitters, so its
+        // maximum is `bounds[3]`'s value and that pair must not be inserted
+        // twice; bucket 0's minimum has no bound below it at all.
+        let mut shard = fresh();
+        let groups = vec![
+            group_over(&shard, 0, 0, &[0], 0),
+            group_over(&shard, 3, 3, &[0, width(&shard, 3) - 1], 1),
+        ];
+        check_exact_batch(&mut shard, groups, &cfg(4), true);
+        let idx = shard.index.as_ref().unwrap();
+        assert!(idx.bounds.windows(2).all(|w| w[0] < w[1]), "{:?}", idx.bounds);
+
+        // An all-equal bucket among distinct neighbours: its one value is
+        // every answer, and no cut can separate anything.
+        let mut heavy = resident.clone();
+        heavy.extend(std::iter::repeat_n(bounds[3].value, 900));
+        let mut shard = indexed_shard(&heavy, bounds.clone(), &[]);
+        let with_class = refined_bounds(&bounds, &[bounds[3].value], None, None);
+        let idx = shard.index.take().map(Into::into);
+        let (idx, _) = recut_shard_index(&mut shard.data, idx, with_class, &mut OpCount::new());
+        shard.index = Some(idx);
+        assert_eq!(width(&shard, 4), 901, "the class is a bucket of its own");
+        let groups = vec![group_over(&shard, 4, 4, &[0, 450, 900], 0)];
+        check_exact_batch(&mut shard, groups, &cfg(5), true);
+
+        // A delete takes bucket 6's extremes and leaves its min/max stale:
+        // the re-cut carries them at the window's far ends (containment),
+        // where the reference re-read them.
+        let mut shard = fresh();
+        let idx = shard.index.as_ref().unwrap();
+        let (mn, mx) = idx.minmax[6].expect("bucket 6 is populated");
+        delete_shard(&mut lone_proc(), &mut shard, &[mn, mx]);
+        let groups = vec![group_over(&shard, 6, 6, &[width(&shard, 6) / 2], 0)];
+        check_exact_batch(&mut shard, groups, &cfg(6), false);
+        let idx = shard.index.as_ref().unwrap();
+        assert_eq!(idx.minmax[6].map(|mm| mm.0), Some(mn), "the stale far end is carried");
+
+        // Sixteen fresh ranks a batch grow 8 buckets past a cap of 32 in one
+        // op; the rebuild the next op starts with re-cuts what the
+        // refinements left and must land where a from-scratch build does.
+        let mut shard = fresh();
+        let groups: Vec<Group> = (0..8)
+            .map(|b| {
+                group_over(&shard, b, b, &[width(&shard, b) / 4, 3 * width(&shard, b) / 4], 2 * b)
+            })
+            .collect();
+        check_exact_batch(&mut shard, groups, &cfg(7), true);
+        assert!(shard.index.as_ref().unwrap().num_buckets() > 32);
+        assert_rebuild_matches_from_scratch(&mut shard, 8, true);
     }
 
     /// The churn shape of `perf`'s `ingest_churn`, scaled down 32 × on one

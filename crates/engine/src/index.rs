@@ -31,11 +31,17 @@
 //!   collectives. Refinement (below) makes this the steady state for
 //!   repeated and near-repeated quantiles.
 //! * **Adaptive refinement** — after a batch resolves its answers, each
-//!   candidate window is re-partitioned by the answer values, inserting
-//!   `(v, exclusive), (v, inclusive)` splitter pairs that carve out each
-//!   answer's exact equality class. The next batch asking the same (or a
-//!   nearby) quantile finds a constant candidate bucket and takes the fast
-//!   path.
+//!   candidate window gains `(v, exclusive), (v, inclusive)` splitter pairs
+//!   that carve out each answer's exact equality class. The next batch
+//!   asking the same (or a nearby) quantile finds a constant candidate
+//!   bucket and takes the fast path. The select pass partitions in place,
+//!   so the window comes back already cut around its answers: the
+//!   refinement is the same re-cut a build runs, with the pass's carve as
+//!   the resident runs ([`ResidentRuns`]) — only the innermost cell around
+//!   an answer is partitioned, only the pieces next to an answer are read
+//!   for their extrema. The carve itself is scaffolding: the index keeps
+//!   [`refined_bounds`], a function of the answers alone, so the host
+//!   replays it without hearing of the carve.
 //! * **Delta runs, rebased host-side** — ingest appends to an unindexed
 //!   tail on the shards *and* into a sorted host mirror
 //!   ([`GlobalIndex::delta_vals`]) that classifies each pending element
@@ -64,11 +70,15 @@ pub(crate) struct ShardIndex<T> {
     /// the host mirror follows for [`GlobalIndex::apply_removals`]: every
     /// element of bucket `b` lies inside `minmax[b]`, and both ends lie
     /// inside the bucket's value range (its lower bound admits neither, its
-    /// upper bound admits both). Exact after a build's scan, a refinement
-    /// and a delta merge; a delete may leave it wider than what is left
-    /// (removal only shrinks a bucket's range); `None` exactly for an empty
-    /// bucket. This is what lets [`recut_shard_index`] carry a bucket it
-    /// does not cut into the next index without touching its elements.
+    /// upper bound admits both). Exact after a build's scan and a delta
+    /// merge, and at every cut a refinement makes: the ends of the new
+    /// buckets that meet at an answer are read. The two far ends of a
+    /// refined window are carried from the buckets it replaced, as is
+    /// everything a delete touches, and may be wider than what is left
+    /// (removal only shrinks a bucket's range) until a cut next to them
+    /// reads them again; `None` exactly for an empty bucket. This is what
+    /// lets [`recut_shard_index`] carry a bucket it does not cut into the
+    /// next index without touching its elements.
     pub minmax: Vec<Option<(T, T)>>,
 }
 
@@ -588,72 +598,176 @@ pub(crate) fn merge_minmax<T: Key>(a: Option<(T, T)>, b: Option<(T, T)>) -> Opti
     }
 }
 
-/// Shard-side (re)build: brings `data` into bucket order under the shared
-/// `bounds` by **re-cutting the resident runs**, installs nothing itself and
-/// returns the new index plus the per-bucket summary for the host cache.
+/// The value-ordered runs of a slice a re-cut starts from, and what is known
+/// of their extrema without reading them. A resident [`ShardIndex`] is one
+/// (every bucket's [`minmax`](ShardIndex::minmax) known); so is the carve a
+/// select pass leaves in a candidate window (cuts known, extrema not).
+pub(crate) struct ResidentRuns<T> {
+    /// Strictly increasing: run `r` holds what `bounds[r]` admits and
+    /// `bounds[r - 1]` does not.
+    pub bounds: Vec<SepBound<T>>,
+    /// `bounds.len() + 2` non-decreasing offsets, from 0 to the slice's end.
+    pub offsets: Vec<usize>,
+    /// Per run, its `(min, max)` where known — each end on its own, under
+    /// the containment rule of [`ShardIndex::minmax`]. `None` is an end
+    /// nobody has read (or an empty run's): the re-cut reads the run if, and
+    /// only if, a new bucket's extrema depend on it.
+    pub ends: Vec<(Option<T>, Option<T>)>,
+}
+
+impl<T: Key> ResidentRuns<T> {
+    /// Runs of which only the cuts and the two outer extrema are known: what
+    /// a select pass's carve says of a window, and (no cuts, no extrema) what
+    /// is known of a shard that has no index yet.
+    pub(crate) fn from_cuts(
+        bounds: Vec<SepBound<T>>,
+        offsets: Vec<usize>,
+        (min, max): (Option<T>, Option<T>),
+    ) -> Self {
+        let mut ends = vec![(None, None); bounds.len() + 1];
+        ends[0].0 = min;
+        ends[bounds.len()].1 = max;
+        ResidentRuns { bounds, offsets, ends }
+    }
+}
+
+impl<T: Key> From<ShardIndex<T>> for ResidentRuns<T> {
+    fn from(idx: ShardIndex<T>) -> Self {
+        let ends = idx.minmax.iter().map(|mm| (mm.map(|(mn, _)| mn), mm.map(|(_, mx)| mx)));
+        ResidentRuns { ends: ends.collect(), bounds: idx.bounds, offsets: idx.offsets }
+    }
+}
+
+/// One value-ordered piece of the bucket a re-cut is assembling: a resident
+/// run, or a part a new splitter cut out of one.
+struct Piece<T> {
+    range: std::ops::Range<usize>,
+    min: Option<T>,
+    max: Option<T>,
+}
+
+/// The new bucket a re-cut is assembling. Its pieces arrive in value order,
+/// so its extrema are its first non-empty piece's min and its last one's
+/// max: the pieces between them are counted, never read.
+struct OpenBucket<T> {
+    count: usize,
+    first: Option<Piece<T>>,
+    last: Option<Piece<T>>,
+}
+
+impl<T: Key> OpenBucket<T> {
+    fn new() -> Self {
+        OpenBucket { count: 0, first: None, last: None }
+    }
+
+    fn push(&mut self, piece: Piece<T>) {
+        if piece.range.is_empty() {
+            return;
+        }
+        self.count += piece.range.len();
+        match self.first {
+            None => self.first = Some(piece),
+            Some(_) => self.last = Some(piece),
+        }
+    }
+
+    /// Closes the bucket and leaves `self` empty for the next one. An end
+    /// piece is read — one comparison per element — only for an end that is
+    /// not known already; a piece read for one end yields the other exactly.
+    fn close(&mut self, data: &[T], ops: &mut OpCount) -> (u64, Option<(T, T)>) {
+        let mut read = |piece: &Piece<T>| {
+            ops.cmps += piece.range.len() as u64;
+            let run = &data[piece.range.clone()];
+            run.iter().fold((run[0], run[0]), |(mn, mx), &x| (mn.min(x), mx.max(x)))
+        };
+        let minmax = match (self.first.take(), self.last.take()) {
+            (None, _) => None,
+            (Some(only), None) => Some(match (only.min, only.max) {
+                (Some(mn), Some(mx)) => (mn, mx),
+                _ => read(&only),
+            }),
+            (Some(first), Some(last)) => Some((
+                first.min.unwrap_or_else(|| read(&first).0),
+                last.max.unwrap_or_else(|| read(&last).1),
+            )),
+        };
+        (std::mem::take(&mut self.count) as u64, minmax)
+    }
+}
+
+/// Brings `data` into bucket order under the shared `bounds` by **re-cutting
+/// the resident runs**, installs nothing itself and returns the new index
+/// plus the per-bucket summary for the host cache. Two callers: an index
+/// (re)build over a whole shard, and the refinement of one candidate window
+/// after a select pass, whose carve is the resident input.
 ///
-/// One forward cursor over `bounds` walks the resident buckets. A new
-/// splitter equal to a resident bound closes a bucket where one already
-/// closes: free. New splitters strictly inside a resident bucket are applied
-/// by [`partition_by_bounds`] to that bucket's run only, and only that run
-/// is re-scanned for its min/max. Every other bucket keeps its place and its
-/// [`ShardIndex::minmax`]; resident bounds the new vector drops simply stop
-/// separating their neighbours, whose counts add and whose ranges widen.
-/// `resident` must have no pending delta run (the caller folds it in
-/// first). `None` — first build, or the index was dropped by a rebalance, a
-/// merge-import or recovery — is the degenerate input of the same walk: no
-/// bounds, one bucket spanning `data` with no summary yet, so every
-/// splitter falls inside it and the whole shard is partitioned and scanned.
+/// One forward cursor over `bounds` walks the resident runs. A new splitter
+/// equal to a resident bound closes a bucket where a run already ends: free.
+/// New splitters strictly inside a resident run are applied by
+/// [`partition_by_bounds`] to that run only. Every other run keeps its
+/// place; resident bounds the new vector drops simply stop separating their
+/// neighbours, whose counts add and whose ranges widen.
 ///
-/// Measured costs land in `ops`: the partition's comparisons and moves,
-/// plus one comparison per element of every run the summary scan read.
+/// Extrema follow the **ends rule**: a new bucket is a sequence of
+/// value-ordered pieces, so its min is its first non-empty piece's and its
+/// max its last one's. A resident end that is known is carried; a piece
+/// between `(v, <)` and `(v, ≤)` holds only copies of `v`; any other end
+/// piece is read. A bucket an index rebuild does not cut is therefore never
+/// touched, both pieces of a bucket it cuts are read, and a window
+/// refinement reads the small pieces next to each answer and nothing else.
+///
+/// `resident` must cover `data` exactly (a shard's pending delta run is
+/// folded in first). `None` — first build, or the index was dropped by a
+/// rebalance, a merge-import or recovery — is the degenerate input of the
+/// same walk: no bounds, one unread run spanning `data`, so every splitter
+/// falls inside it and the whole shard is partitioned and read.
+///
+/// Measured costs land in `ops`: the partitions' comparisons and moves, plus
+/// one comparison per element of every piece read.
 pub(crate) fn recut_shard_index<T: Key>(
     data: &mut [T],
-    resident: Option<ShardIndex<T>>,
+    resident: Option<ResidentRuns<T>>,
     bounds: Vec<SepBound<T>>,
     ops: &mut OpCount,
 ) -> (ShardIndex<T>, BucketStats<T>) {
-    let unscanned = resident.is_none();
-    let old = resident.unwrap_or_else(|| ShardIndex {
-        bounds: Vec::new(),
-        offsets: vec![0, data.len()],
-        minmax: vec![None],
-    });
-    debug_assert_eq!(old.delta_start(), data.len(), "fold the delta run in before a re-cut");
+    let old = resident
+        .unwrap_or_else(|| ResidentRuns::from_cuts(Vec::new(), vec![0, data.len()], (None, None)));
+    debug_assert_eq!(old.offsets.last(), Some(&data.len()), "the resident runs cover the slice");
     let mut stats: BucketStats<T> = Vec::with_capacity(bounds.len() + 1);
-    // The new bucket being assembled: resident pieces join it until a new
-    // splitter closes it.
-    let mut open: (u64, Option<(T, T)>) = (0, None);
+    let mut open = OpenBucket::new();
     let mut next = 0usize;
-    for b in 0..old.num_buckets() {
-        let (lo, hi) = (old.offsets[b], old.offsets[b + 1]);
-        let upper = old.bounds.get(b);
+    for (r, &(known_min, known_max)) in old.ends.iter().enumerate() {
+        let (lo, hi) = (old.offsets[r], old.offsets[r + 1]);
+        let (lower, upper) = (r.checked_sub(1).map(|below| old.bounds[below]), old.bounds.get(r));
         let first = next;
         while next < bounds.len() && upper.is_none_or(|u| bounds[next] < *u) {
             next += 1;
         }
         let inside = &bounds[first..next];
-        let pieces = if inside.is_empty() && !unscanned {
-            vec![((hi - lo) as u64, old.minmax[b])]
+        let local = if inside.is_empty() {
+            vec![0, hi - lo]
         } else {
-            let run = &mut data[lo..hi];
-            let local = partition_by_bounds(run, inside, ops);
-            ops.cmps += run.len() as u64;
-            bucket_stats(run, &local)
+            partition_by_bounds(&mut data[lo..hi], inside, ops)
         };
         // Each of `inside` closes the piece before it; the last piece stays
-        // open unless this bucket's own bound survives into the new vector.
+        // open unless this run's own bound survives into the new vector.
         let kept = next < bounds.len() && upper == Some(&bounds[next]);
         next += usize::from(kept);
-        let last = pieces.len() - 1;
-        for (i, (count, mm)) in pieces.into_iter().enumerate() {
-            open = (open.0 + count, merge_minmax(open.1, mm));
+        let last = inside.len();
+        for (i, w) in local.windows(2).enumerate() {
+            let below = if i == 0 { lower } else { Some(inside[i - 1]) };
+            let above = if i == last { upper.copied() } else { Some(inside[i]) };
+            let (min, max) = match (below, above) {
+                (Some(b), Some(a)) if b.value == a.value => (Some(a.value), Some(a.value)),
+                _ => (known_min.filter(|_| i == 0), known_max.filter(|_| i == last)),
+            };
+            open.push(Piece { range: lo + w[0]..lo + w[1], min, max });
             if i < last || kept {
-                stats.push(std::mem::take(&mut open));
+                stats.push(open.close(data, ops));
             }
         }
     }
-    stats.push(open);
+    stats.push(open.close(data, ops));
     debug_assert_eq!(stats.len(), bounds.len() + 1, "every new splitter closes one bucket");
     let offsets = std::iter::once(0)
         .chain(stats.iter().scan(0usize, |end, &(count, _)| {
@@ -1075,13 +1189,15 @@ mod tests {
         let mut ops = OpCount::new();
         let (idx, stats) = recut_shard_index(&mut recut, None, bounds.clone(), &mut ops);
         // Exactly the old whole-shard build: same permutation, same measured
-        // partition work, plus the one summary pass it used to be charged.
+        // partition work, plus one summary pass — over everything but the
+        // equality class of 120, whose extrema its two bounds already say.
         let mut reference = data.clone();
         let mut ref_ops = OpCount::new();
         let ref_offsets = partition_by_bounds(&mut reference, &bounds, &mut ref_ops);
         assert_eq!(recut, reference);
         assert_eq!(idx.offsets, ref_offsets);
-        assert_eq!(ops.total(), ref_ops.total() + data.len() as u64);
+        let read = data.iter().filter(|&&x| x != 120).count() as u64;
+        assert_eq!(ops.total(), ref_ops.total() + read);
         assert_matches_from_scratch(&data, &recut, &idx, &stats, true);
     }
 
@@ -1118,7 +1234,8 @@ mod tests {
         let (idx, _) = recut_shard_index(&mut resident, None, grown, &mut OpCount::new());
         let before = resident.clone();
         let mut ops = OpCount::new();
-        let (idx, stats) = recut_shard_index(&mut resident, Some(idx), sample.clone(), &mut ops);
+        let (idx, stats) =
+            recut_shard_index(&mut resident, Some(idx.into()), sample.clone(), &mut ops);
         assert_eq!(ops.total(), 0);
         assert_eq!(resident, before, "no element moves");
         assert_eq!(idx.bounds, sample);
@@ -1137,7 +1254,7 @@ mod tests {
         // 2000 and 3000 are dropped, so buckets 1 and 2's halves re-merge.
         let new_bounds = bounds_from(&[(1000, 1), (2500, 1), (6000, 1)]);
         let mut ops = OpCount::new();
-        let (idx, stats) = recut_shard_index(&mut resident, Some(idx), new_bounds, &mut ops);
+        let (idx, stats) = recut_shard_index(&mut resident, Some(idx.into()), new_bounds, &mut ops);
         assert_eq!(resident[..cut_lo], before[..cut_lo]);
         assert_eq!(resident[cut_hi..], before[cut_hi..]);
         assert!(ops.cmps >= 2 * (cut_hi - cut_lo) as u64, "one partition pass and one scan");
@@ -1162,14 +1279,14 @@ mod tests {
         // contains what a scan would find; the emptied bucket stays `None`.
         let before = shard.data.clone();
         let mut ops = OpCount::new();
-        let (idx, stats) = recut_shard_index(&mut shard.data, Some(idx), bounds, &mut ops);
+        let (idx, stats) = recut_shard_index(&mut shard.data, Some(idx.into()), bounds, &mut ops);
         assert_eq!(ops.total(), 0);
         assert_eq!(stats[0], (2, Some((1, 10))));
         assert_eq!(stats[2], (0, None));
         assert_matches_from_scratch(&before, &shard.data, &idx, &stats, false);
         // Cutting the stale bucket re-scans it: exact again.
         let cut = bounds_from(&[(5, 1), (10, 1), (20, 2)]);
-        let (idx, stats) = recut_shard_index(&mut shard.data, Some(idx), cut, &mut ops);
+        let (idx, stats) = recut_shard_index(&mut shard.data, Some(idx.into()), cut, &mut ops);
         assert_eq!(stats[..2], [(1, Some((3, 3))), (1, Some((7, 7)))]);
         assert_matches_from_scratch(&before, &shard.data, &idx, &stats, false);
     }
@@ -1188,6 +1305,8 @@ mod tests {
             /// delete that empties buckets: the re-cut is the from-scratch
             /// partition in offsets, per-bucket multisets and counts, its
             /// min/max contain the scanned ones, and subset bounds are free.
+            /// So is the re-cut of the same runs with only the outer ends
+            /// known, which reads the end pieces it needs.
             #[test]
             fn recut_equals_a_from_scratch_partition(
                 seed in 0u64..1_000_000,
@@ -1242,8 +1361,22 @@ mod tests {
                 }
                 let before = shard.data.clone();
                 let mut ops = OpCount::new();
+                let resident: ResidentRuns<u64> = shard.index.take().expect("built above").into();
+                // The same runs as a select pass's carve describes them: the
+                // cuts and the two outer ends, every other end unread.
+                let outer = (resident.ends[0].0, resident.ends[resident.bounds.len()].1);
+                let carve = ResidentRuns::from_cuts(
+                    resident.bounds.clone(),
+                    resident.offsets.clone(),
+                    outer,
+                );
+                let mut carved = before.clone();
                 let (idx, stats) =
-                    recut_shard_index(&mut shard.data, shard.index.take(), new_bounds, &mut ops);
+                    recut_shard_index(&mut carved, Some(carve), new_bounds.clone(), &mut OpCount::new());
+                assert_matches_from_scratch(&before, &carved, &idx, &stats, exact);
+
+                let (idx, stats) =
+                    recut_shard_index(&mut shard.data, Some(resident), new_bounds, &mut ops);
                 assert_matches_from_scratch(&before, &shard.data, &idx, &stats, exact);
                 if mode == 0 {
                     prop_assert_eq!(ops.total(), 0, "resident bounds are free");
