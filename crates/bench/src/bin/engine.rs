@@ -1,20 +1,16 @@
-//! The persistent engine's two amortization experiments.
-//!
-//! **Experiment 1 — batching** (the PR-2 claim, `results/engine.{csv,txt}`):
-//! for batches of R rank queries over the same resident data, one coalesced
-//! multi-select pass vs R single-query calls, on the baseline (index-free)
-//! engine — in collective rounds, virtual seconds (CM-5 model), and host
-//! wall-clock. Round accounting comes from `cgselect_engine::measure_rounds`,
-//! the same helper `tests/engine.rs` asserts on.
+//! The persistent engine's amortization experiments. They are numbered 2
+//! to 7 because the docs and CI comments cite them by those numbers.
 //!
 //! **Experiment 2 — the resident bucket index**
-//! (`results/engine_indexed.{csv,txt}`): the indexed engine vs the PR-2
-//! batched baseline on two workloads — fresh distinct-rank batches
-//! (localization pays) and a repeated-quantile stream (the histogram fast
-//! path pays) — reporting collective ops/query, virtual makespan, wall
-//! clock, and histogram hit counts. The indexed exact path clones nothing:
-//! the multi-select runs over candidate buckets borrowed in place, so the
-//! baseline's per-batch full-shard copy + scan is simply absent.
+//! (`results/engine_indexed.{csv,txt}`): the indexed engine vs the paper's
+//! multi-select on bare data (`cgselect_core::parallel_multi_select`, one
+//! call per batch over the same parts, nothing carried between batches) on
+//! two workloads — fresh distinct-rank batches (localization pays) and a
+//! repeated-quantile stream (the histogram fast path pays) — reporting
+//! collective ops/query, virtual makespan, wall clock, and histogram hit
+//! counts. The indexed engine pays 3.1× fewer collective ops per query on
+//! the distinct ranks and 43× fewer on the repeated quantiles at `--quick`
+//! size (n = 2^17, p = 8); 1.6× and 32× at full size (n = 2^20).
 //!
 //! **Experiment 3 — mixed-kind workloads**
 //! (`results/engine_api_v2.{csv,txt}`): batches mixing forward ranks with
@@ -64,7 +60,7 @@
 //!
 //! Pass `--quick` for a reduced grid. Pass `--check` to exit non-zero
 //! unless the indexed engine uses no more collective ops/query than the
-//! baseline on both workloads *and* at least 2× fewer on the
+//! bare multi-select on both workloads *and* at least 2× fewer on the
 //! repeated-quantile workload, the mixed-kind workload batches at least 2×
 //! fewer ops/query than per-query execution with ChannelMp round-parity,
 //! the histogram-warm inverse stream costs zero collectives, the
@@ -84,10 +80,12 @@ use std::time::Instant;
 
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
+use cgselect_core::{parallel_multi_select, SelectionConfig};
 use cgselect_engine::{
-    measure_rounds, BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, ExecutionMode,
-    IndexHealth, RefreshPolicy, Request, Served, SloAccumulator, SloPolicy, SocketMpTuning,
+    quantile_rank, BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, IndexHealth,
+    QueryKind, RefreshPolicy, Request, Served, SloAccumulator, SloPolicy, SocketMpTuning,
 };
+use cgselect_runtime::{Machine, MachineModel};
 use cgselect_workloads::{generate, Distribution};
 
 /// Gate on the virtual makespan of the fresh 16-rank exact batch of
@@ -170,107 +168,51 @@ fn drive(
     }
 }
 
-/// Experiment 1: batched vs per-query on the baseline engine.
-fn batching_experiment(quick: bool, dir: &std::path::Path) {
-    let p = 8;
-    let n: usize = if quick { 1 << 17 } else { 1 << 20 };
-    let batch_sizes: &[usize] = if quick { &[4, 16] } else { &[4, 16, 64, 256] };
-
-    let data: Vec<u64> = generate(Distribution::Random, n, p, 7).into_iter().flatten().collect();
-    let mut engine: Engine<u64> =
-        Engine::new(EngineConfig::new(p).index_buckets(0)).expect("engine start");
-    engine.ingest(data).expect("ingest");
-    let total = engine.len();
-
-    let mut rows = Vec::new();
-    let mut table = Vec::new();
-    for &r in batch_sizes {
-        let queries: Vec<Request<u64>> = (0..r)
-            .map(|i| Request::rank((i as u64 * (total - 1)) / r.max(2) as u64 + i as u64 % 3))
-            .collect();
-
-        let wall0 = Instant::now();
-        let batched =
-            measure_rounds(&mut engine, &queries, ExecutionMode::Batched).expect("batched execute");
-        let batched_wall = wall0.elapsed().as_secs_f64();
-
-        let wall0 = Instant::now();
-        let single =
-            measure_rounds(&mut engine, &queries, ExecutionMode::PerQuery).expect("single execute");
-        let single_wall = wall0.elapsed().as_secs_f64();
-
-        rows.push(format!(
-            "{n},{p},{r},{},{},{:.6},{:.6},{},{},{:.6},{:.6}",
-            batched.collective_ops,
-            single.collective_ops,
-            batched.makespan,
-            single.makespan,
-            batched.msgs_sent,
-            single.msgs_sent,
-            batched_wall,
-            single_wall
-        ));
-        table.push(vec![
-            r.to_string(),
-            batched.collective_ops.to_string(),
-            single.collective_ops.to_string(),
-            format!("{:.1}x", single.collective_ops as f64 / batched.collective_ops as f64),
-            format!("{:.2}", batched.rounds_per_query()),
-            format!("{:.2}", single.rounds_per_query()),
-            format!("{:.4}", batched.makespan),
-            format!("{:.4}", single.makespan),
-            format!("{:.1}x", single.makespan / batched.makespan.max(1e-12)),
-        ]);
-        println!(
-            "R={r:>4}: collective ops {:>6} batched vs {:>7} single ({:.1}x, \
-             {:.2} vs {:.2} rounds/query); virtual {:.4}s vs {:.4}s; wall {:.3}s vs {:.3}s",
-            batched.collective_ops,
-            single.collective_ops,
-            single.collective_ops as f64 / batched.collective_ops as f64,
-            batched.rounds_per_query(),
-            single.rounds_per_query(),
-            batched.makespan,
-            single.makespan,
-            batched_wall,
-            single_wall
-        );
+/// Experiment 2's baseline: the paper's multi-select on bare data — one
+/// `parallel_multi_select` call per batch over the same `generate` parts,
+/// with no engine and no index carried between the calls.
+fn bare_multi_select(
+    workload: &'static str,
+    parts: &[Vec<u64>],
+    batches: &[Vec<Request<u64>>],
+) -> Run {
+    let n: u64 = parts.iter().map(|part| part.len() as u64).sum();
+    let rank = |r: &Request<u64>| match r.kind {
+        QueryKind::Rank(k) => k,
+        QueryKind::Quantile(q) => quantile_rank(q, n),
+        QueryKind::Median => (n - 1) / 2,
+        ref other => unreachable!("experiment 2 asks no {other:?}"),
+    };
+    let cfg = SelectionConfig::default();
+    let wall0 = Instant::now();
+    let outs = Machine::with_model(parts.len(), MachineModel::cm5())
+        .run(|proc| {
+            for batch in batches {
+                let ranks: Vec<u64> = batch.iter().map(rank).collect();
+                parallel_multi_select(proc, parts[proc.rank()].clone(), &ranks, &cfg);
+            }
+            (proc.comm_stats().collective_ops, proc.now())
+        })
+        .expect("bare multi-select");
+    Run {
+        workload,
+        mode: "baseline",
+        batches: batches.len(),
+        queries: batches.iter().map(Vec::len).sum(),
+        collective_ops: outs[0].0,
+        makespan: outs.iter().map(|o| o.1).fold(0.0, f64::max),
+        wall: wall0.elapsed().as_secs_f64(),
+        histogram_served: 0,
+        health: IndexHealth::default(),
     }
-
-    let out = format!(
-        "Batched vs per-query execution on the persistent engine (baseline, index off)\n\
-         (n = {n}, p = {p}, random resident data; virtual times under the CM-5 model)\n\n{}\n\
-         One multi-select pass resolves a whole batch in O(log n + R) pivot\n\
-         rounds; R single-rank calls pay O(R log n). The ratio grows with R.\n",
-        markdown_table(
-            &[
-                "R",
-                "coll. ops (batch)",
-                "coll. ops (single)",
-                "ops ratio",
-                "rounds/query (batch)",
-                "rounds/query (single)",
-                "virtual s (batch)",
-                "virtual s (single)",
-                "time ratio"
-            ],
-            &table
-        )
-    );
-    write_csv(
-        &dir.join("engine.csv"),
-        "n,p,batch,collective_ops_batched,collective_ops_single,makespan_batched,\
-         makespan_single,msgs_batched,msgs_single,wall_batched,wall_single",
-        &rows,
-    );
-    write_text(&dir.join("engine.txt"), &out);
-    print!("{out}");
 }
 
-/// Experiment 2: resident bucket index vs the batched baseline.
+/// Experiment 2: resident bucket index vs the paper's bare multi-select.
 fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let p = 8;
     let n: usize = if quick { 1 << 17 } else { 1 << 20 };
-    let data: Vec<u64> = generate(Distribution::Random, n, p, 11).into_iter().flatten().collect();
+    let parts = generate(Distribution::Random, n, p, 11);
+    let data: Vec<u64> = parts.iter().flatten().copied().collect();
     let total = data.len() as u64;
 
     // Workload A: fresh distinct ranks every batch (no repeats to cache).
@@ -288,25 +230,16 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let local = BackendChoice::LocalSpmd;
     let mp = || BackendChoice::ChannelMp(ChannelMpTuning::default());
     let sock = || BackendChoice::SocketMp(SocketMpTuning::default());
-    let cfg = |index_buckets: usize, backend: BackendChoice| {
-        EngineConfig::new(p).index_buckets(index_buckets).backend(backend)
-    };
+    let cfg = |backend: BackendChoice| EngineConfig::new(p).backend(backend);
     let runs = vec![
-        drive("distinct-ranks", "baseline", cfg(0, local.clone()), &data, &[], &distinct_batches),
-        drive("distinct-ranks", "indexed", cfg(64, local.clone()), &data, &[], &distinct_batches),
-        drive("distinct-ranks", "indexed-mp", cfg(64, mp()), &data, &[], &distinct_batches),
-        drive("distinct-ranks", "indexed-sock", cfg(64, sock()), &data, &[], &distinct_batches),
-        drive(
-            "repeated-quantiles",
-            "baseline",
-            cfg(0, local.clone()),
-            &data,
-            &[],
-            &repeated_batches,
-        ),
-        drive("repeated-quantiles", "indexed", cfg(64, local), &data, &[], &repeated_batches),
-        drive("repeated-quantiles", "indexed-mp", cfg(64, mp()), &data, &[], &repeated_batches),
-        drive("repeated-quantiles", "indexed-sock", cfg(64, sock()), &data, &[], &repeated_batches),
+        bare_multi_select("distinct-ranks", &parts, &distinct_batches),
+        drive("distinct-ranks", "indexed", cfg(local.clone()), &data, &[], &distinct_batches),
+        drive("distinct-ranks", "indexed-mp", cfg(mp()), &data, &[], &distinct_batches),
+        drive("distinct-ranks", "indexed-sock", cfg(sock()), &data, &[], &distinct_batches),
+        bare_multi_select("repeated-quantiles", &parts, &repeated_batches),
+        drive("repeated-quantiles", "indexed", cfg(local), &data, &[], &repeated_batches),
+        drive("repeated-quantiles", "indexed-mp", cfg(mp()), &data, &[], &repeated_batches),
+        drive("repeated-quantiles", "indexed-sock", cfg(sock()), &data, &[], &repeated_batches),
     ];
 
     let mut rows = Vec::new();
@@ -357,16 +290,16 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
         find(w, "baseline").ops_per_query() / find(w, "indexed").ops_per_query().max(1e-12)
     };
     let out = format!(
-        "Resident bucket index vs the batched baseline\n\
+        "Resident bucket index vs the paper's multi-select on bare data\n\
          (n = {n}, p = {p}, random resident data; virtual times under the CM-5 model;\n\
+         baseline = one parallel_multi_select call per batch over the same parts;\n\
          indexed-mp = the same indexed engine on the message-passing ChannelMp backend;\n\
          indexed-sock = on SocketMp, shard workers as child processes over Unix sockets)\n\n{}\n\
          Localization against the cached per-bucket histogram confines each\n\
-         rank to a candidate-bucket window (borrowed in place — the baseline's\n\
-         per-batch full-shard clone does not exist on the indexed path), and\n\
-         answer-refined splitters turn repeated quantiles into histogram-only\n\
-         lookups. Collective-ops ratios: distinct-ranks {:.1}x, \n\
-         repeated-quantiles {:.1}x.\n",
+         rank to a candidate-bucket window, and answer-refined splitters turn\n\
+         repeated quantiles into histogram-only lookups; the baseline carries\n\
+         nothing from one batch to the next. Collective-ops ratios:\n\
+         distinct-ranks {:.1}x, repeated-quantiles {:.1}x.\n",
         markdown_table(
             &[
                 "workload",
@@ -396,7 +329,7 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let mut ok = true;
     for w in ["distinct-ranks", "repeated-quantiles"] {
         if ratio(w) < 1.0 {
-            eprintln!("PERF REGRESSION: indexed ops/query exceeds baseline on {w}");
+            eprintln!("PERF REGRESSION: indexed ops/query exceeds the bare multi-select on {w}");
             ok = false;
         }
         // Backend-neutrality guard: the message-passing backend must pay
@@ -1239,7 +1172,6 @@ fn churn_experiment(quick: bool, dir: &std::path::Path) -> bool {
 fn main() {
     let quick = quick_mode();
     let dir = results_dir();
-    batching_experiment(quick, &dir);
     let index_ok = index_experiment(quick, &dir);
     let mixed_ok = mixed_kinds_experiment(quick, &dir);
     let obs_ok = obs_experiment(quick, &dir);
@@ -1247,7 +1179,7 @@ fn main() {
     let standing_ok = standing_experiment(quick, &dir);
     let churn_ok = churn_experiment(quick, &dir);
     println!(
-        "engine -> {}/engine.{{csv,txt}} + engine_indexed.{{csv,txt}} + engine_api_v2.{{csv,txt}} \
+        "engine -> {}/engine_indexed.{{csv,txt}} + engine_api_v2.{{csv,txt}} \
          + engine_slo.txt + engine_sketch.{{csv,txt}} + engine_standing.{{csv,txt}} \
          + engine_churn.txt",
         dir.display()
@@ -1257,7 +1189,8 @@ fn main() {
     }
     if check_mode() {
         println!(
-            "perf smoke: indexed engine within bounds (distinct <= baseline, repeated >= 2x), \
+            "perf smoke: indexed engine within bounds vs the bare multi-select (distinct <=, \
+             repeated >= 2x fewer ops/query), \
              mixed-kind batching >= 2x with zero-collective warm inverse serving, \
              ChannelMp and SocketMp collective-round counts equal LocalSpmd's, \
              a fresh 16-rank exact batch <= 24 collective ops and <= 0.44 s of virtual time on \

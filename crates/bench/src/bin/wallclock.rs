@@ -2,34 +2,27 @@
 //! reference loops they replaced, measured as **host wall time** — the one
 //! axis the kernels are allowed to move.
 //!
-//! Two layers, both run in kernel mode and in scalar-reference mode (the
-//! in-binary pre-PR baseline, toggled with
-//! `cgselect_seqsel::with_scalar_reference_mode`):
-//!
-//! * **Microbenches** — `count_below` over `u64`/`u32`/`i64` and
-//!   `partition_by_bounds` (64 splitters), per-element hot loops timed in
-//!   isolation at n = 2^20 (2^18 under `--quick`).
-//! * **End-to-end** — a probe-heavy batched request stream (ranks,
-//!   rank-of-value probes, range counts) on the index-free engine at
-//!   n = 2^20, on both `LocalSpmd` and `ChannelMp`, query-phase wall time
-//!   only. Answers from the two modes are compared on the fly: a kernel
-//!   that changes an answer fails the run outright.
+//! Microbenches, each run in kernel mode and in scalar-reference mode (the
+//! in-binary pre-kernel baseline, toggled with
+//! `cgselect_seqsel::with_scalar_reference_mode`): `count_below` over
+//! `u64`/`u32`/`i64` and `partition_by_bounds` (64 splitters), per-element
+//! hot loops timed in isolation at n = 2^20 (2^18 under `--quick`).
+//! End-to-end wall time belongs to the benchmark in `perf/`; that the
+//! kernels change no answer and no modeled cost on the engine is
+//! `tests/wallclock_parity.rs`'s job.
 //!
 //! Outputs `results/engine_wall.{csv,txt}` plus machine-readable
 //! `BENCH_wall.json` at the workspace root. Pass `--check` to gate:
-//! absolute speedup floors (count_below u64 and partition >= 1.5x, e2e
-//! LocalSpmd >= 1.1x) and, when a committed `BENCH_wall.json` exists from
-//! a previous run, no speedup ratio may fall below 75% of its committed
-//! value — the noise-tolerant CI wall-time regression guard. Ratios (not
-//! absolute times) are gated so the guard is portable across machines.
+//! absolute speedup floors (count_below u64 and partition >= 1.5x) and,
+//! when a committed `BENCH_wall.json` exists from a previous run, no
+//! speedup ratio may fall below 75% of its committed value — the
+//! noise-tolerant CI wall-time regression guard. Ratios (not absolute
+//! times) are gated so the guard is portable across machines.
 
 use std::time::Instant;
 
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
-use cgselect_engine::{
-    BackendChoice, Bounds, ChannelMpTuning, Engine, EngineConfig, Request, Response,
-};
 use cgselect_seqsel::{
     count_below_kernel, count_below_reference, partition_by_bounds, with_scalar_reference_mode,
     OpCount, SepBound,
@@ -116,79 +109,6 @@ fn micro_partition(reps: usize, raw: &[u64]) -> Measure {
     Measure { key: "micro.partition_by_bounds.u64", reference_s: time(true), kernel_s: time(false) }
 }
 
-/// The probe-heavy e2e batches: every batch mixes exact ranks (the
-/// multi-select partition path) with rank-of-value probes and range counts
-/// (the per-shard count-scan path).
-fn e2e_batches(data: &[u64], batches: u64) -> Vec<Vec<Request<u64>>> {
-    let total = data.len() as u64;
-    (0..batches)
-        .map(|b| {
-            (0..8u64)
-                .flat_map(|i| {
-                    let rank = (i * total / 8 + b * 131 + i) % total;
-                    let v = data[((b * 7919 + i * 104_729) as usize) % data.len()] ^ 1;
-                    vec![
-                        Request::rank(rank),
-                        Request::rank_of(v),
-                        Request::rank_of(v.wrapping_mul(3) % (4 * total)),
-                        Request::count_between(Bounds::closed(v, v.saturating_add(total))),
-                    ]
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Query-phase wall seconds (ingest excluded) of the batch stream on a
-/// fresh index-free engine, plus the answers for cross-mode conformance.
-fn e2e_run(
-    backend: BackendChoice,
-    data: &[u64],
-    p: usize,
-    batches: &[Vec<Request<u64>>],
-) -> (f64, Vec<Response<u64>>) {
-    let mut engine: Engine<u64> =
-        Engine::new(EngineConfig::new(p).index_buckets(0).backend(backend)).expect("engine start");
-    engine.ingest(data.to_vec()).expect("ingest");
-    let wall0 = Instant::now();
-    let mut answers = Vec::new();
-    for batch in batches {
-        let report = engine.run(batch).expect("run");
-        answers.extend(report.outcomes.into_iter().map(|o| o.response));
-    }
-    (wall0.elapsed().as_secs_f64(), answers)
-}
-
-/// E2e measurement on one backend: best-of-`reps` wall per mode, with the
-/// two modes' answers required to be identical.
-fn e2e(
-    key: &'static str,
-    backend: impl Fn() -> BackendChoice,
-    data: &[u64],
-    p: usize,
-    batches: &[Vec<Request<u64>>],
-    reps: usize,
-) -> Measure {
-    let mut walls = [f64::INFINITY; 2];
-    let mut answers: [Option<Vec<Response<u64>>>; 2] = [None, None];
-    for _ in 0..reps {
-        for (slot, reference) in [(0usize, false), (1usize, true)] {
-            let (wall, ans) =
-                with_scalar_reference_mode(reference, || e2e_run(backend(), data, p, batches));
-            walls[slot] = walls[slot].min(wall);
-            match &answers[slot] {
-                None => answers[slot] = Some(ans),
-                Some(prev) => assert_eq!(prev, &ans, "{key}: answers drifted between reps"),
-            }
-        }
-    }
-    assert_eq!(
-        answers[0], answers[1],
-        "{key}: kernel and scalar-reference answers must be identical"
-    );
-    Measure { key, reference_s: walls[1], kernel_s: walls[0] }
-}
-
 /// Reads the flat `"metrics"` map out of a committed `BENCH_wall.json`
 /// (the format [`write_json`] emits): one `"key": value` pair per line.
 fn read_baseline(path: &std::path::Path) -> Vec<(String, f64)> {
@@ -244,32 +164,12 @@ fn main() {
 
     // Microbenches: the per-element hot loops in isolation.
     let iters = if quick { 8 } else { 16 };
-    let mut measures = vec![
+    let measures = [
         micro_count::<u64>("micro.count_below.u64", reps, iters, &raw),
         micro_count::<u32>("micro.count_below.u32", reps, iters, &raw),
         micro_count::<i64>("micro.count_below.i64", reps, iters, &raw),
         micro_partition(reps, &raw),
     ];
-
-    // End-to-end: the probe-heavy batched stream, query-phase wall only.
-    let batches = e2e_batches(&raw, if quick { 3 } else { 6 });
-    let e2e_reps = if quick { 2 } else { 3 };
-    measures.push(e2e(
-        "e2e.local_spmd.batched",
-        || BackendChoice::LocalSpmd,
-        &raw,
-        p,
-        &batches,
-        e2e_reps,
-    ));
-    measures.push(e2e(
-        "e2e.channel_mp.batched",
-        || BackendChoice::ChannelMp(ChannelMpTuning::default()),
-        &raw,
-        p,
-        &batches,
-        e2e_reps,
-    ));
 
     let mut rows = Vec::new();
     let mut table = Vec::new();
@@ -298,11 +198,10 @@ fn main() {
 
     let out = format!(
         "Wall-clock hot paths: branchless kernels vs the scalar reference loops\n\
-         (n = {n}, p = {p}, random data; times are host wall seconds, best of {reps};\n\
-         e2e = probe-heavy batched requests on the index-free engine, query phase only;\n\
+         (n = {n}, random data; times are host wall seconds, best of {reps};\n\
          the reference column is the pre-kernel scalar baseline, toggled in-binary)\n\n{}\n\
          The kernels charge bit-identical measured ops and return bit-identical\n\
-         answers (asserted during this run) — wall time is the only axis moved.\n",
+         answers (tests/wallclock_parity.rs) — wall time is the only axis moved.\n",
         markdown_table(&["measurement", "reference s", "kernel s", "speedup"], &table)
     );
     write_csv(&dir.join("engine_wall.csv"), "measurement,n,reference_s,kernel_s,speedup", &rows);
@@ -316,11 +215,8 @@ fn main() {
         let mut ok = true;
         let find = |key: &str| measures.iter().find(|m| m.key == key).expect("measured");
         // Absolute, machine-portable floors.
-        for (key, floor) in [
-            ("micro.count_below.u64", 1.5),
-            ("micro.partition_by_bounds.u64", 1.5),
-            ("e2e.local_spmd.batched", 1.1),
-        ] {
+        for (key, floor) in [("micro.count_below.u64", 1.5), ("micro.partition_by_bounds.u64", 1.5)]
+        {
             let s = find(key).speedup();
             if s < floor {
                 eprintln!("WALL REGRESSION: {key} speedup {s:.2}x below floor {floor:.1}x");
@@ -350,8 +246,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "perf smoke: kernel speedup floors held (count_below >= 1.5x, partition >= 1.5x, \
-             e2e >= 1.1x) and no speedup fell below 75% of the committed baseline"
+            "perf smoke: kernel speedup floors held (count_below >= 1.5x, partition >= 1.5x) \
+             and no speedup fell below 75% of the committed baseline"
         );
     }
 }

@@ -238,7 +238,9 @@ pub struct RecoveryReport {
 #[derive(Clone, Debug)]
 pub struct BatchPlan<T> {
     /// Candidate-window groups routed against the cached histogram (empty
-    /// when the index is off or every rank took the histogram fast path).
+    /// when every rank took the histogram fast path). Every shard holds the
+    /// bucket index these groups name: the host builds it before any exact
+    /// rank or value probe lowers.
     pub groups: Arc<Vec<Group>>,
     /// The batch's deduplicated global ranks, as contiguous runs.
     pub exact_ranks: Arc<RankSet>,
@@ -248,10 +250,6 @@ pub struct BatchPlan<T> {
     pub value_probes: Arc<Vec<(T, bool)>>,
     /// Selection tuning with the per-batch pivot seed already folded in.
     pub selection: SelectionConfig,
-    /// Whether the shards hold a bucket index this batch executes through.
-    pub use_index: bool,
-    /// Total resident population.
-    pub full_total: u64,
     /// Global unindexed delta-run population.
     pub delta_total: u64,
     /// The batch's trace context when observability is on — its presence

@@ -280,11 +280,10 @@ fn count_admitted<T: Key>(
     count_below_kernel(data, value, inclusive, cmps)
 }
 
-/// The value-probe phase: local prefix counts for every probe — localized
-/// to the probe's own bucket (plus the delta run) when the shard holds an
-/// index, a full scan otherwise — then **one** vectorized Combine for the
-/// whole probe batch. Runs *before* the multi-select phase, which permutes
-/// the windows and refines the splitters.
+/// The value-probe phase: local prefix counts for every probe, localized
+/// to the probe's own bucket plus the delta run, then **one** vectorized
+/// Combine for the whole probe batch. Runs *before* the multi-select phase,
+/// which permutes the windows and refines the splitters.
 fn count_probes_shard<T: Key>(
     proc: &mut Proc,
     shard: &Shard<T>,
@@ -296,50 +295,42 @@ fn count_probes_shard<T: Key>(
     }
     let mut cmps = 0u64;
     let mut ops = OpCount::new();
-    let local: Vec<u64> = match &shard.index {
-        Some(idx) => {
-            let delta_start = idx.delta_start();
-            // Probe batches arrive sorted and deduplicated by value (the
-            // planner builds them that way), so one forward merge against
-            // the sorted bounds replaces a fresh O(log B) binary search per
-            // probe: O(P + B) total. The charge per probe stays exactly
-            // what `bucket_of` would have measured (`bucket_search_cmps`
-            // is grid-pinned to it), so modeled ops are unchanged. The
-            // per-probe search survives as the reference baseline and as
-            // the fallback for unsorted batches.
-            let merge = !reference && probes.windows(2).all(|w| w[0].0 <= w[1].0);
-            let mut next = 0usize;
-            probes
-                .iter()
-                .map(|&(v, inclusive)| {
-                    // Every element of a bucket below `b` is strictly below
-                    // the probe value, every element above is strictly
-                    // above: only bucket `b` itself (and the unindexed
-                    // delta run) needs scanning.
-                    let b = if merge {
-                        // First bound admitting `v`; monotone in `v`, so the
-                        // cursor never rewinds across the sorted batch.
-                        while next < idx.bounds.len() && !idx.bounds[next].admits(&v) {
-                            next += 1;
-                        }
-                        ops.cmps += bucket_search_cmps(idx.bounds.len());
-                        next
-                    } else {
-                        bucket_of(&idx.bounds, &v, &mut ops)
-                    };
-                    let bucket = &shard.data[idx.offsets[b]..idx.offsets[b + 1]];
-                    let delta = &shard.data[delta_start..];
-                    idx.offsets[b] as u64
-                        + count_admitted(bucket, v, inclusive, reference, &mut cmps)
-                        + count_admitted(delta, v, inclusive, reference, &mut cmps)
-                })
-                .collect()
-        }
-        None => probes
-            .iter()
-            .map(|&(v, inclusive)| count_admitted(&shard.data, v, inclusive, reference, &mut cmps))
-            .collect(),
-    };
+    // Probes lower only after the host built the index, as exact ranks do.
+    let idx = shard.index.as_ref().expect("value probes require a shard index");
+    let delta_start = idx.delta_start();
+    // Probe batches arrive sorted and deduplicated by value (the planner
+    // builds them that way), so one forward merge against the sorted bounds
+    // replaces a fresh O(log B) binary search per probe: O(P + B) total.
+    // The charge per probe stays exactly what `bucket_of` would have
+    // measured (`bucket_search_cmps` is grid-pinned to it), so modeled ops
+    // are unchanged. The per-probe search survives as the reference
+    // baseline and as the fallback for unsorted batches.
+    let merge = !reference && probes.windows(2).all(|w| w[0].0 <= w[1].0);
+    let mut next = 0usize;
+    let local: Vec<u64> = probes
+        .iter()
+        .map(|&(v, inclusive)| {
+            // Every element of a bucket below `b` is strictly below the
+            // probe value, every element above is strictly above: only
+            // bucket `b` itself (and the unindexed delta run) needs scanning.
+            let b = if merge {
+                // First bound admitting `v`; monotone in `v`, so the cursor
+                // never rewinds across the sorted batch.
+                while next < idx.bounds.len() && !idx.bounds[next].admits(&v) {
+                    next += 1;
+                }
+                ops.cmps += bucket_search_cmps(idx.bounds.len());
+                next
+            } else {
+                bucket_of(&idx.bounds, &v, &mut ops)
+            };
+            let bucket = &shard.data[idx.offsets[b]..idx.offsets[b + 1]];
+            let delta = &shard.data[delta_start..];
+            idx.offsets[b] as u64
+                + count_admitted(bucket, v, inclusive, reference, &mut cmps)
+                + count_admitted(delta, v, inclusive, reference, &mut cmps)
+        })
+        .collect();
     proc.charge_ops(ops.total() + cmps);
     proc.combine(local, |a, b| a.into_iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>())
 }
@@ -362,7 +353,6 @@ pub(crate) fn execute_shard<T: Key>(
     plan: &BatchPlan<T>,
 ) -> ShardBatchOutcome<T> {
     let n_exact = plan.exact_ranks.len();
-    let run_full = !plan.use_index && n_exact > 0;
     let delta_total = plan.delta_total;
     // Span measurement rides on snapshots that were already taken for the
     // per-phase op deltas; the begin/end brackets charge no time and no
@@ -396,7 +386,7 @@ pub(crate) fn execute_shard<T: Key>(
 
     let mut exact: Vec<Option<T>> = vec![None; n_exact];
     let mut refines: Vec<BucketStats<T>> = Vec::new();
-    if plan.use_index && !plan.groups.is_empty() {
+    if !plan.groups.is_empty() {
         let Shard { data, index, .. } = &mut *shard;
         let idx = index.as_mut().expect("indexed execution requires a shard index");
         let delta_start = idx.delta_start();
@@ -501,19 +491,6 @@ pub(crate) fn execute_shard<T: Key>(
             idx.splice_refined(group.lo, group.hi, cut.bounds, &cut.offsets, &stats);
             refines[g] = stats;
         }
-    } else if run_full {
-        // No index: resolve over the whole resident slice, still
-        // borrowed in place — the pre-index full-shard clone is
-        // gone on this path too.
-        let pairs: Vec<(u64, usize)> =
-            plan.exact_ranks.iter().enumerate().map(|(i, r)| (r, i)).collect();
-        let window = RankedWindow {
-            slice: &mut shard.data,
-            extra: Vec::new(),
-            n: plan.full_total,
-            ranks: pairs,
-        };
-        (exact, _) = parallel_multi_select_windows(proc, vec![window], n_exact, &plan.selection);
     }
 
     // Probe-driven splitter refinement: every resolved value probe carves
@@ -524,27 +501,26 @@ pub(crate) fn execute_shard<T: Key>(
     // every shard splices identically and stays in lockstep with the
     // host's mirrored splitter vector, which replays this loop verbatim.
     let mut probe_refines: Vec<BucketStats<T>> = Vec::new();
-    if plan.use_index && !plan.value_probes.is_empty() {
-        if let Some(idx) = shard.index.as_mut() {
-            let delta_start = idx.delta_start();
-            let (indexed_part, _) = shard.data.split_at_mut(delta_start);
-            for &(v, _) in plan.value_probes.iter() {
-                let mut ops = OpCount::new();
-                let b = bucket_of(&idx.bounds, &v, &mut ops);
-                let lower = (b > 0).then(|| idx.bounds[b - 1]);
-                let upper = (b < idx.bounds.len()).then(|| idx.bounds[b]);
-                let inserted = refined_bounds(&[], &[v], lower, upper);
-                if inserted.is_empty() {
-                    proc.charge_ops(ops.total());
-                    continue;
-                }
-                let range = &mut indexed_part[idx.offsets[b]..idx.offsets[b + 1]];
-                let local = partition_by_bounds(range, &inserted, &mut ops);
-                proc.charge_ops(ops.total() + range.len() as u64);
-                let stats = bucket_stats(range, &local);
-                idx.splice_refined(b, b, inserted, &local, &stats);
-                probe_refines.push(stats);
+    if !plan.value_probes.is_empty() {
+        let idx = shard.index.as_mut().expect("value probes require a shard index");
+        let delta_start = idx.delta_start();
+        let (indexed_part, _) = shard.data.split_at_mut(delta_start);
+        for &(v, _) in plan.value_probes.iter() {
+            let mut ops = OpCount::new();
+            let b = bucket_of(&idx.bounds, &v, &mut ops);
+            let lower = (b > 0).then(|| idx.bounds[b - 1]);
+            let upper = (b < idx.bounds.len()).then(|| idx.bounds[b]);
+            let inserted = refined_bounds(&[], &[v], lower, upper);
+            if inserted.is_empty() {
+                proc.charge_ops(ops.total());
+                continue;
             }
+            let range = &mut indexed_part[idx.offsets[b]..idx.offsets[b + 1]];
+            let local = partition_by_bounds(range, &inserted, &mut ops);
+            proc.charge_ops(ops.total() + range.len() as u64);
+            let stats = bucket_stats(range, &local);
+            idx.splice_refined(b, b, inserted, &local, &stats);
+            probe_refines.push(stats);
         }
     }
 
@@ -854,8 +830,6 @@ mod tests {
             exact_ranks: Arc::new(RankSet::from_runs(vec![(0, n_exact as u64)])),
             value_probes: Arc::new(Vec::new()),
             selection: cfg.clone(),
-            use_index: true,
-            full_total: shard.data.len() as u64,
             delta_total: (shard.data.len() - delta_start) as u64,
             trace: None,
         };

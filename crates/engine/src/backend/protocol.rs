@@ -6,11 +6,11 @@
 //! Every command and reply travels as one frame:
 //!
 //! ```text
-//! [ version: u8 = 2 ][ seq: u64 LE ][ body ... ]
+//! [ version: u8 ][ seq: u64 LE ][ body ... ]
 //! ```
 //!
-//! * `version` pins the protocol revision; a mismatch is a typed
-//!   [`RunError::WireProtocol`] error, never a misparse.
+//! * `version` pins the protocol revision ([`WIRE_VERSION`]); a mismatch
+//!   is a typed [`RunError::WireProtocol`] error, never a misparse.
 //! * `seq` is the **batch sequence number**: the host stamps every command
 //!   round with a fresh value and workers echo it in their reply. The
 //!   collect loop discards replies whose `seq` doesn't match the current
@@ -48,8 +48,9 @@ use super::{BackendError, BatchPlan, PhaseOps, ShardBatchOutcome, ShardDeletion}
 /// Protocol revision carried in every frame header. Revision 2 added the
 /// splitter bounds to the BUILD_INDEX reply and the probe-refinement stats
 /// to the EXECUTE reply; revision 3 the re-sketch flag to the DELETE reply
-/// and the removed side to every ε-sketch payload.
-pub(crate) const WIRE_VERSION: u8 = 3;
+/// and the removed side to every ε-sketch payload; revision 4 dropped the
+/// index flag and the full population from EXECUTE.
+pub(crate) const WIRE_VERSION: u8 = 4;
 
 /// Size of the frame header (`version` byte + `seq` u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 9;
@@ -253,8 +254,6 @@ pub(crate) fn decode_index_build_reply<T: Key>(
 pub(crate) fn encode_execute<T: Key>(plan: &BatchPlan<T>) -> Vec<u8> {
     let mut w = Writer::new(CMD_EXECUTE);
     w.u64(plan.selection.seed);
-    w.bool(plan.use_index);
-    w.u64(plan.full_total);
     w.u64(plan.delta_total);
     w.rank_set(&plan.exact_ranks);
     w.probes(&plan.value_probes);
@@ -272,8 +271,6 @@ pub(crate) fn decode_execute<T: Key>(
 ) -> WireResult<BatchPlan<T>> {
     let mut selection = base.clone();
     selection.seed = r.u64()?;
-    let use_index = r.bool()?;
-    let full_total = r.u64()?;
     let delta_total = r.u64()?;
     let exact_ranks = r.rank_set()?;
     let value_probes = r.probes::<T>()?;
@@ -285,8 +282,6 @@ pub(crate) fn decode_execute<T: Key>(
         exact_ranks: std::sync::Arc::new(exact_ranks),
         value_probes: std::sync::Arc::new(value_probes),
         selection,
-        use_index,
-        full_total,
         delta_total,
         trace,
     })
@@ -568,6 +563,23 @@ mod tests {
         frame[0] = 99;
         let err = split_framed(&frame).unwrap_err();
         assert!(err.detail.contains("version mismatch"), "{err}");
+    }
+
+    #[test]
+    fn previous_revision_frames_are_a_typed_error() {
+        // A worker still speaking the last revision must be refused by
+        // version, never parsed as this revision's EXECUTE layout.
+        let mut frame = encode_framed(1, &[REPLY_OK]);
+        frame[0] = WIRE_VERSION - 1;
+        let err = split_framed(&frame).unwrap_err();
+        assert!(err.detail.contains(&format!("got {}", WIRE_VERSION - 1)), "{err}");
+        let (tx, rx) = unbounded::<Vec<u8>>();
+        tx.send(frame).unwrap();
+        let err = collect_frame(&rx, Instant::now() + Duration::from_secs(1), 1, 4).unwrap_err();
+        assert!(
+            matches!(err, BackendError::Runtime(RunError::WireProtocol { rank: 4, .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   [`QueryKind::CountBetween`] (range → count) — each under an explicit
 //!   [`Accuracy`] contract (`Exact` | `WithinRank` | `HistogramOk`).
 //!   Every answer is an [`Outcome`]: the [`Response`] plus **provenance**
-//!   ([`Served::Histogram`] / [`Served::Sketch`] / [`Served::Index`] /
-//!   [`Served::Scan`]) and an attributed collective-op cost.
+//!   ([`Served::Histogram`] / [`Served::Sketch`] / [`Served::Index`]) and
+//!   an attributed collective-op cost.
 //! * **Batched execution** — a batch's rank-direction queries are
 //!   coalesced into *one* deduplicated [`RankSet`] (contiguous runs, so
 //!   `TopK(k)` plans in O(1)) and resolved by a single lockstep
@@ -34,8 +34,7 @@
 //!   the global per-bucket histogram. A rank query localizes against the
 //!   cached histogram to a small window of candidate buckets, the
 //!   multi-select recursion runs **only over those candidate buckets,
-//!   borrowed in place** (the per-batch full-shard clone + scan of the
-//!   pre-index engine is gone), and windows that collapse to one
+//!   borrowed in place**, and windows that collapse to one
 //!   repeated-value bucket are answered from the histogram alone — zero
 //!   element scans, which is the steady state for repeated quantiles
 //!   because resolved answers refine the splitters. The same cached
@@ -48,7 +47,9 @@
 //!   bucket count past a cap — but that rebuild only *re-cuts* the
 //!   resident bucket runs: splitters that are already bounds cost nothing,
 //!   and only a shard that holds no index partitions its data from
-//!   nothing. See [`EngineConfig::index_buckets`],
+//!   nothing. The index is the only exact path: a one-bucket target makes
+//!   every window the whole shard, which is how a full scan looks here.
+//!   See [`EngineConfig::index_buckets`],
 //!   [`EngineConfig::delta_threshold`] and [`Engine::index_health`].
 //! * **Incremental ingest/delete** with an **imbalance watermark**: shard
 //!   sizes are tracked, and when `max/mean` exceeds
@@ -104,7 +105,6 @@
 pub mod backend;
 pub mod frontend;
 mod index;
-mod measure;
 pub mod obs;
 mod pipeline;
 mod query;
@@ -121,7 +121,6 @@ pub use frontend::{
     SubmissionQueue, SubmitError, Ticket,
 };
 pub use index::{BucketStats, Group};
-pub use measure::{measure_rounds, ExecutionMode, RoundsMeasurement};
 pub use obs::{
     BatchSpan, MetricsRegistry, MetricsSnapshot, Phase, PhaseSpan, PhaseSummary, RequestSpan,
     SloAccumulator, SloPolicy, SloReport, TraceContext, TraceId,
@@ -165,11 +164,11 @@ pub struct EngineConfig {
     /// path). Larger capacities tighten the provable rank-error bound —
     /// roughly `(n/k)·log₂(n/k)` — at proportional memory cost.
     pub sketch_capacity: usize,
-    /// Target bucket count of the resident bucket index (0 disables the
-    /// index: every exact batch scans the full resident data, as the
-    /// pre-index engine did — the baseline the `engine` bench compares
-    /// against). Adaptive refinement may grow the bucket count up to 4×
-    /// this target before a rebuild is scheduled.
+    /// Target bucket count of the resident bucket index, which every exact
+    /// answer executes through (≥ 1; a target of 1 makes one bucket span
+    /// each shard, so a window is the whole shard). Adaptive refinement may
+    /// grow the bucket count up to 4× this target before a rebuild is
+    /// scheduled.
     pub index_buckets: usize,
     /// Fraction of the resident population that may sit in the unindexed
     /// delta run before a merge folds it into the buckets (a floor of 64
@@ -238,7 +237,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style bucket-index target (0 disables the index).
+    /// Builder-style bucket-index target (≥ 1; see
+    /// [`EngineConfig::index_buckets`]).
     pub fn index_buckets(mut self, buckets: usize) -> Self {
         self.index_buckets = buckets;
         self
@@ -287,6 +287,11 @@ impl EngineConfig {
 
     fn validate(&self) {
         assert!(self.nprocs >= 1, "an engine needs at least one shard");
+        assert!(
+            self.index_buckets >= 1,
+            "index bucket target must be >= 1 (the index cannot be disabled), got {}",
+            self.index_buckets
+        );
         assert!(
             self.imbalance_watermark >= 1.0,
             "imbalance watermark must be >= 1.0 (max/mean ratio), got {}",
@@ -864,7 +869,7 @@ impl<T: Key> Engine<T> {
     /// assert_eq!(report.outcomes[0].response.element(), Some(499));
     /// assert_eq!(report.outcomes[1].response.count(), Some(250));
     /// assert_eq!(report.outcomes[2].response.count(), Some(100));
-    /// assert!(report.outcomes[0].served <= Served::Scan);
+    /// assert_eq!(report.outcomes[0].served, Served::Index);
     /// ```
     ///
     /// With [`EngineConfig::self_heal`] set on a membership-capable
@@ -929,9 +934,7 @@ impl<T: Key> Engine<T> {
             return Err(EngineError::Backend(BackendError::Poisoned));
         }
         let hist_ranks = plan.resolutions.iter().any(|r| matches!(r, Resolution::HistRank { .. }));
-        if self.cfg.index_buckets > 0
-            && (!plan.exact_ranks.is_empty() || !plan.probes.is_empty() || hist_ranks)
-        {
+        if !plan.exact_ranks.is_empty() || !plan.probes.is_empty() || hist_ranks {
             self.ensure_index()?;
         }
         let routed = pipeline::route(&plan, self.index.as_ref(), &mut self.sketch);
@@ -1411,22 +1414,26 @@ mod tests {
 
     #[test]
     fn batching_uses_fewer_collective_ops_than_single_queries() {
-        // Baseline-path claim (index disabled): coalescing R ranks into one
-        // multi-select pass beats R single-rank passes. With the index on,
-        // repeated single queries would be answered from the histogram and
-        // the comparison would measure the cache, not the batching.
-        let mut engine: Engine<u64> = Engine::new(free_cfg(4).index_buckets(0)).unwrap();
+        // Coalescing R ranks into one multi-select pass beats R single-rank
+        // passes. Each side runs on its own fresh engine over the same data,
+        // so no single query can be served by a histogram the other side's
+        // answers refined.
         let data: Vec<u64> =
             (0..40_000u64).map(|i| i.wrapping_mul(2654435761) % 1_000_000).collect();
-        engine.ingest(data).unwrap();
+        let fresh = || {
+            let mut engine: Engine<u64> = Engine::new(free_cfg(4)).unwrap();
+            engine.ingest(data.clone()).unwrap();
+            engine
+        };
         let ranks: Vec<u64> = (1..=16).map(|i| i * 2000).collect();
 
         let batch: Vec<Request<u64>> = ranks.iter().map(|&r| Request::rank(r)).collect();
-        let batched = engine.run(&batch).unwrap();
+        let batched = fresh().run(&batch).unwrap();
 
+        let mut single = fresh();
         let mut single_total = 0u64;
         for &r in &ranks {
-            single_total += engine.run(&[Request::rank(r)]).unwrap().collective_ops;
+            single_total += single.run(&[Request::rank(r)]).unwrap().collective_ops;
         }
         assert!(
             batched.collective_ops < single_total,
@@ -1436,27 +1443,46 @@ mod tests {
         );
     }
 
+    /// The paper's multi-select over `data` split into `p` bare parts: no
+    /// engine, no index. Returns rank 0's answers and collective ops.
+    fn bare_multi_select(p: usize, data: &[u64], ranks: &[u64]) -> (Vec<u64>, u64) {
+        let chunk = data.len().div_ceil(p);
+        let cfg = SelectionConfig::default();
+        let outs = cgselect_runtime::Machine::with_model(p, MachineModel::free())
+            .run(|proc| {
+                let mine = data.chunks(chunk).nth(proc.rank()).unwrap_or_default().to_vec();
+                let answers = cgselect_core::parallel_multi_select(proc, mine, ranks, &cfg);
+                (answers, proc.comm_stats().collective_ops)
+            })
+            .unwrap();
+        outs.into_iter().next().expect("rank 0")
+    }
+
     #[test]
     fn indexed_engine_beats_the_baseline_on_collective_ops() {
         let data: Vec<u64> =
             (0..40_000u64).map(|i| i.wrapping_mul(2654435761) % 1_000_000).collect();
-        let queries: Vec<Request<u64>> = (1..=16).map(|i| Request::rank(i * 2000)).collect();
-
-        let mut baseline: Engine<u64> = Engine::new(free_cfg(4).index_buckets(0)).unwrap();
-        baseline.ingest(data.clone()).unwrap();
-        let base = baseline.run(&queries).unwrap();
+        let ranks: Vec<u64> = (1..=16).map(|i| i * 2000).collect();
+        let (answers, base_ops) = bare_multi_select(4, &data, &ranks);
 
         let mut indexed: Engine<u64> = Engine::new(free_cfg(4)).unwrap();
         indexed.ingest(data).unwrap();
+        let queries: Vec<Request<u64>> = ranks.iter().map(|&r| Request::rank(r)).collect();
         let idx = indexed.run(&queries).unwrap();
 
-        assert_eq!(responses(&idx), responses(&base));
+        assert_eq!(responses(&idx), answers.into_iter().map(Response::Element).collect::<Vec<_>>());
         assert!(
-            2 * idx.collective_ops <= base.collective_ops,
-            "indexed {} vs baseline {} collective ops (first batch)",
-            idx.collective_ops,
-            base.collective_ops
+            2 * idx.collective_ops <= base_ops,
+            "indexed {} vs bare multi-select {base_ops} collective ops (first batch)",
+            idx.collective_ops
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "index bucket target must be >= 1")]
+    fn a_zero_bucket_target_is_rejected() {
+        let buckets = 0;
+        let _ = Engine::<u64>::new(free_cfg(2).index_buckets(buckets));
     }
 
     #[test]

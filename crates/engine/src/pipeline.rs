@@ -74,10 +74,10 @@ pub(crate) struct Routed<T> {
     /// The ranks left for exact resolution: the plan's coalesced rank set
     /// plus the histogram-contract ranks the histogram could not serve.
     pub residual: Arc<RankSet>,
-    /// Candidate-window groups of the residual ranks, and the two facts
-    /// about the index the shards need (all three as in [`BatchPlan`]).
+    /// Candidate-window groups of the residual ranks and the global delta
+    /// population (both as in [`BatchPlan`]). A residual rank is either in
+    /// a group or in `fast`: the engine builds the index before routing any.
     pub groups: Arc<Vec<Group>>,
-    pub use_index: bool,
     pub delta_total: u64,
     /// Histogram-only answers `(residual slot, value)`, ascending by slot.
     pub fast: Vec<(usize, T)>,
@@ -118,7 +118,7 @@ pub(crate) fn route<T: Key>(
         .resolutions
         .iter()
         .map(|res| match res {
-            Resolution::Count(c) => route_count(c, plan, index.is_some(), sketch, &mut probes),
+            Resolution::Count(c) => route_count(c, plan, sketch, &mut probes),
             Resolution::Sketch { target_rank, max_rank_error } => {
                 let (target_rank, max_rank_error) = (*target_rank, *max_rank_error);
                 let value = sketch.query_rank(target_rank);
@@ -173,7 +173,6 @@ pub(crate) fn route<T: Key>(
         value_probes: Arc::new(value_probes),
         residual: Arc::new(residual),
         groups: Arc::new(groups),
-        use_index: index.is_some(),
         delta_total: index.map_or(0, |g| g.delta_total),
         fast,
     }
@@ -186,7 +185,6 @@ pub(crate) fn route<T: Key>(
 fn route_count<T: Key>(
     c: &CountResolution,
     plan: &RequestPlan<T>,
-    use_index: bool,
     sketch: &mut EpsSketch<T>,
     probes: &mut [ProbeRoute],
 ) -> Route<T> {
@@ -201,7 +199,7 @@ fn route_count<T: Key>(
     // Exact brackets give the exact count; looser ones a bucket-resolution
     // answer the `HistogramOk` contract accepts.
     let bounded = endpoints.iter().flatten().all(|&p| probes[p].exact().is_some());
-    if bounded || (c.histogram_ok && use_index) {
+    if bounded || c.histogram_ok {
         let (m_lo, m_hi) = c.minuend.map_or((n, n), |p| probes[p].bracket);
         let (s_lo, s_hi) = c.subtrahend.map_or((0, 0), |p| probes[p].bracket);
         let lo = m_lo.saturating_sub(s_hi);
@@ -239,16 +237,12 @@ pub(crate) fn lower<T: Key>(
     selection: SelectionConfig,
     trace: Option<TraceContext>,
 ) -> Option<BatchPlan<T>> {
-    let backend_needed = !routed.groups.is_empty()
-        || !routed.value_probes.is_empty()
-        || (!routed.use_index && !routed.residual.is_empty());
+    let backend_needed = !routed.groups.is_empty() || !routed.value_probes.is_empty();
     backend_needed.then(|| BatchPlan {
         groups: routed.groups.clone(),
         exact_ranks: routed.residual.clone(),
         value_probes: routed.value_probes.clone(),
         selection,
-        use_index: routed.use_index,
-        full_total: routed.n,
         delta_total: routed.delta_total,
         trace,
     })
@@ -330,7 +324,6 @@ pub(crate) fn assemble<T: Key>(
     freshness: Freshness,
 ) -> (RunReport<T>, Vec<[u64; 3]>) {
     let rank0 = shards.first();
-    let exact_served = if routed.use_index { Served::Index } else { Served::Scan };
     // A residual slot the shards resolved is `Some` in their outcome; every
     // other slot took the histogram fast path.
     let value_at = |r: u64| -> (T, bool) {
@@ -343,7 +336,7 @@ pub(crate) fn assemble<T: Key>(
             }
         }
     };
-    let rank_served = |slow: u64| if slow == 0 { Served::Histogram } else { exact_served };
+    let rank_served = |slow: u64| if slow == 0 { Served::Histogram } else { Served::Index };
     let one_rank = |r: u64| {
         let (v, fast) = value_at(r);
         (Response::Element(v), rank_served(u64::from(!fast)), [0, u64::from(!fast), 0])
@@ -382,7 +375,7 @@ pub(crate) fn assemble<T: Key>(
                     .filter(|&p| routed.probes[p].exact().is_none())
                     .count() as u64;
                 let response = Response::Count { count: m.saturating_sub(s), max_error: 0 };
-                (response, exact_served, [probed, 0, 0])
+                (response, Served::Index, [probed, 0, 0])
             }
             (_, Resolution::Sketch { .. }) => unreachable!("the sketch rung is host-served"),
         };

@@ -130,14 +130,14 @@ pub use cgselect_core::{
     SelectionConfig, SelectionOutcome, Weighted,
 };
 pub use cgselect_engine::{
-    measure_rounds, quantile_rank, Accuracy, AsyncError, BackendChoice, BackendError, BackendKind,
-    BatchSpan, Bounds, ChannelMpTuning, CostAttribution, Engine, EngineConfig, EngineError,
-    EpsSketch, ExecBackend, ExecutionMode, Fault, Freshness, FrontendConfig, FrontendStats,
-    IndexHealth, LocalSpmd, MetricsRegistry, MetricsSnapshot, MutationReport, MutationTicket,
-    Outcome, OutcomeTicket, Phase, PhaseOps, PhaseSpan, PhaseSummary, QueryKind, RankSet,
-    RecoveryReport, RefreshPolicy, Request, RequestSpan, Response, RoundsMeasurement, RunReport,
-    Served, SloAccumulator, SloPolicy, SloReport, SocketMpTuning, StandingHandle, StandingTicket,
-    StandingUpdate, SubmissionQueue, SubmitError, SubscriptionId, Ticket, TraceId,
+    quantile_rank, Accuracy, AsyncError, BackendChoice, BackendError, BackendKind, BatchSpan,
+    Bounds, ChannelMpTuning, CostAttribution, Engine, EngineConfig, EngineError, EpsSketch,
+    ExecBackend, Fault, Freshness, FrontendConfig, FrontendStats, IndexHealth, LocalSpmd,
+    MetricsRegistry, MetricsSnapshot, MutationReport, MutationTicket, Outcome, OutcomeTicket,
+    Phase, PhaseOps, PhaseSpan, PhaseSummary, QueryKind, RankSet, RecoveryReport, RefreshPolicy,
+    Request, RequestSpan, Response, RunReport, Served, SloAccumulator, SloPolicy, SloReport,
+    SocketMpTuning, StandingHandle, StandingTicket, StandingUpdate, SubmissionQueue, SubmitError,
+    SubscriptionId, Ticket, TraceId,
 };
 pub use cgselect_runtime::{
     CommStats, Key, Machine, MachineModel, OrdF64, Proc, RunError, Session, ShardStore,

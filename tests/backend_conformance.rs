@@ -1000,7 +1000,8 @@ struct RebuildCensus {
 /// resident value plus every earlier answer (emptying their equality-class
 /// buckets) before batches 7 and 10 — and, on membership-capable backends, a
 /// shard migration before batches 12–14. Every answer is oracle-checked.
-/// `buckets = 0` is the index-free reference: same ops, same answers.
+/// `buckets = 1` is the reference: one bucket spans each shard, so every
+/// window is the whole shard (a full scan).
 fn run_cap_trip_lifecycle(
     backend: BackendChoice,
     dist: Distribution,
@@ -1090,7 +1091,7 @@ fn cap_trip_rebuilds_agree_across_in_process_backends_and_the_index_free_referen
         // The migrations are invisible: steps agree bit for bit, rebuilds
         // advance at the same batches.
         assert_eq!(local, mp, "{dist:?}: backends diverged across cap-trip rebuilds");
-        let (reference, _) = run_cap_trip_lifecycle(BackendChoice::LocalSpmd, dist, 0);
+        let (reference, _) = run_cap_trip_lifecycle(BackendChoice::LocalSpmd, dist, 1);
         for (step, free) in local.iter().zip(&reference) {
             assert_eq!(
                 step.answers, free.answers,

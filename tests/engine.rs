@@ -4,8 +4,7 @@
 //! persistence across the whole ingest/query/re-balance/delete lifecycle.
 
 use cgselect::{
-    measure_rounds, quantile_rank, Distribution, Engine, EngineConfig, ExecutionMode, MachineModel,
-    Request, Response,
+    quantile_rank, Distribution, Engine, EngineConfig, MachineModel, Request, Response,
 };
 
 fn free_engine(p: usize) -> Engine<u64> {
@@ -78,37 +77,38 @@ fn batched_ranks_use_strictly_fewer_collective_rounds_than_single_calls() {
     let p = 4;
     let data: Vec<u64> =
         cgselect::generate(Distribution::Random, 50_000, p, 31).into_iter().flatten().collect();
-    // Baseline path (bucket index off): with the index, the repeated ranks
-    // below would be answered from the cached histogram for free and this
-    // test would measure the cache, not batching. The indexed counterpart
-    // lives in tests/engine_indexed.rs.
-    let mut engine: Engine<u64> =
-        Engine::new(EngineConfig::new(p).model(MachineModel::free()).index_buckets(0)).unwrap();
-    engine.ingest(data).unwrap();
-    let n = engine.len();
-
+    // Batched and per-query each run on a fresh engine over the same data:
+    // on one shared engine a repeated rank would be answered from the
+    // histogram the first run refined, and this would measure the cache.
+    let fresh = || {
+        let mut engine = free_engine(p);
+        engine.ingest(data.clone()).unwrap();
+        engine
+    };
+    let n = data.len() as u64;
     let r = 12;
     let ranks: Vec<u64> = (0..r).map(|i| (i * n) / r).collect();
     let batch: Vec<Request<u64>> = ranks.iter().map(|&k| Request::rank(k)).collect();
 
     // The planner must resolve all 12 distinct ranks on the exact path.
-    let report = engine.run(&batch).unwrap();
-    assert_eq!(report.exact_ranks, ranks.len());
+    let batched = fresh().run(&batch).unwrap();
+    assert_eq!(batched.exact_ranks, ranks.len());
 
-    // The same accounting the `engine` bench binary reports — the shared
-    // helper is the single definition of "collective rounds per query".
-    let batched = measure_rounds(&mut engine, &batch, ExecutionMode::Batched).unwrap();
-    let single = measure_rounds(&mut engine, &batch, ExecutionMode::PerQuery).unwrap();
+    let mut engine = fresh();
+    let (mut single_ops, mut single_msgs) = (0u64, 0u64);
+    for request in &batch {
+        let report = engine.run(std::slice::from_ref(request)).unwrap();
+        single_ops += report.collective_ops;
+        single_msgs += report.comm.msgs_sent;
+    }
     assert!(
-        batched.collective_ops < single.collective_ops,
+        batched.collective_ops < single_ops,
         "a batch of {r} rank queries must use strictly fewer collective rounds \
-         ({}) than {r} single-rank calls ({})",
-        batched.collective_ops,
-        single.collective_ops
+         ({}) than {r} single-rank calls ({single_ops})",
+        batched.collective_ops
     );
-    assert!(batched.rounds_per_query() < single.rounds_per_query());
     // The advantage must also show in message counts.
-    assert!(batched.msgs_sent > 0 && batched.msgs_sent < single.msgs_sent);
+    assert!(batched.comm.msgs_sent > 0 && batched.comm.msgs_sent < single_msgs);
 }
 
 #[test]

@@ -309,8 +309,7 @@ fn mixed_batches_attribute_zero_cost_to_the_sketch_rung() {
     // One batch, two rungs: the exact member pays the backend collectives,
     // the sketch member rides the host-global ε-sketch for free.
     let mut engine: Engine<u64> =
-        Engine::new(cfg(4, BackendChoice::LocalSpmd).sketch_capacity(1024).index_buckets(0))
-            .unwrap();
+        Engine::new(cfg(4, BackendChoice::LocalSpmd).sketch_capacity(1024)).unwrap();
     engine.ingest((0..50_000u64).rev().collect()).unwrap();
     let report = engine
         .run(&[
@@ -420,22 +419,15 @@ fn min_max_and_multi_quantile_kinds() {
 }
 
 #[test]
-fn provenance_distinguishes_scan_index_and_histogram() {
+fn provenance_distinguishes_index_and_histogram() {
     let data: Vec<u64> = (0..10_000u64).rev().collect();
-    // Index disabled: exact ranks are scans.
-    let mut baseline: Engine<u64> =
-        Engine::new(cfg(2, BackendChoice::LocalSpmd).index_buckets(0)).unwrap();
-    baseline.ingest(data.clone()).unwrap();
-    let report = baseline.run(&[Request::median(), Request::rank_of(17)]).unwrap();
-    assert_eq!(report.outcomes[0].served, Served::Scan);
-    assert_eq!(report.outcomes[1].served, Served::Scan);
-
-    // Index enabled: first resolution localizes (Index), repeats are
-    // histogram-served.
+    // The first resolution localizes through the index (Index); repeats
+    // are histogram-served.
     let mut indexed: Engine<u64> = Engine::new(cfg(2, BackendChoice::LocalSpmd)).unwrap();
     indexed.ingest(data).unwrap();
-    let cold = indexed.run(&[Request::median()]).unwrap();
+    let cold = indexed.run(&[Request::median(), Request::rank_of(17)]).unwrap();
     assert_eq!(cold.outcomes[0].served, Served::Index);
+    assert_eq!(cold.outcomes[1].served, Served::Index);
     assert!(cold.outcomes[0].cost.collective_ops > 0.0);
     let hot = indexed.run(&[Request::median()]).unwrap();
     assert_eq!(hot.outcomes[0].served, Served::Histogram);
@@ -503,6 +495,6 @@ fn submit_request_resolves_one_typed_outcome() {
     let queue = engine.into_frontend(cgselect::FrontendConfig::new());
     let outcome = queue.submit_request(Request::rank_of(40)).unwrap().wait().unwrap();
     assert_eq!(outcome.response.count(), Some(40));
-    assert!(outcome.served <= Served::Scan);
+    assert!(outcome.served <= Served::Index);
     drop(queue);
 }
