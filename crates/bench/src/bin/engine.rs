@@ -7,10 +7,12 @@
 //! call per batch over the same parts, nothing carried between batches) on
 //! two workloads — fresh distinct-rank batches (localization pays) and a
 //! repeated-quantile stream (the histogram fast path pays) — reporting
-//! collective ops/query, virtual makespan, wall clock, and histogram hit
-//! counts. The indexed engine pays 3.1× fewer collective ops per query on
-//! the distinct ranks and 43× fewer on the repeated quantiles at `--quick`
-//! size (n = 2^17, p = 8); 1.6× and 32× at full size (n = 2^20).
+//! collective ops/query, virtual makespan and histogram hit counts. The
+//! indexed engine pays 3.1× fewer collective ops per query on the distinct
+//! ranks and 43× fewer on the repeated quantiles at `--quick` size
+//! (n = 2^17, p = 8); 1.6× and 32× at full size (n = 2^20). Host wall time
+//! is not reported here: it belongs to the benchmark in `perf/`, and every
+//! column below is deterministic.
 //!
 //! **Experiment 3 — mixed-kind workloads**
 //! (`results/engine_api_v2.{csv,txt}`): batches mixing forward ranks with
@@ -76,8 +78,6 @@
 //! and 0.44 s of virtual time on LocalSpmd and the identical count and time
 //! on ChannelMp and SocketMp — the CI perf-smoke regression guard.
 
-use std::time::Instant;
-
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
 use cgselect_core::{parallel_multi_select, SelectionConfig};
@@ -109,7 +109,6 @@ struct Run {
     queries: usize,
     collective_ops: u64,
     makespan: f64,
-    wall: f64,
     histogram_served: u64,
     health: IndexHealth,
 }
@@ -137,7 +136,6 @@ fn drive(
     if !warmup.is_empty() {
         engine.run(warmup).expect("warmup");
     }
-    let wall0 = Instant::now();
     let mut collective_ops = 0u64;
     let mut makespan = 0.0f64;
     let mut queries = 0usize;
@@ -162,7 +160,6 @@ fn drive(
         queries,
         collective_ops,
         makespan,
-        wall: wall0.elapsed().as_secs_f64(),
         histogram_served,
         health: engine.index_health(),
     }
@@ -184,7 +181,6 @@ fn bare_multi_select(
         ref other => unreachable!("experiment 2 asks no {other:?}"),
     };
     let cfg = SelectionConfig::default();
-    let wall0 = Instant::now();
     let outs = Machine::with_model(parts.len(), MachineModel::cm5())
         .run(|proc| {
             for batch in batches {
@@ -201,7 +197,6 @@ fn bare_multi_select(
         queries: batches.iter().map(Vec::len).sum(),
         collective_ops: outs[0].0,
         makespan: outs.iter().map(|o| o.1).fold(0.0, f64::max),
-        wall: wall0.elapsed().as_secs_f64(),
         histogram_served: 0,
         health: IndexHealth::default(),
     }
@@ -246,7 +241,7 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let mut table = Vec::new();
     for run in &runs {
         rows.push(format!(
-            "{},{},{n},{p},{},{},{},{:.4},{:.6},{:.6},{},{},{}",
+            "{},{},{n},{p},{},{},{},{:.4},{:.6},{},{},{}",
             run.workload,
             run.mode,
             run.batches,
@@ -254,7 +249,6 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
             run.collective_ops,
             run.ops_per_query(),
             run.makespan,
-            run.wall,
             run.health.histogram_hits,
             run.health.rebuilds,
             run.health.buckets,
@@ -266,19 +260,17 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
             run.collective_ops.to_string(),
             format!("{:.2}", run.ops_per_query()),
             format!("{:.5}", run.makespan),
-            format!("{:.3}", run.wall),
             run.health.histogram_hits.to_string(),
         ]);
         println!(
             "{:>18} | {:>8}: {:>6} coll. ops over {} queries ({:.2}/query); \
-             virtual {:.5}s; wall {:.3}s; histogram hits {}",
+             virtual {:.5}s; histogram hits {}",
             run.workload,
             run.mode,
             run.collective_ops,
             run.queries,
             run.ops_per_query(),
             run.makespan,
-            run.wall,
             run.health.histogram_hits
         );
     }
@@ -308,7 +300,6 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
                 "coll. ops",
                 "ops/query",
                 "virtual s",
-                "wall s",
                 "histogram hits"
             ],
             &table
@@ -318,7 +309,7 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
     );
     write_csv(
         &dir.join("engine_indexed.csv"),
-        "workload,mode,n,p,batches,queries,collective_ops,ops_per_query,makespan,wall_s,\
+        "workload,mode,n,p,batches,queries,collective_ops,ops_per_query,makespan,\
          histogram_hits,index_rebuilds,buckets",
         &rows,
     );
@@ -485,14 +476,13 @@ fn mixed_kinds_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let mut table = Vec::new();
     for run in &runs {
         rows.push(format!(
-            "{},{},{n},{p},{},{},{:.4},{:.6},{:.6},{}",
+            "{},{},{n},{p},{},{},{:.4},{:.6},{}",
             run.workload,
             run.mode,
             run.queries,
             run.collective_ops,
             run.ops_per_query(),
             run.makespan,
-            run.wall,
             run.histogram_served,
         ));
         table.push(vec![
@@ -502,19 +492,17 @@ fn mixed_kinds_experiment(quick: bool, dir: &std::path::Path) -> bool {
             run.collective_ops.to_string(),
             format!("{:.2}", run.ops_per_query()),
             format!("{:.5}", run.makespan),
-            format!("{:.3}", run.wall),
             run.histogram_served.to_string(),
         ]);
         println!(
             "{:>12} | {:>10}: {:>6} coll. ops over {} queries ({:.2}/query); \
-             virtual {:.5}s; wall {:.3}s; histogram-served {}",
+             virtual {:.5}s; histogram-served {}",
             run.workload,
             run.mode,
             run.collective_ops,
             run.queries,
             run.ops_per_query(),
             run.makespan,
-            run.wall,
             run.histogram_served
         );
     }
@@ -541,7 +529,6 @@ fn mixed_kinds_experiment(quick: bool, dir: &std::path::Path) -> bool {
                 "coll. ops",
                 "ops/query",
                 "virtual s",
-                "wall s",
                 "histogram served"
             ],
             &table
@@ -549,7 +536,7 @@ fn mixed_kinds_experiment(quick: bool, dir: &std::path::Path) -> bool {
     );
     write_csv(
         &dir.join("engine_api_v2.csv"),
-        "workload,mode,n,p,queries,collective_ops,ops_per_query,makespan,wall_s,histogram_served",
+        "workload,mode,n,p,queries,collective_ops,ops_per_query,makespan,histogram_served",
         &rows,
     );
     write_text(&dir.join("engine_api_v2.txt"), &out);
@@ -633,7 +620,6 @@ fn obs_experiment(quick: bool, dir: &std::path::Path) -> bool {
         observed.ingest(data.clone()).expect("ingest");
 
         let mut slo = SloAccumulator::new();
-        let wall0 = Instant::now();
         for batch in &batches {
             let a = plain.run(batch).expect("run");
             let b = observed.run(batch).expect("run");
@@ -654,11 +640,10 @@ fn obs_experiment(quick: bool, dir: &std::path::Path) -> bool {
                 ok = false;
             }
         }
-        let wall = wall0.elapsed().as_secs_f64();
 
         let report = slo.report();
         let line = format!("{kind} {}", report.render_line());
-        println!("{line}  (twin-run wall {wall:.3}s)");
+        println!("{line}");
         lines.push(line);
 
         // The CI contract: thresholds the steady-state engine must hold.
@@ -729,7 +714,6 @@ fn sketch_experiment(quick: bool, dir: &std::path::Path) -> bool {
         let mut max_guarantee = 0u64;
         let mut max_measured = 0u64;
         let mut violations = 0u64;
-        let wall0 = Instant::now();
         for b in 0..batch_count as u64 {
             let mut requests: Vec<Request<u64>> = Vec::with_capacity(per_batch as usize);
             // The exact oracle for each tolerant request (None = exact
@@ -787,14 +771,13 @@ fn sketch_experiment(quick: bool, dir: &std::path::Path) -> bool {
                 }
             }
         }
-        let wall = wall0.elapsed().as_secs_f64();
         let report = slo.report();
         let frac = sketch_served as f64 / tolerant.max(1) as f64;
 
         let line = format!(
             "{kind} {} | tolerant {tolerant}, sketch-served {sketch_served} ({:.4}), \
              max measured error {max_measured} <= max guarantee {max_guarantee} \
-             (budget {budget}), wall {wall:.3}s",
+             (budget {budget})",
             report.render_line(),
             frac
         );
@@ -802,8 +785,8 @@ fn sketch_experiment(quick: bool, dir: &std::path::Path) -> bool {
         lines.push(line);
         rows.push(format!(
             "{kind},{n},{p},{},{tolerant},{sketch_served},{:.6},{max_guarantee},{max_measured},\
-             {violations},{},{:.6},{:.6}",
-            report.queries, frac, report.max_rank_error, report.rounds_per_query, wall,
+             {violations},{},{:.6}",
+            report.queries, frac, report.max_rank_error, report.rounds_per_query,
         ));
 
         // The regression guard CI asserts on.
@@ -844,7 +827,7 @@ fn sketch_experiment(quick: bool, dir: &std::path::Path) -> bool {
     write_csv(
         &dir.join("engine_sketch.csv"),
         "backend,n,p,queries,tolerant,sketch_served,sketch_fraction,max_guarantee,\
-         max_measured_error,violations,slo_max_rank_error,rounds_per_query,wall_s",
+         max_measured_error,violations,slo_max_rank_error,rounds_per_query",
         &rows,
     );
     write_text(
@@ -871,7 +854,6 @@ struct StandingRun {
     poll_cost: f64,
     polls: u64,
     mismatches: u64,
-    wall: f64,
 }
 
 impl StandingRun {
@@ -924,7 +906,6 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
         let mut poll_cost = 0.0f64;
         let mut mismatches = 0u64;
         let mut total = seed_n as u64;
-        let wall0 = Instant::now();
         for t in 0..ticks as u64 {
             let burst: Vec<u64> = generate(dist, chunk, p, 100 + t).into_iter().flatten().collect();
             standing.ingest(burst.clone()).expect("ingest");
@@ -961,7 +942,6 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
             poll_cost,
             polls: (ticks * reqs.len()) as u64,
             mismatches,
-            wall: wall0.elapsed().as_secs_f64(),
         });
     }
 
@@ -969,7 +949,7 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
     let mut table = Vec::new();
     for run in &runs {
         rows.push(format!(
-            "{},{},{p},{ticks},{},{},{},{:.4},{:.6},{:.6},{:.2},{},{:.6}",
+            "{},{},{p},{ticks},{},{},{},{:.4},{:.6},{:.6},{:.2},{}",
             run.backend,
             seed_n + ticks * chunk,
             quantiles.len(),
@@ -980,7 +960,6 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
             run.ops_per_poll(),
             run.advantage(),
             run.mismatches,
-            run.wall,
         ));
         table.push(vec![
             run.backend.to_string(),
@@ -990,19 +969,17 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
             format!("{:.4}", run.ops_per_poll()),
             format!("{:.1}x", run.advantage()),
             run.mismatches.to_string(),
-            format!("{:.3}", run.wall),
         ]);
         println!(
             "{:>10}: {} refreshes, {:.4} zero-collective; {:.4} ops/refresh standing vs \
-             {:.4} re-submitted ({:.1}x); {} mismatches; wall {:.3}s",
+             {:.4} re-submitted ({:.1}x); {} mismatches",
             run.backend,
             run.refreshes,
             run.zero_fraction(),
             run.ops_per_refresh(),
             run.ops_per_poll(),
             run.advantage(),
-            run.mismatches,
-            run.wall
+            run.mismatches
         );
 
         // The regression guard CI asserts on.
@@ -1066,8 +1043,7 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
                 "ops/refresh (standing)",
                 "ops/refresh (re-submit)",
                 "advantage",
-                "mismatches",
-                "wall s"
+                "mismatches"
             ],
             &table
         ),
@@ -1075,7 +1051,7 @@ fn standing_experiment(quick: bool, dir: &std::path::Path) -> bool {
     write_csv(
         &dir.join("engine_standing.csv"),
         "backend,events,p,ticks,subscriptions,refreshes,zero_collective,zero_fraction,\
-         ops_per_refresh_standing,ops_per_refresh_resubmit,advantage,mismatches,wall_s",
+         ops_per_refresh_standing,ops_per_refresh_resubmit,advantage,mismatches",
         &rows,
     );
     write_text(&dir.join("engine_standing.txt"), &out);

@@ -2,14 +2,16 @@
 //! reference loops they replaced, measured as **host wall time** — the one
 //! axis the kernels are allowed to move.
 //!
-//! Microbenches, each run in kernel mode and in scalar-reference mode (the
-//! in-binary pre-kernel baseline, toggled with
-//! `cgselect_seqsel::with_scalar_reference_mode`): `count_below` over
-//! `u64`/`u32`/`i64` and `partition_by_bounds` (64 splitters), per-element
-//! hot loops timed in isolation at n = 2^20 (2^18 under `--quick`).
-//! End-to-end wall time belongs to the benchmark in `perf/`; that the
-//! kernels change no answer and no modeled cost on the engine is
-//! `tests/wallclock_parity.rs`'s job.
+//! Microbenches, each timing a kernel against its scalar `*_reference`
+//! twin over the same data (the pre-kernel baseline; the reference
+//! functions are plain functions that only tests and this bin call):
+//! `count_below_kernel` vs `count_below_reference` over `u64`/`u32`/`i64`,
+//! and `partition_by_bounds` vs `partition_by_bounds_reference` (64
+//! splitters), per-element hot loops timed in isolation at n = 2^20 (2^18
+//! under `--quick`). End-to-end wall time belongs to the benchmark in
+//! `perf/`; that each kernel returns the same answer, permutation and
+//! measured ops as its reference is pinned by the seqsel differential
+//! tests.
 //!
 //! Outputs `results/engine_wall.{csv,txt}` plus machine-readable
 //! `BENCH_wall.json` at the workspace root. Pass `--check` to gate:
@@ -24,7 +26,7 @@ use std::time::Instant;
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
 use cgselect_seqsel::{
-    count_below_kernel, count_below_reference, partition_by_bounds, with_scalar_reference_mode,
+    count_below_kernel, count_below_reference, partition_by_bounds, partition_by_bounds_reference,
     OpCount, SepBound,
 };
 use cgselect_workloads::{generate, Distribution};
@@ -93,20 +95,22 @@ fn micro_partition(reps: usize, raw: &[u64]) -> Measure {
     // worst case for the reference walk's branch predictor.
     let bounds: Vec<SepBound<u64>> =
         (1..=64u64).map(|i| SepBound::le((u64::MAX >> 1) / 65 * i)).collect();
-    let time = |reference: bool| {
+    let time = |kernel: bool| {
         best_of(reps, || {
             let mut scratch = raw.to_vec();
             let mut ops = OpCount::new();
-            let (offsets, wall) = with_scalar_reference_mode(reference, || {
-                let wall0 = Instant::now();
-                let offsets = partition_by_bounds(&mut scratch, &bounds, &mut ops);
-                (offsets, wall0.elapsed().as_secs_f64())
-            });
+            let wall0 = Instant::now();
+            let offsets = if kernel {
+                partition_by_bounds(&mut scratch, &bounds, &mut ops)
+            } else {
+                partition_by_bounds_reference(&mut scratch, &bounds, &mut ops)
+            };
+            let wall = wall0.elapsed().as_secs_f64();
             std::hint::black_box((offsets, ops));
             wall
         })
     };
-    Measure { key: "micro.partition_by_bounds.u64", reference_s: time(true), kernel_s: time(false) }
+    Measure { key: "micro.partition_by_bounds.u64", reference_s: time(false), kernel_s: time(true) }
 }
 
 /// Reads the flat `"metrics"` map out of a committed `BENCH_wall.json`
@@ -199,9 +203,10 @@ fn main() {
     let out = format!(
         "Wall-clock hot paths: branchless kernels vs the scalar reference loops\n\
          (n = {n}, random data; times are host wall seconds, best of {reps};\n\
-         the reference column is the pre-kernel scalar baseline, toggled in-binary)\n\n{}\n\
+         the reference column times the scalar *_reference functions, the\n\
+         pre-kernel baseline that production code never calls)\n\n{}\n\
          The kernels charge bit-identical measured ops and return bit-identical\n\
-         answers (tests/wallclock_parity.rs) — wall time is the only axis moved.\n",
+         answers (the seqsel differential tests) — wall time is the only axis moved.\n",
         markdown_table(&["measurement", "reference s", "kernel s", "speedup"], &table)
     );
     write_csv(&dir.join("engine_wall.csv"), "measurement,n,reference_s,kernel_s,speedup", &rows);

@@ -22,7 +22,7 @@
 //! | `ablation` | ε / δ / sample-sort / threshold sweeps (incl. the paper's ε = 0.6 tuning) |
 //! | `whatif` | the headline comparisons under modern / high-latency cost models |
 //! | `topology` | the §2.1 crossbar assumption vs hypercube & mesh with per-hop costs |
-//! | `wallclock` | branchless kernels vs the scalar-reference baseline, host wall time (`results/engine_wall.*`, `BENCH_wall.json`) |
+//! | `wallclock` | branchless kernels timed against their scalar `*_reference` twins, host wall time (`results/engine_wall.*`, `BENCH_wall.json`) |
 //!
 //! Pass `--quick` to any binary for a reduced grid (1 seed, smaller n).
 //!

@@ -42,8 +42,7 @@
 
 use cgselect_runtime::{Key, Proc, PHASE_FINISH, PHASE_SORT};
 use cgselect_seqsel::{
-    floyd_rivest_multi_select, partition3, partition3_kernel, partition_by_bounds,
-    scalar_reference_mode, KernelRng, OpCount, SepBound,
+    floyd_rivest_multi_select, partition3_kernel, partition_by_bounds, KernelRng, OpCount, SepBound,
 };
 
 use crate::common::bracket_ranks;
@@ -207,9 +206,6 @@ pub fn parallel_multi_select_windows<T: Key>(
     cfg: &SelectionConfig,
 ) -> (Vec<Option<T>>, Vec<Carve<T>>) {
     cfg.validate();
-    // Read once per pass: a scoped flip of the switch cannot mix kernels
-    // within one answer.
-    let reference = scalar_reference_mode();
     let mut out: Vec<Option<T>> = vec![None; out_len];
     let stream = cfg.seed ^ 0x6D75_6C74; // "mult"
     let mut shared_rng = KernelRng::new(stream);
@@ -254,7 +250,7 @@ pub fn parallel_multi_select_windows<T: Key>(
         // is identical on every processor.
         let (finish, big): (Vec<_>, Vec<_>) = active.drain(..).partition(|s| s.n <= threshold);
         if !finish.is_empty() {
-            solve_finishers(proc, finish, reference, &mut out);
+            solve_finishers(proc, finish, &mut out);
         }
         if big.is_empty() {
             continue;
@@ -271,7 +267,7 @@ pub fn parallel_multi_select_windows<T: Key>(
             .map(|seg| if seg.stalled { pivots.next() } else { brackets.next() })
             .map(|cut| cut.expect("one cut per live segment"))
             .collect();
-        split_segments(proc, big, &cuts, reference, &mut out, &mut active, &mut carves);
+        split_segments(proc, big, &cuts, &mut out, &mut active, &mut carves);
     }
     // A child's sample can propose a bound its parent already cut at (the
     // child's first or last cell is then empty): the same bound at the same
@@ -406,7 +402,6 @@ fn split_segments<'a, T: Key>(
     proc: &mut Proc,
     mut segs: Vec<Segment<'a, T>>,
     cuts: &[Vec<SepBound<T>>],
-    reference: bool,
     out: &mut [Option<T>],
     active: &mut Vec<Segment<'a, T>>,
     carves: &mut [Carve<T>],
@@ -414,16 +409,11 @@ fn split_segments<'a, T: Key>(
     // A lone bracket (and every pivot cut) is one three-way pass; the
     // branchless kernel reproduces `partition3`'s permutation and charges
     // exactly (samples and pivots index physical positions, so the
-    // permutation is part of the cross-backend contract), and the scalar
-    // original stays reachable as the wall-clock reference baseline.
-    // Brackets of several ranks sharing a segment go multiway.
+    // permutation is part of the cross-backend contract). Brackets of
+    // several ranks sharing a segment go multiway.
     let cells = |data: &mut [T], cut: &[SepBound<T>], ops: &mut OpCount| match *cut {
         [SepBound { value: lo, inclusive: false }, SepBound { value: hi, inclusive: true }] => {
-            let (a, b) = if reference {
-                partition3(data, lo, hi, ops)
-            } else {
-                partition3_kernel(data, lo, hi, ops)
-            };
+            let (a, b) = partition3_kernel(data, lo, hi, ops);
             vec![0, a, b, data.len()]
         }
         _ => partition_by_bounds(data, cut, ops),
@@ -494,12 +484,7 @@ fn split_segments<'a, T: Key>(
 /// pairs otherwise — one sort-and-read-off per segment, and a single
 /// broadcast of every answer. Both branches issue the identical collective
 /// sequence, and `segs.len()` is globally agreed, so SPMD order holds.
-fn solve_finishers<T: Key>(
-    proc: &mut Proc,
-    segs: Vec<Segment<'_, T>>,
-    reference: bool,
-    out: &mut [Option<T>],
-) {
+fn solve_finishers<T: Key>(proc: &mut Proc, segs: Vec<Segment<'_, T>>, out: &mut [Option<T>]) {
     proc.phase_begin(PHASE_FINISH);
     let gathered: Option<Vec<Vec<T>>> = if segs.len() == 1 {
         let seg = &segs[0];
@@ -542,11 +527,9 @@ fn solve_finishers<T: Key>(
             // sparse rank set in a sizeable window (2R < log2 n, with the
             // factor 2 as noise margin) the gathered bucket is finished by
             // selection instead of sorting. Charges are measured either
-            // way; the scalar-reference switch pins the sort path as the
-            // pre-kernel baseline.
+            // way.
             let distinct = 1 + seg.ranks.windows(2).filter(|w| w[0].0 != w[1].0).count() as u64;
-            let use_fr =
-                !reference && bucket.len() > 1 && 2 * distinct < u64::from(bucket.len().ilog2());
+            let use_fr = bucket.len() > 1 && 2 * distinct < u64::from(bucket.len().ilog2());
             if use_fr {
                 let ranks: Vec<usize> = seg.ranks.iter().map(|&(r, _)| r as usize).collect();
                 res.extend(floyd_rivest_multi_select(bucket, &ranks, &mut local));
@@ -795,12 +778,10 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_changes_neither_answers_nor_rounds() {
-        // The wall-clock contract: branchless kernels and the Floyd–Rivest
-        // finisher may change only wall time — answers and the collective
-        // sequence must be bit-identical to the scalar reference path. A
-        // sparse rank set over a large window drives the FR finisher;
-        // the dense set drives the sort path; both must agree.
+    fn floyd_rivest_and_sort_finishers_both_match_the_oracle() {
+        // A sparse rank set over a large window drives the Floyd–Rivest
+        // finisher; the dense set drives the sort path; both must return
+        // the oracle's answers.
         let p = 4;
         let parts: Vec<Vec<u64>> = (0..p)
             .map(|r| (0..2000).map(|i| ((i * 29 + r * 13) % 7919) as u64).collect())
@@ -809,28 +790,12 @@ mod tests {
         let rank_sets: Vec<Vec<u64>> =
             vec![vec![n / 2], vec![0, n / 4, n / 2, n - 1], (0..40).map(|i| i * n / 40).collect()];
         for ranks in rank_sets {
-            let run = |reference: bool| {
-                let out = cgselect_seqsel::with_scalar_reference_mode(reference, || {
-                    cgselect_runtime::Machine::with_model(p, MachineModel::free())
-                        .run(|proc| {
-                            let c0 = proc.comm_stats().collective_ops;
-                            let got = parallel_multi_select(
-                                proc,
-                                parts[proc.rank()].clone(),
-                                &ranks,
-                                &cfg(),
-                            );
-                            (got, proc.comm_stats().collective_ops - c0)
-                        })
-                        .unwrap()
-                });
-                out.into_iter().next().expect("p >= 1")
-            };
-            let (kernel_ans, kernel_rounds) = run(false);
-            let (ref_ans, ref_rounds) = run(true);
-            assert_eq!(kernel_ans, ref_ans, "answers must not depend on the kernel path");
-            assert_eq!(kernel_rounds, ref_rounds, "rounds must not depend on the kernel path");
-            assert_eq!(kernel_ans, oracle(&parts, &ranks));
+            let out = cgselect_runtime::Machine::with_model(p, MachineModel::free())
+                .run(|proc| parallel_multi_select(proc, parts[proc.rank()].clone(), &ranks, &cfg()))
+                .unwrap();
+            for got in out {
+                assert_eq!(got, oracle(&parts, &ranks));
+            }
         }
     }
 

@@ -13,8 +13,7 @@ use cgselect_balance::{rebalance, Balancer};
 use cgselect_core::{parallel_multi_select_windows, RankedWindow};
 use cgselect_runtime::{Key, Proc};
 use cgselect_seqsel::{
-    bucket_of, bucket_search_cmps, count_below_kernel, count_below_reference, partition_by_bounds,
-    scalar_reference_mode, OpCount, SepBound,
+    bucket_of, bucket_search_cmps, count_below_kernel, partition_by_bounds, OpCount, SepBound,
 };
 
 use crate::index::{
@@ -262,34 +261,39 @@ pub(crate) fn merge_delta_shard<T: Key>(proc: &mut Proc, shard: &mut Shard<T>) -
     dstats
 }
 
-/// The local prefix count of one value probe over a plain slice, with
-/// measured comparisons. Dispatches to the branchless counting kernel, or
-/// to the scalar reference loop when the batch runs under
-/// `with_scalar_reference_mode` (`reference`). Both charge exactly one
-/// comparison per element, so modeled ops never depend on the kernel.
-fn count_admitted<T: Key>(
-    data: &[T],
-    value: T,
-    inclusive: bool,
-    reference: bool,
-    cmps: &mut u64,
-) -> u64 {
-    if reference {
-        return count_below_reference(data, value, inclusive, cmps);
-    }
-    count_below_kernel(data, value, inclusive, cmps)
+/// The bucket of every probe under sorted `bounds` — the first bound
+/// admitting its value, `bounds.len()` when none does — by one forward
+/// merge: probe batches arrive sorted by value (the planner builds them
+/// that way and the EXECUTE decoder refuses any other order), and the
+/// bucket is monotone in the value, so the cursor never rewinds: O(P + B)
+/// in place of a fresh O(log B) binary search per probe. The charge per
+/// probe stays exactly what [`bucket_of`] would have measured
+/// ([`bucket_search_cmps`] is grid-pinned to it), so modeled ops do not
+/// depend on how the bucket is found.
+fn probe_buckets<T: Key>(
+    bounds: &[SepBound<T>],
+    probes: &[(T, bool)],
+    ops: &mut OpCount,
+) -> Vec<usize> {
+    debug_assert!(probes.windows(2).all(|w| w[0].0 <= w[1].0), "probes must be sorted by value");
+    let mut next = 0usize;
+    probes
+        .iter()
+        .map(|&(v, _)| {
+            while next < bounds.len() && !bounds[next].admits(&v) {
+                next += 1;
+            }
+            ops.cmps += bucket_search_cmps(bounds.len());
+            next
+        })
+        .collect()
 }
 
 /// The value-probe phase: local prefix counts for every probe, localized
 /// to the probe's own bucket plus the delta run, then **one** vectorized
 /// Combine for the whole probe batch. Runs *before* the multi-select phase,
 /// which permutes the windows and refines the splitters.
-fn count_probes_shard<T: Key>(
-    proc: &mut Proc,
-    shard: &Shard<T>,
-    probes: &[(T, bool)],
-    reference: bool,
-) -> Vec<u64> {
+fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, bool)]) -> Vec<u64> {
     if probes.is_empty() {
         return Vec::new();
     }
@@ -297,38 +301,19 @@ fn count_probes_shard<T: Key>(
     let mut ops = OpCount::new();
     // Probes lower only after the host built the index, as exact ranks do.
     let idx = shard.index.as_ref().expect("value probes require a shard index");
-    let delta_start = idx.delta_start();
-    // Probe batches arrive sorted and deduplicated by value (the planner
-    // builds them that way), so one forward merge against the sorted bounds
-    // replaces a fresh O(log B) binary search per probe: O(P + B) total.
-    // The charge per probe stays exactly what `bucket_of` would have
-    // measured (`bucket_search_cmps` is grid-pinned to it), so modeled ops
-    // are unchanged. The per-probe search survives as the reference
-    // baseline and as the fallback for unsorted batches.
-    let merge = !reference && probes.windows(2).all(|w| w[0].0 <= w[1].0);
-    let mut next = 0usize;
+    let delta = &shard.data[idx.delta_start()..];
+    let buckets = probe_buckets(&idx.bounds, probes, &mut ops);
+    // Every element of a bucket below `b` is strictly below the probe
+    // value, every element above is strictly above: only bucket `b` itself
+    // (and the unindexed delta run) needs scanning.
     let local: Vec<u64> = probes
         .iter()
-        .map(|&(v, inclusive)| {
-            // Every element of a bucket below `b` is strictly below the
-            // probe value, every element above is strictly above: only
-            // bucket `b` itself (and the unindexed delta run) needs scanning.
-            let b = if merge {
-                // First bound admitting `v`; monotone in `v`, so the cursor
-                // never rewinds across the sorted batch.
-                while next < idx.bounds.len() && !idx.bounds[next].admits(&v) {
-                    next += 1;
-                }
-                ops.cmps += bucket_search_cmps(idx.bounds.len());
-                next
-            } else {
-                bucket_of(&idx.bounds, &v, &mut ops)
-            };
+        .zip(buckets)
+        .map(|(&(v, inclusive), b)| {
             let bucket = &shard.data[idx.offsets[b]..idx.offsets[b + 1]];
-            let delta = &shard.data[delta_start..];
             idx.offsets[b] as u64
-                + count_admitted(bucket, v, inclusive, reference, &mut cmps)
-                + count_admitted(delta, v, inclusive, reference, &mut cmps)
+                + count_below_kernel(bucket, v, inclusive, &mut cmps)
+                + count_below_kernel(delta, v, inclusive, &mut cmps)
         })
         .collect();
     proc.charge_ops(ops.total() + cmps);
@@ -359,9 +344,6 @@ pub(crate) fn execute_shard<T: Key>(
     // collectives, so execution with spans on is indistinguishable — in
     // answers, comm counts, and makespan — from execution with spans off.
     let observe = plan.trace.is_some();
-    // Read once per batch: a scoped flip of the kernel switch cannot mix
-    // kernels within one batch's probe counts.
-    let reference = scalar_reference_mode();
 
     // Synchronize clocks so the elapsed virtual time is a makespan.
     proc.barrier();
@@ -372,7 +354,7 @@ pub(crate) fn execute_shard<T: Key>(
     if observe {
         proc.phase_begin(Phase::Probes.as_str());
     }
-    let probe_counts = count_probes_shard(proc, shard, &plan.value_probes, reference);
+    let probe_counts = count_probes_shard(proc, shard, &plan.value_probes);
     if observe {
         proc.phase_end(Phase::Probes.as_str());
     }
@@ -622,6 +604,42 @@ mod tests {
         shard.data.extend_from_slice(delta);
         shard.sketch = EpsSketch::from_data(64, &shard.data);
         shard
+    }
+
+    #[test]
+    fn the_probe_merge_picks_and_charges_what_per_probe_search_does() {
+        // Bound values live in [10, 100) and probe values in [0, 120), so
+        // batches hold probes below the first bound and above the last;
+        // bounds come as lone `(v,≤)` or as `(v,<)(v,≤)` equality pairs,
+        // and probe values repeat (with either inclusivity).
+        let mut rng = cgselect_seqsel::KernelRng::new(17);
+        for trial in 0..300u64 {
+            let mut bounds: Vec<SepBound<u64>> = Vec::new();
+            for _ in 0..trial % 41 {
+                let v = 10 + rng.next_u64() % 90;
+                bounds.push(SepBound::le(v));
+                if rng.next_u64().is_multiple_of(2) {
+                    bounds.push(SepBound::lt(v));
+                }
+            }
+            bounds.sort_unstable();
+            bounds.dedup();
+            let mut probes: Vec<(u64, bool)> = (0..1 + rng.next_u64() % 24)
+                .map(|_| (rng.next_u64() % 120, rng.next_u64().is_multiple_of(2)))
+                .collect();
+            let dup = probes[0];
+            probes.extend([dup, (dup.0, !dup.1)]);
+            probes.extend([(0, false), (119, true)]);
+            probes.sort_unstable();
+
+            let mut merged_ops = OpCount::new();
+            let merged = probe_buckets(&bounds, &probes, &mut merged_ops);
+            let mut searched_ops = OpCount::new();
+            let searched: Vec<usize> =
+                probes.iter().map(|(v, _)| bucket_of(&bounds, v, &mut searched_ops)).collect();
+            assert_eq!(merged, searched, "buckets under {bounds:?} for {probes:?}");
+            assert_eq!(merged_ops, searched_ops, "charges under {} bounds", bounds.len());
+        }
     }
 
     #[test]

@@ -274,6 +274,15 @@ pub(crate) fn decode_execute<T: Key>(
     let delta_total = r.u64()?;
     let exact_ranks = r.rank_set()?;
     let value_probes = r.probes::<T>()?;
+    // The shards count probes by one forward merge against their bounds,
+    // which holds only for a batch sorted by value — as the planner ships
+    // it. Worker input is outside input: refuse any other order here.
+    if let Some(i) = value_probes.windows(2).position(|w| w[1].0 < w[0].0) {
+        return Err(WireMsgError::new(format!(
+            "EXECUTE value probes must be sorted by value: probe {} is below probe {i}",
+            i + 1
+        )));
+    }
     let group_count = r.usize()?;
     let groups = (0..group_count).map(|_| r.group()).collect::<WireResult<_>>()?;
     let trace = r.trace_context()?;
@@ -548,6 +557,28 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
     use std::time::Duration;
+
+    #[test]
+    fn descending_value_probes_are_a_typed_error() {
+        let plan = |value_probes: Vec<(u64, bool)>| BatchPlan {
+            groups: std::sync::Arc::new(Vec::new()),
+            exact_ranks: std::sync::Arc::new(crate::query::RankSet::from_runs(Vec::new())),
+            value_probes: std::sync::Arc::new(value_probes),
+            selection: SelectionConfig::default(),
+            delta_total: 0,
+            trace: None,
+        };
+        let decode = |probes: Vec<(u64, bool)>| {
+            let frame = encode_execute(&plan(probes));
+            decode_execute::<u64>(&mut Reader::new(&frame), &SelectionConfig::default())
+        };
+        // Equal values (the `(v, <)` and `(v, ≤)` probes of one class) are
+        // in order; a decrease is not.
+        let sorted = vec![(3, false), (3, true), (9, true)];
+        assert_eq!(*decode(sorted.clone()).unwrap().value_probes, sorted);
+        let err = decode(vec![(9, true), (3, false)]).unwrap_err();
+        assert!(err.detail.contains("sorted by value"), "{err}");
+    }
 
     #[test]
     fn frame_header_round_trips() {

@@ -18,69 +18,17 @@
 //! and a count + branchless-compress + pair-swap scheme instead of the
 //! branchy two-pointer walk for partitioning.
 //!
-//! The scalar originals are kept as `*_reference` functions. They serve two
-//! purposes: the differential tests (proptest plus exhaustive small-pattern
-//! sweeps) pin every kernel to its reference, and the `wallclock` bench bin
-//! measures both sides to report the speedup (`BENCH_wall.json`). The
-//! [`with_scalar_reference_mode`] switch routes the shared entry points
-//! ([`crate::partition_by_bounds`], the engine's probe counting, the
-//! multi-select finisher) through the reference loops, which is how the
-//! end-to-end benchmark reproduces the pre-kernel baseline inside one
-//! binary.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! The scalar originals are kept as `*_reference` functions (and
+//! [`crate::partition_by_bounds_reference`], the multiway walk stepping with
+//! [`partition_bound_reference`]). No production path reaches them — there
+//! is no mode that routes through them. They serve two purposes only: they
+//! are the test oracles that the differential tests (proptest plus
+//! exhaustive small-pattern sweeps) pin every kernel to, and the baseline
+//! the `wallclock` bench bin times each kernel against to report the
+//! speedup (`BENCH_wall.json`).
 
 use crate::ops::OpCount;
 use crate::splitters::SepBound;
-
-/// When set, the shared entry points that normally dispatch to the kernels
-/// run the scalar `*_reference` loops instead (and the multi-select
-/// finisher sorts instead of running Floyd–Rivest).
-static SCALAR_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Serializes [`with_scalar_reference_mode`] callers: whoever holds it owns
-/// the process-global switch until their closure returns or unwinds.
-static REFERENCE_SCOPE: Mutex<()> = Mutex::new(());
-
-/// Restores the default (kernels) when a scope ends, by return or unwind —
-/// before the lock it holds is released, so the next holder starts clean.
-struct ReferenceScope {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for ReferenceScope {
-    fn drop(&mut self) {
-        SCALAR_REFERENCE.store(false, Ordering::Relaxed);
-    }
-}
-
-/// Runs `f` with every kernel call site routed through the scalar
-/// reference loops (`on = true`) or the branchless kernels (`false`, the
-/// default), and restores the default afterwards — also when `f` panics.
-///
-/// This is a process-global differential-testing and benchmarking switch:
-/// the `wallclock` bench measures both settings in one run to report the
-/// kernel speedup, and the equivalence tests use it to pin the two paths to
-/// identical answers, charges and permutations. One static lock is held for
-/// the closure's duration, so concurrent callers (tests sharing a process)
-/// take turns instead of flipping the mode under each other; pass `false`
-/// to pin the kernel side of a comparison the same way. Not reentrant: a
-/// nested call deadlocks. It is not a tuning knob — production code never
-/// calls it.
-pub fn with_scalar_reference_mode<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    // A holder that panicked already restored the default on unwind, so a
-    // poisoned lock guards nothing stale.
-    let _scope =
-        ReferenceScope { _lock: REFERENCE_SCOPE.lock().unwrap_or_else(PoisonError::into_inner) };
-    SCALAR_REFERENCE.store(on, Ordering::Relaxed);
-    f()
-}
-
-/// Current state of the [`with_scalar_reference_mode`] switch.
-pub fn scalar_reference_mode() -> bool {
-    SCALAR_REFERENCE.load(Ordering::Relaxed)
-}
 
 /// Chunk width of the predicated-sum loops: small enough that a chunk's
 /// partial sums live in registers, large enough that LLVM unrolls each
@@ -116,7 +64,7 @@ fn count_lt_raw<T: Copy + Ord>(data: &[T], value: T) -> u64 {
 /// Number of elements the bound admits, without charging — the shared
 /// counting pass of the kernels below.
 #[inline]
-fn count_admitted_raw<T: Copy + Ord>(data: &[T], bound: SepBound<T>) -> u64 {
+fn count_by_bound_raw<T: Copy + Ord>(data: &[T], bound: SepBound<T>) -> u64 {
     if bound.inclusive {
         count_le_raw(data, bound.value)
     } else {
@@ -234,7 +182,7 @@ pub fn partition_bound_kernel<T: Copy + Ord>(
     ops: &mut OpCount,
 ) -> usize {
     let n = data.len();
-    let a = count_admitted_raw(data, bound) as usize;
+    let a = count_by_bound_raw(data, bound) as usize;
     // Misplaced positions buffered per block; writes stay in-bounds because
     // a block never holds more than BLOCK misplaced elements.
     let mut offs_l = [0usize; BLOCK];
@@ -422,23 +370,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reference_mode_is_scoped_to_the_closure_and_survives_a_panic() {
-        // Holding the lock means no other test is inside a scope, so the
-        // switch must read its restored default.
-        let off_while_idle = || {
-            let _idle = REFERENCE_SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-            !scalar_reference_mode()
-        };
-        assert!(with_scalar_reference_mode(true, scalar_reference_mode));
-        assert!(off_while_idle());
-        assert!(!with_scalar_reference_mode(false, scalar_reference_mode));
-        let caught = std::panic::catch_unwind(|| {
-            with_scalar_reference_mode(true, || panic!("unwinding out of the scope"))
-        });
-        assert!(caught.is_err());
-        assert!(off_while_idle());
     }
 }

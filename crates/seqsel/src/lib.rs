@@ -45,7 +45,7 @@ pub use heap_select::heap_select;
 pub use introselect::introselect;
 pub use kernels::{
     count_below_kernel, count_below_reference, partition3_kernel, partition_bound_kernel,
-    partition_bound_reference, scalar_reference_mode, with_scalar_reference_mode,
+    partition_bound_reference,
 };
 pub use median_of_medians::median_of_medians_select;
 pub use ops::OpCount;
@@ -53,7 +53,9 @@ pub use partition::{insertion_sort, partition3, partition_le};
 pub use quickselect::quickselect;
 pub use rng::KernelRng;
 pub use sort_select::sort_select;
-pub use splitters::{bucket_of, bucket_search_cmps, partition_by_bounds, SepBound};
+pub use splitters::{
+    bucket_of, bucket_search_cmps, partition_by_bounds, partition_by_bounds_reference, SepBound,
+};
 pub use weighted_median::weighted_median;
 
 /// 0-based rank of the paper's median (1-based rank ⌈N/2⌉) among `n` items.

@@ -17,7 +17,7 @@
 //! element scan. Because both bounds mention only the shared value `v`,
 //! every shard splits identically and the global histogram stays valid.
 
-use crate::kernels::{partition_bound_kernel, partition_bound_reference, scalar_reference_mode};
+use crate::kernels::{partition_bound_kernel, partition_bound_reference};
 use crate::ops::OpCount;
 
 /// An upper bucket boundary: admits `x ≤ value` (inclusive) or `x < value`
@@ -100,9 +100,7 @@ pub fn bucket_search_cmps(len: usize) -> u64 {
 /// local [`crate::Buckets`] structure). Iterative halving over the bound
 /// vector (an explicit worklist, safe for worker-thread stacks at any
 /// bound-set size): `O(n log B)` measured comparisons. Each halving step
-/// runs the branchless [`crate::partition_bound_kernel`] — or the scalar
-/// reference walk under [`crate::with_scalar_reference_mode`] — both of
-/// which charge identical measured costs.
+/// runs the branchless [`crate::partition_bound_kernel`].
 ///
 /// # Panics
 /// Panics (debug builds) if `bounds` is not strictly increasing.
@@ -111,10 +109,35 @@ pub fn partition_by_bounds<T: Copy + Ord>(
     bounds: &[SepBound<T>],
     ops: &mut OpCount,
 ) -> Vec<usize> {
+    partition_by_bounds_with(data, bounds, ops, partition_bound_kernel)
+}
+
+/// [`partition_by_bounds`] stepping with the scalar
+/// [`crate::partition_bound_reference`] walk: identical offsets,
+/// permutation and [`OpCount`]. Kept as the differential-test oracle and
+/// the wall-clock baseline.
+///
+/// # Panics
+/// Panics (debug builds) if `bounds` is not strictly increasing.
+pub fn partition_by_bounds_reference<T: Copy + Ord>(
+    data: &mut [T],
+    bounds: &[SepBound<T>],
+    ops: &mut OpCount,
+) -> Vec<usize> {
+    partition_by_bounds_with(data, bounds, ops, partition_bound_reference)
+}
+
+/// The multiway walk shared by [`partition_by_bounds`] and its reference:
+/// `step` splits one segment by one bound and returns the admitted count.
+fn partition_by_bounds_with<T: Copy + Ord>(
+    data: &mut [T],
+    bounds: &[SepBound<T>],
+    ops: &mut OpCount,
+    step: fn(&mut [T], SepBound<T>, &mut OpCount) -> usize,
+) -> Vec<usize> {
     debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
     let mut offsets = vec![0usize; bounds.len() + 2];
     *offsets.last_mut().expect("non-empty") = data.len();
-    let reference = scalar_reference_mode();
     // Worklist entries (dlo, dhi, blo, bhi): partition data[dlo..dhi] by
     // bounds[blo..bhi]. Children are pushed right-then-left so pops replay
     // the old recursion's depth-first order exactly.
@@ -124,12 +147,7 @@ pub fn partition_by_bounds<T: Copy + Ord>(
             continue;
         }
         let mid = blo + (bhi - blo) / 2;
-        let seg = &mut data[dlo..dhi];
-        let cut = if reference {
-            partition_bound_reference(seg, bounds[mid], ops)
-        } else {
-            partition_bound_kernel(seg, bounds[mid], ops)
-        };
+        let cut = step(&mut data[dlo..dhi], bounds[mid], ops);
         // Everything in seg[..cut] falls at or below bounds[mid]; the
         // bucket starting after bounds[mid] therefore begins at dlo + cut.
         offsets[mid + 1] = dlo + cut;
@@ -223,23 +241,36 @@ mod tests {
 
     #[test]
     fn reference_and_kernel_partitions_agree() {
-        let bounds: Vec<SepBound<u64>> =
-            vec![SepBound::le(100), SepBound::lt(300), SepBound::le(300), SepBound::le(550)];
+        // Bound sets of 1, 2, 7 and 64 strictly increasing bounds, each with
+        // `(v,<)(v,≤)` equality pairs where there is room, over random,
+        // sorted and all-equal data: same offsets, permutation and charges.
         let mut rng = crate::KernelRng::new(42);
-        let data: Vec<u64> = (0..700).map(|_| rng.next_u64() % 800).collect();
-        let mut kernel = data.clone();
-        let mut reference = data;
-        let mut ops_k = OpCount::new();
-        let mut ops_r = OpCount::new();
-        let off_k = crate::with_scalar_reference_mode(false, || {
-            partition_by_bounds(&mut kernel, &bounds, &mut ops_k)
-        });
-        let off_r = crate::with_scalar_reference_mode(true, || {
-            partition_by_bounds(&mut reference, &bounds, &mut ops_r)
-        });
-        assert_eq!(off_k, off_r);
-        assert_eq!(kernel, reference, "same permutation either way");
-        assert_eq!(ops_k, ops_r, "same measured charges either way");
+        for size in [1usize, 2, 7, 64] {
+            let mut set = std::collections::BTreeSet::new();
+            while set.len() < size {
+                let v = rng.next_u64() % 800;
+                set.insert(SepBound::lt(v));
+                if set.len() < size {
+                    set.insert(SepBound::le(v));
+                }
+            }
+            let bounds: Vec<SepBound<u64>> = set.into_iter().collect();
+            let len = 700usize;
+            let random: Vec<u64> = (0..len).map(|_| rng.next_u64() % 800).collect();
+            let sorted: Vec<u64> = (0..len as u64).collect();
+            let equal: Vec<u64> = vec![bounds[0].value; len];
+            for data in [random, sorted, equal] {
+                let mut kernel = data.clone();
+                let mut reference = data;
+                let mut ops_k = OpCount::new();
+                let mut ops_r = OpCount::new();
+                let off_k = partition_by_bounds(&mut kernel, &bounds, &mut ops_k);
+                let off_r = partition_by_bounds_reference(&mut reference, &bounds, &mut ops_r);
+                assert_eq!(off_k, off_r, "offsets for {size} bounds");
+                assert_eq!(kernel, reference, "permutation for {size} bounds");
+                assert_eq!(ops_k, ops_r, "charges for {size} bounds");
+            }
+        }
     }
 
     #[test]

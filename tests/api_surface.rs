@@ -17,8 +17,15 @@ const GOLDEN: &str = "results/public_api.txt";
 /// Files whose public declarations constitute the tracked surface.
 fn tracked_files(root: &Path) -> Vec<PathBuf> {
     let mut files = vec![root.join("src/lib.rs")];
-    let engine = root.join("crates/engine/src");
-    let mut stack = vec![engine];
+    files.extend(rust_files(&root.join("crates/engine/src")));
+    files.sort();
+    files
+}
+
+/// Every `.rs` file under `dir`, recursively, sorted.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
             .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
@@ -145,4 +152,71 @@ fn public_api_surface_matches_the_golden_snapshot() {
             diff.join("\n")
         );
     }
+}
+
+/// Process-global mutable state the library crates may hold, as
+/// `module::NAME`. Both are ID counters: their values name things (trace
+/// IDs, scratch directories) and change no answer, no charge and no
+/// collective. A switch that steers behaviour from a global makes results
+/// depend on what else runs in the process, so a new entry here needs a
+/// reason at least that strong.
+const ALLOWED_GLOBALS: [&str; 2] = ["obs::NEXT_TRACE_ID", "socket_mp::DIR_COUNTER"];
+
+/// Library crates whose sources the global-state guard scans.
+const LIBRARY_CRATES: [&str; 7] =
+    ["balance", "core", "engine", "runtime", "seqsel", "sort", "workloads"];
+
+/// Every `static` item of an atomic, `Mutex`, `RwLock`, `OnceLock` or
+/// `LazyLock` type (or any `static mut`) under `dir`, as `module::NAME`,
+/// where the module is the file stem (a `mod.rs` names its directory).
+fn mutable_statics(dir: &Path, out: &mut Vec<String>) {
+    for path in rust_files(dir) {
+        let stem = path.file_stem().and_then(|s| s.to_str()).expect("utf-8 file name");
+        let module = if stem == "mod" {
+            path.parent().and_then(|p| p.file_name()).and_then(|s| s.to_str()).expect("dir name")
+        } else {
+            stem
+        };
+        let src =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        for line in src.lines() {
+            let code = line.split("//").next().unwrap_or(line).trim();
+            let item = match code.split_once("static ") {
+                Some((vis, rest))
+                    if vis.is_empty()
+                        || vis == "pub "
+                        || (vis.starts_with("pub(") && vis.ends_with(") ")) =>
+                {
+                    rest
+                }
+                _ => continue,
+            };
+            let is_mut = item.starts_with("mut ");
+            let item = item.trim_start_matches("mut ");
+            let Some((name, ty)) = item.split_once(':') else { continue };
+            let interior = ["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"]
+                .iter()
+                .any(|t| ty.contains(t));
+            if is_mut || interior {
+                out.push(format!("{module}::{}", name.trim()));
+            }
+        }
+    }
+}
+
+#[test]
+fn no_process_global_switch_beyond_the_allow_list() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for krate in LIBRARY_CRATES {
+        mutable_statics(&root.join("crates").join(krate).join("src"), &mut found);
+    }
+    found.sort();
+    let mut allowed = ALLOWED_GLOBALS.map(String::from).to_vec();
+    allowed.sort();
+    assert_eq!(
+        found, allowed,
+        "process-global mutable statics changed: pass state as a parameter instead of a \
+         global, or (for a counter that changes no result) extend ALLOWED_GLOBALS"
+    );
 }
