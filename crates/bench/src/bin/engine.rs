@@ -10,7 +10,7 @@
 //! collective ops/query, virtual makespan and histogram hit counts. The
 //! indexed engine pays 3.1× fewer collective ops per query on the distinct
 //! ranks and 43× fewer on the repeated quantiles at `--quick` size
-//! (n = 2^17, p = 8); 1.6× and 32× at full size (n = 2^20). Host wall time
+//! (n = 2^17, p = 8); 1.5× and 32× at full size (n = 2^20). Host wall time
 //! is not reported here: it belongs to the benchmark in `perf/`, and every
 //! column below is deterministic.
 //!
@@ -76,7 +76,10 @@
 //! delete sketch-served at zero collectives, and a fresh 16-rank exact
 //! batch on a warm index (n = 2^20, p = 2) costs at most 24 collective ops
 //! and 0.44 s of virtual time on LocalSpmd and the identical count and time
-//! on ChannelMp and SocketMp — the CI perf-smoke regression guard.
+//! on ChannelMp and SocketMp, while in steady state — the second half of
+//! 240 such batches on one engine — a batch costs at most 13.0 collective
+//! ops and 0.19 s of virtual time on average, identically on all three
+//! backends — the CI perf-smoke regression guard.
 
 use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
@@ -86,6 +89,7 @@ use cgselect_engine::{
     QueryKind, RefreshPolicy, Request, Served, SloAccumulator, SloPolicy, SocketMpTuning,
 };
 use cgselect_runtime::{Machine, MachineModel};
+use cgselect_seqsel::KernelRng;
 use cgselect_workloads::{generate, Distribution};
 
 /// Gate on the virtual makespan of the fresh 16-rank exact batch of
@@ -96,6 +100,23 @@ use cgselect_workloads::{generate, Distribution};
 /// the former: one more pass over the 131 k window elements a shard holds
 /// (0.065 s at 0.5 us per op) trips it.
 const FRESH_EXACT_MAKESPAN_GATE: f64 = 0.44;
+
+/// Batches in the steady-state stream of experiment 2; the gates below read
+/// the means over its second half.
+const STEADY_BATCHES: usize = 240;
+
+/// Gate on the mean virtual makespan per fresh 16-rank batch over the second
+/// half of the steady-state stream (n = 2^20, p = 2, `MachineModel::cm5()`),
+/// in seconds. With the bucket budget fixed at 4 x the 64-bucket target the
+/// index sawed between 64 and 256 buckets and this read 0.26276 s; a budget
+/// of one bucket per finish threshold (1,024 elements) keeps it between 256
+/// and 1,024 buckets and reads 0.12238 s. The gate sits between the two.
+const STEADY_MAKESPAN_GATE: f64 = 0.19;
+
+/// Gate on the mean collective ops per batch over the same half: 13.12 under
+/// the fixed budget, 12.77 under the data-driven one (smaller windows take
+/// fewer bracket rounds). Counts are deterministic, so the gap is the signal.
+const STEADY_COLLECTIVES_GATE: f64 = 13.0;
 
 fn check_mode() -> bool {
     std::env::args().any(|a| a == "--check")
@@ -405,7 +426,85 @@ fn index_experiment(quick: bool, dir: &std::path::Path) -> bool {
             ok = false;
         }
     }
+
+    // The same batch shape in steady state: one engine serves a long stream
+    // of fresh 16-rank batches, so the index has grown into its bucket
+    // budget, tripped its cap and been re-cut, perhaps several times.
+    let steady = steady_exact_stream(&exact_data, BackendChoice::LocalSpmd);
+    let (collectives, makespan) = steady.means();
+    println!(
+        "steady state, batches {}..{} of fresh 16-rank exact batches, n = 2^20, p = 2: \
+         {collectives:.2} collective ops and virtual {makespan:.5}s per batch; \
+         {} buckets after {} index builds",
+        STEADY_BATCHES / 2,
+        STEADY_BATCHES,
+        steady.health.buckets,
+        steady.health.rebuilds
+    );
+    if collectives > STEADY_COLLECTIVES_GATE {
+        eprintln!(
+            "PERF REGRESSION: steady-state fresh batches cost {collectives:.2} collective ops \
+             each (> {STEADY_COLLECTIVES_GATE})"
+        );
+        ok = false;
+    }
+    if makespan > STEADY_MAKESPAN_GATE {
+        eprintln!(
+            "PERF REGRESSION: steady-state fresh batches took {makespan:.5}s of virtual time \
+             each (> {STEADY_MAKESPAN_GATE})"
+        );
+        ok = false;
+    }
+    for (mode, backend) in [("indexed-mp", mp()), ("indexed-sock", sock())] {
+        let run = steady_exact_stream(&exact_data, backend);
+        if run != steady {
+            eprintln!(
+                "BACKEND REGRESSION: {mode} diverged from LocalSpmd on the steady-state \
+                 stream: {run:?} vs {steady:?}"
+            );
+            ok = false;
+        }
+    }
     ok
+}
+
+/// What the second half of a steady-state stream cost, and the index it left.
+#[derive(Debug, PartialEq)]
+struct SteadyState {
+    collective_ops: u64,
+    /// Virtual makespan summed in whole nanoseconds, so backends compare
+    /// exactly whatever the last bits of their clocks' offsets.
+    makespan_ns: u64,
+    health: IndexHealth,
+}
+
+impl SteadyState {
+    /// Mean collective ops and virtual seconds per measured batch.
+    fn means(&self) -> (f64, f64) {
+        let half = (STEADY_BATCHES - STEADY_BATCHES / 2) as f64;
+        (self.collective_ops as f64 / half, self.makespan_ns as f64 / half / 1e9)
+    }
+}
+
+/// Serves `STEADY_BATCHES` batches of 16 pseudo-random exact ranks — the
+/// shape of `perf`'s `exact_local` op — on one `p = 2` engine over `data`,
+/// measuring the second half.
+fn steady_exact_stream(data: &[u64], backend: BackendChoice) -> SteadyState {
+    let mut engine: Engine<u64> =
+        Engine::new(EngineConfig::new(2).backend(backend)).expect("engine start");
+    engine.ingest(data.to_vec()).expect("ingest");
+    let n = data.len() as u64;
+    let mut rng = KernelRng::new(23);
+    let (mut collective_ops, mut makespan_ns) = (0, 0);
+    for batch in 0..STEADY_BATCHES {
+        let ranks: Vec<Request<u64>> = (0..16).map(|_| Request::rank(rng.below(n))).collect();
+        let report = engine.run(&ranks).expect("run");
+        if batch >= STEADY_BATCHES / 2 {
+            collective_ops += report.collective_ops;
+            makespan_ns += (report.makespan * 1e9).round() as u64;
+        }
+    }
+    SteadyState { collective_ops, makespan_ns, health: engine.index_health() }
 }
 
 /// Experiment 3: the mixed-kind workload (forward ranks + rank-of +
@@ -1170,7 +1269,8 @@ fn main() {
              mixed-kind batching >= 2x with zero-collective warm inverse serving, \
              ChannelMp and SocketMp collective-round counts equal LocalSpmd's, \
              a fresh 16-rank exact batch <= 24 collective ops and <= 0.44 s of virtual time on \
-             all three backends, \
+             all three backends, and in steady state <= {STEADY_COLLECTIVES_GATE} ops and \
+             <= {STEADY_MAKESPAN_GATE} s per batch on all three, \
              observability zero-cost (identical answers, rounds and makespan), SLO \
              thresholds held, the sketch rung served >= 90% of the tolerant stream \
              at zero collectives within every reported guarantee, and the standing \

@@ -27,8 +27,8 @@
 //! Pass `--quick` to any binary for a reduced grid (1 seed, smaller n).
 //!
 //! Times are **virtual CM-5 seconds** under the machine model
-//! (`MachineModel::cm5()`); the criterion benches under `benches/` measure
-//! real wall-clock time of the threaded runtime instead.
+//! (`MachineModel::cm5()`); host wall time belongs to the benchmark in
+//! `perf/` (and `wallclock`'s kernel ratios).
 
 #![forbid(unsafe_code)]
 

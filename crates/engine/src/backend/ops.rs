@@ -713,8 +713,9 @@ mod tests {
     }
 
     /// What the host would see after a rebuild, against a from-scratch build
-    /// over a clone of the shard with its index dropped: the same splitters
-    /// and counts, min/max that contain the scanned ones.
+    /// over a clone of the shard with its index dropped: the same splitters,
+    /// counts, offsets and bucket multisets, min/max that contain the
+    /// scanned ones.
     fn assert_rebuild_matches_from_scratch(shard: &mut Shard<u64>, nb: usize, exact: bool) {
         let mut scratch =
             Shard { data: shard.data.clone(), sketch: shard.sketch.clone(), index: None };
@@ -735,10 +736,20 @@ mod tests {
                 _ => panic!("bucket {b}: {mm:?} vs {want_mm:?}"),
             }
         }
-        let (mut ours, mut theirs) = (shard.data.clone(), scratch.data);
-        ours.sort_unstable();
-        theirs.sort_unstable();
-        assert_eq!(ours, theirs);
+        let (idx, scratch_idx) = (shard.index.as_ref().unwrap(), scratch.index.as_ref().unwrap());
+        assert_eq!(idx.offsets, scratch_idx.offsets);
+        for b in 0..idx.num_buckets() {
+            let run = |data: &[u64]| {
+                let mut run = data[idx.offsets[b]..idx.offsets[b + 1]].to_vec();
+                run.sort_unstable();
+                run
+            };
+            assert_eq!(
+                run(&shard.data),
+                run(&scratch.data),
+                "bucket {b} holds a different multiset"
+            );
+        }
     }
 
     #[test]
@@ -781,6 +792,38 @@ mod tests {
         assert!(shard.index.as_ref().unwrap().delta_start() < shard.data.len());
         assert_rebuild_matches_from_scratch(&mut shard, 16, false);
         assert_eq!(shard.index.as_ref().unwrap().delta_start(), shard.data.len());
+    }
+
+    #[test]
+    fn a_coarsening_rebuild_lands_where_a_from_scratch_build_does() {
+        // The cap-trip rebuild of a warm index: refinement split a build at a
+        // quarter of the target into about 4 · NB buckets, and the rebuild
+        // re-cuts them to NB sample splitters, most of which fall inside a
+        // refined bucket rather than on one of its bounds.
+        const NB: usize = 16;
+        let cfg = |seed| SelectionConfig { min_sequential: 32, ..SelectionConfig::with_seed(seed) };
+        let mut proc = lone_proc();
+        let mut shard: Shard<u64> = init_shard(64);
+        ingest_shard(&mut proc, &mut shard, keys(0..12_000));
+        build_index_shard(&mut proc, &mut shard, NB / 4);
+        let mut seed = 0;
+        while shard.index.as_ref().unwrap().num_buckets() < 4 * NB {
+            // Two fresh ranks in the widest bucket, as an exact batch asks.
+            let idx = shard.index.as_ref().unwrap();
+            let width = |b: usize| idx.offsets[b + 1] - idx.offsets[b];
+            let b = (0..idx.num_buckets()).max_by_key(|&b| width(b)).unwrap();
+            let w = width(b) as u64;
+            let groups = vec![group_over(&shard, b, b, &[w / 3, 2 * w / 3], 0)];
+            seed += 1;
+            check_exact_batch(&mut shard, groups, &cfg(seed), true);
+        }
+        let refined = shard.index.as_ref().unwrap().num_buckets();
+        assert!(refined <= 5 * NB, "{refined} buckets after {seed} batches");
+        let before = shard.data.clone();
+        assert_rebuild_matches_from_scratch(&mut shard, NB, true);
+        let idx = shard.index.as_ref().unwrap();
+        assert!(idx.num_buckets() < refined / 2, "{} of {refined} buckets", idx.num_buckets());
+        assert_ne!(shard.data, before, "the sample splitters cut refined buckets");
     }
 
     /// The whole-window refinement `execute_shard` ran before the select pass

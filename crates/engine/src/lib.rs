@@ -47,8 +47,12 @@
 //!   bucket count past a cap — but that rebuild only *re-cuts* the
 //!   resident bucket runs: splitters that are already bounds cost nothing,
 //!   and only a shard that holds no index partitions its data from
-//!   nothing. The index is the only exact path: a one-bucket target makes
-//!   every window the whole shard, which is how a full scan looks here.
+//!   nothing. The cap and the re-cut's bucket count follow the population
+//!   and the select pass's finish threshold, so a warm index keeps buckets
+//!   of about one to four finishes' worth of elements, while a build from
+//!   nothing stays at the configured target. The index is the only exact
+//!   path: a one-bucket target makes every window the whole shard, which
+//!   is how a full scan looks here.
 //!   See [`EngineConfig::index_buckets`],
 //!   [`EngineConfig::delta_threshold`] and [`Engine::index_health`].
 //! * **Incremental ingest/delete** with an **imbalance watermark**: shard
@@ -166,9 +170,13 @@ pub struct EngineConfig {
     pub sketch_capacity: usize,
     /// Target bucket count of the resident bucket index, which every exact
     /// answer executes through (≥ 1; a target of 1 makes one bucket span
-    /// each shard, so a window is the whole shard). Adaptive refinement may
-    /// grow the bucket count up to 4× this target before a rebuild is
-    /// scheduled.
+    /// each shard, so a window is the whole shard). A build from nothing
+    /// targets exactly this many. Adaptive refinement then grows the bucket
+    /// count up to a cap that follows the data — `4×` this target, or one
+    /// bucket per finish threshold of resident elements (`n /
+    /// selection.threshold(p)`) once that is larger — and the rebuild it
+    /// schedules re-cuts the resident runs to the larger of this target and
+    /// a quarter of that per-threshold count.
     pub index_buckets: usize,
     /// Fraction of the resident population that may sit in the unindexed
     /// delta run before a merge folds it into the buckets (a floor of 64
@@ -195,8 +203,9 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Defaults for a `p`-shard engine: CM-5 cost model, global-exchange
-    /// re-balancing at watermark 1.5, 2048-sample sketches, a 64-bucket
-    /// resident index with a 5% delta threshold.
+    /// re-balancing at watermark 1.5, 2048-sample sketches, a resident index
+    /// built at 64 buckets (refined up to 256, or to one bucket per 1,024
+    /// elements on larger data) with a 5% delta threshold.
     pub fn new(nprocs: usize) -> Self {
         EngineConfig {
             nprocs,
@@ -305,10 +314,22 @@ impl EngineConfig {
         self.selection.validate();
     }
 
-    /// Refinement may grow the bucket count this far before the index is
-    /// marked for a rebuild.
-    fn bucket_cap(&self) -> usize {
-        (self.index_buckets * 4).max(self.index_buckets + 16)
+    /// The index's bucket budget over `total` resident elements, as
+    /// `(cap, recut)`: refinement may grow the bucket count to `cap` before
+    /// the index is marked for a rebuild, and a rebuild over a resident
+    /// index re-cuts to `recut` buckets. Both follow the select pass's
+    /// finish threshold `T`: at `fine = ⌈total / T⌉` buckets one bucket is
+    /// about one finish, so a warm index — re-cut to `fine / 4` buckets,
+    /// refined up to `fine` — holds buckets of about `T` to `4T` elements.
+    /// While `fine ≤ 4t` (`t = index_buckets`) the budget is the target's
+    /// own: a cap of `max(4t, t + 16)` and a re-cut to `t`. A build from
+    /// nothing always targets `t`: it partitions every element per level of
+    /// splitters, where a re-cut pays only for the buckets its splitters
+    /// cut.
+    fn bucket_budget(&self, total: u64) -> (usize, usize) {
+        let t = self.index_buckets;
+        let fine = total.div_ceil(self.selection.threshold(self.nprocs)) as usize;
+        ((4 * t).max(t + 16).max(fine), t.max(fine / 4))
     }
 }
 
@@ -948,7 +969,7 @@ impl<T: Key> Engine<T> {
         let batch = pipeline::lower(&routed, selection, observed.as_ref().map(|o| o.ctx));
         let shards = pipeline::execute(self.backend.as_mut(), batch.as_ref())?;
         if let (Some(gidx), false) = (&mut self.index, shards.is_empty()) {
-            let cap = self.cfg.bucket_cap();
+            let (cap, _) = self.cfg.bucket_budget(self.total);
             self.index_dirty |= pipeline::refine(gidx, &routed, &shards, cap);
         }
         let freshness = Freshness { version: self.version, elements: self.total };
@@ -1004,8 +1025,11 @@ impl<T: Key> Engine<T> {
     /// the global histogram. A shard that still holds its index — the
     /// refinement-growth rebuild, a join — re-cuts its resident runs, so the
     /// rebuild costs the buckets the new splitters cut (none, while the
-    /// sketch they come from has not changed) plus the one sample
-    /// collective; only a shard without an index partitions everything.
+    /// sketch they come from and the bucket count have not changed) plus the
+    /// one sample collective; only a shard without an index partitions
+    /// everything. So a build from nothing targets `index_buckets`, and a
+    /// rebuild over the cached index re-cuts to the budget's count (see
+    /// `EngineConfig::bucket_budget`), which grows with the population.
     /// Observing engines count it (`index_rebuilds_total`) and time the
     /// backend call (`index_rebuild_wall`).
     fn ensure_index(&mut self) -> Result<(), EngineError> {
@@ -1014,7 +1038,11 @@ impl<T: Key> Engine<T> {
         }
         debug_assert!(self.total > 0, "index builds only over resident data");
         let started = self.metrics.is_some().then(std::time::Instant::now);
-        let (bounds, stats) = self.backend.build_index(self.cfg.index_buckets)?;
+        let buckets = match self.index {
+            Some(_) => self.cfg.bucket_budget(self.total).1,
+            None => self.cfg.index_buckets,
+        };
+        let (bounds, stats) = self.backend.build_index(buckets)?;
         if let (Some(m), Some(started)) = (&self.metrics, started) {
             m.counter_add("index_rebuilds_total", 1);
             m.latency_observe("index_rebuild_wall", started.elapsed().as_nanos() as u64);
@@ -1483,6 +1511,28 @@ mod tests {
     fn a_zero_bucket_target_is_rejected() {
         let buckets = 0;
         let _ = Engine::<u64>::new(free_cfg(2).index_buckets(buckets));
+    }
+
+    #[test]
+    fn the_bucket_budget_is_the_targets_own_until_the_data_outgrows_it() {
+        // At the defaults (t = 64, T = 1024 for p ≤ 32) nothing changes up
+        // to 4t · T = 2^18 elements.
+        for p in [2, 3] {
+            let cfg = EngineConfig::new(p);
+            for total in (0..=1u64 << 18).step_by(97).chain([1023, 1024, 1025, 1 << 18]) {
+                assert_eq!(cfg.bucket_budget(total), (256, 64), "p = {p}, {total} elements");
+            }
+            assert_eq!(cfg.bucket_budget((1 << 18) + 1), (257, 64));
+        }
+        let cfg = EngineConfig::new(2);
+        assert_eq!(cfg.bucket_budget(1 << 20), (1024, 256));
+        assert_eq!(cfg.bucket_budget(1 << 22), (4096, 1024));
+        // Small targets keep their `t + 16` floor at small n: the scan shape
+        // and the conformance suite's cap-trip target.
+        assert_eq!(EngineConfig::new(2).index_buckets(1).bucket_budget(3000), (17, 1));
+        assert_eq!(EngineConfig::new(3).index_buckets(4).bucket_budget(3000), (20, 4));
+        // The threshold scales with p² above the floor.
+        assert_eq!(EngineConfig::new(64).bucket_budget(1 << 22), (1024, 256));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! processors (OS threads) connected by a virtual crossbar, with all of the
 //! paper's communication primitives and a deterministic two-level
 //! `(τ, μ, t_op)` cost model whose CM-5 preset reproduces the shape of the
-//! paper's measurements. Real wall-clock benchmarks are provided as well
-//! (criterion, in `crates/bench`).
+//! paper's measurements. Real wall-clock time is measured by the standalone
+//! benchmark in `perf/`.
 //!
 //! ## Layered crates
 //!

@@ -1112,6 +1112,96 @@ fn socket_mp_cap_trip_rebuilds_match_in_process_through_migration() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The bucket budget. Past `4t · T` resident elements (`T` the select pass's
+// finish threshold) refinement may grow the index to `⌈n / T⌉` buckets, and
+// the rebuild a cap trip schedules re-cuts the resident runs to a quarter of
+// that, while a build from nothing stays at the target `t`. Lowering
+// `min_sequential` brings that regime to debug size.
+// ---------------------------------------------------------------------------
+
+/// Fresh-rank batches over 4,000 resident elements on two shards with a
+/// finish threshold of 16 and a target of 4 buckets: the cap is
+/// `⌈4000 / 16⌉ = 250` buckets and a cap-trip rebuild re-cuts to 62. Before
+/// the first batch and after every batch that trips the cap, one
+/// `HistogramOk` rank — served from the histogram, so it refines nothing —
+/// makes the engine (re)build, and the bucket count it leaves is the
+/// build's own. Every answer is checked
+/// against the sorted oracle (the histogram one by its rank window). Each
+/// step carries its virtual makespan in whole nanoseconds: the backends'
+/// clocks start a batch at offsets that differ in the last bits of an `f64`.
+fn run_budget_lifecycle(backend: BackendChoice) -> Vec<(Step, u64)> {
+    const TARGET: usize = 4;
+    const CAP: usize = 250;
+    const RECUT: usize = 62;
+    let p = 2;
+    let mut config = cfg(p, backend).model(MachineModel::cm5()).index_buckets(TARGET);
+    config.selection.min_sequential = 16;
+    let all: Vec<u64> =
+        cgselect::generate(Distribution::Random, 4000, p, 73).into_iter().flatten().collect();
+    let mut sorted = all.clone();
+    sorted.sort_unstable();
+    let n = sorted.len() as u64;
+    let mut engine: Engine<u64> = Engine::new(config).unwrap();
+    engine.ingest(all).unwrap();
+
+    let mut steps = Vec::new();
+    let mut record = |label: String, report: &RunReport<u64>, engine: &Engine<u64>| {
+        let step = Step::record(label, report, engine);
+        let health = step.health;
+        steps.push((step, (report.makespan * 1e9).round() as u64));
+        health
+    };
+    // (a) The build from nothing lands at the target.
+    let report = histogram_rank(&mut engine, &sorted, n / 3);
+    let built = record("build".into(), &report, &engine);
+    assert_eq!((built.buckets, built.rebuilds), (TARGET, 1));
+    let mut recuts = 0;
+    for batch in 0..40u64 {
+        let queries = fresh_ranks(batch, n);
+        let report = engine.run(&queries).unwrap();
+        assert_eq!(responses(&report), oracle_answers(&sorted, &queries), "fresh batch {batch}");
+        let health = record(format!("fresh {batch}"), &report, &engine);
+        // (b) Refinement passes 4t in the first batch already, with no
+        // rebuild: every rebuild is a histogram batch's.
+        assert_eq!(health.rebuilds, 1 + recuts, "fresh batch {batch}: {health:?}");
+        assert!(health.buckets > 4 * TARGET, "fresh batch {batch}: {health:?}");
+        if health.buckets <= CAP {
+            continue;
+        }
+        // (c) The cap tripped: the rebuild re-cuts to max(t, fine / 4).
+        let report = histogram_rank(&mut engine, &sorted, n / 2 + batch);
+        let rebuilt = record(format!("re-cut after {batch}"), &report, &engine);
+        assert_eq!(rebuilt.rebuilds, health.rebuilds + 1);
+        assert_eq!(rebuilt.buckets, RECUT, "after {health:?}");
+        recuts += 1;
+    }
+    assert!(recuts >= 2, "the stream must re-cut a warm index more than once: {recuts}");
+    steps
+}
+
+/// One `HistogramOk` rank, its answer held to the rank window it promises.
+fn histogram_rank(engine: &mut Engine<u64>, sorted: &[u64], target: u64) -> RunReport<u64> {
+    let report = engine.run(&[Request::rank(target).histogram_ok()]).unwrap();
+    let (value, error) = match report.outcomes[0].response {
+        Response::Element(v) => (v, 0),
+        Response::Approximate { value, max_rank_error, .. } => (value, max_rank_error),
+        ref other => panic!("histogram rank answered {other:?}"),
+    };
+    let (lo, hi) = (target - error, (target + error).min(sorted.len() as u64 - 1));
+    assert!((sorted[lo as usize]..=sorted[hi as usize]).contains(&value), "rank {target}");
+    report
+}
+
+#[test]
+fn the_bucket_budget_lifecycle_agrees_across_backends() {
+    let local = run_budget_lifecycle(BackendChoice::LocalSpmd);
+    let mp = run_budget_lifecycle(channel_mp());
+    assert_eq!(local, mp, "ChannelMp diverged from LocalSpmd across the budget's re-cuts");
+    let sock = run_budget_lifecycle(socket_mp());
+    assert_eq!(local, sock, "SocketMp diverged from LocalSpmd across the budget's re-cuts");
+}
+
 /// Rebuilds forced by membership moves: after a join the old shards re-cut
 /// their runs (folding the delta the grown ring's first ingest left) while
 /// the joiner builds from nothing; after a retire the survivor that absorbed
