@@ -831,4 +831,45 @@ mod tests {
         let err = read_stream_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
+
+    /// A two-rank fabric with no peer streams whose reader queue already
+    /// holds `events`, as the reader threads would have left it.
+    fn queued_fabric(events: Vec<FabricEvent>) -> SocketFabric {
+        let (loopback, rx) = unbounded();
+        for event in events {
+            assert!(loopback.send(event).is_ok());
+        }
+        SocketFabric { rank: 0, p: 2, writers: vec![None, None], loopback, rx, downs: 0 }
+    }
+
+    fn envelope(tag: u64) -> WireEnvelope {
+        WireEnvelope { src: 1, tag, sent_at: 0.5, bytes: 8, payload: vec![tag as u8] }
+    }
+
+    #[test]
+    fn fabric_poll_surfaces_queued_envelopes_then_closes_without_waiting() {
+        let mut fabric = queued_fabric(vec![
+            FabricEvent::Env(envelope(3)),
+            FabricEvent::Env(envelope(4)),
+            FabricEvent::Down(1),
+        ]);
+        let long = Duration::from_secs(30);
+        for tag in [3, 4] {
+            match fabric.poll(long) {
+                Ok(FabricPoll::Message(env)) => assert_eq!(env, envelope(tag)),
+                other => panic!("expected the envelope tagged {tag}, got {other:?}"),
+            }
+        }
+        assert!(matches!(fabric.poll(long), Ok(FabricPoll::PeerDown(1))));
+        // Every peer is down and the queue is empty: closed at once, not
+        // after the timeout.
+        let start = Instant::now();
+        assert_eq!(fabric.poll(long).unwrap_err(), FabricRecvError::Closed);
+        assert!(start.elapsed() < Duration::from_secs(5), "poll waited {:?}", start.elapsed());
+
+        // What the end-of-program check reports for an unconsumed envelope.
+        let mut leftover = queued_fabric(vec![FabricEvent::Env(envelope(7))]);
+        assert_eq!(leftover.drain_pending(), vec![(1, 7)]);
+        assert!(leftover.drain_pending().is_empty());
+    }
 }

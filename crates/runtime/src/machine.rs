@@ -346,7 +346,16 @@ mod tests {
             .unwrap_err();
         match err {
             RunError::PendingMessages { rank: 1, detail } => {
-                assert!(detail.contains("tag=0x7"), "detail: {detail}")
+                assert_eq!(detail, "stashed (src=0, tag=0x7)")
+            }
+            other => panic!("unexpected error: {other:?}"),
+        }
+        // On one processor the final barrier receives nothing, so the stray
+        // message is still queued in the channel when the check drains it.
+        let err = Machine::new(1).run(|p| p.send(0, 7, 42u32)).unwrap_err();
+        match err {
+            RunError::PendingMessages { rank: 0, detail } => {
+                assert_eq!(detail, "queued (src=0, tag=0x7)")
             }
             other => panic!("unexpected error: {other:?}"),
         }

@@ -252,16 +252,41 @@ fn queries_interleaved_with_ingest_delete_stay_correct() {
 #[test]
 fn saturation_rejects_with_typed_error_then_recovers() {
     let capacity = 8;
+    let (submitters, attempts) = (4u64, 6u64);
     let mut engine = free_engine(2);
     engine.ingest((0..1000u64).collect()).unwrap();
-    // Paused start: the batcher provably pops nothing while we fill the
-    // queue, making the saturation point exact.
+    // Paused start: the batcher provably pops nothing while the queue
+    // fills, making the saturation point exact.
     let queue =
         engine.into_frontend(FrontendConfig::new().queue_capacity(capacity).start_paused(true));
 
-    let tickets: Vec<_> =
-        (0..capacity as u64).map(|i| queue.submit_request(Request::rank(i)).unwrap()).collect();
-    assert_eq!(queue.queue_depth(), capacity);
+    // Concurrent submitters race for the slots; every read of the backlog
+    // along the way stays within the capacity.
+    let handles: Vec<_> = (0..submitters)
+        .map(|t| {
+            let queue = queue.clone();
+            std::thread::spawn(move || {
+                let mut accepted = Vec::new();
+                for rank in t * attempts..(t + 1) * attempts {
+                    match queue.submit_request(Request::rank(rank)) {
+                        Ok(ticket) => accepted.push((rank, ticket)),
+                        Err(SubmitError::Saturated { capacity: c }) => assert_eq!(c, capacity),
+                        Err(other) => panic!("expected Saturated, got {other:?}"),
+                    }
+                    let depth = queue.queue_depth();
+                    assert!(depth <= capacity, "depth {depth} exceeds the capacity {capacity}");
+                }
+                accepted
+            })
+        })
+        .collect();
+    let tickets: Vec<_> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    assert_eq!(tickets.len(), capacity, "a paused queue accepts exactly its capacity");
+    assert_eq!(queue.queue_depth(), tickets.len());
+    let stats = queue.stats();
+    assert_eq!(stats.queue_depth, tickets.len());
+    let raced = submitters * attempts - capacity as u64;
+    assert_eq!((stats.submitted, stats.rejected), (capacity as u64, raced));
 
     // The queue is full: admission control must reject, not block or panic.
     match queue.submit_request(Request::median()) {
@@ -272,17 +297,17 @@ fn saturation_rejects_with_typed_error_then_recovers() {
         Err(SubmitError::Saturated { .. }) => {}
         other => panic!("expected Saturated for mutations too, got {other:?}"),
     }
-    assert_eq!(queue.stats().rejected, 2);
+    assert_eq!(queue.stats().rejected, raced + 2);
 
     // Drain: everything accepted before saturation is answered correctly.
     queue.resume();
-    for (i, t) in tickets.into_iter().enumerate() {
+    for (rank, t) in tickets {
         let got = t
             .wait_for(TICKET_TIMEOUT)
             .expect("drained ticket timed out")
             .expect("drained query failed")
             .response;
-        assert_eq!(got, Response::Element(i as u64));
+        assert_eq!(got, Response::Element(rank));
     }
 
     // Recovered: new submissions are accepted and answered again.
@@ -292,7 +317,13 @@ fn saturation_rejects_with_typed_error_then_recovers() {
     let stats = queue.stats();
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.submitted, capacity as u64 + 1);
-    assert_eq!(stats.rejected, 2);
+    assert_eq!(stats.rejected, raced + 2);
+
+    // Shut down: the backlog still reads empty through a surviving handle.
+    let observer = queue.clone();
+    queue.shutdown().expect("first shutdown claims the engine");
+    assert_eq!(observer.queue_depth(), 0);
+    assert_eq!(observer.stats().queue_depth, 0);
 }
 
 #[test]
