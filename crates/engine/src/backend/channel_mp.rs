@@ -19,11 +19,11 @@
 
 use std::borrow::Cow;
 use std::marker::PhantomData;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cgselect_runtime::{Key, Machine, Proc};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::EngineConfig;
 
@@ -150,9 +150,9 @@ impl<T: Key> Transport for ThreadTransport<T> {
     const KIND: BackendKind = BackendKind::ChannelMp;
 
     fn spawn(&mut self, rank: usize) -> Result<ThreadLink, BackendError> {
-        let (cmd, commands) = unbounded::<Vec<u8>>();
-        let (replies, reply) = unbounded::<Vec<u8>>();
-        let (fabrics, staged) = unbounded::<(u64, Proc)>();
+        let (cmd, commands) = channel::<Vec<u8>>();
+        let (replies, reply) = channel::<Vec<u8>>();
+        let (fabrics, staged) = channel::<(u64, Proc)>();
         let cfg = WorkerConfig {
             rank,
             sketch_capacity: self.cfg.sketch_capacity,

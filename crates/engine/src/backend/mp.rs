@@ -40,11 +40,11 @@
 use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 use cgselect_runtime::{panic_message, Key, Proc};
 use cgselect_seqsel::SepBound;
-use crossbeam::channel::Receiver;
 
 use crate::index::BucketStats;
 use crate::sketch::EpsSketch;
@@ -609,7 +609,7 @@ mod tests {
     use super::*;
     use crate::EngineConfig;
     use cgselect_runtime::MachineModel;
-    use crossbeam::channel::{unbounded, Sender};
+    use std::sync::mpsc::{channel, Sender};
 
     /// An in-memory transport with scripted workers: a link whose `reply`
     /// is `None` fails every send; otherwise every command is answered
@@ -623,7 +623,7 @@ mod tests {
     }
 
     fn scripted(reply: Option<Vec<u8>>) -> ScriptedLink {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         ScriptedLink { reply, tx, rx }
     }
 

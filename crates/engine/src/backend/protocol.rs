@@ -30,13 +30,13 @@
 //! round: the worst-case host stall for a round is `reply_timeout`, not
 //! `p × reply_timeout`, no matter how many shards straggle.
 
+use std::sync::mpsc::Receiver;
 use std::time::Instant;
 
 use cgselect_balance::Balancer;
 use cgselect_core::SelectionConfig;
 use cgselect_runtime::{Key, Proc, RunError, WireMsgError};
 use cgselect_seqsel::SepBound;
-use crossbeam::channel::Receiver;
 
 use crate::index::{BucketStats, ShardIndex};
 use crate::sketch::EpsSketch;
@@ -555,7 +555,7 @@ pub(crate) fn encode_protocol_error(err: &RunError) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
     use std::time::Duration;
 
     #[test]
@@ -604,7 +604,7 @@ mod tests {
         frame[0] = WIRE_VERSION - 1;
         let err = split_framed(&frame).unwrap_err();
         assert!(err.detail.contains(&format!("got {}", WIRE_VERSION - 1)), "{err}");
-        let (tx, rx) = unbounded::<Vec<u8>>();
+        let (tx, rx) = channel::<Vec<u8>>();
         tx.send(frame).unwrap();
         let err = collect_frame(&rx, Instant::now() + Duration::from_secs(1), 1, 4).unwrap_err();
         assert!(
@@ -621,7 +621,7 @@ mod tests {
 
     #[test]
     fn collect_discards_stale_sequence_numbers() {
-        let (tx, rx) = unbounded::<Vec<u8>>();
+        let (tx, rx) = channel::<Vec<u8>>();
         // A late reply from batch 6 sits queued when the host collects
         // batch 7: it must be discarded, and the genuine reply returned.
         tx.send(encode_framed(6, &[REPLY_OK, 0xAA])).unwrap();
@@ -635,7 +635,7 @@ mod tests {
 
     #[test]
     fn collect_times_out_as_unresponsive() {
-        let (_tx, rx) = unbounded::<Vec<u8>>();
+        let (_tx, rx) = channel::<Vec<u8>>();
         let deadline = Instant::now() + Duration::from_millis(20);
         let err = collect_frame(&rx, deadline, 1, 3).unwrap_err();
         assert_eq!(err, BackendError::WorkerUnresponsive { rank: 3 });
@@ -643,7 +643,7 @@ mod tests {
 
     #[test]
     fn collect_rejects_corrupt_headers() {
-        let (tx, rx) = unbounded::<Vec<u8>>();
+        let (tx, rx) = channel::<Vec<u8>>();
         tx.send(vec![0xFF; 12]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(1);
         let err = collect_frame(&rx, deadline, 1, 2).unwrap_err();
@@ -711,7 +711,7 @@ mod tests {
                 current_seq in 1u64..50,
                 offsets in prop::collection::vec((0u64..60, any::<u8>()), 0..12),
             ) {
-                let (tx, rx) = unbounded::<Vec<u8>>();
+                let (tx, rx) = channel::<Vec<u8>>();
                 for (seq, marker) in &offsets {
                     if *seq != current_seq {
                         tx.send(encode_framed(*seq, &[REPLY_OK, *marker])).unwrap();
@@ -731,7 +731,7 @@ mod tests {
                 current_seq in 1u64..50,
                 stale in prop::collection::vec(0u64..60, 1..8),
             ) {
-                let (tx, rx) = unbounded::<Vec<u8>>();
+                let (tx, rx) = channel::<Vec<u8>>();
                 for seq in &stale {
                     if *seq != current_seq {
                         tx.send(encode_framed(*seq, &[REPLY_OK])).unwrap();

@@ -32,6 +32,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,7 +43,6 @@ use cgselect_runtime::{
     WireEnvelope,
 };
 use cgselect_seqsel::LocalKernel;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::EngineConfig;
 
@@ -400,7 +400,7 @@ impl SocketTransport {
             return Err(refused("worker rejected its deployment configuration"));
         }
         let mut read_half = stream.try_clone().map_err(&err)?;
-        let (tx, rx) = unbounded::<Vec<u8>>();
+        let (tx, rx) = channel::<Vec<u8>>();
         let reader = std::thread::Builder::new()
             .name(format!("cgselect-socket-host-r{rank}"))
             .spawn(move || {
@@ -534,7 +534,7 @@ impl SocketFabric {
         listener: Option<UnixListener>,
         accept_deadline: Instant,
     ) -> std::io::Result<Self> {
-        let (tx, rx) = unbounded::<FabricEvent>();
+        let (tx, rx) = channel::<FabricEvent>();
         let mut writers: Vec<Option<UnixStream>> = (0..p).map(|_| None).collect();
         for (peer, slot) in writers.iter_mut().enumerate().take(rank) {
             let mut s = UnixStream::connect(fabric_path(dir, epoch, peer))?;
@@ -611,22 +611,23 @@ impl FabricLink for SocketFabric {
     }
 
     fn poll(&mut self, timeout: Duration) -> Result<FabricPoll, FabricRecvError> {
-        if self.p > 1 && self.downs >= self.p - 1 && self.rx.is_empty() {
-            return Err(FabricRecvError::Closed);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(FabricEvent::Env(env)) => Ok(FabricPoll::Message(env)),
-            Ok(FabricEvent::Down(peer)) => {
+        // Once every peer is down nothing more can arrive: surface what is
+        // queued, then report the link closed without waiting.
+        let event = if self.p > 1 && self.downs >= self.p - 1 {
+            self.rx.try_recv().map_err(|_| FabricRecvError::Closed)?
+        } else {
+            self.rx.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => FabricRecvError::Timeout,
+                RecvTimeoutError::Disconnected => FabricRecvError::Closed,
+            })?
+        };
+        match event {
+            FabricEvent::Env(env) => Ok(FabricPoll::Message(env)),
+            FabricEvent::Down(peer) => {
                 self.downs += 1;
                 Ok(FabricPoll::PeerDown(peer))
             }
-            Err(RecvTimeoutError::Timeout) => Err(FabricRecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(FabricRecvError::Closed),
         }
-    }
-
-    fn pending(&self) -> usize {
-        self.rx.len()
     }
 
     fn drain_pending(&mut self) -> Vec<(usize, u64)> {
@@ -835,7 +836,7 @@ mod tests {
     /// A two-rank fabric with no peer streams whose reader queue already
     /// holds `events`, as the reader threads would have left it.
     fn queued_fabric(events: Vec<FabricEvent>) -> SocketFabric {
-        let (loopback, rx) = unbounded();
+        let (loopback, rx) = channel();
         for event in events {
             assert!(loopback.send(event).is_ok());
         }

@@ -41,13 +41,16 @@
 //!
 //! [`CommStats`]: cgselect_runtime::CommStats
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+    TrySendError,
+};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cgselect_runtime::Key;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use crate::obs::{MetricsRegistry, TraceId};
 use crate::{
@@ -220,10 +223,8 @@ impl<R> Ticket<R> {
     pub fn poll(&self) -> Option<Result<R, AsyncError>> {
         match self.rx.try_recv() {
             Ok(res) => Some(res),
-            Err(crossbeam::channel::TryRecvError::Empty) => None,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Some(Err(AsyncError::Disconnected))
-            }
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(AsyncError::Disconnected)),
         }
     }
 }
@@ -434,8 +435,23 @@ struct Shared {
     closing: AtomicBool,
     submitted: AtomicU64,
     rejected: AtomicU64,
+    /// Submissions queued and not yet dequeued: raised after a successful
+    /// `try_send`, lowered on every dequeue. A dequeue can race ahead of
+    /// its submission's raise, so it may dip below zero for a moment; read
+    /// it through [`Shared::queue_depth`].
+    depth: AtomicIsize,
     /// Batcher-owned counters; the batcher is the only writer.
     batch_stats: Mutex<FrontendStats>,
+}
+
+impl Shared {
+    fn queue_depth(&self) -> usize {
+        self.depth.load(Ordering::SeqCst).max(0) as usize
+    }
+
+    fn dequeued(&self) {
+        self.depth.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 struct Inner<T: Key> {
@@ -460,7 +476,7 @@ pub struct SubmissionQueue<T: Key> {
     // Field order matters: `tx` must drop before `inner`, whose Drop joins
     // the batcher — the batcher only exits once every sender is gone (or
     // `closing` is set, which Inner::drop also does).
-    tx: Sender<Submission<T>>,
+    tx: SyncSender<Submission<T>>,
     shared: Arc<Shared>,
     capacity: usize,
     inner: Arc<Inner<T>>,
@@ -487,12 +503,13 @@ impl<T: Key> SubmissionQueue<T> {
     pub fn start(engine: Engine<T>, cfg: FrontendConfig) -> Self {
         cfg.validate();
         let metrics = engine.metrics();
-        let (tx, rx) = bounded::<Submission<T>>(cfg.queue_capacity);
+        let (tx, rx) = sync_channel::<Submission<T>>(cfg.queue_capacity);
         let shared = Arc::new(Shared {
             paused: AtomicBool::new(cfg.start_paused),
             closing: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            depth: AtomicIsize::new(0),
             batch_stats: Mutex::new(FrontendStats::default()),
         });
         let thread_shared = shared.clone();
@@ -525,9 +542,10 @@ impl<T: Key> SubmissionQueue<T> {
         }
         match self.tx.try_send(sub) {
             Ok(()) => {
+                self.shared.depth.fetch_add(1, Ordering::SeqCst);
                 self.shared.submitted.fetch_add(queries.max(1), Ordering::SeqCst);
                 if let Some(m) = &self.metrics {
-                    m.gauge_set("queue_depth", self.tx.len() as f64);
+                    m.gauge_set("queue_depth", self.shared.queue_depth() as f64);
                 }
                 Ok(())
             }
@@ -567,7 +585,7 @@ impl<T: Key> SubmissionQueue<T> {
         let pending: Vec<PendingQuery<T>> = requests
             .into_iter()
             .map(|request| {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 tickets.push(Ticket { rx });
                 PendingQuery { request: self.stamp(request), reply: tx, submitted_at: now }
             })
@@ -579,7 +597,7 @@ impl<T: Key> SubmissionQueue<T> {
     /// Enqueues an ingest. FIFO with queries: earlier-submitted queries see
     /// the engine without `items`, later ones see it with them.
     pub fn submit_ingest(&self, items: Vec<T>) -> Result<MutationTicket, SubmitError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.admit(
             Submission::Mutation(PendingMutation {
                 op: MutationOp::Ingest(items),
@@ -594,7 +612,7 @@ impl<T: Key> SubmissionQueue<T> {
     /// Enqueues a delete of all occurrences of `values`; FIFO like
     /// [`submit_ingest`](Self::submit_ingest).
     pub fn submit_delete(&self, values: Vec<T>) -> Result<MutationTicket, SubmitError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.admit(
             Submission::Mutation(PendingMutation {
                 op: MutationOp::Delete(values),
@@ -629,7 +647,7 @@ impl<T: Key> SubmissionQueue<T> {
                 "OnDelta fraction must be finite and >= 0, got {frac}"
             );
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.admit(
             Submission::Standing(PendingStanding { request: self.stamp(request), policy, tx }),
             1,
@@ -641,7 +659,7 @@ impl<T: Key> SubmissionQueue<T> {
     /// was live (a handle dropped earlier may already have unsubscribed
     /// it). Its [`StandingHandle`]'s stream ends once applied.
     pub fn cancel_standing(&self, id: SubscriptionId) -> Result<Ticket<bool>, SubmitError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.admit(Submission::CancelStanding { id, tx }, 1)?;
         Ok(Ticket { rx })
     }
@@ -662,7 +680,7 @@ impl<T: Key> SubmissionQueue<T> {
 
     /// Instantaneous backlog (accepted, not yet picked up).
     pub fn queue_depth(&self) -> usize {
-        self.tx.len()
+        self.shared.queue_depth()
     }
 
     /// A snapshot of the frontend's metrics.
@@ -670,7 +688,7 @@ impl<T: Key> SubmissionQueue<T> {
         let mut s = self.shared.batch_stats.lock().expect("frontend stats lock").clone();
         s.submitted = self.shared.submitted.load(Ordering::SeqCst);
         s.rejected = self.shared.rejected.load(Ordering::SeqCst);
-        s.queue_depth = self.tx.len();
+        s.queue_depth = self.shared.queue_depth();
         s
     }
 
@@ -713,7 +731,7 @@ fn batcher_loop<T: Key>(
         }
 
         // Idle: wait for the first submission of the next batch.
-        match rx.recv_timeout(IDLE_POLL) {
+        match rx.recv_timeout(IDLE_POLL).inspect(|_| shared.dequeued()) {
             Ok(sub) => match sub {
                 Submission::Queries(pqs) => {
                     for pq in pqs {
@@ -728,7 +746,7 @@ fn batcher_loop<T: Key>(
                 }
             },
             Err(RecvTimeoutError::Timeout) => {
-                if shared.closing.load(Ordering::SeqCst) && rx.is_empty() {
+                if shared.closing.load(Ordering::SeqCst) && shared.queue_depth() == 0 {
                     break 'serve;
                 }
                 // Idle tick: flush standing refreshes that came due without
@@ -747,7 +765,7 @@ fn batcher_loop<T: Key>(
         'collect: loop {
             let drain_now = now_ns(base);
             loop {
-                match rx.try_recv() {
+                match rx.try_recv().inspect(|_| shared.dequeued()) {
                     Ok(Submission::Queries(pqs)) => {
                         for pq in pqs {
                             for batch in acc.push(pq, drain_now) {
@@ -765,8 +783,8 @@ fn batcher_loop<T: Key>(
                         }
                         execute_control(&mut engine, other, &shared);
                     }
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
                         disconnected = true;
                         break;
                     }
@@ -782,7 +800,7 @@ fn batcher_loop<T: Key>(
             }
             // Wait for stragglers, capped so closing is observed promptly.
             let wait = Duration::from_nanos(rem).min(COLLECT_POLL_CAP);
-            match rx.recv_timeout(wait) {
+            match rx.recv_timeout(wait).inspect(|_| shared.dequeued()) {
                 Ok(Submission::Queries(pqs)) => {
                     for pq in pqs {
                         for batch in acc.push(pq, now_ns(base)) {

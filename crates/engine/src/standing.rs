@@ -29,10 +29,10 @@
 //! produced it. Dropping the handle (receiver) auto-unsubscribes on the next
 //! delivery attempt.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Instant;
 
 use cgselect_runtime::Key;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::request::{Outcome, Request};
 
@@ -186,7 +186,7 @@ impl<T: Key> StandingRegistry<T> {
     ) -> StandingHandle<T> {
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.subs.push(Subscription {
             id,
             request,

@@ -90,13 +90,8 @@ pub trait FabricLink: Send {
     /// Waits up to `timeout` for the next event from any peer.
     fn poll(&mut self, timeout: Duration) -> Result<FabricPoll, FabricRecvError>;
 
-    /// Number of already-received envelopes not yet surfaced via
-    /// [`poll`](FabricLink::poll) (used by the end-of-program
-    /// no-pending-messages check).
-    fn pending(&self) -> usize;
-
     /// Drains any queued envelopes into `(src, tag)` pairs for the
-    /// end-of-program diagnostic.
+    /// end-of-program check: anything it returns is a protocol error.
     fn drain_pending(&mut self) -> Vec<(usize, u64)>;
 }
 

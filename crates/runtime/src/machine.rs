@@ -1,8 +1,7 @@
 //! The SPMD machine: spawns `p` virtual processors and joins their results.
 
+use std::sync::mpsc::channel;
 use std::time::Duration;
-
-use crossbeam::channel::unbounded;
 
 use crate::envelope::Envelope;
 use crate::model::MachineModel;
@@ -229,7 +228,7 @@ impl Machine {
         let mut txs = Vec::with_capacity(self.p);
         let mut rxs = Vec::with_capacity(self.p);
         for _ in 0..self.p {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -513,8 +512,8 @@ mod tests {
             .procs()
             .into_iter()
             .map(|mut proc| {
-                let (cmd_tx, cmd_rx) = unbounded::<u64>();
-                let (res_tx, res_rx) = unbounded::<u64>();
+                let (cmd_tx, cmd_rx) = channel::<u64>();
+                let (res_tx, res_rx) = channel::<u64>();
                 links.push((cmd_tx, res_rx));
                 std::thread::spawn(move || {
                     while let Ok(round) = cmd_rx.recv() {

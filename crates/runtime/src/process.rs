@@ -1,8 +1,7 @@
 //! The per-processor handle: point-to-point messaging and the virtual clock.
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::envelope::{Envelope, Payload, USER_TAG_LIMIT};
 use crate::fabric::{FabricLink, FabricPoll, FabricRecvError, WireEnvelope};
@@ -359,11 +358,9 @@ impl Proc {
     /// counters advance identically no matter which backend ran the program.
     pub fn finish_program(&mut self) -> Result<(), RunError> {
         self.barrier();
-        if !self.no_pending_messages() {
-            return Err(RunError::PendingMessages {
-                rank: self.rank,
-                detail: self.pending_summary(),
-            });
+        let detail = self.pending_summary();
+        if !detail.is_empty() {
+            return Err(RunError::PendingMessages { rank: self.rank, detail });
         }
         if !self.phases_balanced() {
             return Err(RunError::UnbalancedPhases { rank: self.rank });
@@ -371,16 +368,8 @@ impl Proc {
         Ok(())
     }
 
-    /// True if no unconsumed messages remain (stash and channel empty).
-    /// Used by the machine's end-of-run protocol check.
-    pub(crate) fn no_pending_messages(&self) -> bool {
-        self.stash.is_empty()
-            && match &self.link {
-                Link::Local { rx, .. } => rx.is_empty(),
-                Link::Fabric { link, .. } => link.pending() == 0,
-            }
-    }
-
+    /// Lists every unconsumed message, stashed or still queued (draining
+    /// the queue); empty means none remained.
     pub(crate) fn pending_summary(&mut self) -> String {
         let mut parts: Vec<String> = self
             .stash

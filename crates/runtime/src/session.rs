@@ -35,11 +35,10 @@
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::envelope::Envelope;
 use crate::machine::{Machine, RunError};
@@ -177,7 +176,7 @@ impl Session {
         let mut data_txs = Vec::with_capacity(p);
         let mut data_rxs = Vec::with_capacity(p);
         for _ in 0..p {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             data_txs.push(tx);
             data_rxs.push(rx);
         }
@@ -185,8 +184,8 @@ impl Session {
             .into_iter()
             .enumerate()
             .map(|(rank, data_rx)| {
-                let (cmd_tx, cmd_rx) = unbounded::<Command>();
-                let (res_tx, res_rx) = unbounded::<Result<Box<dyn Any + Send>, RunError>>();
+                let (cmd_tx, cmd_rx) = channel::<Command>();
+                let (res_tx, res_rx) = channel::<Result<Box<dyn Any + Send>, RunError>>();
                 let peers = data_txs.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("cgselect-session-p{rank}"))
