@@ -89,7 +89,7 @@ fn batch_line(label: &str, report: &RunReport<u64>, engine: &Engine<u64>) -> Str
     )
 }
 
-fn engine(p: usize, backend: BackendChoice) -> EngineConfig {
+fn config(p: usize, backend: BackendChoice) -> EngineConfig {
     EngineConfig::new(p).model(MachineModel::cm5()).backend(backend)
 }
 
@@ -110,7 +110,7 @@ fn fresh_ranks(batch: u64, n: u64) -> Vec<Request<u64>> {
 /// the tripped cap re-cuts the index.
 fn exact_cap_trip(backend: BackendChoice) -> Vec<String> {
     let p = 2;
-    let mut config = engine(p, backend).index_buckets(4);
+    let mut config = config(p, backend).index_buckets(4);
     config.selection.min_sequential = 16;
     let mut engine: Engine<u64> = Engine::new(config).unwrap();
     let all = data(Distribution::Random, 2000, p, 101);
@@ -132,7 +132,7 @@ fn exact_cap_trip(backend: BackendChoice) -> Vec<String> {
 fn host_served(backend: BackendChoice) -> Vec<String> {
     let p = 4;
     let mut engine: Engine<u64> =
-        Engine::new(engine(p, backend).index_buckets(16).sketch_capacity(256)).unwrap();
+        Engine::new(config(p, backend).index_buckets(16).sketch_capacity(256)).unwrap();
     let all = data(Distribution::Gaussian, 3000, p, 59);
     let mut sorted = all.clone();
     sorted.sort_unstable();
@@ -184,7 +184,7 @@ fn ingest_delete_slide(backend: BackendChoice) -> Vec<String> {
     let p = 4;
     let block = 400;
     let mut engine: Engine<u64> =
-        Engine::new(engine(p, backend).index_buckets(16).delta_threshold(0.05)).unwrap();
+        Engine::new(config(p, backend).index_buckets(16).delta_threshold(0.05)).unwrap();
     let stream = data(Distribution::Random, 10 * block, p, 83);
     let blocks: Vec<&[u64]> = stream.chunks(block).collect();
     for b in &blocks[..5] {
