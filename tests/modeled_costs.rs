@@ -214,20 +214,15 @@ fn ingest_delete_slide(backend: BackendChoice) -> Vec<String> {
 }
 
 /// Every engine scenario on one backend.
-fn engine_scenarios(backend: impl Fn() -> BackendChoice) -> Vec<String> {
-    let mut lines = exact_cap_trip(backend());
-    lines.extend(host_served(backend()));
-    lines.extend(ingest_delete_slide(backend()));
+fn engine_scenarios(backend: BackendChoice) -> Vec<String> {
+    let mut lines = exact_cap_trip(backend.clone());
+    lines.extend(host_served(backend.clone()));
+    lines.extend(ingest_delete_slide(backend));
     lines
 }
 
 fn selection_line(alg: Algorithm, dist: Distribution, outs: &[SelectionOutcome<u64>]) -> String {
-    let mut total = CommStats::default();
-    for o in outs {
-        total.collective_ops += o.comm.collective_ops;
-        total.msgs_sent += o.comm.msgs_sent;
-        total.bytes_sent += o.comm.bytes_sent;
-    }
+    let total = outs.iter().fold(CommStats::default(), |t, o| t.merged(&o.comm));
     let max_ns = |f: fn(&SelectionOutcome<u64>) -> f64| {
         outs.iter().map(|o| ns(f(o))).max().expect("at least one processor")
     };
@@ -302,11 +297,11 @@ fn assert_same_lines(reference: &[String], other: &[String], what: &str) {
 }
 
 fn snapshot() -> String {
-    let local = engine_scenarios(|| BackendChoice::LocalSpmd);
-    let channel = engine_scenarios(|| BackendChoice::ChannelMp(ChannelMpTuning::default()));
+    let local = engine_scenarios(BackendChoice::LocalSpmd);
+    let channel = engine_scenarios(BackendChoice::ChannelMp(ChannelMpTuning::default()));
     assert_same_lines(&local, &channel, "ChannelMp against LocalSpmd");
     ensure_worker_bin();
-    let socket = engine_scenarios(|| BackendChoice::SocketMp(SocketMpTuning::default()));
+    let socket = engine_scenarios(BackendChoice::SocketMp(SocketMpTuning::default()));
     assert_same_lines(&local, &socket, "SocketMp against LocalSpmd");
     let (one_shot, persistent) = paper_algorithms();
     assert_same_lines(&one_shot, &persistent, "the session against the one-shot machine");
