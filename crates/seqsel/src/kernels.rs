@@ -325,6 +325,40 @@ mod tests {
         }
     }
 
+    fn check_partition_le_pair(data: &[u64], pivot: u64) {
+        let mut a = data.to_vec();
+        let mut b = data.to_vec();
+        let mut ops_a = OpCount::new();
+        let mut ops_b = OpCount::new();
+        let cut_a = crate::partition::partition_le(&mut a, pivot, &mut ops_a);
+        let cut_b = partition_bound_reference(&mut b, SepBound::le(pivot), &mut ops_b);
+        assert_eq!(cut_a, cut_b, "cut for {data:?} at {pivot}");
+        assert_eq!(a, b, "permutation for {data:?} at {pivot}");
+        assert_eq!(ops_a, ops_b, "charges for {data:?} at {pivot}");
+    }
+
+    #[test]
+    fn partition_le_matches_le_reference() {
+        for n in 0..=12usize {
+            for pattern in 0u32..(1 << n) {
+                let data: Vec<u64> = (0..n).map(|i| u64::from(pattern >> i & 1)).collect();
+                check_partition_le_pair(&data, 0);
+            }
+        }
+        let mut rng = KernelRng::new(97);
+        for len in [0usize, 1, 2, 3, 7, 64, 65, 1000] {
+            let random: Vec<u64> = (0..len).map(|_| rng.next_u64() % 50).collect();
+            let sorted: Vec<u64> = (0..len as u64).collect();
+            let reverse: Vec<u64> = (0..len as u64).rev().collect();
+            let equal: Vec<u64> = vec![7; len];
+            for data in [&random, &sorted, &reverse, &equal] {
+                for v in [0u64, 7, 25, 49, 1000] {
+                    check_partition_le_pair(data, v);
+                }
+            }
+        }
+    }
+
     #[test]
     fn count_kernel_matches_reference_across_key_types() {
         let mut rng = KernelRng::new(11);
