@@ -2,7 +2,10 @@
 //! narrowing state, the three-way counting step, and the sequential finish.
 
 use cgselect_runtime::{Key, Proc, PHASE_FINISH};
-use cgselect_seqsel::{partition3, partition_le, select_with, KernelRng, LocalKernel, OpCount};
+use cgselect_seqsel::{
+    partition3_kernel, partition_bound_kernel, select_with, KernelRng, LocalKernel, OpCount,
+    SepBound,
+};
 
 /// Global narrowing state carried across iterations: `n` elements remain in
 /// play and the target has 0-based rank `k` among them.
@@ -28,7 +31,7 @@ pub(crate) enum Step {
 impl Narrow {
     /// Decides which zone survives given the global three-zone counts
     /// `(c_lt, c_eq_or_mid, c_gt)` and this processor's local zone bounds
-    /// `(a, b)` (as returned by `partition3`). Updates `n`/`k` accordingly.
+    /// `(a, b)` (as returned by `partition3_kernel`). Updates `n`/`k` accordingly.
     ///
     /// For the single-pivot algorithms the middle zone is the pivot's
     /// equality class, so landing in it means the pivot *is* the answer —
@@ -124,7 +127,7 @@ pub(crate) fn two_way_narrow<T: Key>(
     pivot: T,
 ) -> Option<T> {
     let mut ops = OpCount::new();
-    let idx = partition_le(data, pivot, &mut ops);
+    let idx = partition_bound_kernel(data, SepBound::le(pivot), &mut ops);
     proc.charge_ops(ops.total());
     let count = proc.combine(idx as u64, |a, b| a + b);
     debug_assert!(count >= 1, "the pivot itself always lands in the <= zone");
@@ -132,7 +135,7 @@ pub(crate) fn two_way_narrow<T: Key>(
         if count == nr.n {
             // Degenerate: pivot >= every remaining element.
             let mut ops = OpCount::new();
-            let (a, b) = partition3(data, pivot, pivot, &mut ops);
+            let (a, b) = partition3_kernel(data, pivot, pivot, &mut ops);
             proc.charge_ops(ops.total());
             let counts = combine_zone_counts(proc, a, b, data.len());
             let step = nr.decide_eq(counts, a, b);

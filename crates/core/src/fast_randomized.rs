@@ -2,7 +2,7 @@
 
 use cgselect_balance::{rebalance, BalanceReport};
 use cgselect_runtime::{Key, Proc, PHASE_SORT};
-use cgselect_seqsel::{partition3, KernelRng, OpCount};
+use cgselect_seqsel::{partition3_kernel, KernelRng, OpCount};
 use cgselect_sort::sorted_ranks_of;
 
 use crate::common::{apply_step, bracket_ranks, combine_zone_counts, finish, Narrow};
@@ -82,7 +82,7 @@ pub(crate) fn run<T: Key>(
 
         // Step 5: three-way partition into < k₁ | [k₁, k₂] | > k₂.
         let mut ops = OpCount::new();
-        let (a, b) = partition3(&mut data, v1, v2, &mut ops);
+        let (a, b) = partition3_kernel(&mut data, v1, v2, &mut ops);
         proc.charge_ops(ops.total());
 
         // Steps 6–7: combine the zone counts.

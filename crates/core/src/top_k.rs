@@ -6,7 +6,7 @@
 //! processors — no global sort, no gather of the data.
 
 use cgselect_runtime::{Key, Proc};
-use cgselect_seqsel::{partition3, OpCount};
+use cgselect_seqsel::{partition3_kernel, OpCount};
 
 use crate::{parallel_select, Algorithm, SelectionConfig, SelectionOutcome};
 
@@ -65,7 +65,7 @@ pub fn parallel_top_k<T: Key>(
 
     let mut data = data;
     let mut ops = OpCount::new();
-    let (lt, eq) = partition3(&mut data, threshold, threshold, &mut ops);
+    let (lt, eq) = partition3_kernel(&mut data, threshold, threshold, &mut ops);
     proc.charge_ops(ops.total());
 
     // Everything strictly below the threshold is in; the remaining quota

@@ -20,9 +20,10 @@
 
 use std::ops::Range;
 
+use crate::kernels::{partition3_kernel, partition_bound_kernel};
 use crate::ops::OpCount;
-use crate::partition::{partition3, partition_le};
 use crate::rng::KernelRng;
+use crate::splitters::SepBound;
 use crate::{select_with, LocalKernel};
 
 /// Local data reorganized into value-ordered buckets.
@@ -82,7 +83,7 @@ impl<T: Copy + Ord> Buckets<T> {
         }
         let slice = &mut self.data[start..end];
         let m = select_with(kernel, slice, (len - 1) / 2, rng, ops);
-        let split = partition_le(&mut self.data[start..end], m, ops);
+        let split = partition_bound_kernel(&mut self.data[start..end], SepBound::le(m), ops);
         if split == len {
             // Everything ≤ m (e.g. all keys equal): no proper split exists
             // here; keep this range as a single bucket.
@@ -191,7 +192,7 @@ impl<T: Copy + Ord> Buckets<T> {
 
         let bs = self.bounds[b];
         let be = self.bounds[b + 1];
-        let idx = partition_le(&mut self.data[bs..be], v, ops);
+        let idx = partition_bound_kernel(&mut self.data[bs..be], SepBound::le(v), ops);
         let cut = bs + idx;
         if cut > bs && cut < be {
             // Proper split: record the new boundary and its separator.
@@ -232,7 +233,7 @@ impl<T: Copy + Ord> Buckets<T> {
 
         let bs = self.bounds[b];
         let be = self.bounds[b + 1];
-        let (a_rel, b_rel) = partition3(&mut self.data[bs..be], v, v, ops);
+        let (a_rel, b_rel) = partition3_kernel(&mut self.data[bs..be], v, v, ops);
         let cut1 = bs + a_rel;
         let cut2 = bs + b_rel;
         // Insert the upper boundary first; its separator is v itself

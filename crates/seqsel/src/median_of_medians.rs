@@ -1,8 +1,9 @@
 //! Deterministic BFPRT selection (Blum–Floyd–Pratt–Rivest–Tarjan), the
 //! sequential kernel of the paper's Algorithm 1.
 
+use crate::kernels::partition3_kernel;
 use crate::ops::OpCount;
-use crate::partition::{insertion_sort, partition3};
+use crate::partition::insertion_sort;
 
 const SMALL: usize = 40;
 
@@ -47,7 +48,7 @@ pub fn median_of_medians_select<T: Copy + Ord>(data: &mut [T], k: usize, ops: &m
         // Median of the medians prefix, found recursively.
         let pivot = median_of_medians_select(&mut data[lo..lo + m], (m - 1) / 2, ops);
 
-        let (a, b) = partition3(&mut data[lo..hi], pivot, pivot, ops);
+        let (a, b) = partition3_kernel(&mut data[lo..hi], pivot, pivot, ops);
         let (a, b) = (lo + a, lo + b);
         if k < a {
             hi = a;

@@ -1,7 +1,8 @@
 //! Randomized quickselect (the sequential kernel of the paper's Algorithm 3).
 
+use crate::kernels::partition3_kernel;
 use crate::ops::OpCount;
-use crate::partition::{insertion_sort, partition3};
+use crate::partition::insertion_sort;
 use crate::rng::KernelRng;
 
 /// Below this window size the kernel sorts directly (the paper's "once the
@@ -40,7 +41,7 @@ pub fn quickselect<T: Copy + Ord>(
             return data[k];
         }
         let pivot = data[lo + rng.below((hi - lo) as u64) as usize];
-        let (a, b) = partition3(&mut data[lo..hi], pivot, pivot, ops);
+        let (a, b) = partition3_kernel(&mut data[lo..hi], pivot, pivot, ops);
         let (a, b) = (lo + a, lo + b);
         if k < a {
             hi = a;

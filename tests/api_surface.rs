@@ -44,6 +44,44 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// The trimmed lines of `src` outside `#[cfg(test)] mod …` regions, with
+/// their 1-based line numbers.
+fn non_test_lines(src: &str) -> Vec<(usize, &str)> {
+    let mut lines = Vec::new();
+    let mut depth_at_test_mod: Option<usize> = None;
+    let mut depth: usize = 0;
+    let mut pending_test_attr = false;
+    for (i, raw) in src.lines().enumerate() {
+        let line = raw.trim();
+        // Depth tracking must not count braces in comment prose (the
+        // common way an unbalanced brace sneaks into source text), or the
+        // cfg(test) exclusion would silently desynchronize. String
+        // literals are rustfmt'd onto code lines whose braces pair up, so
+        // comment stripping covers the realistic drift cases.
+        let code = line.split("//").next().unwrap_or(line);
+        // Track `#[cfg(test)] mod …` regions so test-only code stays out.
+        if line.starts_with("#[cfg(test)]") {
+            pending_test_attr = true;
+        } else if pending_test_attr && line.starts_with("mod ") {
+            depth_at_test_mod = Some(depth);
+            pending_test_attr = false;
+        } else if !line.starts_with("#[") && !line.is_empty() {
+            pending_test_attr = false;
+        }
+        if depth_at_test_mod.is_none() {
+            lines.push((i + 1, line));
+        }
+        depth += code.matches('{').count();
+        depth = depth.saturating_sub(code.matches('}').count());
+        if let Some(d) = depth_at_test_mod {
+            if depth <= d {
+                depth_at_test_mod = None;
+            }
+        }
+    }
+    lines
+}
+
 /// Extracts the declaration lines of public items from one source file:
 /// the first line of anything starting with `pub fn|struct|enum|...`,
 /// outside `#[cfg(test)]` modules, trimmed. Public *fields* and enum
@@ -53,54 +91,25 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
 fn public_items(path: &Path) -> Vec<String> {
     let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let mut items = Vec::new();
-    let mut depth_at_test_mod: Option<usize> = None;
-    let mut depth: usize = 0;
-    let mut pending_test_attr = false;
-    for raw in src.lines() {
-        let line = raw.trim();
-        // Depth tracking must not count braces in comment prose (the
-        // common way an unbalanced brace sneaks into source text), or the
-        // cfg(test) exclusion would silently desynchronize. String
-        // literals are rustfmt'd onto code lines whose braces pair up, so
-        // comment stripping covers the realistic drift cases.
-        let code = line.split("//").next().unwrap_or(line);
-        // Track `#[cfg(test)] mod …` regions so test-only helpers stay out.
-        if line.starts_with("#[cfg(test)]") {
-            pending_test_attr = true;
-        } else if pending_test_attr && line.starts_with("mod ") {
-            depth_at_test_mod = Some(depth);
-            pending_test_attr = false;
-        } else if !line.starts_with("#[") && !line.is_empty() {
-            pending_test_attr = false;
-        }
-        let inside_test = depth_at_test_mod.is_some();
-        if !inside_test {
-            let decl = line.strip_prefix("pub ").map(|rest| {
-                rest.starts_with("fn ")
-                    || rest.starts_with("struct ")
-                    || rest.starts_with("enum ")
-                    || rest.starts_with("trait ")
-                    || rest.starts_with("type ")
-                    || rest.starts_with("const ")
-                    || rest.starts_with("mod ")
-                    || rest.starts_with("use ")
-            });
-            if decl == Some(true) {
-                let first = line
-                    .split(" where")
-                    .next()
-                    .unwrap_or(line)
-                    .trim_end_matches([' ', '{', '('])
-                    .trim_end();
-                items.push(first.to_string());
-            }
-        }
-        depth += code.matches('{').count();
-        depth = depth.saturating_sub(code.matches('}').count());
-        if let Some(d) = depth_at_test_mod {
-            if depth <= d {
-                depth_at_test_mod = None;
-            }
+    for (_, line) in non_test_lines(&src) {
+        let decl = line.strip_prefix("pub ").map(|rest| {
+            rest.starts_with("fn ")
+                || rest.starts_with("struct ")
+                || rest.starts_with("enum ")
+                || rest.starts_with("trait ")
+                || rest.starts_with("type ")
+                || rest.starts_with("const ")
+                || rest.starts_with("mod ")
+                || rest.starts_with("use ")
+        });
+        if decl == Some(true) {
+            let first = line
+                .split(" where")
+                .next()
+                .unwrap_or(line)
+                .trim_end_matches([' ', '{', '('])
+                .trim_end();
+            items.push(first.to_string());
         }
     }
     items
@@ -218,5 +227,47 @@ fn no_process_global_switch_beyond_the_allow_list() {
         found, allowed,
         "process-global mutable statics changed: pass state as a parameter instead of a \
          global, or (for a counter that changes no result) extend ALLOWED_GLOBALS"
+    );
+}
+
+/// The scalar loops `seqsel` keeps as differential-test oracles and as the
+/// `wallclock` bench's baseline. Library code runs their kernels instead.
+const SCALAR_REFERENCES: [&str; 4] = [
+    "partition3",
+    "partition_bound_reference",
+    "partition_by_bounds_reference",
+    "count_below_reference",
+];
+
+#[test]
+fn library_code_calls_no_scalar_reference() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut calls = Vec::new();
+    for krate in LIBRARY_CRATES {
+        for path in rust_files(&root.join("crates").join(krate).join("src")) {
+            let src = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            for (no, line) in non_test_lines(&src) {
+                let code = line.split("//").next().unwrap_or(line);
+                for name in SCALAR_REFERENCES {
+                    // A call site, not a longer identifier that ends in the name.
+                    let called = code.match_indices(name).any(|(at, _)| {
+                        let before = code[..at].chars().next_back();
+                        let after = &code[at + name.len()..];
+                        !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                            && (after.starts_with('(') || after.starts_with("::<"))
+                    });
+                    if called {
+                        let rel = path.strip_prefix(&root).expect("source under root");
+                        calls.push(format!("{}:{no}: {line}", rel.display()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        calls.is_empty(),
+        "library code calls a scalar reference loop; call its kernel instead:\n{}",
+        calls.join("\n")
     );
 }
