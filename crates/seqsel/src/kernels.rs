@@ -1,9 +1,12 @@
 //! Branchless, autovectorizable inner loops for the wall-clock hot paths.
 //!
-//! The two per-element hot loops of the whole system are *prefix counting*
-//! (`count_below`: how many elements fall at or below a probe value) and
+//! The per-element hot loops of the whole system are *prefix counting*
+//! (`count_below`: how many elements fall at or below a probe value),
 //! *bound partitioning* (`partition_bound`: split a slice into admitted /
-//! rejected halves, the inner step of [`crate::partition_by_bounds`]). The
+//! rejected halves — the `≤ pivot` scan of the paper's Algorithms 1 and 3,
+//! the bucket structure's splits, and the inner step of
+//! [`crate::partition_by_bounds`]) and the *three-way partition*
+//! (`partition3`: every selection algorithm's pivot or bracket cut). The
 //! original loops are scalar and branchy — every element costs a
 //! data-dependent branch, which on shuffled keys means a pipeline flush
 //! about every other element.
@@ -20,12 +23,13 @@
 //!
 //! The scalar originals are kept as `*_reference` functions (and
 //! [`crate::partition_by_bounds_reference`], the multiway walk stepping with
-//! [`partition_bound_reference`]). No production path reaches them — there
-//! is no mode that routes through them. They serve two purposes only: they
-//! are the test oracles that the differential tests (proptest plus
-//! exhaustive small-pattern sweeps) pin every kernel to, and the baseline
-//! the `wallclock` bench bin times each kernel against to report the
-//! speedup (`BENCH_wall.json`).
+//! [`partition_bound_reference`], and [`crate::partition3`]). No library
+//! code calls them — there is no mode that routes through them, and the
+//! `api_surface` test `library_code_calls_no_scalar_reference` fails if
+//! one appears. They serve two purposes only: they are the test oracles
+//! that the differential tests (proptest plus exhaustive small-pattern
+//! sweeps) pin every kernel to, and the baseline the `wallclock` bench bin
+//! (`BENCH_wall.json`) and the `perf` probes time the kernels against.
 
 use crate::ops::OpCount;
 use crate::splitters::SepBound;
@@ -105,9 +109,8 @@ pub fn count_below_reference<T: Copy + Ord>(
 
 /// The original two-pointer bound partition (scan from both ends, swap the
 /// first misplaced pair, repeat): `[admitted | rejected]`, returning the
-/// number of admitted elements. Same scan discipline and measured costs as
-/// [`crate::partition_le`]. Kept as the differential-test reference and the
-/// wall-clock baseline for [`partition_bound_kernel`].
+/// number of admitted elements. Kept as the differential-test reference and
+/// the wall-clock baseline for [`partition_bound_kernel`].
 pub fn partition_bound_reference<T: Copy + Ord>(
     data: &mut [T],
     bound: SepBound<T>,
@@ -234,8 +237,8 @@ pub fn partition_bound_kernel<T: Copy + Ord>(
     a
 }
 
-/// Three-way partition with the exact permutation and charges of
-/// [`crate::partition3`], restructured so both comparisons of an element
+/// Three-way partition with the exact permutation and charges of its scalar
+/// reference [`crate::partition3`], restructured so both comparisons of an element
 /// are computed up front as flags (one setcc each) instead of a dependent
 /// branch chain. The swap decisions still branch — the Dutch-flag
 /// permutation is inherently sequential, and multi-select pivot choices
@@ -323,39 +326,21 @@ mod tests {
                 }
             }
         }
-    }
-
-    fn check_partition_le_pair(data: &[u64], pivot: u64) {
-        let mut a = data.to_vec();
-        let mut b = data.to_vec();
-        let mut ops_a = OpCount::new();
-        let mut ops_b = OpCount::new();
-        let cut_a = crate::partition::partition_le(&mut a, pivot, &mut ops_a);
-        let cut_b = partition_bound_reference(&mut b, SepBound::le(pivot), &mut ops_b);
-        assert_eq!(cut_a, cut_b, "cut for {data:?} at {pivot}");
-        assert_eq!(a, b, "permutation for {data:?} at {pivot}");
-        assert_eq!(ops_a, ops_b, "charges for {data:?} at {pivot}");
-    }
-
-    #[test]
-    fn partition_le_matches_le_reference() {
-        for n in 0..=12usize {
-            for pattern in 0u32..(1 << n) {
-                let data: Vec<u64> = (0..n).map(|i| u64::from(pattern >> i & 1)).collect();
-                check_partition_le_pair(&data, 0);
-            }
-        }
-        let mut rng = KernelRng::new(97);
-        for len in [0usize, 1, 2, 3, 7, 64, 65, 1000] {
-            let random: Vec<u64> = (0..len).map(|_| rng.next_u64() % 50).collect();
-            let sorted: Vec<u64> = (0..len as u64).collect();
-            let reverse: Vec<u64> = (0..len as u64).rev().collect();
-            let equal: Vec<u64> = vec![7; len];
-            for data in [&random, &sorted, &reverse, &equal] {
-                for v in [0u64, 7, 25, 49, 1000] {
-                    check_partition_le_pair(data, v);
-                }
-            }
+        // Hand-picked edges: a mixed slice around one of its own values, a
+        // bound below and above every element, all elements equal to the
+        // bound, the empty slice and a single element on either side.
+        let edges: [(&[u64], u64); 7] = [
+            (&[5, 1, 9, 3, 7, 2, 8], 5),
+            (&[1, 2, 3], 0),
+            (&[1, 2, 3], 10),
+            (&[4, 4, 4, 4], 4),
+            (&[], 4),
+            (&[7], 7),
+            (&[7], 6),
+        ];
+        for (data, v) in edges {
+            check_partition_pair(data, SepBound::le(v));
+            check_partition_pair(data, SepBound::lt(v));
         }
     }
 

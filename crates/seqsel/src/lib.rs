@@ -13,6 +13,14 @@
 //! randomized selection (an order of magnitude on the CM-5) emerges from
 //! real kernel behaviour instead of being assumed.
 //!
+//! Every partition those algorithms make — the pivot or bracket cut of
+//! quickselect, BFPRT, the bucket structure and all four of the paper's
+//! parallel algorithms in `cgselect-core` — runs the branchless kernels
+//! ([`partition3_kernel`], [`partition_bound_kernel`]), which leave the
+//! same permutation and charge the same counts as the scalar loops they
+//! replaced. Those loops ([`partition3`] and the `*_reference` functions)
+//! remain only as test oracles and wall-clock baselines.
+//!
 //! This crate is dependency-free (apart from dev-dependencies) and usable on
 //! its own as a plain sequential selection library.
 //!
@@ -27,7 +35,6 @@
 
 mod buckets;
 mod floyd_rivest;
-mod heap_select;
 mod introselect;
 mod kernels;
 mod median_of_medians;
@@ -35,13 +42,11 @@ mod ops;
 mod partition;
 mod quickselect;
 mod rng;
-mod sort_select;
 mod splitters;
 mod weighted_median;
 
 pub use buckets::Buckets;
 pub use floyd_rivest::{floyd_rivest_multi_select, floyd_rivest_select};
-pub use heap_select::heap_select;
 pub use introselect::introselect;
 pub use kernels::{
     count_below_kernel, count_below_reference, partition3_kernel, partition_bound_kernel,
@@ -49,10 +54,9 @@ pub use kernels::{
 };
 pub use median_of_medians::median_of_medians_select;
 pub use ops::OpCount;
-pub use partition::{insertion_sort, partition3, partition_le};
+pub use partition::{insertion_sort, partition3};
 pub use quickselect::quickselect;
 pub use rng::KernelRng;
-pub use sort_select::sort_select;
 pub use splitters::{
     bucket_of, bucket_search_cmps, partition_by_bounds, partition_by_bounds_reference, SepBound,
 };

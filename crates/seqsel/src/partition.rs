@@ -1,51 +1,20 @@
-//! In-place partitioning primitives used by every selection algorithm.
+//! The scalar three-way partition and the insertion-sort base case.
 
 use crate::ops::OpCount;
-
-/// Partitions `data` into `[≤ pivot | > pivot]` and returns the split index
-/// (the number of elements ≤ `pivot`).
-///
-/// This is the per-iteration scan of the paper's Algorithms 1 and 3
-/// (Step 4: "Partition Lᵢ into ≤ MoM and > MoM to give indexᵢ").
-pub fn partition_le<T: Copy + Ord>(data: &mut [T], pivot: T, ops: &mut OpCount) -> usize {
-    let mut i = 0usize;
-    let mut j = data.len();
-    // Invariant: data[..i] <= pivot, data[j..] > pivot.
-    loop {
-        while i < j {
-            ops.cmps += 1;
-            if data[i] <= pivot {
-                i += 1;
-            } else {
-                break;
-            }
-        }
-        while i < j {
-            ops.cmps += 1;
-            if data[j - 1] > pivot {
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        if i >= j {
-            return i;
-        }
-        data.swap(i, j - 1);
-        ops.moves += 3;
-        i += 1;
-        j -= 1;
-    }
-}
 
 /// Three-way partition into `[< lo | lo ≤ · ≤ hi | > hi]`, returning
 /// `(a, b)` such that `data[..a] < lo`, `data[a..b]` is within the closed
 /// range, and `data[b..] > hi`.
 ///
 /// With `lo == hi` this is the classic Dutch-flag partition around one pivot
-/// value (used by quickselect to be robust against duplicate keys); with
-/// `lo < hi` it is Step 5 of the paper's fast randomized selection
-/// ("Partition Lᵢ into < k₁, [k₁, k₂] and > k₂").
+/// value; with `lo < hi` it is Step 5 of the paper's fast randomized
+/// selection ("Partition Lᵢ into < k₁, [k₁, k₂] and > k₂").
+///
+/// This is the scalar reference for [`crate::partition3_kernel`], which
+/// every selection algorithm runs: the kernel is pinned to it move for move
+/// and charge for charge. Only tests and the `perf` probes call it; it keeps
+/// its name rather than `partition3_reference` because the probe
+/// `seqsel.partition3_ns_per_elem` imports it under this one.
 ///
 /// # Panics
 /// Panics if `lo > hi`.
@@ -109,33 +78,6 @@ pub fn insertion_sort<T: Copy + Ord>(data: &mut [T], ops: &mut OpCount) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn check_partition_le(mut v: Vec<i64>, pivot: i64) {
-        let orig = {
-            let mut o = v.clone();
-            o.sort_unstable();
-            o
-        };
-        let mut ops = OpCount::new();
-        let idx = partition_le(&mut v, pivot, &mut ops);
-        assert!(v[..idx].iter().all(|&x| x <= pivot), "{v:?} idx={idx}");
-        assert!(v[idx..].iter().all(|&x| x > pivot), "{v:?} idx={idx}");
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, orig, "partition must permute, not alter");
-        assert!(ops.cmps as usize >= v.len(), "every element is examined");
-    }
-
-    #[test]
-    fn partition_le_basics() {
-        check_partition_le(vec![5, 1, 9, 3, 7, 2, 8], 5);
-        check_partition_le(vec![1, 2, 3], 0); // pivot below everything
-        check_partition_le(vec![1, 2, 3], 10); // pivot above everything
-        check_partition_le(vec![4, 4, 4, 4], 4); // all equal to pivot
-        check_partition_le(vec![], 4);
-        check_partition_le(vec![7], 7);
-        check_partition_le(vec![7], 6);
-    }
 
     #[test]
     fn partition3_three_zones() {

@@ -3,8 +3,8 @@
 //! must satisfy their postconditions.
 
 use cgselect_seqsel::{
-    floyd_rivest_select, median_of_medians_select, partition3, partition_le, quickselect,
-    sort_select, weighted_median, Buckets, KernelRng, LocalKernel, OpCount,
+    floyd_rivest_select, median_of_medians_select, partition3, partition_bound_kernel, quickselect,
+    weighted_median, Buckets, KernelRng, LocalKernel, OpCount, SepBound,
 };
 use proptest::prelude::*;
 
@@ -67,26 +67,17 @@ proptest! {
     }
 
     #[test]
-    fn sort_select_matches_oracle(
-        v in prop::collection::vec(any::<i64>(), 1..200),
-        k_frac in 0.0f64..1.0,
-    ) {
-        let k = ((v.len() as f64) * k_frac) as usize % v.len();
-        let mut ops = OpCount::new();
-        let mut w = v.clone();
-        prop_assert_eq!(sort_select(&mut w, k, &mut ops), oracle(v, k));
-    }
-
-    #[test]
-    fn partition_le_postconditions(
+    fn partition_bound_kernel_postconditions(
         v in prop::collection::vec(-50i64..50, 0..200),
-        pivot in -60i64..60,
+        value in -60i64..60,
+        inclusive in any::<bool>(),
     ) {
+        let bound = if inclusive { SepBound::le(value) } else { SepBound::lt(value) };
         let mut w = v.clone();
         let mut ops = OpCount::new();
-        let idx = partition_le(&mut w, pivot, &mut ops);
-        prop_assert!(w[..idx].iter().all(|&x| x <= pivot));
-        prop_assert!(w[idx..].iter().all(|&x| x > pivot));
+        let idx = partition_bound_kernel(&mut w, bound, &mut ops);
+        prop_assert!(w[..idx].iter().all(|x| bound.admits(x)));
+        prop_assert!(w[idx..].iter().all(|x| !bound.admits(x)));
         let mut a = v; a.sort_unstable();
         let mut b = w; b.sort_unstable();
         prop_assert_eq!(a, b);
