@@ -17,9 +17,9 @@
 //! quickselect, BFPRT, the bucket structure and all four of the paper's
 //! parallel algorithms in `cgselect-core` — runs the branchless kernels
 //! ([`partition3_kernel`], [`partition_bound_kernel`]), which leave the
-//! same permutation and charge the same counts as the scalar loops they
-//! replaced. Those loops ([`partition3`] and the `*_reference` functions)
-//! remain only as test oracles and wall-clock baselines.
+//! same permutation and charge the same counts as their scalar references
+//! ([`partition3`] and the `*_reference` functions). The references are
+//! test oracles and wall-clock baselines only.
 //!
 //! This crate is dependency-free (apart from dev-dependencies) and usable on
 //! its own as a plain sequential selection library.
