@@ -238,9 +238,9 @@ pub fn partition_bound_kernel<T: Copy + Ord>(
 }
 
 /// Three-way partition with the exact permutation and charges of its scalar
-/// reference [`crate::partition3`], restructured so both comparisons of an element
-/// are computed up front as flags (one setcc each) instead of a dependent
-/// branch chain. The swap decisions still branch — the Dutch-flag
+/// reference [`crate::partition3`], restructured so both comparisons of an
+/// element are computed up front as flags (one setcc each) instead of a
+/// dependent branch chain. The swap decisions still branch — the Dutch-flag
 /// permutation is inherently sequential, and multi-select pivot choices
 /// depend on physical element order, so this loop must reproduce it
 /// move-for-move. Charges replicate the reference's short-circuit counting:
