@@ -78,6 +78,39 @@ pub fn insertion_sort<T: Copy + Ord>(data: &mut [T], ops: &mut OpCount) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{partition_bound_kernel, partition_bound_reference};
+    use crate::splitters::SepBound;
+
+    /// The `[≤ pivot | > pivot]` scan of the paper's Algorithms 1 and 3
+    /// (Step 4), run by the kernel and by its scalar reference.
+    fn check_partition_le(v: Vec<i64>, pivot: i64) {
+        let mut orig = v.clone();
+        orig.sort_unstable();
+        type Partition = fn(&mut [i64], SepBound<i64>, &mut OpCount) -> usize;
+        let runs: [Partition; 2] = [partition_bound_kernel, partition_bound_reference];
+        for partition in runs {
+            let mut w = v.clone();
+            let mut ops = OpCount::new();
+            let idx = partition(&mut w, SepBound::le(pivot), &mut ops);
+            assert!(w[..idx].iter().all(|&x| x <= pivot), "{w:?} idx={idx}");
+            assert!(w[idx..].iter().all(|&x| x > pivot), "{w:?} idx={idx}");
+            let mut sorted = w.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, orig, "partition must permute, not alter");
+            assert!(ops.cmps as usize >= w.len(), "every element is examined");
+        }
+    }
+
+    #[test]
+    fn partition_le_basics() {
+        check_partition_le(vec![5, 1, 9, 3, 7, 2, 8], 5);
+        check_partition_le(vec![1, 2, 3], 0); // pivot below everything
+        check_partition_le(vec![1, 2, 3], 10); // pivot above everything
+        check_partition_le(vec![4, 4, 4, 4], 4); // all equal to pivot
+        check_partition_le(vec![], 4);
+        check_partition_le(vec![7], 7);
+        check_partition_le(vec![7], 6);
+    }
 
     #[test]
     fn partition3_three_zones() {
