@@ -55,7 +55,7 @@ use super::protocol::{
     self, WorkerConfig, CMD_EXECUTE, CMD_EXIT, CMD_EXPORT, CMD_FABRIC_BIND, CMD_FABRIC_CONNECT,
     CMD_IMPORT, CMD_PING, IMPORT_MERGE, IMPORT_REPLACE, REPLY_OK,
 };
-use super::wire::{Reader, WireResult, Writer};
+use super::wire::{Reader, WireResult};
 use super::{
     BackendError, BackendKind, BatchPlan, ExecBackend, RecoveryReport, ShardBatchOutcome,
     ShardDeletion,
@@ -250,9 +250,8 @@ impl<T: Key, Tr: Transport> MessagePassing<T, Tr> {
         for r in self.control_round(Bodies::PerRank(&bind)) {
             r?;
         }
-        let mut connect = Writer::new(CMD_FABRIC_CONNECT);
-        connect.u64(self.epoch);
-        for r in self.control_round(Bodies::Broadcast(&connect.into_frame())) {
+        let connect = protocol::encode_fabric_connect(self.epoch);
+        for r in self.control_round(Bodies::Broadcast(&connect)) {
             r?;
         }
         Ok(())
@@ -500,11 +499,7 @@ pub(crate) fn serve<T: Key>(
                 }
                 Err(detail) => protocol::encode_wire_error(&detail),
             },
-            (Some(CMD_EXPORT), _) => {
-                let mut w = Writer::new(REPLY_OK);
-                protocol::encode_snapshot(&mut w, &shard);
-                w.into_frame()
-            }
+            (Some(CMD_EXPORT), _) => protocol::encode_export_reply(&shard),
             (Some(CMD_IMPORT), _) => match protocol::decode_import::<T>(body) {
                 Ok((IMPORT_REPLACE, snap)) => {
                     // Exact restore — the migrated shard is
@@ -595,11 +590,7 @@ fn run_guarded<T: Key>(
     match outcome {
         Ok(Ok(payload)) => payload,
         Ok(Err(protocol_err)) => protocol::encode_protocol_error(&protocol_err),
-        Err(payload) => {
-            let mut w = Writer::new(protocol::REPLY_PANICKED);
-            w.str(&panic_message(payload));
-            w.into_frame()
-        }
+        Err(payload) => protocol::encode_panicked(&panic_message(payload)),
     }
 }
 
@@ -656,11 +647,10 @@ mod tests {
         // Rank 1's send fails while rank 0 has a genuine panic to report:
         // the round must still collect rank 0's reply and triage it as the
         // root cause, not stop at the first failed send.
-        let mut panicked = Writer::new(protocol::REPLY_PANICKED);
-        panicked.str("shard 0 fell over");
+        let panicked = protocol::encode_panicked("shard 0 fell over");
         let mut backend = MessagePassing::<u64, Scripted> {
             transport: Scripted,
-            links: vec![scripted(Some(panicked.into_frame())), scripted(None)],
+            links: vec![scripted(Some(panicked)), scripted(None)],
             reply_timeout: Duration::from_secs(5),
             epoch: 0,
             next_seq: 1,

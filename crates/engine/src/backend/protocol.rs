@@ -222,6 +222,42 @@ pub(crate) fn decode_reply<R>(
     decoded.map_err(|e| wire_protocol_error(rank, e))
 }
 
+pub(crate) fn encode_u64_reply(v: u64) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    w.u64(v);
+    w.into_frame()
+}
+
+pub(crate) fn encode_deletion_reply(d: &ShardDeletion) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    w.u64(d.remaining);
+    w.u64s(&d.removed);
+    w.bool(d.resketched);
+    w.into_frame()
+}
+
+pub(crate) fn encode_index_build_reply<T: Key>(
+    bounds: &[SepBound<T>],
+    stats: &BucketStats<T>,
+) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    w.sep_bounds(bounds);
+    w.bucket_stats(stats);
+    w.into_frame()
+}
+
+pub(crate) fn encode_bucket_stats_reply<T: Key>(stats: &BucketStats<T>) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    w.bucket_stats(stats);
+    w.into_frame()
+}
+
+pub(crate) fn encode_sketch_reply<T: Key>(sketch: &EpsSketch<T>) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    w.eps_sketch(sketch);
+    w.into_frame()
+}
+
 pub(crate) fn decode_sketch_reply<T: Key>(r: &mut Reader<'_>) -> WireResult<EpsSketch<T>> {
     r.eps_sketch::<T>()
 }
@@ -296,7 +332,8 @@ pub(crate) fn decode_execute<T: Key>(
     })
 }
 
-pub(crate) fn encode_outcome<T: Key>(w: &mut Writer, o: &ShardBatchOutcome<T>) {
+pub(crate) fn encode_outcome_reply<T: Key>(o: &ShardBatchOutcome<T>) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
     w.usize(o.exact.len());
     for v in &o.exact {
         w.opt_key(*v);
@@ -316,6 +353,7 @@ pub(crate) fn encode_outcome<T: Key>(w: &mut Writer, o: &ShardBatchOutcome<T>) {
     w.comm_stats(&o.comm);
     w.f64(o.elapsed);
     w.phase_spans(&o.spans);
+    w.into_frame()
 }
 
 pub(crate) fn decode_outcome<T: Key>(r: &mut Reader<'_>) -> WireResult<ShardBatchOutcome<T>> {
@@ -356,6 +394,12 @@ pub(crate) fn encode_fabric_bind(epoch: u64, rank: usize, p: usize) -> Vec<u8> {
     w.into_frame()
 }
 
+pub(crate) fn encode_fabric_connect(epoch: u64) -> Vec<u8> {
+    let mut w = Writer::new(CMD_FABRIC_CONNECT);
+    w.u64(epoch);
+    w.into_frame()
+}
+
 /// The `(epoch, rank, p)` of a FABRIC_BIND command.
 pub(crate) fn decode_fabric_bind(body: &[u8]) -> WireResult<(u64, usize, usize)> {
     let mut r = Reader::new(body);
@@ -371,7 +415,21 @@ pub(crate) fn encode_wire_error(detail: &str) -> Vec<u8> {
     w.into_frame()
 }
 
-pub(crate) fn encode_snapshot<T: Key>(w: &mut Writer, shard: &Shard<T>) {
+/// A worker panic's reply, carrying the panic message.
+pub(crate) fn encode_panicked(message: &str) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_PANICKED);
+    w.str(message);
+    w.into_frame()
+}
+
+/// An EXPORT reply: the shard snapshot an IMPORT command forwards.
+pub(crate) fn encode_export_reply<T: Key>(shard: &Shard<T>) -> Vec<u8> {
+    let mut w = Writer::new(REPLY_OK);
+    encode_snapshot(&mut w, shard);
+    w.into_frame()
+}
+
+fn encode_snapshot<T: Key>(w: &mut Writer, shard: &Shard<T>) {
     w.keys(&shard.data);
     match &shard.index {
         Some(idx) => {
@@ -449,12 +507,8 @@ pub(crate) fn decode_import<T: Key>(body: &[u8]) -> WireResult<(u8, Shard<T>)> {
 /// cut. Dropping the index makes that build the degenerate case — one
 /// bucket spanning the data, partitioned from nothing.
 pub(crate) fn encode_index_reset<T: Key>() -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    encode_snapshot(
-        &mut w,
-        &Shard::<T> { data: Vec::new(), index: None, sketch: EpsSketch::new(0) },
-    );
-    encode_import(IMPORT_MERGE, &w.into_frame())
+    let empty = Shard::<T> { data: Vec::new(), index: None, sketch: EpsSketch::new(0) };
+    encode_import(IMPORT_MERGE, &encode_export_reply(&empty))
 }
 
 /// Deployment configuration a worker needs to serve the shared command set
@@ -479,47 +533,41 @@ pub(crate) fn run_command<T: Key>(
 ) -> Result<Vec<u8>, RunError> {
     let wire = |e: WireMsgError| RunError::WireProtocol { rank: cfg.rank, detail: e.detail };
     let mut r = Reader::new(body);
-    let mut w = Writer::new(REPLY_OK);
-    match body.first().copied() {
+    let reply = match body.first().copied() {
         Some(CMD_INGEST) => {
             let items = r.keys::<T>().map_err(wire)?;
             r.finish().map_err(wire)?;
-            w.u64(ops::ingest_shard(proc, shard, items));
+            encode_u64_reply(ops::ingest_shard(proc, shard, items))
         }
         Some(CMD_DELETE) => {
             let values = r.keys::<T>().map_err(wire)?;
             r.finish().map_err(wire)?;
-            let d = ops::delete_shard(proc, shard, &values);
-            w.u64(d.remaining);
-            w.u64s(&d.removed);
-            w.bool(d.resketched);
+            encode_deletion_reply(&ops::delete_shard(proc, shard, &values))
         }
         Some(CMD_REBALANCE) => {
             r.finish().map_err(wire)?;
-            w.u64(ops::rebalance_shard(proc, shard, cfg.balancer));
+            encode_u64_reply(ops::rebalance_shard(proc, shard, cfg.balancer))
         }
         Some(CMD_BUILD_INDEX) => {
             let buckets = r.usize().map_err(wire)?;
             r.finish().map_err(wire)?;
             let (bounds, stats) = ops::build_index_shard(proc, shard, buckets);
-            w.sep_bounds(&bounds);
-            w.bucket_stats(&stats);
+            encode_index_build_reply(&bounds, &stats)
         }
         Some(CMD_MERGE_DELTA) => {
             r.finish().map_err(wire)?;
-            w.bucket_stats(&ops::merge_delta_shard(proc, shard));
+            encode_bucket_stats_reply(&ops::merge_delta_shard(proc, shard))
         }
         Some(CMD_EXPORT_SKETCH) => {
             // Pure local read: the shard ships its ε-sketch bytes and no
             // collective fires — the host merges exports by itself.
             r.finish().map_err(wire)?;
-            w.eps_sketch(&shard.sketch);
+            encode_sketch_reply(&shard.sketch)
         }
         Some(CMD_EXECUTE) => {
             let plan = decode_execute::<T>(&mut r, &cfg.selection).map_err(wire)?;
             r.finish().map_err(wire)?;
-            let o = ops::execute_shard(proc, shard, &plan);
-            encode_outcome(&mut w, &o);
+            encode_outcome_reply(&ops::execute_shard(proc, shard, &plan))
         }
         other => {
             return Err(RunError::WireProtocol {
@@ -527,9 +575,9 @@ pub(crate) fn run_command<T: Key>(
                 detail: format!("unknown command tag {other:?}"),
             })
         }
-    }
+    };
     proc.finish_program()?;
-    Ok(w.into_frame())
+    Ok(reply)
 }
 
 /// Encodes a non-panic failure (`finish_program` violation or wire decode
@@ -544,11 +592,7 @@ pub(crate) fn encode_protocol_error(err: &RunError) -> Vec<u8> {
         RunError::UnbalancedPhases { .. } => Writer::new(REPLY_UNBALANCED_PHASES).into_frame(),
         RunError::WireProtocol { detail, .. } => encode_wire_error(detail),
         // run_command only produces the variants above.
-        other => {
-            let mut w = Writer::new(REPLY_PANICKED);
-            w.str(&format!("unexpected protocol error: {other}"));
-            w.into_frame()
-        }
+        other => encode_panicked(&format!("unexpected protocol error: {other}")),
     }
 }
 
@@ -761,9 +805,7 @@ mod tests {
             &mut cgselect_seqsel::OpCount::new(),
         );
         shard.index = Some(idx);
-        let mut w = Writer::new(REPLY_OK);
-        encode_snapshot(&mut w, &shard);
-        encode_import(IMPORT_REPLACE, &w.into_frame())
+        encode_import(IMPORT_REPLACE, &encode_export_reply(&shard))
     }
 
     #[test]
@@ -845,5 +887,262 @@ mod tests {
             matches!(err, BackendError::Runtime(RunError::WireProtocol { rank: 4, .. })),
             "{err:?}"
         );
+    }
+    /// One fixed instance of every command and reply body, by name. The
+    /// instances set every field (multi-run rank sets, two groups, a
+    /// trace context, an indexed snapshot) so a layout change anywhere
+    /// shows in [`GOLDEN_BODIES`].
+    fn golden_bodies() -> Vec<(&'static str, Vec<u8>)> {
+        use crate::index::Group;
+        use crate::obs::{Phase, PhaseSpan, TraceContext, TraceId};
+        use cgselect_runtime::{CommStats, OrdF64};
+        let comm = CommStats {
+            msgs_sent: 1,
+            bytes_sent: 2,
+            msgs_recv: 3,
+            bytes_recv: 4,
+            collective_ops: 5,
+        };
+        let plan = |trace| BatchPlan::<u64> {
+            groups: std::sync::Arc::new(vec![
+                Group { lo: 0, hi: 1, n: 40, ranks: vec![0, 3], out: vec![0, 1] },
+                Group { lo: 3, hi: 3, n: 12, ranks: vec![2], out: vec![4] },
+            ]),
+            exact_ranks: std::sync::Arc::new(crate::query::RankSet::from_runs(vec![
+                (0, 4),
+                (10, 1),
+                (20, 3),
+            ])),
+            value_probes: std::sync::Arc::new(vec![(5, false), (5, true), (9, true)]),
+            selection: SelectionConfig { seed: 0x5EED, ..SelectionConfig::default() },
+            delta_total: 3,
+            trace,
+        };
+        let mut sketch = EpsSketch::new(4);
+        for x in [8u64, 3, 5, 1, 9, 2] {
+            sketch.offer(x);
+        }
+        sketch.remove(3);
+        let mut indexed: Shard<u64> = ops::init_shard(4);
+        for x in [6u64, 1, 9, 4, 7, 2] {
+            indexed.sketch.offer(x);
+            indexed.data.push(x);
+        }
+        let (idx, _) = crate::index::recut_shard_index(
+            &mut indexed.data[..5],
+            None,
+            vec![SepBound::lt(4u64), SepBound::le(7)],
+            &mut cgselect_seqsel::OpCount::new(),
+        );
+        indexed.index = Some(idx);
+        let bare = Shard::<u64> { data: vec![5, 3], index: None, sketch: EpsSketch::new(0) };
+        let init_cfg = crate::EngineConfig::new(4)
+            .model(cgselect_runtime::MachineModel::free())
+            .sketch_capacity(8);
+        let outcome = ShardBatchOutcome::<u64> {
+            exact: vec![Some(5), None],
+            refines: vec![vec![(2, Some((1, 4))), (0, None)]],
+            probe_refines: vec![vec![(1, Some((9, 9)))]],
+            probe_counts: vec![3, 4],
+            phase_ops: PhaseOps { probes: 1, exact: 2, sketch: 0 },
+            comm,
+            elapsed: 0.5,
+            spans: vec![
+                PhaseSpan { phase: Phase::Probes, time: 1.5e-6, comm },
+                PhaseSpan { phase: Phase::Exact, time: 0.25, comm: CommStats::default() },
+            ],
+        };
+        vec![
+            ("ingest", encode_ingest(&[3u64, 1 << 40, u64::MAX])),
+            ("ingest_f64", encode_ingest(&[OrdF64(-0.0), OrdF64(1.5)])),
+            ("delete", encode_delete(&[2u64, 9])),
+            ("build_index", encode_build_index(64)),
+            ("execute", encode_execute(&plan(None))),
+            (
+                "execute_traced",
+                encode_execute(&plan(Some(TraceContext { batch: 7, root: TraceId(42) }))),
+            ),
+            ("fabric_bind", encode_fabric_bind(3, 1, 4)),
+            ("fabric_connect", encode_fabric_connect(3)),
+            (
+                "init",
+                super::super::socket_mp::encode_init(
+                    u64::WIRE_TAG,
+                    2,
+                    &init_cfg,
+                    std::time::Duration::from_millis(250),
+                    std::path::Path::new("sock"),
+                ),
+            ),
+            ("import_indexed", encode_import(IMPORT_REPLACE, &encode_export_reply(&indexed))),
+            ("import_bare", encode_import(IMPORT_MERGE, &encode_export_reply(&bare))),
+            ("import_index_reset", encode_index_reset::<u64>()),
+            ("reply_outcome", encode_outcome_reply(&outcome)),
+            (
+                "reply_deletion",
+                encode_deletion_reply(&ShardDeletion {
+                    remaining: 10,
+                    removed: vec![1, 0, 2],
+                    resketched: true,
+                }),
+            ),
+            (
+                "reply_index_build",
+                encode_index_build_reply(
+                    &[SepBound::lt(4u64), SepBound::le(9)],
+                    &vec![(2, Some((1, 3))), (0, None), (5, Some((9, 9)))],
+                ),
+            ),
+            ("reply_bucket_stats", encode_bucket_stats_reply(&vec![(2u64, Some((1u64, 3)))])),
+            ("reply_u64", encode_u64_reply(12345)),
+            ("reply_sketch", encode_sketch_reply(&sketch)),
+            ("reply_panicked", encode_panicked("boom")),
+            (
+                "reply_pending",
+                encode_protocol_error(&RunError::PendingMessages {
+                    rank: 1,
+                    detail: "left over".into(),
+                }),
+            ),
+            ("reply_wire_error", encode_wire_error("bad frame")),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// [`golden_bodies`] in hex, 32 bytes a line. A changed byte is a
+    /// protocol change: it moves [`WIRE_VERSION`], not this table.
+    const GOLDEN_BODIES: [(&str, &[&str]); 21] = [
+        ("ingest", &["01030000000000000003000000000000000000000000010000ffffffffffffff", "ff"]),
+        ("ingest_f64", &["0102000000000000000000000000000080000000000000f83f"]),
+        ("delete", &["02020000000000000002000000000000000900000000000000"]),
+        ("build_index", &["044000000000000000"]),
+        (
+            "execute",
+            &[
+                "06ed5e0000000000000300000000000000030000000000000000000000000000",
+                "0004000000000000000a00000000000000010000000000000014000000000000",
+                "0003000000000000000300000000000000050000000000000000050000000000",
+                "0000010900000000000000010200000000000000000000000000000001000000",
+                "0000000028000000000000000200000000000000000000000000000003000000",
+                "0000000002000000000000000000000000000000010000000000000003000000",
+                "0000000003000000000000000c00000000000000010000000000000002000000",
+                "000000000100000000000000040000000000000000",
+            ],
+        ),
+        (
+            "execute_traced",
+            &[
+                "06ed5e0000000000000300000000000000030000000000000000000000000000",
+                "0004000000000000000a00000000000000010000000000000014000000000000",
+                "0003000000000000000300000000000000050000000000000000050000000000",
+                "0000010900000000000000010200000000000000000000000000000001000000",
+                "0000000028000000000000000200000000000000000000000000000003000000",
+                "0000000002000000000000000000000000000000010000000000000003000000",
+                "0000000003000000000000000c00000000000000010000000000000002000000",
+                "00000000010000000000000004000000000000000107000000000000002a0000",
+                "0000000000",
+            ],
+        ),
+        ("fabric_bind", &["10030000000000000001000000000000000400000000000000"]),
+        ("fabric_connect", &["110300000000000000"]),
+        (
+            "init",
+            &[
+                "15040200000000000000080000000000000080b2e60e00000000040000000000",
+                "0000736f636b0000000000000000000000000000000000000000000000000000",
+                "00000000000000ed5e0000000000000001000000000000000004000000000000",
+                "333333333333e33f000000000000f03f0000102700000000000004",
+            ],
+        ),
+        (
+            "import_indexed",
+            &[
+                "1300060000000000000001000000000000000600000000000000070000000000",
+                "0000040000000000000009000000000000000200000000000000010200000000",
+                "0000000400000000000000000700000000000000010400000000000000000000",
+                "00000000000100000000000000040000000000000005000000000000006a0000",
+                "0000000000040000000000000006000000000000000100000000000000020000",
+                "0000000000010200000000000000070000000000000002000000000000000002",
+                "0000000000000001000000000000000600000000000000000000000000000000",
+                "000000000000000000000000000000",
+            ],
+        ),
+        (
+            "import_bare",
+            &[
+                "1301020000000000000005000000000000000300000000000000003800000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "000000000000000000000000000000000000000000000000000000",
+            ],
+        ),
+        (
+            "import_index_reset",
+            &[
+                "1301000000000000000000380000000000000000000000000000000000000000",
+                "0000000000000000000000000000000000000000000000000000000000000000",
+                "0000000000000000000000",
+            ],
+        ),
+        (
+            "reply_outcome",
+            &[
+                "0002000000000000000105000000000000000001000000000000000200000000",
+                "0000000200000000000000010100000000000000040000000000000000000000",
+                "0000000000010000000000000001000000000000000100000000000000010900",
+                "0000000000000900000000000000020000000000000003000000000000000400",
+                "0000000000000100000000000000020000000000000000000000000000000100",
+                "0000000000000200000000000000030000000000000004000000000000000500",
+                "000000000000000000000000e03f02000000000000000054e41071732ab93e01",
+                "0000000000000002000000000000000300000000000000040000000000000005",
+                "0000000000000001000000000000d03f00000000000000000000000000000000",
+                "000000000000000000000000000000000000000000000000",
+            ],
+        ),
+        (
+            "reply_deletion",
+            &[
+                "000a000000000000000300000000000000010000000000000000000000000000",
+                "00020000000000000001",
+            ],
+        ),
+        (
+            "reply_index_build",
+            &[
+                "0002000000000000000400000000000000000900000000000000010300000000",
+                "0000000200000000000000010100000000000000030000000000000000000000",
+                "000000000005000000000000000109000000000000000900000000000000",
+            ],
+        ),
+        (
+            "reply_bucket_stats",
+            &["0001000000000000000200000000000000010100000000000000030000000000", "0000"],
+        ),
+        ("reply_u64", &["003930000000000000"]),
+        (
+            "reply_sketch",
+            &[
+                "007b000000000000000400000000000000060000000000000001000000000000",
+                "0002000000000000000102000000000000000900000000000000020000000000",
+                "0000000200000000000000010000000000000005000000000000000100000000",
+                "0000000000000000000000010000000000000000010000000000000003000000",
+                "00000000",
+            ],
+        ),
+        ("reply_panicked", &["010400000000000000626f6f6d"]),
+        ("reply_pending", &["0209000000000000006c656674206f766572"]),
+        ("reply_wire_error", &["040900000000000000626164206672616d65"]),
+    ];
+
+    #[test]
+    fn every_body_matches_its_golden_bytes() {
+        let bodies = golden_bodies();
+        assert_eq!(bodies.len(), GOLDEN_BODIES.len());
+        for ((name, body), (golden_name, golden)) in bodies.iter().zip(GOLDEN_BODIES) {
+            assert_eq!(*name, golden_name);
+            assert_eq!(hex(body), golden.concat(), "{name} changed on the wire");
+        }
     }
 }

@@ -252,7 +252,7 @@ fn sort_from_u8(v: u8) -> Option<SampleSortAlgo> {
 
 /// Encodes the INIT command. The leading wire tag names the element type so
 /// the (monomorphic) worker binary can dispatch to the right `serve::<T>`.
-fn encode_init(
+pub(super) fn encode_init(
     wire_tag: u8,
     rank: usize,
     cfg: &EngineConfig,
@@ -795,9 +795,7 @@ mod tests {
         let (idx, _) = recut_shard_index(&mut shard.data[..11], None, bounds, &mut OpCount::new());
         assert_eq!(idx.offsets, vec![0, 5, 11, 11]);
         shard.index = Some(idx);
-        let mut w = Writer::new(REPLY_OK);
-        protocol::encode_snapshot(&mut w, &shard);
-        let frame = w.into_frame();
+        let frame = protocol::encode_export_reply(&shard);
         let mut r = Reader::new(&frame);
         let restored = protocol::decode_snapshot::<u64>(&mut r).unwrap();
         r.finish().unwrap();
