@@ -16,10 +16,11 @@
 //!   worker's `ShardStore`, programs are shipped as shared closures.
 //! * **Message passing** (`mp`, private) — each shard lives on its own
 //!   long-lived worker that owns its data outright; every command and reply
-//!   crosses the link as a **serialized byte frame** (`protocol` over
-//!   `wire`, both private), never as a shared pointer. One generic host and
-//!   one worker serve loop are written against a transport that only spawns
-//!   workers, moves frames, stages the collective fabric and reaps:
+//!   crosses the link as a **serialized byte frame** (`protocol`, private,
+//!   over the runtime's [`cgselect_runtime::WireMsg`] codec), never as a
+//!   shared pointer. One generic host and one worker serve loop are written
+//!   against a transport that only spawns workers, moves frames, stages the
+//!   collective fabric and reaps:
 //!   * [`BackendChoice::ChannelMp`] — the **thread transport**
 //!     ([`channel_mp`]): worker threads, frames on in-process channels. It
 //!     also hosts [`Fault`] injection (worker panic mid-batch, dropped
@@ -48,7 +49,6 @@ pub(crate) mod mp;
 pub(crate) mod ops;
 pub(crate) mod protocol;
 pub mod socket_mp;
-pub(crate) mod wire;
 
 pub use channel_mp::{ChannelMpTuning, Fault};
 pub use local::LocalSpmd;
@@ -57,7 +57,7 @@ pub use socket_mp::SocketMpTuning;
 use std::sync::Arc;
 
 use cgselect_core::SelectionConfig;
-use cgselect_runtime::{CommStats, Key, RunError};
+use cgselect_runtime::{CommStats, Key, RunError, WireMsg, WireMsgError, WireReader};
 use cgselect_seqsel::SepBound;
 
 use crate::index::{BucketStats, Group};
@@ -304,6 +304,36 @@ pub struct ShardBatchOutcome<T> {
     pub spans: Vec<PhaseSpan>,
 }
 
+/// The fields in declaration order; [`PhaseOps`] rides as its three
+/// counters.
+impl<T: Key> WireMsg for ShardBatchOutcome<T> {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        self.exact.wire_encode(out);
+        self.refines.wire_encode(out);
+        self.probe_refines.wire_encode(out);
+        self.probe_counts.wire_encode(out);
+        let PhaseOps { probes, exact, sketch } = self.phase_ops;
+        ((probes, exact, sketch), self.comm, self.elapsed).wire_encode(out);
+        self.spans.wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (exact, refines, probe_refines, probe_counts) = WireMsg::wire_decode(r)?;
+        let ((probes, exact_ops, sketch), comm, elapsed, spans) = WireMsg::wire_decode(r)?;
+        let phase_ops = PhaseOps { probes, exact: exact_ops, sketch };
+        Ok(ShardBatchOutcome {
+            exact,
+            refines,
+            probe_refines,
+            probe_counts,
+            phase_ops,
+            comm,
+            elapsed,
+            spans,
+        })
+    }
+}
+
 /// What one shard reports back from one delete pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardDeletion {
@@ -316,6 +346,20 @@ pub struct ShardDeletion {
     /// data (the removals its sketch carried outweighed a quarter of what
     /// was left); otherwise the sketch only noted the removed elements.
     pub resketched: bool,
+}
+
+/// `(remaining, removed, resketched)`.
+impl WireMsg for ShardDeletion {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        self.remaining.wire_encode(out);
+        self.removed.wire_encode(out);
+        self.resketched.wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (remaining, removed, resketched) = WireMsg::wire_decode(r)?;
+        Ok(ShardDeletion { remaining, removed, resketched })
+    }
 }
 
 /// The execution seam of the engine: owns shard residency and realizes

@@ -4,9 +4,9 @@
 //! The host holds **no shard state and no code pointer into the workers**:
 //! every verb is encoded as a byte frame in the shared host↔worker protocol
 //! (`super::protocol` — versioned, sequence-numbered framing over the
-//! `super::wire` codec), sent down the worker's link, decoded by the
-//! worker's [`serve`] loop, executed against its owned `super::ops::Shard`,
-//! and answered with another byte frame. Nothing in that exchange depends on
+//! runtime's [`cgselect_runtime::WireMsg`] codec), sent down the worker's
+//! link, decoded by the worker's [`serve`] loop, executed against its owned
+//! `super::ops::Shard`, and answered with another byte frame. Nothing in that exchange depends on
 //! *how* a frame travels, so the transport supplies only five things —
 //! spawn a worker link, send a frame, the link's reply `Receiver`, stage a
 //! fresh collective fabric, reap — and everything else lives here:
@@ -43,7 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
-use cgselect_runtime::{panic_message, Key, Proc};
+use cgselect_runtime::{panic_message, Key, Proc, WireMsgError};
 use cgselect_seqsel::SepBound;
 
 use crate::index::BucketStats;
@@ -55,7 +55,6 @@ use super::protocol::{
     self, WorkerConfig, CMD_EXECUTE, CMD_EXIT, CMD_EXPORT, CMD_FABRIC_BIND, CMD_FABRIC_CONNECT,
     CMD_IMPORT, CMD_PING, IMPORT_MERGE, IMPORT_REPLACE, REPLY_OK,
 };
-use super::wire::{Reader, WireResult};
 use super::{
     BackendError, BackendKind, BatchPlan, ExecBackend, RecoveryReport, ShardBatchOutcome,
     ShardDeletion,
@@ -225,13 +224,13 @@ impl<T: Key, Tr: Transport> MessagePassing<T, Tr> {
     fn call<R>(
         &mut self,
         bodies: Bodies<'_>,
-        fields: impl Fn(&mut Reader<'_>) -> WireResult<R>,
+        decode: impl Fn(&[u8]) -> Result<R, WireMsgError>,
     ) -> Result<Vec<R>, BackendError> {
         let payloads = self.round_trip(bodies)?;
         let decoded: Result<Vec<R>, BackendError> = payloads
             .iter()
             .enumerate()
-            .map(|(rank, body)| protocol::decode_reply(rank, body, &fields))
+            .map(|(rank, body)| protocol::decode_reply(rank, body, &decode))
             .collect();
         self.poisoned |= decoded.is_err();
         decoded
@@ -260,7 +259,10 @@ impl<T: Key, Tr: Transport> MessagePassing<T, Tr> {
     /// Re-reads every shard's size with one empty-ingest round (zero
     /// collectives, zero virtual time) — the resync after membership moves.
     fn sizes_round(&mut self) -> Result<Vec<u64>, BackendError> {
-        self.call(Bodies::Broadcast(&protocol::encode_ingest::<T>(&[])), protocol::decode_u64_reply)
+        self.call(
+            Bodies::Broadcast(&protocol::encode_ingest::<T>(&[])),
+            protocol::decode_fields::<u64>,
+        )
     }
 
     /// Sends EXIT and reaps one worker.
@@ -287,18 +289,18 @@ impl<T: Key, Tr: Transport> ExecBackend<T> for MessagePassing<T, Tr> {
     fn ingest(&mut self, chunks: Vec<Vec<T>>) -> Result<Vec<u64>, BackendError> {
         assert_eq!(chunks.len(), self.links.len(), "one ingest chunk per shard");
         let body_of = |rank: usize| protocol::encode_ingest(&chunks[rank]);
-        self.call(Bodies::PerRank(&body_of), protocol::decode_u64_reply)
+        self.call(Bodies::PerRank(&body_of), protocol::decode_fields::<u64>)
     }
 
     fn delete(&mut self, values: Vec<T>) -> Result<Vec<ShardDeletion>, BackendError> {
         self.call(
             Bodies::Broadcast(&protocol::encode_delete(&values)),
-            protocol::decode_deletion_reply,
+            protocol::decode_fields::<ShardDeletion>,
         )
     }
 
     fn rebalance(&mut self) -> Result<Vec<u64>, BackendError> {
-        self.call(Bodies::Broadcast(&[protocol::CMD_REBALANCE]), protocol::decode_u64_reply)
+        self.call(Bodies::Broadcast(&[protocol::CMD_REBALANCE]), protocol::decode_fields::<u64>)
     }
 
     fn build_index(
@@ -325,18 +327,21 @@ impl<T: Key, Tr: Transport> ExecBackend<T> for MessagePassing<T, Tr> {
     fn merge_delta(&mut self) -> Result<Vec<BucketStats<T>>, BackendError> {
         self.call(
             Bodies::Broadcast(&[protocol::CMD_MERGE_DELTA]),
-            protocol::decode_bucket_stats_reply::<T>,
+            protocol::decode_fields::<BucketStats<T>>,
         )
     }
 
     fn execute(&mut self, plan: &BatchPlan<T>) -> Result<Vec<ShardBatchOutcome<T>>, BackendError> {
-        self.call(Bodies::Broadcast(&protocol::encode_execute(plan)), protocol::decode_outcome::<T>)
+        self.call(
+            Bodies::Broadcast(&protocol::encode_execute(plan)),
+            protocol::decode_fields::<ShardBatchOutcome<T>>,
+        )
     }
 
     fn export_sketches(&mut self) -> Result<Vec<EpsSketch<T>>, BackendError> {
         self.call(
             Bodies::Broadcast(&[protocol::CMD_EXPORT_SKETCH]),
-            protocol::decode_sketch_reply::<T>,
+            protocol::decode_fields::<EpsSketch<T>>,
         )
     }
 
@@ -483,7 +488,7 @@ pub(crate) fn serve<T: Key>(
                 // Tear down the old fabric first: our peers must see it
                 // close before the next epoch connects.
                 proc = None;
-                let bound = protocol::decode_fabric_bind(body).map_err(|e| e.detail);
+                let bound = protocol::decode_fields(body).map_err(|e: WireMsgError| e.detail);
                 match bound.and_then(|(epoch, rank, p)| {
                     cfg.rank = rank;
                     fabric.bind(epoch, rank, p)
@@ -500,7 +505,7 @@ pub(crate) fn serve<T: Key>(
                 Err(detail) => protocol::encode_wire_error(&detail),
             },
             (Some(CMD_EXPORT), _) => protocol::encode_export_reply(&shard),
-            (Some(CMD_IMPORT), _) => match protocol::decode_import::<T>(body) {
+            (Some(CMD_IMPORT), _) => match protocol::decode_fields::<(u8, Shard<T>)>(body) {
                 Ok((IMPORT_REPLACE, snap)) => {
                     // Exact restore — the migrated shard is
                     // indistinguishable from one that never moved.

@@ -17,8 +17,9 @@
 //!   round, so a slow-but-alive worker that was declared unresponsive can
 //!   never deliver its stale reply into a later round's collect.
 //! * `body` starts with a one-byte command tag (host → worker) or reply
-//!   status (worker → host), followed by fields in the [`super::wire`]
-//!   codec.
+//!   status (worker → host), followed by fields in the runtime's
+//!   [`WireMsg`] codec — the one the collectives speak — and is decoded
+//!   through one [`WireReader`].
 //!
 //! On a byte stream (the process transport) each frame is additionally
 //! length-prefixed with a `u32` LE. The thread transport sends one frame
@@ -31,19 +32,22 @@
 //! `p × reply_timeout`, no matter how many shards straggle.
 
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cgselect_balance::Balancer;
 use cgselect_core::SelectionConfig;
-use cgselect_runtime::{Key, Proc, RunError, WireMsgError};
+use cgselect_runtime::wiremsg::{decode_frame, encode_slice};
+use cgselect_runtime::{Key, Proc, RunError, WireMsg, WireMsgError, WireReader};
 use cgselect_seqsel::SepBound;
 
-use crate::index::{BucketStats, ShardIndex};
+use crate::index::{BucketStats, Group, ShardIndex};
+use crate::obs::TraceContext;
+use crate::query::RankSet;
 use crate::sketch::EpsSketch;
 
 use super::ops::{self, Shard};
-use super::wire::{Reader, WireResult, Writer};
-use super::{BackendError, BatchPlan, PhaseOps, ShardBatchOutcome, ShardDeletion};
+use super::{BackendError, BatchPlan, ShardBatchOutcome, ShardDeletion};
 
 /// Protocol revision carried in every frame header. Revision 2 added the
 /// splitter bounds to the BUILD_INDEX reply and the probe-refinement stats
@@ -83,8 +87,7 @@ pub(crate) const REPLY_WIRE_ERROR: u8 = 4;
 /// Wraps a body in the versioned, sequence-numbered frame header.
 pub(crate) fn encode_framed(seq: u64, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
-    out.push(WIRE_VERSION);
-    out.extend_from_slice(&seq.to_le_bytes());
+    (WIRE_VERSION, seq).wire_encode(&mut out);
     out.extend_from_slice(body);
     out
 }
@@ -92,20 +95,14 @@ pub(crate) fn encode_framed(seq: u64, body: &[u8]) -> Vec<u8> {
 /// Splits a frame into its sequence number and body, verifying the version
 /// byte.
 pub(crate) fn split_framed(frame: &[u8]) -> Result<(u64, &[u8]), WireMsgError> {
-    if frame.len() < FRAME_HEADER_BYTES {
+    let mut r = WireReader::new(frame);
+    let (version, seq) = <(u8, u64)>::wire_decode(&mut r)?;
+    if version != WIRE_VERSION {
         return Err(WireMsgError::new(format!(
-            "frame of {} bytes is shorter than the {FRAME_HEADER_BYTES}-byte header",
-            frame.len()
+            "wire version mismatch: got {version}, this build speaks {WIRE_VERSION}"
         )));
     }
-    if frame[0] != WIRE_VERSION {
-        return Err(WireMsgError::new(format!(
-            "wire version mismatch: got {}, this build speaks {WIRE_VERSION}",
-            frame[0]
-        )));
-    }
-    let seq = u64::from_le_bytes(frame[1..9].try_into().expect("length checked"));
-    Ok((seq, &frame[FRAME_HEADER_BYTES..]))
+    Ok((seq, r.take(r.remaining())?))
 }
 
 /// Collects one reply body for `rank` from its reply port, under a deadline
@@ -172,7 +169,9 @@ pub(crate) fn decode_reply_status(rank: usize, body: Vec<u8>) -> Result<Vec<u8>,
         Some(REPLY_PANICKED | REPLY_PENDING_MESSAGES | REPLY_WIRE_ERROR) => {
             // These carry one string; a half-written one from a dying
             // worker is itself a typed error, never an abort.
-            let detail = decode_reply(rank, &body, |r| r.str())?;
+            let detail = decode_reply(rank, &body, |b| {
+                decode_fields::<Vec<u8>>(b).map(|s| String::from_utf8_lossy(&s).into_owned())
+            })?;
             match status {
                 Some(REPLY_PANICKED) => BackendError::WorkerPanicked { rank, message: detail },
                 Some(REPLY_PENDING_MESSAGES) => {
@@ -188,99 +187,60 @@ pub(crate) fn decode_reply_status(rank: usize, body: Vec<u8>) -> Result<Vec<u8>,
     })
 }
 
-// ---------------------------------------------------------------------
-// Per-verb body codecs (the host's verbs and the worker's dispatch).
-// ---------------------------------------------------------------------
-
-pub(crate) fn encode_ingest<T: Key>(chunk: &[T]) -> Vec<u8> {
-    let mut w = Writer::new(CMD_INGEST);
-    w.keys(chunk);
-    w.into_frame()
-}
-
-pub(crate) fn encode_delete<T: Key>(values: &[T]) -> Vec<u8> {
-    let mut w = Writer::new(CMD_DELETE);
-    w.keys(values);
-    w.into_frame()
-}
-
-pub(crate) fn encode_build_index(buckets: usize) -> Vec<u8> {
-    let mut w = Writer::new(CMD_BUILD_INDEX);
-    w.usize(buckets);
-    w.into_frame()
-}
-
-/// Decodes one reply payload with its verb's field decoder, requiring the
-/// frame be consumed exactly; a failure is a typed error on `rank`.
+/// Decodes one reply body with its verb's decoder; a failure is a typed
+/// error on `rank`.
 pub(crate) fn decode_reply<R>(
     rank: usize,
     body: &[u8],
-    fields: impl FnOnce(&mut Reader<'_>) -> WireResult<R>,
+    decode: impl FnOnce(&[u8]) -> Result<R, WireMsgError>,
 ) -> Result<R, BackendError> {
-    let mut r = Reader::new(body);
-    let decoded = fields(&mut r).and_then(|v| r.finish().map(|()| v));
-    decoded.map_err(|e| wire_protocol_error(rank, e))
+    decode(body).map_err(|e| wire_protocol_error(rank, e))
 }
 
-pub(crate) fn encode_u64_reply(v: u64) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    w.u64(v);
-    w.into_frame()
+// ---------------------------------------------------------------------
+// Per-verb bodies: a tag byte, then the fields as `WireMsg` values.
+// ---------------------------------------------------------------------
+
+/// A body of one tag and one field.
+fn encode_body(tag: u8, field: &impl WireMsg) -> Vec<u8> {
+    let mut out = vec![tag];
+    field.wire_encode(&mut out);
+    out
 }
 
-pub(crate) fn encode_deletion_reply(d: &ShardDeletion) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    w.u64(d.remaining);
-    w.u64s(&d.removed);
-    w.bool(d.resketched);
-    w.into_frame()
+/// The fields of a body, past its tag byte: exactly one `M`, no trailing
+/// bytes.
+pub(crate) fn decode_fields<M: WireMsg>(body: &[u8]) -> Result<M, WireMsgError> {
+    decode_frame(body.get(1..).unwrap_or_default())
 }
 
-pub(crate) fn encode_index_build_reply<T: Key>(
-    bounds: &[SepBound<T>],
-    stats: &BucketStats<T>,
-) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    w.sep_bounds(bounds);
-    w.bucket_stats(stats);
-    w.into_frame()
+/// A body whose one field is a list, encoded in place.
+fn encode_list<T: WireMsg>(tag: u8, items: &[T]) -> Vec<u8> {
+    let mut out = vec![tag];
+    encode_slice(items, &mut out);
+    out
 }
 
-pub(crate) fn encode_bucket_stats_reply<T: Key>(stats: &BucketStats<T>) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    w.bucket_stats(stats);
-    w.into_frame()
+/// Separator bounds ride as `(value, inclusive)` pairs: `seqsel`, which
+/// defines them, knows no wire codec.
+fn bound_pairs<T: Key>(bounds: &[SepBound<T>]) -> Vec<(T, bool)> {
+    bounds.iter().map(|b| (b.value, b.inclusive)).collect()
 }
 
-pub(crate) fn encode_sketch_reply<T: Key>(sketch: &EpsSketch<T>) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    w.eps_sketch(sketch);
-    w.into_frame()
+fn bounds_of<T: Key>(pairs: Vec<(T, bool)>) -> Vec<SepBound<T>> {
+    pairs.into_iter().map(|(value, inclusive)| SepBound { value, inclusive }).collect()
 }
 
-pub(crate) fn decode_sketch_reply<T: Key>(r: &mut Reader<'_>) -> WireResult<EpsSketch<T>> {
-    r.eps_sketch::<T>()
+pub(crate) fn encode_ingest<T: Key>(chunk: &[T]) -> Vec<u8> {
+    encode_list(CMD_INGEST, chunk)
 }
 
-pub(crate) fn decode_u64_reply(r: &mut Reader<'_>) -> WireResult<u64> {
-    r.u64()
+pub(crate) fn encode_delete<T: Key>(values: &[T]) -> Vec<u8> {
+    encode_list(CMD_DELETE, values)
 }
 
-pub(crate) fn decode_deletion_reply(r: &mut Reader<'_>) -> WireResult<ShardDeletion> {
-    Ok(ShardDeletion { remaining: r.u64()?, removed: r.u64s()?, resketched: r.bool()? })
-}
-
-pub(crate) fn decode_bucket_stats_reply<T: Key>(r: &mut Reader<'_>) -> WireResult<BucketStats<T>> {
-    r.bucket_stats::<T>()
-}
-
-/// BUILD_INDEX replies carry the agreed splitter bounds alongside the
-/// shard's bucket stats so the host can mirror the shared splitter array
-/// without re-deriving it.
-pub(crate) fn decode_index_build_reply<T: Key>(
-    r: &mut Reader<'_>,
-) -> WireResult<(Vec<SepBound<T>>, BucketStats<T>)> {
-    Ok((r.sep_bounds::<T>()?, r.bucket_stats::<T>()?))
+pub(crate) fn encode_build_index(buckets: usize) -> Vec<u8> {
+    encode_body(CMD_BUILD_INDEX, &buckets)
 }
 
 /// Serializes one batch plan. Only the per-batch pivot seed crosses the
@@ -288,28 +248,23 @@ pub(crate) fn decode_index_build_reply<T: Key>(
 /// copy. The coalesced rank set rides as runs and the value probes as
 /// `(key, inclusive)` pairs.
 pub(crate) fn encode_execute<T: Key>(plan: &BatchPlan<T>) -> Vec<u8> {
-    let mut w = Writer::new(CMD_EXECUTE);
-    w.u64(plan.selection.seed);
-    w.u64(plan.delta_total);
-    w.rank_set(&plan.exact_ranks);
-    w.probes(&plan.value_probes);
-    w.usize(plan.groups.len());
-    for g in plan.groups.iter() {
-        w.group(g);
-    }
-    w.trace_context(&plan.trace);
-    w.into_frame()
+    let mut out = encode_body(CMD_EXECUTE, &(plan.selection.seed, plan.delta_total));
+    plan.exact_ranks.wire_encode(&mut out);
+    plan.value_probes.wire_encode(&mut out);
+    plan.groups.wire_encode(&mut out);
+    plan.trace.wire_encode(&mut out);
+    out
 }
 
+/// The fields [`encode_execute`] writes, in order.
+type ExecuteFields<T> = (u64, u64, RankSet, (Vec<(T, bool)>, Vec<Group>, Option<TraceContext>));
+
 pub(crate) fn decode_execute<T: Key>(
-    r: &mut Reader<'_>,
+    body: &[u8],
     base: &SelectionConfig,
-) -> WireResult<BatchPlan<T>> {
-    let mut selection = base.clone();
-    selection.seed = r.u64()?;
-    let delta_total = r.u64()?;
-    let exact_ranks = r.rank_set()?;
-    let value_probes = r.probes::<T>()?;
+) -> Result<BatchPlan<T>, WireMsgError> {
+    let (seed, delta_total, exact_ranks, (value_probes, groups, trace)) =
+        decode_fields::<ExecuteFields<T>>(body)?;
     // The shards count probes by one forward merge against their bounds,
     // which holds only for a batch sorted by value — as the planner ships
     // it. Worker input is outside input: refuse any other order here.
@@ -319,66 +274,55 @@ pub(crate) fn decode_execute<T: Key>(
             i + 1
         )));
     }
-    let group_count = r.usize()?;
-    let groups = (0..group_count).map(|_| r.group()).collect::<WireResult<_>>()?;
-    let trace = r.trace_context()?;
     Ok(BatchPlan {
-        groups: std::sync::Arc::new(groups),
-        exact_ranks: std::sync::Arc::new(exact_ranks),
-        value_probes: std::sync::Arc::new(value_probes),
-        selection,
+        groups: Arc::new(groups),
+        exact_ranks: Arc::new(exact_ranks),
+        value_probes: Arc::new(value_probes),
+        selection: SelectionConfig { seed, ..base.clone() },
         delta_total,
         trace,
     })
 }
 
-pub(crate) fn encode_outcome_reply<T: Key>(o: &ShardBatchOutcome<T>) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    w.usize(o.exact.len());
-    for v in &o.exact {
-        w.opt_key(*v);
-    }
-    w.usize(o.refines.len());
-    for stats in &o.refines {
-        w.bucket_stats(stats);
-    }
-    w.usize(o.probe_refines.len());
-    for stats in &o.probe_refines {
-        w.bucket_stats(stats);
-    }
-    w.u64s(&o.probe_counts);
-    w.u64(o.phase_ops.probes);
-    w.u64(o.phase_ops.exact);
-    w.u64(o.phase_ops.sketch);
-    w.comm_stats(&o.comm);
-    w.f64(o.elapsed);
-    w.phase_spans(&o.spans);
-    w.into_frame()
+// Reply bodies: the `REPLY_OK` status byte, then the verb's result.
+
+pub(crate) fn encode_u64_reply(v: u64) -> Vec<u8> {
+    encode_body(REPLY_OK, &v)
 }
 
-pub(crate) fn decode_outcome<T: Key>(r: &mut Reader<'_>) -> WireResult<ShardBatchOutcome<T>> {
-    let exact_len = r.usize()?;
-    let exact = (0..exact_len).map(|_| r.opt_key::<T>()).collect::<WireResult<_>>()?;
-    let refines_len = r.usize()?;
-    let refines = (0..refines_len).map(|_| r.bucket_stats::<T>()).collect::<WireResult<_>>()?;
-    let probe_refines_len = r.usize()?;
-    let probe_refines =
-        (0..probe_refines_len).map(|_| r.bucket_stats::<T>()).collect::<WireResult<_>>()?;
-    let probe_counts = r.u64s()?;
-    let phase_ops = PhaseOps { probes: r.u64()?, exact: r.u64()?, sketch: r.u64()? };
-    let comm = r.comm_stats()?;
-    let elapsed = r.f64()?;
-    let spans = r.phase_spans()?;
-    Ok(ShardBatchOutcome {
-        exact,
-        refines,
-        probe_refines,
-        probe_counts,
-        phase_ops,
-        comm,
-        elapsed,
-        spans,
-    })
+pub(crate) fn encode_deletion_reply(d: &ShardDeletion) -> Vec<u8> {
+    encode_body(REPLY_OK, d)
+}
+
+/// BUILD_INDEX replies carry the agreed splitter bounds alongside the
+/// shard's bucket stats so the host can mirror the shared splitter array
+/// without re-deriving it.
+pub(crate) fn encode_index_build_reply<T: Key>(
+    bounds: &[SepBound<T>],
+    stats: &BucketStats<T>,
+) -> Vec<u8> {
+    let mut out = encode_list(REPLY_OK, &bound_pairs(bounds));
+    stats.wire_encode(&mut out);
+    out
+}
+
+pub(crate) fn decode_index_build_reply<T: Key>(
+    body: &[u8],
+) -> Result<(Vec<SepBound<T>>, BucketStats<T>), WireMsgError> {
+    let (pairs, stats) = decode_fields(body)?;
+    Ok((bounds_of(pairs), stats))
+}
+
+pub(crate) fn encode_bucket_stats_reply<T: Key>(stats: &BucketStats<T>) -> Vec<u8> {
+    encode_body(REPLY_OK, stats)
+}
+
+pub(crate) fn encode_outcome_reply<T: Key>(o: &ShardBatchOutcome<T>) -> Vec<u8> {
+    encode_body(REPLY_OK, o)
+}
+
+pub(crate) fn encode_sketch_reply<T: Key>(sketch: &EpsSketch<T>) -> Vec<u8> {
+    encode_body(REPLY_OK, sketch)
 }
 
 // ---------------------------------------------------------------------
@@ -386,92 +330,62 @@ pub(crate) fn decode_outcome<T: Key>(r: &mut Reader<'_>) -> WireResult<ShardBatc
 // EXPORT replies and IMPORT commands.
 // ---------------------------------------------------------------------
 
+/// FABRIC_BIND carries `(epoch, rank, p)`.
 pub(crate) fn encode_fabric_bind(epoch: u64, rank: usize, p: usize) -> Vec<u8> {
-    let mut w = Writer::new(CMD_FABRIC_BIND);
-    w.u64(epoch);
-    w.usize(rank);
-    w.usize(p);
-    w.into_frame()
+    encode_body(CMD_FABRIC_BIND, &(epoch, rank, p))
 }
 
 pub(crate) fn encode_fabric_connect(epoch: u64) -> Vec<u8> {
-    let mut w = Writer::new(CMD_FABRIC_CONNECT);
-    w.u64(epoch);
-    w.into_frame()
-}
-
-/// The `(epoch, rank, p)` of a FABRIC_BIND command.
-pub(crate) fn decode_fabric_bind(body: &[u8]) -> WireResult<(u64, usize, usize)> {
-    let mut r = Reader::new(body);
-    let bind = (r.u64()?, r.usize()?, r.usize()?);
-    r.finish()?;
-    Ok(bind)
+    encode_body(CMD_FABRIC_CONNECT, &epoch)
 }
 
 /// A control verb's failure reply.
 pub(crate) fn encode_wire_error(detail: &str) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_WIRE_ERROR);
-    w.str(detail);
-    w.into_frame()
+    encode_list(REPLY_WIRE_ERROR, detail.as_bytes())
 }
 
 /// A worker panic's reply, carrying the panic message.
 pub(crate) fn encode_panicked(message: &str) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_PANICKED);
-    w.str(message);
-    w.into_frame()
+    encode_list(REPLY_PANICKED, message.as_bytes())
 }
 
 /// An EXPORT reply: the shard snapshot an IMPORT command forwards.
 pub(crate) fn encode_export_reply<T: Key>(shard: &Shard<T>) -> Vec<u8> {
-    let mut w = Writer::new(REPLY_OK);
-    encode_snapshot(&mut w, shard);
-    w.into_frame()
+    encode_body(REPLY_OK, shard)
 }
 
-fn encode_snapshot<T: Key>(w: &mut Writer, shard: &Shard<T>) {
-    w.keys(&shard.data);
-    match &shard.index {
-        Some(idx) => {
-            w.bool(true);
-            // A SepBound is structurally a probe pair: (value, inclusive).
-            let pairs: Vec<(T, bool)> = idx.bounds.iter().map(|b| (b.value, b.inclusive)).collect();
-            w.probes(&pairs);
-            let offsets: Vec<u64> = idx.offsets.iter().map(|&o| o as u64).collect();
-            w.u64s(&offsets);
-        }
-        None => w.bool(false),
-    }
-    // The ε-sketch rides its canonical byte encoding mid-stream: the
-    // restored sketch is bit-identical, accumulated error bound included.
-    w.eps_sketch(&shard.sketch);
-}
-
+/// A shard snapshot: `(data, index, sketch)`, the index as an optional
+/// `(bounds, offsets)` pair. The ε-sketch rides its canonical byte
+/// encoding, so the restored sketch is bit-identical, accumulated error
+/// bound included.
+///
 /// Total over arbitrary bytes: besides the field codecs' own checks, an
 /// index is installed only once [`ShardIndex::from_snapshot`] has proved it
 /// describes `data` — a wrong length, a decreasing pair, an offset past the
 /// data or a bucket holding a foreign value is a typed error here, not a
 /// slice panic (or a silently wrong answer) batches later.
-pub(crate) fn decode_snapshot<T: Key>(r: &mut Reader<'_>) -> WireResult<Shard<T>> {
-    let data = r.keys::<T>()?;
-    let index = if r.bool()? {
-        let bounds = r
-            .probes::<T>()?
-            .into_iter()
-            .map(|(value, inclusive)| SepBound { value, inclusive })
-            .collect();
-        let offsets = r
-            .u64s()?
-            .into_iter()
-            .map(usize::try_from)
-            .collect::<Result<Vec<usize>, _>>()
-            .map_err(|_| WireMsgError::new("snapshot index offset overflows usize"))?;
-        Some(ShardIndex::from_snapshot(bounds, offsets, &data).map_err(WireMsgError::new)?)
-    } else {
-        None
-    };
-    let sketch = r.eps_sketch::<T>()?;
-    Ok(Shard { data, index, sketch })
+impl<T: Key> WireMsg for Shard<T> {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        self.data.wire_encode(out);
+        self.index
+            .as_ref()
+            .map(|idx| (bound_pairs(&idx.bounds), idx.offsets.clone()))
+            .wire_encode(out);
+        self.sketch.wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (data, index, sketch) =
+            <(Vec<T>, Option<(Vec<(T, bool)>, Vec<usize>)>, EpsSketch<T>)>::wire_decode(r)?;
+        let index = match index {
+            Some((pairs, offsets)) => Some(
+                ShardIndex::from_snapshot(bounds_of(pairs), offsets, &data)
+                    .map_err(WireMsgError::new)?,
+            ),
+            None => None,
+        };
+        Ok(Shard { data, index, sketch })
+    }
 }
 
 /// IMPORT mode: restore the snapshot exactly, replacing the shard.
@@ -479,20 +393,12 @@ pub(crate) const IMPORT_REPLACE: u8 = 0;
 /// IMPORT mode: append the snapshot's data, merge its sketch, drop the index.
 pub(crate) const IMPORT_MERGE: u8 = 1;
 
-/// Forwards an EXPORT reply (status byte + snapshot) as an IMPORT command.
+/// Forwards an EXPORT reply (status byte + snapshot) as an IMPORT command:
+/// `(mode, snapshot)`.
 pub(crate) fn encode_import(mode: u8, export_reply: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new(CMD_IMPORT);
-    w.u8(mode);
-    w.raw(&export_reply[1..]); // splice the snapshot past the status byte
-    w.into_frame()
-}
-
-pub(crate) fn decode_import<T: Key>(body: &[u8]) -> WireResult<(u8, Shard<T>)> {
-    let mut r = Reader::new(body);
-    let mode = r.u8()?;
-    let snap = decode_snapshot::<T>(&mut r)?;
-    r.finish()?;
-    Ok((mode, snap))
+    let mut out = encode_body(CMD_IMPORT, &mode);
+    out.extend_from_slice(&export_reply[1..]); // splice the snapshot past the status byte
+    out
 }
 
 /// The command that *resets* a surviving shard's index during recovery: a
@@ -532,41 +438,36 @@ pub(crate) fn run_command<T: Key>(
     body: &[u8],
 ) -> Result<Vec<u8>, RunError> {
     let wire = |e: WireMsgError| RunError::WireProtocol { rank: cfg.rank, detail: e.detail };
-    let mut r = Reader::new(body);
     let reply = match body.first().copied() {
         Some(CMD_INGEST) => {
-            let items = r.keys::<T>().map_err(wire)?;
-            r.finish().map_err(wire)?;
+            let items = decode_fields(body).map_err(wire)?;
             encode_u64_reply(ops::ingest_shard(proc, shard, items))
         }
         Some(CMD_DELETE) => {
-            let values = r.keys::<T>().map_err(wire)?;
-            r.finish().map_err(wire)?;
+            let values: Vec<T> = decode_fields(body).map_err(wire)?;
             encode_deletion_reply(&ops::delete_shard(proc, shard, &values))
         }
         Some(CMD_REBALANCE) => {
-            r.finish().map_err(wire)?;
+            decode_fields::<()>(body).map_err(wire)?;
             encode_u64_reply(ops::rebalance_shard(proc, shard, cfg.balancer))
         }
         Some(CMD_BUILD_INDEX) => {
-            let buckets = r.usize().map_err(wire)?;
-            r.finish().map_err(wire)?;
+            let buckets = decode_fields(body).map_err(wire)?;
             let (bounds, stats) = ops::build_index_shard(proc, shard, buckets);
             encode_index_build_reply(&bounds, &stats)
         }
         Some(CMD_MERGE_DELTA) => {
-            r.finish().map_err(wire)?;
+            decode_fields::<()>(body).map_err(wire)?;
             encode_bucket_stats_reply(&ops::merge_delta_shard(proc, shard))
         }
         Some(CMD_EXPORT_SKETCH) => {
             // Pure local read: the shard ships its ε-sketch bytes and no
             // collective fires — the host merges exports by itself.
-            r.finish().map_err(wire)?;
+            decode_fields::<()>(body).map_err(wire)?;
             encode_sketch_reply(&shard.sketch)
         }
         Some(CMD_EXECUTE) => {
-            let plan = decode_execute::<T>(&mut r, &cfg.selection).map_err(wire)?;
-            r.finish().map_err(wire)?;
+            let plan = decode_execute::<T>(body, &cfg.selection).map_err(wire)?;
             encode_outcome_reply(&ops::execute_shard(proc, shard, &plan))
         }
         other => {
@@ -585,11 +486,9 @@ pub(crate) fn run_command<T: Key>(
 pub(crate) fn encode_protocol_error(err: &RunError) -> Vec<u8> {
     match err {
         RunError::PendingMessages { detail, .. } => {
-            let mut w = Writer::new(REPLY_PENDING_MESSAGES);
-            w.str(detail);
-            w.into_frame()
+            encode_list(REPLY_PENDING_MESSAGES, detail.as_bytes())
         }
-        RunError::UnbalancedPhases { .. } => Writer::new(REPLY_UNBALANCED_PHASES).into_frame(),
+        RunError::UnbalancedPhases { .. } => vec![REPLY_UNBALANCED_PHASES],
         RunError::WireProtocol { detail, .. } => encode_wire_error(detail),
         // run_command only produces the variants above.
         other => encode_panicked(&format!("unexpected protocol error: {other}")),
@@ -598,6 +497,7 @@ pub(crate) fn encode_protocol_error(err: &RunError) -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::PhaseOps;
     use super::*;
     use std::sync::mpsc::channel;
     use std::time::Duration;
@@ -614,7 +514,7 @@ mod tests {
         };
         let decode = |probes: Vec<(u64, bool)>| {
             let frame = encode_execute(&plan(probes));
-            decode_execute::<u64>(&mut Reader::new(&frame), &SelectionConfig::default())
+            decode_execute::<u64>(&frame, &SelectionConfig::default())
         };
         // Equal values (the `(v, <)` and `(v, ≤)` probes of one class) are
         // in order; a decrease is not.
@@ -808,15 +708,19 @@ mod tests {
         encode_import(IMPORT_REPLACE, &encode_export_reply(&shard))
     }
 
+    fn decode_import(body: &[u8]) -> Result<(u8, Shard<u64>), WireMsgError> {
+        decode_fields(body)
+    }
+
     #[test]
     fn snapshot_decoding_is_total_over_truncated_and_bit_flipped_bytes() {
         let body = valid_import_body();
-        let (mode, shard) = decode_import::<u64>(&body).expect("the valid snapshot decodes");
+        let (mode, shard) = decode_import(&body).expect("the valid snapshot decodes");
         assert_eq!(mode, IMPORT_REPLACE);
         assert_eq!(shard.index.as_ref().expect("index rides the snapshot").num_buckets(), 5);
         // Every strict prefix is refused (never a panic, never a shard).
         for cut in 0..body.len() {
-            assert!(decode_import::<u64>(&body[..cut]).is_err(), "prefix of {cut} bytes decoded");
+            assert!(decode_import(&body[..cut]).is_err(), "prefix of {cut} bytes decoded");
         }
         // Every single-bit flip is refused, or decodes to a shard whose
         // index still describes its data: what the re-cut relies on.
@@ -824,7 +728,7 @@ mod tests {
         for bit in 0..body.len() * 8 {
             let mut flipped = body.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            let Ok((_, shard)) = decode_import::<u64>(&flipped) else { continue };
+            let Ok((_, shard)) = decode_import(&flipped) else { continue };
             survived += 1;
             if let Some(idx) = &shard.index {
                 let again =
@@ -840,14 +744,10 @@ mod tests {
     fn a_snapshot_index_that_does_not_describe_its_data_is_refused() {
         // An index over data [1, 2, 5, 9], as it would arrive on the wire.
         let decode = |bounds: [SepBound<u64>; 2], offsets: &[u64]| {
-            let mut w = Writer::new(REPLY_OK);
-            w.keys(&[1u64, 2, 5, 9]);
-            w.bool(true);
-            w.probes(&bounds.map(|b| (b.value, b.inclusive)));
-            w.u64s(offsets);
-            w.eps_sketch(&EpsSketch::<u64>::new(0));
-            let frame = w.into_frame();
-            let decoded = decode_snapshot::<u64>(&mut Reader::new(&frame));
+            let mut frame = encode_list(REPLY_OK, &[1u64, 2, 5, 9]);
+            Some((bound_pairs(&bounds), offsets.to_vec())).wire_encode(&mut frame);
+            EpsSketch::<u64>::new(0).wire_encode(&mut frame);
+            let decoded = decode_fields::<Shard<u64>>(&frame);
             decoded.map(|shard| shard.index.expect("an index was sent").minmax)
         };
         let le = SepBound::le;
@@ -878,9 +778,7 @@ mod tests {
     fn truncated_reply_bodies_become_typed_errors() {
         // A half-written panic report from a dying worker must not abort
         // the host: the status decode itself is fallible.
-        let mut w = Writer::new(REPLY_PANICKED);
-        w.str("the full panic message");
-        let mut body = w.into_frame();
+        let mut body = encode_panicked("the full panic message");
         body.truncate(body.len() - 5);
         let err = decode_reply_status(4, body).unwrap_err();
         assert!(
@@ -888,6 +786,122 @@ mod tests {
             "{err:?}"
         );
     }
+
+    #[test]
+    fn execute_rank_runs_past_u64_max_are_a_typed_error() {
+        // Summing these runs' ends overflows; `RankSet::from_runs` would
+        // panic in a debug build and wrap in a release one.
+        let mut frame = encode_body(CMD_EXECUTE, &(7u64, 0u64));
+        vec![(u64::MAX - 1, 5u64), (u64::MAX, 1)].wire_encode(&mut frame);
+        (Vec::<(u64, bool)>::new(), Vec::<Group>::new(), None::<TraceContext>)
+            .wire_encode(&mut frame);
+        let err = decode_execute::<u64>(&frame, &SelectionConfig::default()).unwrap_err();
+        assert!(err.detail.contains("past u64::MAX"), "{err}");
+    }
+
+    /// Decodes a body with its own decoder and encodes the result again.
+    type Recode = fn(&[u8]) -> Result<Vec<u8>, WireMsgError>;
+
+    /// The decoder of each [`golden_bodies`] entry, as a [`Recode`]. INIT
+    /// only decodes (its round trip is `socket_mp`'s). The string replies
+    /// go through the host's status triage and recode only under their own
+    /// status, so a cut one reads as the typed error it becomes.
+    fn recoder(name: &str) -> Recode {
+        use cgselect_runtime::OrdF64;
+        match name {
+            "ingest" => |b| Ok(encode_ingest(&decode_fields::<Vec<u64>>(b)?)),
+            "ingest_f64" => |b| Ok(encode_ingest(&decode_fields::<Vec<OrdF64>>(b)?)),
+            "delete" => |b| Ok(encode_delete(&decode_fields::<Vec<u64>>(b)?)),
+            "build_index" => |b| Ok(encode_build_index(decode_fields(b)?)),
+            "execute" | "execute_traced" => {
+                |b| Ok(encode_execute(&decode_execute::<u64>(b, &SelectionConfig::default())?))
+            }
+            "fabric_bind" => |b| {
+                let (epoch, rank, p) = decode_fields(b)?;
+                Ok(encode_fabric_bind(epoch, rank, p))
+            },
+            "fabric_connect" => |b| Ok(encode_fabric_connect(decode_fields(b)?)),
+            "init" => |b| super::super::socket_mp::decode_init(b).map(|_| b.to_vec()),
+            "import_indexed" | "import_bare" | "import_index_reset" => |b| {
+                let (mode, shard) = decode_import(b)?;
+                Ok(encode_import(mode, &encode_export_reply(&shard)))
+            },
+            "reply_outcome" => {
+                |b| Ok(encode_outcome_reply(&decode_fields::<ShardBatchOutcome<u64>>(b)?))
+            }
+            "reply_deletion" => |b| Ok(encode_deletion_reply(&decode_fields(b)?)),
+            "reply_index_build" => |b| {
+                let (bounds, stats) = decode_index_build_reply::<u64>(b)?;
+                Ok(encode_index_build_reply(&bounds, &stats))
+            },
+            "reply_bucket_stats" => {
+                |b| Ok(encode_bucket_stats_reply(&decode_fields::<BucketStats<u64>>(b)?))
+            }
+            "reply_u64" => |b| Ok(encode_u64_reply(decode_fields(b)?)),
+            "reply_sketch" => |b| Ok(encode_sketch_reply(&decode_fields::<EpsSketch<u64>>(b)?)),
+            "reply_panicked" | "reply_pending" | "reply_wire_error" => {
+                |b| match decode_reply_status(0, b.to_vec()) {
+                    Err(BackendError::WorkerPanicked { message, .. })
+                        if b.first() == Some(&REPLY_PANICKED) =>
+                    {
+                        Ok(encode_panicked(&message))
+                    }
+                    Err(BackendError::Runtime(e @ RunError::PendingMessages { .. })) => {
+                        Ok(encode_protocol_error(&e))
+                    }
+                    Err(BackendError::Runtime(RunError::WireProtocol { detail, .. }))
+                        if b.first() == Some(&REPLY_WIRE_ERROR) =>
+                    {
+                        Ok(encode_wire_error(&detail))
+                    }
+                    other => Err(WireMsgError::new(format!("not a string reply: {other:?}"))),
+                }
+            }
+            other => panic!("no decoder for the golden body {other}"),
+        }
+    }
+
+    #[test]
+    fn every_golden_body_round_trips_through_its_decoder() {
+        for (name, body) in golden_bodies() {
+            assert_eq!(recoder(name)(&body), Ok(body), "{name}");
+        }
+    }
+
+    /// Every decoder is total. Each golden body, framed as the transports
+    /// carry it, is cut at every length and has every single bit flipped;
+    /// the frame header and the body's own decoder must return `Ok` or
+    /// `Err`, never panic.
+    #[test]
+    fn every_decoder_is_total_over_truncated_and_bit_flipped_frames() {
+        for (name, body) in golden_bodies() {
+            let recode = recoder(name);
+            let decode = |frame: &[u8]| {
+                let decoded = std::panic::catch_unwind(|| {
+                    split_framed(frame).and_then(|(_, body)| recode(body))
+                });
+                assert!(decoded.is_ok(), "{name}: a decoder panicked on {}", hex(frame));
+                decoded.is_ok_and(|r| r.is_ok())
+            };
+            let frame = encode_framed(0x0123_4567, &body);
+            assert!(decode(&frame), "{name}: the golden frame decodes");
+            // A cut frame is refused — bar a cut wire-error reply, which the
+            // host reads as the typed wire error it also is.
+            for cut in 0..frame.len() {
+                let decoded = decode(&frame[..cut]);
+                assert!(
+                    !decoded || name == "reply_wire_error",
+                    "{name}: {cut}-byte prefix decoded"
+                );
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decode(&flipped);
+            }
+        }
+    }
+
     /// One fixed instance of every command and reply body, by name. The
     /// instances set every field (multi-run rank sets, two groups, a
     /// trace context, an indexed snapshot) so a layout change anywhere

@@ -38,9 +38,10 @@ use std::time::{Duration, Instant};
 
 use cgselect_balance::Balancer;
 use cgselect_core::{SampleSortAlgo, SelectionConfig};
+use cgselect_runtime::wiremsg::encode_slice;
 use cgselect_runtime::{
     FabricLink, FabricPoll, FabricRecvError, Key, Machine, MachineModel, OrdF64, Proc, Topology,
-    WireEnvelope,
+    WireEnvelope, WireMsg, WireMsgError,
 };
 use cgselect_seqsel::LocalKernel;
 
@@ -49,7 +50,6 @@ use crate::EngineConfig;
 use super::channel_mp::Fault;
 use super::mp::{self, Fabric, FramePipe, Transport};
 use super::protocol::{self, WorkerConfig, CMD_INIT, REPLY_OK};
-use super::wire::{Reader, WireResult, Writer};
 use super::{BackendError, BackendKind};
 
 /// Tuning of [`BackendChoice::SocketMp`](super::BackendChoice::SocketMp)
@@ -250,8 +250,15 @@ fn sort_from_u8(v: u8) -> Option<SampleSortAlgo> {
     })
 }
 
-/// Encodes the INIT command. The leading wire tag names the element type so
-/// the (monomorphic) worker binary can dispatch to the right `serve::<T>`.
+/// The INIT fields after the socket directory, four to a group: the machine
+/// model (its `hop_cost` opens the second group), the selection config,
+/// and last the engine's balancer.
+type InitTail = ((f64, f64, f64, u8), (f64, u64, u8, usize), (usize, f64, f64, u8), (u8, u64, u8));
+
+/// Encodes the INIT command: `(wire tag, rank, sketch capacity, proc timeout
+/// in ns)`, the socket directory, then [`InitTail`]. The leading wire tag
+/// names the element type so the (monomorphic) worker binary can dispatch
+/// to the right `serve::<T>`.
 pub(super) fn encode_init(
     wire_tag: u8,
     rank: usize,
@@ -259,63 +266,54 @@ pub(super) fn encode_init(
     proc_timeout: Duration,
     dir: &Path,
 ) -> Vec<u8> {
-    let mut w = Writer::new(CMD_INIT);
-    w.u8(wire_tag);
-    w.usize(rank);
-    w.usize(cfg.sketch_capacity);
-    w.u64(proc_timeout.as_nanos() as u64);
-    w.str(&dir.display().to_string());
-    w.f64(cfg.model.tau);
-    w.f64(cfg.model.mu);
-    w.f64(cfg.model.t_op);
-    w.u8(topology_to_u8(cfg.model.topology));
-    w.f64(cfg.model.hop_cost);
-    let s = &cfg.selection;
-    w.u64(s.seed);
-    w.u8(balancer_to_u8(s.balancer));
-    w.usize(s.threshold_coeff);
-    w.usize(s.min_sequential);
-    w.f64(s.epsilon);
-    w.f64(s.delta_coeff);
-    w.u8(kernel_to_u8(s.local_kernel));
-    w.u8(sort_to_u8(s.sample_sort));
-    w.u64(u64::from(s.max_iters));
-    w.u8(balancer_to_u8(cfg.balancer));
-    w.into_frame()
+    let mut out = vec![CMD_INIT];
+    (wire_tag, rank, cfg.sketch_capacity, proc_timeout.as_nanos() as u64).wire_encode(&mut out);
+    encode_slice(dir.display().to_string().as_bytes(), &mut out);
+    let (m, s) = (&cfg.model, &cfg.selection);
+    let tail: InitTail = (
+        (m.tau, m.mu, m.t_op, topology_to_u8(m.topology)),
+        (m.hop_cost, s.seed, balancer_to_u8(s.balancer), s.threshold_coeff),
+        (s.min_sequential, s.epsilon, s.delta_coeff, kernel_to_u8(s.local_kernel)),
+        (sort_to_u8(s.sample_sort), u64::from(s.max_iters), balancer_to_u8(cfg.balancer)),
+    );
+    tail.wire_encode(&mut out);
+    out
 }
 
 /// Parses the INIT command into the element type's wire tag and everything
 /// a worker process needs to serve: its deployment configuration and the
 /// (still unbound) fabric mesh.
-fn decode_init(body: &[u8]) -> WireResult<(u8, WorkerConfig, SocketMesh)> {
-    let bad = |what: &str| cgselect_runtime::WireMsgError::new(format!("bad INIT field: {what}"));
-    let mut r = Reader::new(body);
-    let wire_tag = r.u8()?;
-    let rank = r.usize()?;
-    let sketch_capacity = r.usize()?;
-    let proc_timeout = Duration::from_nanos(r.u64()?);
-    let dir = PathBuf::from(r.str()?);
-    let tau = r.f64()?;
-    let mu = r.f64()?;
-    let t_op = r.f64()?;
-    let topology = topology_from_u8(r.u8()?).ok_or_else(|| bad("topology"))?;
-    let hop_cost = r.f64()?;
+pub(super) fn decode_init(body: &[u8]) -> Result<(u8, WorkerConfig, SocketMesh), WireMsgError> {
+    let bad = |what: &str| WireMsgError::new(format!("bad INIT field: {what}"));
+    let ((wire_tag, rank, sketch_capacity, timeout_ns), dir, tail) =
+        protocol::decode_fields::<((u8, usize, usize, u64), Vec<u8>, InitTail)>(body)?;
+    let (
+        (tau, mu, t_op, topology),
+        (hop_cost, seed, sel_balancer, threshold_coeff),
+        (min_sequential, epsilon, delta_coeff, kernel),
+        (sort, max_iters, balancer),
+    ) = tail;
+    let topology = topology_from_u8(topology).ok_or_else(|| bad("topology"))?;
     let model = MachineModel { tau, mu, t_op, topology, hop_cost };
     let selection = SelectionConfig {
-        seed: r.u64()?,
-        balancer: balancer_from_u8(r.u8()?).ok_or_else(|| bad("selection balancer"))?,
-        threshold_coeff: r.usize()?,
-        min_sequential: r.usize()?,
-        epsilon: r.f64()?,
-        delta_coeff: r.f64()?,
-        local_kernel: kernel_from_u8(r.u8()?).ok_or_else(|| bad("local kernel"))?,
-        sample_sort: sort_from_u8(r.u8()?).ok_or_else(|| bad("sample sort"))?,
-        max_iters: r.u64()? as u32,
+        seed,
+        balancer: balancer_from_u8(sel_balancer).ok_or_else(|| bad("selection balancer"))?,
+        threshold_coeff,
+        min_sequential,
+        epsilon,
+        delta_coeff,
+        local_kernel: kernel_from_u8(kernel).ok_or_else(|| bad("local kernel"))?,
+        sample_sort: sort_from_u8(sort).ok_or_else(|| bad("sample sort"))?,
+        max_iters: max_iters as u32,
     };
-    let balancer = balancer_from_u8(r.u8()?).ok_or_else(|| bad("engine balancer"))?;
-    r.finish()?;
+    let balancer = balancer_from_u8(balancer).ok_or_else(|| bad("engine balancer"))?;
     let cfg = WorkerConfig { rank, sketch_capacity, selection, balancer };
-    Ok((wire_tag, cfg, SocketMesh { dir, model, proc_timeout, bound: None }))
+    let dir = PathBuf::from(String::from_utf8_lossy(&dir).into_owned());
+    Ok((
+        wire_tag,
+        cfg,
+        SocketMesh { dir, model, proc_timeout: Duration::from_nanos(timeout_ns), bound: None },
+    ))
 }
 
 // =====================================================================
@@ -644,7 +642,7 @@ impl FabricLink for SocketFabric {
 
 /// The worker's [`Fabric`]: BIND listens on this rank's epoch-scoped
 /// socket, CONNECT establishes the mesh and builds the `Proc` over it.
-struct SocketMesh {
+pub(super) struct SocketMesh {
     dir: PathBuf,
     model: MachineModel,
     proc_timeout: Duration,
@@ -796,9 +794,7 @@ mod tests {
         assert_eq!(idx.offsets, vec![0, 5, 11, 11]);
         shard.index = Some(idx);
         let frame = protocol::encode_export_reply(&shard);
-        let mut r = Reader::new(&frame);
-        let restored = protocol::decode_snapshot::<u64>(&mut r).unwrap();
-        r.finish().unwrap();
+        let restored: Shard<u64> = protocol::decode_fields(&frame).unwrap();
         assert_eq!(restored.data, shard.data);
         let idx = restored.index.as_ref().unwrap();
         let orig = shard.index.as_ref().unwrap();

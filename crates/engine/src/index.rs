@@ -52,7 +52,7 @@
 //!   fold the tail into the buckets. This is what lets a standing query
 //!   re-serve from the cache while ingest streams in.
 
-use cgselect_runtime::Key;
+use cgselect_runtime::{Key, WireMsg, WireMsgError, WireReader};
 use cgselect_seqsel::{partition_by_bounds, OpCount, SepBound};
 
 /// Per-shard half of the index, resident in the worker's `ShardStore`
@@ -224,6 +224,20 @@ pub struct Group {
     pub ranks: Vec<u64>,
     /// For each rank, its slot in the batch's coalesced rank list.
     pub out: Vec<usize>,
+}
+
+/// `(lo, hi, n, ranks, out)`.
+impl WireMsg for Group {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        (self.lo, self.hi, self.n).wire_encode(out);
+        self.ranks.wire_encode(out);
+        self.out.wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (lo, hi, n, (ranks, out)) = WireMsg::wire_decode(r)?;
+        Ok(Group { lo, hi, n, ranks, out })
+    }
 }
 
 /// Routing of a batch's coalesced exact ranks against the cached histogram.

@@ -40,7 +40,7 @@ pub use slo::{SloAccumulator, SloPolicy, SloReport};
 
 use crate::backend::ShardBatchOutcome;
 use crate::request::{Outcome, Request, RunReport, Served};
-use cgselect_runtime::CommStats;
+use cgselect_runtime::{CommStats, WireMsg, WireMsgError, WireReader};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -91,6 +91,19 @@ impl Phase {
     }
 }
 
+/// One byte, [`Phase::as_u8`]; an unknown byte is a typed error.
+impl WireMsg for Phase {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        self.as_u8().wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let byte = u8::wire_decode(r)?;
+        Phase::from_u8(byte)
+            .ok_or_else(|| WireMsgError::new(format!("unknown phase byte {byte:#x}")))
+    }
+}
+
 impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
@@ -133,6 +146,19 @@ pub struct TraceContext {
     pub root: TraceId,
 }
 
+/// `(batch, root)`; an execute command carries it as an `Option`, so a
+/// disabled context costs one byte.
+impl WireMsg for TraceContext {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        (self.batch, self.root.0).wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (batch, root) = <(u64, u64)>::wire_decode(r)?;
+        Ok(TraceContext { batch, root: TraceId(root) })
+    }
+}
+
 /// One shard's measurement of one execution phase: inclusive virtual time
 /// plus the communication delta, taken from snapshots around the phase.
 ///
@@ -146,6 +172,20 @@ pub struct PhaseSpan {
     pub time: f64,
     /// Communication this shard moved during the phase.
     pub comm: CommStats,
+}
+
+/// `(phase, time, comm)`. The time rides as raw bits, so a decoded span
+/// equals the measured one exactly — what the cross-backend span-equality
+/// check needs.
+impl WireMsg for PhaseSpan {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        (self.phase, self.time, self.comm).wire_encode(out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (phase, time, comm) = <(Phase, f64, CommStats)>::wire_decode(r)?;
+        Ok(PhaseSpan { phase, time, comm })
+    }
 }
 
 /// One phase aggregated across every shard of a batch.
@@ -341,6 +381,35 @@ pub(crate) fn summarize_phases(shards: &[Vec<PhaseSpan>]) -> Vec<PhaseSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgselect_runtime::wiremsg::{decode_frame, encode_frame};
+
+    #[test]
+    fn phase_spans_round_trip_exactly_and_unknown_phases_are_refused() {
+        let comm = CommStats {
+            msgs_sent: 9,
+            bytes_sent: 144,
+            msgs_recv: 9,
+            bytes_recv: 144,
+            collective_ops: 7,
+        };
+        let spans = vec![
+            PhaseSpan { phase: Phase::Probes, time: 1.5e-6, comm: CommStats::default() },
+            PhaseSpan { phase: Phase::Exact, time: 0.25, comm },
+            PhaseSpan { phase: Phase::Sketch, time: 0.0, comm: CommStats::default() },
+        ];
+        assert_eq!(decode_frame::<Vec<PhaseSpan>>(&encode_frame(&spans)), Ok(spans));
+        let mut unknown = encode_frame(&PhaseSpan { phase: Phase::Sketch, time: 0.0, comm });
+        unknown[0] = 9;
+        let err = decode_frame::<PhaseSpan>(&unknown).unwrap_err();
+        assert!(err.detail.contains("unknown phase byte"), "{err}");
+    }
+
+    #[test]
+    fn a_disabled_trace_context_costs_one_byte() {
+        let ctx = Some(TraceContext { batch: 42, root: TraceId(u64::MAX - 1) });
+        assert_eq!(decode_frame::<Option<TraceContext>>(&encode_frame(&ctx)), Ok(ctx));
+        assert_eq!(encode_frame(&None::<TraceContext>), vec![0]);
+    }
 
     #[test]
     fn trace_ids_are_unique_and_ordered() {

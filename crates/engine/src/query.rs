@@ -19,6 +19,8 @@
 //! Combine round. Queries whose [`Accuracy`] the resident sketches can
 //! honor are routed to the approximate path and never touch the full data.
 
+use cgselect_runtime::{WireMsg, WireMsgError, WireReader};
+
 use crate::request::{Accuracy, Bounds, QueryKind, Request};
 
 /// The 0-based rank the engine resolves quantile `q` to over `n` elements
@@ -132,6 +134,26 @@ impl RankSet {
         let mut raw: Vec<(u64, u64)> = self.runs.iter().map(|&(s, l, _)| (s, l)).collect();
         raw.extend(points.iter().map(|&p| (p, 1)));
         RankSet::from_runs(raw)
+    }
+}
+
+/// The maximal runs as `(start, len)` pairs: `TopK(k)` costs one pair on
+/// the wire, not `k` ranks. Decoding refuses a run that ends past
+/// `u64::MAX` — [`RankSet::from_runs`] trusts its host callers on that.
+impl WireMsg for RankSet {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        self.num_runs().wire_encode(out);
+        for run in self.runs() {
+            run.wire_encode(out);
+        }
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let runs = Vec::<(u64, u64)>::wire_decode(r)?;
+        if let Some((start, len)) = runs.iter().find(|(s, l)| s.checked_add(*l).is_none()) {
+            return Err(WireMsgError::new(format!("rank run ({start}, {len}) ends past u64::MAX")));
+        }
+        Ok(RankSet::from_runs(runs))
     }
 }
 
@@ -429,6 +451,15 @@ fn push_probe<T>(raw: &mut Vec<(T, bool)>, probe: (T, bool)) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgselect_runtime::wiremsg::{decode_frame, encode_frame};
+
+    #[test]
+    fn a_rank_set_rides_the_wire_per_run_not_per_rank() {
+        // TopK(100_000) rides as one run, not 100k ranks.
+        assert_eq!(encode_frame(&RankSet::from_runs(vec![(0, 100_000)])).len(), 24);
+        let set = RankSet::from_runs(vec![(0, 100_000), (500_000, 1), (700_000, 3)]);
+        assert_eq!(decode_frame::<RankSet>(&encode_frame(&set)), Ok(set));
+    }
 
     #[test]
     fn quantile_rank_nearest() {

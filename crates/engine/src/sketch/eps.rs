@@ -54,7 +54,8 @@
 //! shard sketches ride migration/join/retire snapshots and still sum to a
 //! valid global guarantee.
 
-use cgselect_runtime::Key;
+use cgselect_runtime::wiremsg::{decode_frame, encode_slice};
+use cgselect_runtime::{Key, WireMsg, WireMsgError, WireReader};
 
 /// One compactor hierarchy: the summary of one stream of items (everything
 /// offered, or everything removed).
@@ -163,61 +164,43 @@ impl<T: Key> Compactors<T> {
             .map_or(1, |(h, _)| 1u64 << h)
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
-        self.n.wire_write(out);
-        self.err.wire_write(out);
-        (self.levels.len() as u64).wire_write(out);
-        for (level, &parity) in self.levels.iter().zip(&self.parities) {
-            out.push(u8::from(parity));
-            (level.len() as u64).wire_write(out);
-            for &x in level {
-                x.wire_write(out);
-            }
+    /// Whether capacity `k` can hold this hierarchy: none when `k = 0` (a
+    /// disabled sketch only counts), else a stored mass equal to `n` —
+    /// every hierarchy with storage conserves mass — which also rules out
+    /// weights that overflow.
+    fn fits(&self, k: usize) -> bool {
+        if k == 0 {
+            return self.levels.is_empty();
+        }
+        let mass = self.levels.iter().enumerate().try_fold(0u64, |mass, (h, level)| {
+            (level.len() as u64).checked_mul(1u64 << h).and_then(|w| mass.checked_add(w))
+        });
+        mass == Some(self.n)
+    }
+}
+
+/// `(n, err, levels)`, each level a `(parity, items)` pair.
+impl<T: Key> WireMsg for Compactors<T> {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        (self.n, self.err, self.levels.len()).wire_encode(out);
+        for (level, parity) in self.levels.iter().zip(&self.parities) {
+            parity.wire_encode(out);
+            encode_slice(level, out);
         }
     }
 
-    /// Decodes one hierarchy off the front of `bytes`, advancing it. Every
-    /// count is checked against the bytes that remain *before* anything is
-    /// reserved for it, and the stored mass must equal `n` (every hierarchy
-    /// with storage conserves mass; one without stores nothing) — which
-    /// also rules out weights that overflow.
-    fn read(bytes: &mut &[u8], k: usize) -> Option<Self> {
-        let n = take_u64(bytes)?;
-        let err = take_u64(bytes)?;
+    /// Checks the level count against the bytes that remain before
+    /// reserving anything for it; [`Compactors::fits`] checks the mass.
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let (n, err, num_levels) = <(u64, u64, usize)>::wire_decode(r)?;
         // A level costs at least its parity byte and its length.
-        let num_levels = usize::try_from(take_u64(bytes)?).ok()?;
-        if num_levels > u64::BITS as usize || num_levels > bytes.len() / 9 {
-            return None;
+        if num_levels > u64::BITS as usize || num_levels > r.remaining() / 9 {
+            return Err(WireMsgError::new(format!("{num_levels} compactor levels")));
         }
-        let mut levels = Vec::with_capacity(num_levels);
-        let mut parities = Vec::with_capacity(num_levels);
-        let mut mass = 0u64;
-        for h in 0..num_levels {
-            let parity = match take(bytes, 1)?[0] {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let len = usize::try_from(take_u64(bytes)?).ok()?;
-            let items = take(bytes, len.checked_mul(T::WIRE_BYTES)?)?;
-            mass = mass.checked_add((len as u64).checked_mul(1u64 << h)?)?;
-            levels.push(items.chunks_exact(T::WIRE_BYTES).map(T::wire_read).collect());
-            parities.push(parity);
-        }
-        let consistent = if k == 0 { num_levels == 0 } else { mass == n };
-        consistent.then_some(Compactors { n, err, levels, parities })
+        let (parities, levels) =
+            (0..num_levels).map(|_| <(bool, Vec<T>)>::wire_decode(r)).collect::<Result<_, _>>()?;
+        Ok(Compactors { n, err, levels, parities })
     }
-}
-
-/// Splits `len` bytes off the front of `bytes`; `None` if fewer remain.
-fn take<'a>(bytes: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
-    let (head, tail) = bytes.split_at_checked(len)?;
-    *bytes = tail;
-    Some(head)
-}
-
-fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-    take(bytes, 8).map(u64::wire_read)
 }
 
 /// A deterministic mergeable quantile sketch of a multiset under insertion
@@ -416,9 +399,9 @@ impl<T: Key> EpsSketch<T> {
     /// Bit-identical for equal sketches, including mid-stream parities.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        (self.k as u64).wire_write(&mut out);
-        self.added.write(&mut out);
-        self.removed.write(&mut out);
+        self.k.wire_encode(&mut out);
+        self.added.wire_encode(&mut out);
+        self.removed.wire_encode(&mut out);
         out
     }
 
@@ -428,16 +411,31 @@ impl<T: Key> EpsSketch<T> {
     /// added, trailing bytes — without reserving memory for a count it has
     /// not checked.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut bytes = bytes;
-        let k = usize::try_from(take_u64(&mut bytes)?).ok()?;
-        let added = Compactors::read(&mut bytes, k)?;
-        let removed = Compactors::read(&mut bytes, k)?;
-        (bytes.is_empty() && removed.n <= added.n).then_some(EpsSketch {
+        let (k, added, removed) =
+            decode_frame::<(usize, Compactors<T>, Compactors<T>)>(bytes).ok()?;
+        (added.fits(k) && removed.fits(k) && removed.n <= added.n).then_some(EpsSketch {
             k,
             added,
             removed,
             view: None,
         })
+    }
+}
+
+/// On the wire a sketch rides as its [`to_bytes`](EpsSketch::to_bytes)
+/// encoding behind its length, so shard snapshots and exports pass the
+/// same checks as the persistence path.
+impl<T: Key> WireMsg for EpsSketch<T> {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        let bytes = self.to_bytes();
+        bytes.len().wire_encode(out);
+        out.extend_from_slice(&bytes);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let len = usize::wire_decode(r)?;
+        EpsSketch::from_bytes(r.take(len)?)
+            .ok_or_else(|| WireMsgError::new("malformed ε-sketch payload"))
     }
 }
 
@@ -569,6 +567,22 @@ mod tests {
         }
         assert_eq!(back, s);
         assert!(EpsSketch::<u64>::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn a_sketch_rides_the_wire_as_its_length_prefixed_bytes() {
+        use cgselect_runtime::wiremsg::encode_frame;
+        let mut s = EpsSketch::new(8);
+        for x in 0..500u64 {
+            s.offer(x.wrapping_mul(0x9E37_79B9) % 1000);
+        }
+        let frame = encode_frame(&s);
+        assert_eq!(frame, encode_frame(&s.to_bytes()));
+        let back: EpsSketch<u64> = decode_frame(&frame).expect("decodes");
+        assert_eq!((&back, back.to_bytes()), (&s, s.to_bytes()));
+        // A truncated payload is a typed error, not a panic.
+        let err = decode_frame::<EpsSketch<u64>>(&frame[..frame.len() - 1]).unwrap_err();
+        assert!(err.detail.contains("truncated"), "{err}");
     }
 
     /// A mid-stream sketch with both sides compacted, and the survivors.

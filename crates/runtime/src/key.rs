@@ -8,37 +8,21 @@ use crate::wiremsg::WireMsg;
 /// constants exist for algorithms that pad with extreme values (e.g. bitonic
 /// sort pads short local arrays with `MAX_SENTINEL`).
 ///
-/// Keys also define a canonical **wire encoding** (`WIRE_BYTES` /
-/// [`wire_write`](Key::wire_write) / [`wire_read`](Key::wire_read)): a fixed
-/// little-endian byte layout that message-passing execution backends use to
-/// move elements across shard boundaries as serialized frames instead of
-/// in-process values — the encoding a real out-of-process shard would speak.
-/// [`WireMsg`] is a supertrait, so every `Key` (and every tuple / `Option` /
-/// `Vec` composition of keys) can also ride an out-of-process collective
-/// fabric; [`WIRE_TAG`](Key::WIRE_TAG) names the concrete type on the wire so
-/// a worker *process* can instantiate the right monomorphized shard.
+/// [`WireMsg`] is a supertrait: a key's wire encoding is its `WireMsg` one,
+/// so every `Key` (and every tuple / `Option` / `Vec` composition of keys)
+/// can ride an out-of-process collective fabric or a message-passing
+/// backend's command frames. [`WIRE_TAG`](Key::WIRE_TAG) names the concrete
+/// type on the wire so a worker *process* can instantiate the right
+/// monomorphized shard.
 pub trait Key: Copy + Ord + Send + Sync + std::fmt::Debug + 'static + WireMsg {
     /// A value ordered ≤ every value of the type.
     const MIN_SENTINEL: Self;
     /// A value ordered ≥ every value of the type.
     const MAX_SENTINEL: Self;
-    /// Exact size of this type's wire encoding, in bytes.
-    const WIRE_BYTES: usize;
     /// Stable one-byte identifier of this key type, carried in worker
     /// handshakes so both sides of a process boundary agree on the element
     /// type before any data frame flows.
     const WIRE_TAG: u8;
-
-    /// Appends this value's canonical little-endian wire encoding
-    /// (exactly [`WIRE_BYTES`](Key::WIRE_BYTES) bytes).
-    fn wire_write(self, out: &mut Vec<u8>);
-
-    /// Decodes a value from exactly [`WIRE_BYTES`](Key::WIRE_BYTES) bytes
-    /// previously produced by [`wire_write`](Key::wire_write).
-    ///
-    /// # Panics
-    /// Panics if `bytes` is not exactly `WIRE_BYTES` long.
-    fn wire_read(bytes: &[u8]) -> Self;
 }
 
 macro_rules! impl_key_for_int {
@@ -46,16 +30,7 @@ macro_rules! impl_key_for_int {
         $(impl Key for $t {
             const MIN_SENTINEL: Self = <$t>::MIN;
             const MAX_SENTINEL: Self = <$t>::MAX;
-            const WIRE_BYTES: usize = std::mem::size_of::<$t>();
             const WIRE_TAG: u8 = $tag;
-
-            fn wire_write(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-
-            fn wire_read(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes.try_into().expect("wire frame truncated"))
-            }
         })*
     };
 }
@@ -111,18 +86,7 @@ impl Key for OrdF64 {
     // these bound every float including infinities and ordinary NaNs.
     const MIN_SENTINEL: Self = OrdF64(f64::from_bits(0xFFFF_FFFF_FFFF_FFFF));
     const MAX_SENTINEL: Self = OrdF64(f64::from_bits(0x7FFF_FFFF_FFFF_FFFF));
-    const WIRE_BYTES: usize = 8;
     const WIRE_TAG: u8 = 13;
-
-    // Bit-pattern encoding: round-trips every float exactly, NaN payloads
-    // and signed zeros included (a value-level encoding would not).
-    fn wire_write(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_bits().to_le_bytes());
-    }
-
-    fn wire_read(bytes: &[u8]) -> Self {
-        OrdF64(f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("wire frame truncated"))))
-    }
 }
 
 impl From<f64> for OrdF64 {
@@ -168,31 +132,5 @@ mod tests {
     fn ordf64_negative_zero_sorts_before_positive_zero() {
         // total_cmp distinguishes -0.0 < +0.0; the order is total either way.
         assert!(OrdF64(-0.0) < OrdF64(0.0));
-    }
-
-    #[test]
-    fn integer_wire_encoding_round_trips() {
-        for v in [0u64, 1, 0x9E37_79B9, u64::MAX] {
-            let mut buf = Vec::new();
-            v.wire_write(&mut buf);
-            assert_eq!(buf.len(), u64::WIRE_BYTES);
-            assert_eq!(u64::wire_read(&buf), v);
-        }
-        for v in [i32::MIN, -7, 0, i32::MAX] {
-            let mut buf = Vec::new();
-            v.wire_write(&mut buf);
-            assert_eq!(buf.len(), i32::WIRE_BYTES);
-            assert_eq!(i32::wire_read(&buf), v);
-        }
-    }
-
-    #[test]
-    fn ordf64_wire_encoding_round_trips_exactly() {
-        for v in [0.0, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-            let mut buf = Vec::new();
-            OrdF64(v).wire_write(&mut buf);
-            let back = OrdF64::wire_read(&buf);
-            assert_eq!(back.0.to_bits(), v.to_bits(), "bit pattern must survive the wire");
-        }
     }
 }

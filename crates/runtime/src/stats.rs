@@ -1,5 +1,7 @@
 //! Per-processor communication counters and phase timers.
 
+use crate::wiremsg::{WireMsg, WireMsgError, WireReader};
+
 /// Counters for messages and modeled bytes moved by one virtual processor.
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CommStats {
@@ -18,6 +20,28 @@ pub struct CommStats {
     /// for "collective rounds" when comparing batched against per-query
     /// execution.
     pub collective_ops: u64,
+}
+
+/// The five counters in declaration order, each a `u64`.
+impl WireMsg for CommStats {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        for v in
+            [self.msgs_sent, self.bytes_sent, self.msgs_recv, self.bytes_recv, self.collective_ops]
+        {
+            v.wire_encode(out);
+        }
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let mut next = || u64::wire_decode(r);
+        Ok(CommStats {
+            msgs_sent: next()?,
+            bytes_sent: next()?,
+            msgs_recv: next()?,
+            bytes_recv: next()?,
+            collective_ops: next()?,
+        })
+    }
 }
 
 impl CommStats {

@@ -8,6 +8,13 @@
 //! collectives and the selection algorithms put on the fabric — scalars,
 //! tuples up to arity 4, `Option<T>` and `Vec<T>` compositions thereof.
 //!
+//! It is the only byte codec in the stack. The engine's message-passing
+//! backend frames its control plane with it too — every host→worker command
+//! and worker→host reply is a tag byte followed by `WireMsg` values, decoded
+//! through one [`WireReader`] — and its ε-sketch serializes through it, so
+//! one set of truncation, flag-byte and trailing-byte checks guards every
+//! frame.
+//!
 //! Two properties matter:
 //!
 //! * **Transport invariance of virtual time.** Modeled message sizes are
@@ -98,6 +105,16 @@ pub fn decode_frame<T: WireMsg>(buf: &[u8]) -> Result<T, WireMsgError> {
         return Err(WireMsgError::new(format!("{} trailing bytes after payload", r.remaining())));
     }
     Ok(v)
+}
+
+/// Encodes a slice exactly as a `Vec` holding it encodes — the length, then
+/// each element — without first cloning it into one.
+pub fn encode_slice<T: WireMsg>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u64).wire_encode(out);
+    out.reserve(std::mem::size_of_val(items));
+    for v in items {
+        v.wire_encode(out);
+    }
 }
 
 /// Encodes one value as a standalone frame.
@@ -214,10 +231,7 @@ impl<T: WireMsg> WireMsg for Option<T> {
 
 impl<T: WireMsg> WireMsg for Vec<T> {
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).wire_encode(out);
-        for v in self {
-            v.wire_encode(out);
-        }
+        encode_slice(self, out);
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {

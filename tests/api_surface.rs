@@ -271,3 +271,44 @@ fn library_code_calls_no_scalar_reference() {
         calls.join("\n")
     );
 }
+
+/// Where library code may spell out a little-endian byte layout by hand:
+/// the runtime's `WireMsg` codec, which every collective, command frame,
+/// reply frame and sketch encoding goes through, and the process
+/// transport's stream framing below it — the `u32` length prefix and the
+/// rank handshake, each written and read, so four sites.
+const BYTE_CODEC_HOMES: [(&str, Option<usize>); 2] =
+    [("crates/runtime/src/wiremsg.rs", None), ("crates/engine/src/backend/socket_mp.rs", Some(4))];
+
+#[test]
+fn one_byte_codec() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut stray = Vec::new();
+    for krate in LIBRARY_CRATES {
+        for path in rust_files(&root.join("crates").join(krate).join("src")) {
+            let rel = path.strip_prefix(&root).expect("source under root").display().to_string();
+            let src = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let sites: Vec<String> = non_test_lines(&src)
+                .into_iter()
+                .filter(|(_, line)| {
+                    let code = line.split("//").next().unwrap_or(line);
+                    code.contains("to_le_bytes") || code.contains("from_le_bytes")
+                })
+                .map(|(no, line)| format!("{rel}:{no}: {line}"))
+                .collect();
+            let allowed = BYTE_CODEC_HOMES.iter().find(|(home, _)| *home == rel).map(|(_, n)| *n);
+            match allowed {
+                Some(None) => {}
+                Some(Some(n)) if sites.len() <= n => {}
+                _ => stray.extend(sites),
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "library code encodes bytes outside the WireMsg codec; implement or compose WireMsg \
+         instead:\n{}",
+        stray.join("\n")
+    );
+}
