@@ -230,7 +230,7 @@ impl<T: Key, Tr: Transport> MessagePassing<T, Tr> {
         let decoded: Result<Vec<R>, BackendError> = payloads
             .iter()
             .enumerate()
-            .map(|(rank, body)| protocol::decode_reply(rank, body, &decode))
+            .map(|(rank, body)| decode(body).map_err(|e| protocol::wire_protocol_error(rank, e)))
             .collect();
         self.poisoned |= decoded.is_err();
         decoded

@@ -169,9 +169,9 @@ pub(crate) fn decode_reply_status(rank: usize, body: Vec<u8>) -> Result<Vec<u8>,
         Some(REPLY_PANICKED | REPLY_PENDING_MESSAGES | REPLY_WIRE_ERROR) => {
             // These carry one string; a half-written one from a dying
             // worker is itself a typed error, never an abort.
-            let detail = decode_reply(rank, &body, |b| {
-                decode_fields::<Vec<u8>>(b).map(|s| String::from_utf8_lossy(&s).into_owned())
-            })?;
+            let detail = decode_fields::<Vec<u8>>(&body)
+                .map(|s| String::from_utf8_lossy(&s).into_owned())
+                .map_err(|e| wire_protocol_error(rank, e))?;
             match status {
                 Some(REPLY_PANICKED) => BackendError::WorkerPanicked { rank, message: detail },
                 Some(REPLY_PENDING_MESSAGES) => {
@@ -185,16 +185,6 @@ pub(crate) fn decode_reply_status(rank: usize, body: Vec<u8>) -> Result<Vec<u8>,
             message: format!("malformed reply frame (status {other:?})"),
         },
     })
-}
-
-/// Decodes one reply body with its verb's decoder; a failure is a typed
-/// error on `rank`.
-pub(crate) fn decode_reply<R>(
-    rank: usize,
-    body: &[u8],
-    decode: impl FnOnce(&[u8]) -> Result<R, WireMsgError>,
-) -> Result<R, BackendError> {
-    decode(body).map_err(|e| wire_protocol_error(rank, e))
 }
 
 // ---------------------------------------------------------------------
