@@ -236,9 +236,11 @@ impl<T: WireMsg> WireMsg for Vec<T> {
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
         let len = usize::wire_decode(r)?;
-        // A corrupt length must not drive allocation; let growth follow the
-        // actual decoded elements (truncation errors out naturally).
-        let mut out = Vec::with_capacity(len.min(4096));
+        // A corrupt length must not drive allocation: reserve no more
+        // elements than there are bytes left (an element that takes no
+        // bytes allocates nothing), and let growth follow the decoded
+        // elements (truncation errors out naturally).
+        let mut out = Vec::with_capacity(len.min(4096).min(r.remaining()));
         for _ in 0..len {
             out.push(T::wire_decode(r)?);
         }
