@@ -39,10 +39,10 @@ pub struct ChannelMpTuning {
     /// declaring the silent workers [`BackendError::WorkerUnresponsive`]
     /// and poisoning the backend. One deadline covers the whole collect
     /// loop. Keep comfortably **above** `proc_timeout`: when a worker dies
-    /// mid-collective its surviving peers only report (as secondary
-    /// timeout panics) after `proc_timeout` has elapsed, and those reports
-    /// must reach the host before the reply deadline fires or typed root
-    /// causes degrade to spurious `WorkerUnresponsive`.
+    /// mid-collective its surviving peers may only report (as
+    /// `RunError::RecvTimeout` fallout) after `proc_timeout` has elapsed,
+    /// and those reports must reach the host before the reply deadline
+    /// fires or typed root causes degrade to spurious `WorkerUnresponsive`.
     pub reply_timeout: Duration,
     /// The workers' collective receive timeout (how long a shard blocked in
     /// a collective waits for a dead peer before failing itself).

@@ -133,15 +133,10 @@ impl std::fmt::Display for BackendKind {
 /// inconsistent state, so a long-lived service should rebuild the engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BackendError {
-    /// The in-process SPMD runtime failed; carries the underlying error.
+    /// A shard's SPMD program failed, on any backend — a worker panic is
+    /// [`RunError::ProcPanicked`] — or a worker's frame failed to decode
+    /// ([`RunError::WireProtocol`]); carries the underlying error.
     Runtime(RunError),
-    /// A message-passing shard worker panicked mid-program.
-    WorkerPanicked {
-        /// Rank of the panicking worker.
-        rank: usize,
-        /// Panic payload rendered as a string.
-        message: String,
-    },
     /// A shard worker stopped replying within the reply timeout (its reply
     /// was lost, or the worker died without reporting).
     WorkerUnresponsive {
@@ -169,9 +164,6 @@ impl std::fmt::Display for BackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendError::Runtime(e) => write!(f, "backend runtime failure: {e}"),
-            BackendError::WorkerPanicked { rank, message } => {
-                write!(f, "shard worker {rank} panicked: {message}")
-            }
             BackendError::WorkerUnresponsive { rank } => {
                 write!(f, "shard worker {rank} stopped replying")
             }
@@ -202,20 +194,11 @@ impl From<RunError> for BackendError {
 }
 
 impl BackendError {
-    /// True for failures that are usually fallout from another worker's
-    /// failure (timeouts, disconnects) — the backend-level twin of
-    /// [`RunError::is_secondary`], used to report root causes.
+    /// True for a worker's fallout from another worker's failure — the
+    /// backend-level twin of [`RunError::is_secondary`], used to report
+    /// root causes.
     pub fn is_secondary(&self) -> bool {
-        match self {
-            BackendError::Runtime(e) => e.is_secondary(),
-            BackendError::WorkerPanicked { rank, message } => {
-                RunError::ProcPanicked { rank: *rank, message: message.clone() }.is_secondary()
-            }
-            BackendError::WorkerUnresponsive { .. }
-            | BackendError::Poisoned
-            | BackendError::Spawn { .. }
-            | BackendError::Unsupported { .. } => false,
-        }
+        matches!(self, BackendError::Runtime(e) if e.is_secondary())
     }
 }
 

@@ -43,7 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
-use cgselect_runtime::{panic_message, Key, Proc, WireMsgError};
+use cgselect_runtime::{Key, Proc, RunError, WireMsgError};
 use cgselect_seqsel::SepBound;
 
 use crate::index::BucketStats;
@@ -469,8 +469,10 @@ pub(crate) fn serve<T: Key>(
 ) -> i32 {
     let mut shard: Shard<T> = ops::init_shard(cfg.sketch_capacity);
     let mut proc: Option<Proc> = None;
+    // The epoch of the last BIND: the only one a CONNECT may complete.
+    let mut bound_epoch: Option<u64> = None;
     let mut executes_served = 0u64;
-    let ok = || vec![REPLY_OK];
+    let ok = || Ok(vec![REPLY_OK]);
     loop {
         let Some(mut frame) = pipe.recv() else {
             // Host gone (engine dropped without EXIT, or host crashed).
@@ -481,6 +483,8 @@ pub(crate) fn serve<T: Key>(
             // sequence number; exit and let the host time out.
             return 1;
         };
+        let rank = cfg.rank;
+        let refused = |detail: String| Err(RunError::WireProtocol { rank, detail });
         let reply = match (body.first().copied(), proc.as_mut()) {
             (Some(CMD_EXIT), _) => return 0,
             (Some(CMD_PING), _) => ok(),
@@ -488,23 +492,33 @@ pub(crate) fn serve<T: Key>(
                 // Tear down the old fabric first: our peers must see it
                 // close before the next epoch connects.
                 proc = None;
+                bound_epoch = None;
                 let bound = protocol::decode_fields(body).map_err(|e: WireMsgError| e.detail);
                 match bound.and_then(|(epoch, rank, p)| {
                     cfg.rank = rank;
-                    fabric.bind(epoch, rank, p)
+                    fabric.bind(epoch, rank, p).map(|()| epoch)
                 }) {
-                    Ok(()) => ok(),
-                    Err(detail) => protocol::encode_wire_error(&detail),
+                    Ok(epoch) => {
+                        bound_epoch = Some(epoch);
+                        ok()
+                    }
+                    Err(detail) => refused(detail),
                 }
             }
-            (Some(CMD_FABRIC_CONNECT), _) => match fabric.connect() {
-                Ok(fresh) => {
-                    proc = Some(fresh);
-                    ok()
-                }
-                Err(detail) => protocol::encode_wire_error(&detail),
+            (Some(CMD_FABRIC_CONNECT), _) => match protocol::decode_fabric_connect(body) {
+                Err(e) => refused(e.detail),
+                Ok(epoch) if Some(epoch) != bound_epoch => refused(format!(
+                    "FABRIC_CONNECT for epoch {epoch}, but the last BIND was {bound_epoch:?}"
+                )),
+                Ok(_) => match fabric.connect() {
+                    Ok(fresh) => {
+                        proc = Some(fresh);
+                        ok()
+                    }
+                    Err(detail) => refused(detail),
+                },
             },
-            (Some(CMD_EXPORT), _) => protocol::encode_export_reply(&shard),
+            (Some(CMD_EXPORT), _) => Ok(protocol::encode_export_reply(&shard)),
             (Some(CMD_IMPORT), _) => match protocol::decode_fields::<(u8, Shard<T>)>(body) {
                 Ok((IMPORT_REPLACE, snap)) => {
                     // Exact restore — the migrated shard is
@@ -523,19 +537,14 @@ pub(crate) fn serve<T: Key>(
                     shard.sketch.merge(&snap.sketch);
                     ok()
                 }
-                Ok((mode, _)) => {
-                    protocol::encode_wire_error(&format!("unknown import mode {mode}"))
-                }
-                Err(e) => protocol::encode_wire_error(&e.detail),
+                Ok((mode, _)) => refused(format!("unknown import mode {mode}")),
+                Err(e) => refused(e.detail),
             },
             // Everything else is a data-plane verb and needs a live Proc.
-            (_, None) => {
-                protocol::encode_wire_error("shard has no fabric (no bind/connect round yet)")
-            }
+            (_, None) => refused("shard has no fabric (no bind/connect round yet)".into()),
             (tag, Some(live)) => {
                 // The fault hook: straggle, die mid-batch, or lose the
                 // reply, as the injected faults say for this rank.
-                let rank = cfg.rank;
                 let nth = executes_served;
                 let executing = tag == Some(CMD_EXECUTE);
                 executes_served += u64::from(executing);
@@ -549,7 +558,7 @@ pub(crate) fn serve<T: Key>(
                 }
                 let panic_now = executing && faults.contains(&Fault::PanicOnExecute { rank, nth });
                 let reply = run_guarded(live, &mut shard, &cfg, body, panic_now);
-                if reply.first() != Some(&REPLY_OK) {
+                if reply.is_err() {
                     // This program failed: the Proc's collective state can
                     // no longer be trusted. Drop it (peers see our end of
                     // the fabric close) but keep serving control verbs so
@@ -566,7 +575,7 @@ pub(crate) fn serve<T: Key>(
         // The reply rides the command's own buffer back: the host frees
         // what the host allocated, so no block ever changes threads to die.
         frame.truncate(protocol::FRAME_HEADER_BYTES);
-        frame.extend_from_slice(&reply);
+        frame.extend_from_slice(&reply.unwrap_or_else(|e| protocol::encode_error_reply(&e)));
         if !pipe.send(frame) {
             return 1;
         }
@@ -574,16 +583,17 @@ pub(crate) fn serve<T: Key>(
 }
 
 /// Runs one data-plane command under the worker's one `catch_unwind`: a
-/// panic (real, or injected by `panic_now`) or protocol violation comes
-/// back as a failure reply, exactly as a `Session` worker reports one.
+/// panic (real, or injected by `panic_now`), the runtime's typed fallout or
+/// a protocol violation comes back as the [`RunError`], exactly as a
+/// `Session` worker reports one.
 fn run_guarded<T: Key>(
     proc: &mut Proc,
     shard: &mut Shard<T>,
     cfg: &WorkerConfig,
     body: &[u8],
     panic_now: bool,
-) -> Vec<u8> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+) -> Result<Vec<u8>, RunError> {
+    catch_unwind(AssertUnwindSafe(|| {
         if panic_now {
             // Mid-batch: enter the batch's opening barrier (so the peers
             // are committed to the collective pass), then die.
@@ -591,12 +601,8 @@ fn run_guarded<T: Key>(
             panic!("injected fault: shard worker {} panicked mid-batch", cfg.rank);
         }
         protocol::run_command::<T>(proc, shard, cfg, body)
-    }));
-    match outcome {
-        Ok(Ok(payload)) => payload,
-        Ok(Err(protocol_err)) => protocol::encode_protocol_error(&protocol_err),
-        Err(payload) => protocol::encode_panicked(&panic_message(payload)),
-    }
+    }))
+    .unwrap_or_else(|payload| Err(RunError::from_unwind(cfg.rank, payload)))
 }
 
 #[cfg(test)]
@@ -652,7 +658,8 @@ mod tests {
         // Rank 1's send fails while rank 0 has a genuine panic to report:
         // the round must still collect rank 0's reply and triage it as the
         // root cause, not stop at the first failed send.
-        let panicked = protocol::encode_panicked("shard 0 fell over");
+        let fell_over = RunError::ProcPanicked { rank: 0, message: "shard 0 fell over".into() };
+        let panicked = protocol::encode_error_reply(&fell_over);
         let mut backend = MessagePassing::<u64, Scripted> {
             transport: Scripted,
             links: vec![scripted(Some(panicked)), scripted(None)],
@@ -663,10 +670,7 @@ mod tests {
             _marker: PhantomData,
         };
         let err = backend.ingest(vec![vec![1], vec![2]]).unwrap_err();
-        assert_eq!(
-            err,
-            BackendError::WorkerPanicked { rank: 0, message: "shard 0 fell over".into() }
-        );
+        assert_eq!(err, BackendError::Runtime(fell_over));
         assert!(backend.is_poisoned());
         assert_eq!(backend.rebalance().unwrap_err(), BackendError::Poisoned);
     }
@@ -693,7 +697,8 @@ mod tests {
         assert!(
             matches!(
                 err,
-                BackendError::WorkerUnresponsive { .. } | BackendError::WorkerPanicked { .. }
+                BackendError::WorkerUnresponsive { .. }
+                    | BackendError::Runtime(RunError::ProcPanicked { .. })
             ),
             "{err:?}"
         );
@@ -702,5 +707,39 @@ mod tests {
             "collect loop must share one deadline across stragglers, stalled {elapsed:?}"
         );
         assert!(backend.is_poisoned());
+    }
+
+    #[test]
+    fn a_stale_or_malformed_connect_is_refused_and_builds_no_proc() {
+        let cfg = EngineConfig::new(1).model(MachineModel::free());
+        let mut transport = ThreadTransport::<u64>::new(&cfg, ChannelMpTuning::new());
+        let link = transport.spawn(0).unwrap();
+        transport.rewire(std::slice::from_ref(&link), 2);
+        let mut backend = MessagePassing::<u64, _> {
+            transport,
+            links: vec![link],
+            reply_timeout: Duration::from_secs(5),
+            epoch: 2,
+            next_seq: 1,
+            poisoned: false,
+            _marker: PhantomData,
+        };
+        let refusal = |result: Result<Vec<u8>, BackendError>| match result {
+            Err(BackendError::Runtime(RunError::WireProtocol { rank: 0, detail })) => detail,
+            other => panic!("expected a typed wire-protocol refusal, got {other:?}"),
+        };
+        backend.control_one(0, &protocol::encode_fabric_bind(2, 0, 1)).unwrap();
+        let stale = refusal(backend.control_one(0, &protocol::encode_fabric_connect(1)));
+        assert!(stale.contains("epoch 1"), "{stale}");
+        let mut cut = protocol::encode_fabric_connect(2);
+        cut.pop();
+        refusal(backend.control_one(0, &cut));
+        // Neither CONNECT built a Proc: a data-plane verb finds no fabric.
+        let ingest = protocol::encode_ingest(&[5u64]);
+        let no_fabric = refusal(backend.control_one(0, &ingest));
+        assert!(no_fabric.contains("no fabric"), "{no_fabric}");
+        // The staged fabric was left alone: the current CONNECT still takes it.
+        backend.control_one(0, &protocol::encode_fabric_connect(2)).unwrap();
+        backend.control_one(0, &ingest).unwrap();
     }
 }

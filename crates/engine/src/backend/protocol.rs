@@ -19,7 +19,9 @@
 //! * `body` starts with a one-byte command tag (host → worker) or reply
 //!   status (worker → host), followed by fields in the runtime's
 //!   [`WireMsg`] codec — the one the collectives speak — and is decoded
-//!   through one [`WireReader`].
+//!   through one [`WireReader`]. A reply is `REPLY_OK` and the verb's
+//!   result, or `REPLY_ERR` and the worker's [`RunError`] in that type's
+//!   own codec: a failure crosses the wire as the typed value it is.
 //!
 //! On a byte stream (the process transport) each frame is additionally
 //! length-prefixed with a `u32` LE. The thread transport sends one frame
@@ -53,8 +55,9 @@ use super::{BackendError, BatchPlan, ShardBatchOutcome, ShardDeletion};
 /// splitter bounds to the BUILD_INDEX reply and the probe-refinement stats
 /// to the EXECUTE reply; revision 3 the re-sketch flag to the DELETE reply
 /// and the removed side to every ε-sketch payload; revision 4 dropped the
-/// index flag and the full population from EXECUTE.
-pub(crate) const WIRE_VERSION: u8 = 4;
+/// index flag and the full population from EXECUTE; revision 5 folded the
+/// four failure statuses into one `REPLY_ERR` carrying a [`RunError`].
+pub(crate) const WIRE_VERSION: u8 = 5;
 
 /// Size of the frame header (`version` byte + `seq` u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 9;
@@ -77,12 +80,10 @@ pub(crate) const CMD_IMPORT: u8 = 19;
 pub(crate) const CMD_PING: u8 = 20;
 pub(crate) const CMD_INIT: u8 = 21;
 
-// Reply frame status bytes (worker -> host).
+// Reply frame status bytes (worker -> host): the verb's result follows OK,
+// the worker's `RunError` follows ERR.
 pub(crate) const REPLY_OK: u8 = 0;
-pub(crate) const REPLY_PANICKED: u8 = 1;
-pub(crate) const REPLY_PENDING_MESSAGES: u8 = 2;
-pub(crate) const REPLY_UNBALANCED_PHASES: u8 = 3;
-pub(crate) const REPLY_WIRE_ERROR: u8 = 4;
+pub(crate) const REPLY_ERR: u8 = 1;
 
 /// Wraps a body in the versioned, sequence-numbered frame header.
 pub(crate) fn encode_framed(seq: u64, body: &[u8]) -> Vec<u8> {
@@ -147,44 +148,31 @@ pub(crate) fn wire_protocol_error(rank: usize, e: WireMsgError) -> BackendError 
 /// worker *reported* (panic, protocol violation) beats a silent rank —
 /// silence is usually fallout of someone else's death racing the reply
 /// deadline, and must never mask the reported root cause no matter which
-/// rank the host happened to poll first. Within the reported failures,
-/// non-secondary beats timeout/disconnect fallout; a silent rank beats
-/// pure secondary fallout (a dropped reply can itself be the root cause).
+/// rank the host happened to poll first — and a silent rank beats pure
+/// fallout ([`BackendError::is_secondary`]): a dropped reply can itself be
+/// the root cause. Ties go to the lowest rank.
 pub(crate) fn triage(failures: Vec<BackendError>) -> BackendError {
-    debug_assert!(!failures.is_empty());
-    let reported = failures
-        .iter()
-        .find(|e| !e.is_secondary() && !matches!(e, BackendError::WorkerUnresponsive { .. }));
-    let unresponsive =
-        failures.iter().find(|e| matches!(e, BackendError::WorkerUnresponsive { .. }));
-    reported.or(unresponsive).or_else(|| failures.first()).cloned().expect("failures is non-empty")
+    failures
+        .into_iter()
+        .min_by_key(|e| match e {
+            BackendError::WorkerUnresponsive { .. } => 1,
+            e if e.is_secondary() => 2,
+            _ => 0,
+        })
+        .expect("a failed round has failures")
 }
 
-/// Splits a reply body into its ok-payload or typed error.
+/// Splits a reply body into its ok-payload or the worker's typed error,
+/// stamped with the rank whose link it came from. A body that does not
+/// decode — say, a half-written one from a dying worker — is itself a
+/// typed error, never an abort.
 pub(crate) fn decode_reply_status(rank: usize, body: Vec<u8>) -> Result<Vec<u8>, BackendError> {
-    let status = body.first().copied();
-    Err(match status {
-        Some(REPLY_OK) => return Ok(body),
-        Some(REPLY_UNBALANCED_PHASES) => BackendError::Runtime(RunError::UnbalancedPhases { rank }),
-        Some(REPLY_PANICKED | REPLY_PENDING_MESSAGES | REPLY_WIRE_ERROR) => {
-            // These carry one string; a half-written one from a dying
-            // worker is itself a typed error, never an abort.
-            let detail = decode_fields::<Vec<u8>>(&body)
-                .map(|s| String::from_utf8_lossy(&s).into_owned())
-                .map_err(|e| wire_protocol_error(rank, e))?;
-            match status {
-                Some(REPLY_PANICKED) => BackendError::WorkerPanicked { rank, message: detail },
-                Some(REPLY_PENDING_MESSAGES) => {
-                    BackendError::Runtime(RunError::PendingMessages { rank, detail })
-                }
-                _ => BackendError::Runtime(RunError::WireProtocol { rank, detail }),
-            }
-        }
-        other => BackendError::WorkerPanicked {
-            rank,
-            message: format!("malformed reply frame (status {other:?})"),
-        },
-    })
+    let err = match body.first() {
+        Some(&REPLY_OK) => return Ok(body),
+        Some(&REPLY_ERR) => decode_fields::<RunError>(&body).map(|e| e.at_rank(rank)),
+        other => Err(WireMsgError::new(format!("unknown reply status {other:?}"))),
+    };
+    Err(err.map_or_else(|e| wire_protocol_error(rank, e), BackendError::Runtime))
 }
 
 // ---------------------------------------------------------------------
@@ -325,18 +313,19 @@ pub(crate) fn encode_fabric_bind(epoch: u64, rank: usize, p: usize) -> Vec<u8> {
     encode_body(CMD_FABRIC_BIND, &(epoch, rank, p))
 }
 
+/// FABRIC_CONNECT carries the epoch of the BIND it completes.
 pub(crate) fn encode_fabric_connect(epoch: u64) -> Vec<u8> {
     encode_body(CMD_FABRIC_CONNECT, &epoch)
 }
 
-/// A control verb's failure reply.
-pub(crate) fn encode_wire_error(detail: &str) -> Vec<u8> {
-    encode_list(REPLY_WIRE_ERROR, detail.as_bytes())
+pub(crate) fn decode_fabric_connect(body: &[u8]) -> Result<u64, WireMsgError> {
+    decode_fields(body)
 }
 
-/// A worker panic's reply, carrying the panic message.
-pub(crate) fn encode_panicked(message: &str) -> Vec<u8> {
-    encode_list(REPLY_PANICKED, message.as_bytes())
+/// A failed command's reply: `REPLY_ERR`, then the error (its rank is not
+/// on the wire).
+pub(crate) fn encode_error_reply(err: &RunError) -> Vec<u8> {
+    encode_body(REPLY_ERR, err)
 }
 
 /// An EXPORT reply: the shard snapshot an IMPORT command forwards.
@@ -471,20 +460,6 @@ pub(crate) fn run_command<T: Key>(
     Ok(reply)
 }
 
-/// Encodes a non-panic failure (`finish_program` violation or wire decode
-/// error) as a reply body.
-pub(crate) fn encode_protocol_error(err: &RunError) -> Vec<u8> {
-    match err {
-        RunError::PendingMessages { detail, .. } => {
-            encode_list(REPLY_PENDING_MESSAGES, detail.as_bytes())
-        }
-        RunError::UnbalancedPhases { .. } => vec![REPLY_UNBALANCED_PHASES],
-        RunError::WireProtocol { detail, .. } => encode_wire_error(detail),
-        // run_command only produces the variants above.
-        other => encode_panicked(&format!("unexpected protocol error: {other}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::PhaseOps;
@@ -588,7 +563,16 @@ mod tests {
     }
 
     fn panicked(rank: usize, message: &str) -> BackendError {
-        BackendError::WorkerPanicked { rank, message: message.into() }
+        BackendError::Runtime(RunError::ProcPanicked { rank, message: message.into() })
+    }
+
+    fn timed_out(rank: usize, src: usize) -> BackendError {
+        let detail = "30s; virtual time 0.000000s; stashed messages: []".into();
+        BackendError::Runtime(RunError::RecvTimeout { rank, src, tag: 1, detail })
+    }
+
+    fn lost(rank: usize, peer: usize) -> BackendError {
+        BackendError::Runtime(RunError::PeerLost { rank, peer, tag: 1 })
     }
 
     #[test]
@@ -598,7 +582,7 @@ mod tests {
         // panic must win regardless of the host's rank-order polling.
         let err = triage(vec![
             BackendError::WorkerUnresponsive { rank: 0 },
-            panicked(1, "proc 1 timed out after 30s waiting for (src=2, tag=0x1)"),
+            timed_out(1, 2),
             panicked(2, "injected fault: shard worker 2 panicked mid-batch"),
         ]);
         assert_eq!(err, panicked(2, "injected fault: shard worker 2 panicked mid-batch"));
@@ -608,17 +592,14 @@ mod tests {
     fn triage_prefers_silence_over_pure_secondary_fallout() {
         // Only timeout fallout + a silent rank: the dropped reply is the
         // best root-cause candidate available.
-        let err = triage(vec![
-            panicked(0, "proc 0 timed out after 1s waiting for (src=2, tag=0x1)"),
-            BackendError::WorkerUnresponsive { rank: 2 },
-        ]);
+        let err = triage(vec![timed_out(0, 2), BackendError::WorkerUnresponsive { rank: 2 }]);
         assert_eq!(err, BackendError::WorkerUnresponsive { rank: 2 });
     }
 
     #[test]
     fn triage_falls_back_to_secondary_fallout() {
-        let secondary = panicked(1, "all senders disconnected");
-        assert_eq!(triage(vec![secondary.clone()]), secondary);
+        assert_eq!(triage(vec![lost(1, 0)]), lost(1, 0));
+        assert_eq!(triage(vec![lost(1, 0), timed_out(2, 0)]), lost(1, 0));
     }
 
     #[test]
@@ -627,6 +608,19 @@ mod tests {
             BackendError::Runtime(RunError::PendingMessages { rank: 1, detail: "x".into() });
         let err = triage(vec![BackendError::WorkerUnresponsive { rank: 0 }, protocol.clone()]);
         assert_eq!(err, protocol);
+    }
+
+    #[test]
+    fn error_replies_decode_to_the_rank_the_host_polled() {
+        let sent = RunError::PeerLost { rank: 9, peer: 1, tag: 0x63 };
+        let err = decode_reply_status(2, encode_error_reply(&sent)).unwrap_err();
+        assert_eq!(err, BackendError::Runtime(RunError::PeerLost { rank: 2, peer: 1, tag: 0x63 }));
+        assert!(err.is_secondary());
+        let err = decode_reply_status(3, vec![7]).unwrap_err();
+        assert!(
+            matches!(err, BackendError::Runtime(RunError::WireProtocol { rank: 3, .. })),
+            "{err:?}"
+        );
     }
 
     mod stale_reply_props {
@@ -768,7 +762,10 @@ mod tests {
     fn truncated_reply_bodies_become_typed_errors() {
         // A half-written panic report from a dying worker must not abort
         // the host: the status decode itself is fallible.
-        let mut body = encode_panicked("the full panic message");
+        let mut body = encode_error_reply(&RunError::ProcPanicked {
+            rank: 4,
+            message: "the full panic message".into(),
+        });
         body.truncate(body.len() - 5);
         let err = decode_reply_status(4, body).unwrap_err();
         assert!(
@@ -793,9 +790,8 @@ mod tests {
     type Recode = fn(&[u8]) -> Result<Vec<u8>, WireMsgError>;
 
     /// The decoder of each [`golden_bodies`] entry, as a [`Recode`]. INIT
-    /// only decodes (its round trip is `socket_mp`'s). The string replies
-    /// go through the host's status triage and recode only under their own
-    /// status, so a cut one reads as the typed error it becomes.
+    /// only decodes (its round trip is `socket_mp`'s). An error reply
+    /// recodes only under `REPLY_ERR`.
     fn recoder(name: &str) -> Recode {
         use cgselect_runtime::OrdF64;
         match name {
@@ -810,7 +806,7 @@ mod tests {
                 let (epoch, rank, p) = decode_fields(b)?;
                 Ok(encode_fabric_bind(epoch, rank, p))
             },
-            "fabric_connect" => |b| Ok(encode_fabric_connect(decode_fields(b)?)),
+            "fabric_connect" => |b| Ok(encode_fabric_connect(decode_fabric_connect(b)?)),
             "init" => |b| super::super::socket_mp::decode_init(b).map(|_| b.to_vec()),
             "import_indexed" | "import_bare" | "import_index_reset" => |b| {
                 let (mode, shard) = decode_import(b)?;
@@ -829,24 +825,10 @@ mod tests {
             }
             "reply_u64" => |b| Ok(encode_u64_reply(decode_fields(b)?)),
             "reply_sketch" => |b| Ok(encode_sketch_reply(&decode_fields::<EpsSketch<u64>>(b)?)),
-            "reply_panicked" | "reply_pending" | "reply_wire_error" => {
-                |b| match decode_reply_status(0, b.to_vec()) {
-                    Err(BackendError::WorkerPanicked { message, .. })
-                        if b.first() == Some(&REPLY_PANICKED) =>
-                    {
-                        Ok(encode_panicked(&message))
-                    }
-                    Err(BackendError::Runtime(e @ RunError::PendingMessages { .. })) => {
-                        Ok(encode_protocol_error(&e))
-                    }
-                    Err(BackendError::Runtime(RunError::WireProtocol { detail, .. }))
-                        if b.first() == Some(&REPLY_WIRE_ERROR) =>
-                    {
-                        Ok(encode_wire_error(&detail))
-                    }
-                    other => Err(WireMsgError::new(format!("not a string reply: {other:?}"))),
-                }
-            }
+            name if name.starts_with("reply_err_") => |b| match b.first() {
+                Some(&REPLY_ERR) => Ok(encode_error_reply(&decode_fields::<RunError>(b)?)),
+                other => Err(WireMsgError::new(format!("not an error reply: {other:?}"))),
+            },
             other => panic!("no decoder for the golden body {other}"),
         }
     }
@@ -875,14 +857,9 @@ mod tests {
             };
             let frame = encode_framed(0x0123_4567, &body);
             assert!(decode(&frame), "{name}: the golden frame decodes");
-            // A cut frame is refused — bar a cut wire-error reply, which the
-            // host reads as the typed wire error it also is.
+            // Every cut frame is refused.
             for cut in 0..frame.len() {
-                let decoded = decode(&frame[..cut]);
-                assert!(
-                    !decoded || name == "reply_wire_error",
-                    "{name}: {cut}-byte prefix decoded"
-                );
+                assert!(!decode(&frame[..cut]), "{name}: {cut}-byte prefix decoded");
             }
             for bit in 0..frame.len() * 8 {
                 let mut flipped = frame.clone();
@@ -1000,15 +977,36 @@ mod tests {
             ("reply_bucket_stats", encode_bucket_stats_reply(&vec![(2u64, Some((1u64, 3)))])),
             ("reply_u64", encode_u64_reply(12345)),
             ("reply_sketch", encode_sketch_reply(&sketch)),
-            ("reply_panicked", encode_panicked("boom")),
             (
-                "reply_pending",
-                encode_protocol_error(&RunError::PendingMessages {
+                "reply_err_panicked",
+                encode_error_reply(&RunError::ProcPanicked { rank: 1, message: "boom".into() }),
+            ),
+            (
+                "reply_err_pending",
+                encode_error_reply(&RunError::PendingMessages {
                     rank: 1,
                     detail: "left over".into(),
                 }),
             ),
-            ("reply_wire_error", encode_wire_error("bad frame")),
+            ("reply_err_unbalanced", encode_error_reply(&RunError::UnbalancedPhases { rank: 1 })),
+            ("reply_err_poisoned", encode_error_reply(&RunError::SessionPoisoned)),
+            (
+                "reply_err_wire",
+                encode_error_reply(&RunError::WireProtocol { rank: 1, detail: "bad frame".into() }),
+            ),
+            (
+                "reply_err_peer_lost",
+                encode_error_reply(&RunError::PeerLost { rank: 1, peer: 2, tag: 0x63 }),
+            ),
+            (
+                "reply_err_recv_timeout",
+                encode_error_reply(&RunError::RecvTimeout {
+                    rank: 1,
+                    src: 2,
+                    tag: 0x63,
+                    detail: "1s".into(),
+                }),
+            ),
         ]
     }
 
@@ -1018,7 +1016,7 @@ mod tests {
 
     /// [`golden_bodies`] in hex, 32 bytes a line. A changed byte is a
     /// protocol change: it moves [`WIRE_VERSION`], not this table.
-    const GOLDEN_BODIES: [(&str, &[&str]); 21] = [
+    const GOLDEN_BODIES: [(&str, &[&str]); 25] = [
         ("ingest", &["01030000000000000003000000000000000000000000010000ffffffffffffff", "ff"]),
         ("ingest_f64", &["0102000000000000000000000000000080000000000000f83f"]),
         ("delete", &["02020000000000000002000000000000000900000000000000"]),
@@ -1135,9 +1133,13 @@ mod tests {
                 "00000000",
             ],
         ),
-        ("reply_panicked", &["010400000000000000626f6f6d"]),
-        ("reply_pending", &["0209000000000000006c656674206f766572"]),
-        ("reply_wire_error", &["040900000000000000626164206672616d65"]),
+        ("reply_err_panicked", &["01000400000000000000626f6f6d"]),
+        ("reply_err_pending", &["010109000000000000006c656674206f766572"]),
+        ("reply_err_unbalanced", &["0102"]),
+        ("reply_err_poisoned", &["0103"]),
+        ("reply_err_wire", &["01040900000000000000626164206672616d65"]),
+        ("reply_err_peer_lost", &["010502000000000000006300000000000000"]),
+        ("reply_err_recv_timeout", &["01060200000000000000630000000000000002000000000000003173"]),
     ];
 
     #[test]

@@ -304,7 +304,7 @@ pub(super) fn decode_init(body: &[u8]) -> Result<(u8, WorkerConfig, SocketMesh),
         delta_coeff,
         local_kernel: kernel_from_u8(kernel).ok_or_else(|| bad("local kernel"))?,
         sample_sort: sort_from_u8(sort).ok_or_else(|| bad("sample sort"))?,
-        max_iters: max_iters as u32,
+        max_iters: u32::try_from(max_iters).map_err(|_| bad("max_iters"))?,
     };
     let balancer = balancer_from_u8(balancer).ok_or_else(|| bad("engine balancer"))?;
     let cfg = WorkerConfig { rank, sketch_capacity, selection, balancer };
@@ -746,6 +746,22 @@ mod tests {
         assert_eq!(mesh.model, MachineModel::free());
         assert_eq!(format!("{:?}", worker.selection), format!("{:?}", cfg.selection));
         assert_eq!(worker.balancer, Balancer::DimExchange);
+    }
+
+    #[test]
+    fn an_init_whose_max_iters_overflows_u32_is_refused() {
+        let cfg = EngineConfig::new(2).model(MachineModel::free());
+        let frame = encode_init(u64::WIRE_TAG, 0, &cfg, Duration::from_millis(250), Path::new("d"));
+        // The tail ends `(sample sort u8, max_iters u64, balancer u8)`.
+        let forged = |max_iters: u64| {
+            let mut forged = frame.clone();
+            let at = forged.len() - 9;
+            forged[at..at + 8].copy_from_slice(&max_iters.to_le_bytes());
+            decode_init(&forged).map(|(_, worker, _)| worker.selection.max_iters)
+        };
+        assert_eq!(forged(u64::from(u32::MAX)).unwrap(), u32::MAX);
+        let err = forged(u64::from(u32::MAX) + 1).unwrap_err();
+        assert_eq!(err.detail, "bad INIT field: max_iters");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * **Per-peer FIFO.** Envelopes from one source must be surfaced in the
 //!   order delivered; after a peer's stream ends, a single
 //!   [`FabricPoll::PeerDown`] marker must follow its last envelope. The
-//!   runtime relies on this to convert a dead peer into the same
-//!   "all senders disconnected" diagnostic the in-process transport raises.
+//!   runtime relies on this to turn a dead peer into the same typed
+//!   [`crate::RunError::PeerLost`] the in-process transport raises.
 //! * **No reordering across `poll`.** `poll` surfaces envelopes from all
 //!   peers in arrival order; the runtime stashes mismatches itself.
 
@@ -84,7 +84,8 @@ pub enum FabricRecvError {
 /// ordering contract.
 pub trait FabricLink: Send {
     /// Sends an envelope to rank `dst`. An error means the peer is
-    /// unreachable (the runtime reports it like a hung-up receiver).
+    /// unreachable: the runtime raises [`crate::RunError::PeerLost`], as for
+    /// an in-process peer that hung up.
     fn deliver(&mut self, dst: usize, env: WireEnvelope) -> Result<(), String>;
 
     /// Waits up to `timeout` for the next event from any peer.

@@ -70,7 +70,7 @@ pub mod wiremsg;
 
 pub use fabric::{FabricLink, FabricPoll, FabricRecvError, WireEnvelope};
 pub use key::{Key, OrdF64};
-pub use machine::{panic_message, Machine, RunError};
+pub use machine::{Machine, RunError};
 pub use model::{MachineModel, Topology};
 pub use process::Proc;
 pub use session::{Session, ShardStore};

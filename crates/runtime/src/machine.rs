@@ -6,6 +6,7 @@ use std::time::Duration;
 use crate::envelope::Envelope;
 use crate::model::MachineModel;
 use crate::process::Proc;
+use crate::wiremsg::{WireMsg, WireMsgError, WireReader};
 
 /// A coarse-grained parallel machine with `p` virtual processors.
 ///
@@ -25,7 +26,10 @@ pub struct Machine {
     recv_timeout: Duration,
 }
 
-/// Error raised when an SPMD program fails.
+/// Error raised when an SPMD program fails — one typed value end to end:
+/// the runtime's fallout sites unwind with it, a caught unwind is read back
+/// through [`RunError::from_unwind`], and out-of-process backends carry it
+/// in their reply frames with its [`WireMsg`] codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A virtual processor panicked; carries the rank and panic message of
@@ -61,6 +65,28 @@ pub enum RunError {
         /// Human-readable description of the decode failure.
         detail: String,
     },
+    /// A peer's end of the link closed under a send to it or a receive
+    /// from it: fallout of that peer's own failure.
+    PeerLost {
+        /// Rank that lost the peer.
+        rank: usize,
+        /// The peer whose link closed.
+        peer: usize,
+        /// Tag of the message being sent or awaited.
+        tag: u64,
+    },
+    /// A receive waited out the machine's receive timeout — fallout of a
+    /// peer's failure, or mismatched SPMD communication.
+    RecvTimeout {
+        /// Rank that timed out.
+        rank: usize,
+        /// Source the receive was waiting on.
+        src: usize,
+        /// Tag the receive was waiting on.
+        tag: u64,
+        /// The wait, the virtual time and the stashed messages.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -81,6 +107,17 @@ impl std::fmt::Display for RunError {
             RunError::WireProtocol { rank, detail } => {
                 write!(f, "worker {rank} wire protocol error: {detail}")
             }
+            RunError::PeerLost { rank, peer, tag } => write!(
+                f,
+                "proc {rank} lost peer {peer} at tag {tag:#x}: its end of the link closed \
+                 (the peer likely panicked)"
+            ),
+            RunError::RecvTimeout { rank, src, tag, detail } => write!(
+                f,
+                "proc {rank} timed out waiting for (src={src}, tag={tag:#x}) after {detail} — \
+                 this usually means mismatched SPMD communication (a peer never sent, or sent \
+                 under a different tag)"
+            ),
         }
     }
 }
@@ -135,7 +172,6 @@ impl Machine {
         F: Fn(&mut Proc) -> R + Send + Sync,
         R: Send,
     {
-        let p = self.p;
         let results: Vec<Result<R, RunError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .procs()
@@ -153,58 +189,110 @@ impl Machine {
             handles
                 .into_iter()
                 .enumerate()
-                .map(|(rank, h)| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        Err(RunError::ProcPanicked { rank, message: panic_message(payload) })
-                    }
-                })
+                .map(|(rank, h)| h.join().unwrap_or_else(|p| Err(RunError::from_unwind(rank, p))))
                 .collect()
         });
-
-        let mut out = Vec::with_capacity(p);
-        let mut primary_err = None;
-        let mut secondary_err = None;
-        for r in results {
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    // When one processor panics, its peers typically fail
-                    // afterwards with timeouts or disconnects while waiting
-                    // for it. Report the root cause, not the fallout.
-                    if e.is_secondary() {
-                        if secondary_err.is_none() {
-                            secondary_err = Some(e);
-                        }
-                    } else if primary_err.is_none() {
-                        primary_err = Some(e);
-                    }
-                }
-            }
-        }
-        match primary_err.or(secondary_err) {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        root_cause(results)
     }
 }
 
-impl RunError {
-    /// True for failures that are usually *consequences* of another
-    /// processor's failure (timeouts and disconnects raised by the runtime
-    /// itself). [`Machine::run`] and [`crate::Session`] use it to report
-    /// root causes instead of fallout; external execution backends that
-    /// collect per-worker failures themselves should apply the same
-    /// triage.
-    pub fn is_secondary(&self) -> bool {
-        match self {
-            RunError::ProcPanicked { message, .. } => {
-                message.contains("timed out after")
-                    || message.contains("all senders disconnected")
-                    || message.contains("receiver hung up")
-            }
-            _ => false,
+/// The per-rank results of one program in rank order, or its root cause:
+/// the first failure that is not fallout of another rank's
+/// ([`RunError::is_secondary`]), else the first fallout. Shared by
+/// [`Machine::run`] and [`crate::Session::run`].
+pub(crate) fn root_cause<R>(
+    results: impl IntoIterator<Item = Result<R, RunError>>,
+) -> Result<Vec<R>, RunError> {
+    let mut out = Vec::new();
+    let mut failures = Vec::new();
+    for r in results {
+        match r {
+            Ok(v) => out.push(v),
+            Err(e) => failures.push(e),
         }
+    }
+    failures.into_iter().min_by_key(RunError::is_secondary).map_or(Ok(out), Err)
+}
+
+impl RunError {
+    /// True for the runtime's own fallout — [`RunError::PeerLost`] and
+    /// [`RunError::RecvTimeout`], which a rank raises because *another*
+    /// rank failed. [`Machine::run`] and [`crate::Session`] report root
+    /// causes instead of fallout; external execution backends that collect
+    /// per-worker failures themselves should apply the same triage.
+    pub fn is_secondary(&self) -> bool {
+        matches!(self, RunError::PeerLost { .. } | RunError::RecvTimeout { .. })
+    }
+
+    /// The error a caught unwind of processor `rank` stands for: the typed
+    /// [`RunError`] it unwound with, else [`RunError::ProcPanicked`] with
+    /// the panic message. Every backend that `catch_unwind`s its workers
+    /// reads the payload through it.
+    pub fn from_unwind(rank: usize, payload: Box<dyn std::any::Any + Send>) -> RunError {
+        if let Some(err) = payload.downcast_ref::<RunError>() {
+            return err.clone();
+        }
+        let message = match (payload.downcast_ref::<String>(), payload.downcast_ref::<&str>()) {
+            (Some(s), _) => s.clone(),
+            (None, Some(s)) => s.to_string(),
+            (None, None) => "<non-string panic payload>".to_string(),
+        };
+        RunError::ProcPanicked { rank, message }
+    }
+
+    /// This error as raised on `rank` (the rank of every variant that names
+    /// one is set): how a host stamps an error decoded off a worker's reply
+    /// frame, whose rank is not on the wire.
+    pub fn at_rank(mut self, at: usize) -> RunError {
+        match &mut self {
+            RunError::ProcPanicked { rank, .. }
+            | RunError::PendingMessages { rank, .. }
+            | RunError::UnbalancedPhases { rank }
+            | RunError::WireProtocol { rank, .. }
+            | RunError::PeerLost { rank, .. }
+            | RunError::RecvTimeout { rank, .. } => *rank = at,
+            RunError::SessionPoisoned => {}
+        }
+        self
+    }
+}
+
+/// One variant byte, then the variant's fields in declaration order — all
+/// but `rank`: the receiver knows it from the link the error arrived on
+/// and stamps it with [`RunError::at_rank`] (a decoded error reads rank 0).
+impl WireMsg for RunError {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RunError::ProcPanicked { message, .. } => (0u8, message.clone()).wire_encode(out),
+            RunError::PendingMessages { detail, .. } => (1u8, detail.clone()).wire_encode(out),
+            RunError::UnbalancedPhases { .. } => 2u8.wire_encode(out),
+            RunError::SessionPoisoned => 3u8.wire_encode(out),
+            RunError::WireProtocol { detail, .. } => (4u8, detail.clone()).wire_encode(out),
+            RunError::PeerLost { peer, tag, .. } => (5u8, *peer, *tag).wire_encode(out),
+            RunError::RecvTimeout { src, tag, detail, .. } => {
+                (6u8, *src, *tag, detail.clone()).wire_encode(out)
+            }
+        }
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        let rank = 0;
+        Ok(match u8::wire_decode(r)? {
+            0 => RunError::ProcPanicked { rank, message: String::wire_decode(r)? },
+            1 => RunError::PendingMessages { rank, detail: String::wire_decode(r)? },
+            2 => RunError::UnbalancedPhases { rank },
+            3 => RunError::SessionPoisoned,
+            4 => RunError::WireProtocol { rank, detail: String::wire_decode(r)? },
+            5 => {
+                let (peer, tag) = WireMsg::wire_decode(r)?;
+                RunError::PeerLost { rank, peer, tag }
+            }
+            6 => {
+                let (src, tag, detail) = WireMsg::wire_decode(r)?;
+                RunError::RecvTimeout { rank, src, tag, detail }
+            }
+            b => return Err(WireMsgError::new(format!("unknown RunError variant {b:#x}"))),
+        })
     }
 }
 
@@ -276,20 +364,6 @@ impl Machine {
     {
         assert_eq!(parts.len(), self.p, "need exactly one input vector per processor");
         self.run(|proc| f(proc, parts[proc.rank()].clone()))
-    }
-}
-
-/// Renders a caught panic payload (`&str` or `String`) as a message
-/// string, for reporting a worker's death. Shared by [`Machine::run`], the
-/// [`crate::Session`] worker loop, and external execution backends that
-/// `catch_unwind` their own workers.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 
@@ -436,13 +510,96 @@ mod tests {
                 }
             })
             .unwrap_err();
-        match err {
-            RunError::ProcPanicked { rank: 0, message } => {
+        match &err {
+            RunError::RecvTimeout { rank: 0, src: 1, tag: 0x63, .. } => {
+                let message = err.to_string();
                 assert!(message.contains("timed out"), "message: {message}");
                 assert!(message.contains("tag=0x63"), "message: {message}");
             }
             other => panic!("unexpected error: {other:?}"),
         }
+        assert!(err.is_secondary());
+    }
+
+    /// Runs `f` on `proc` under `catch_unwind` and reads the unwind back
+    /// as the error it carries.
+    fn unwound(proc: &mut Proc, f: impl FnOnce(&mut Proc)) -> RunError {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(proc)))
+            .expect_err("the call must unwind");
+        RunError::from_unwind(proc.rank(), payload)
+    }
+
+    #[test]
+    fn a_send_to_a_dropped_peer_unwinds_typed_peer_lost() {
+        let mut procs = Machine::new(3).procs();
+        drop(procs.remove(2));
+        let err = unwound(&mut procs[0], |p| p.send(2, 0x2A, 7u64));
+        assert_eq!(err, RunError::PeerLost { rank: 0, peer: 2, tag: 0x2A });
+        assert!(err.is_secondary());
+    }
+
+    #[test]
+    fn a_recv_past_the_timeout_unwinds_typed_recv_timeout() {
+        let machine = Machine::new(2).recv_timeout(Duration::from_millis(50));
+        let mut procs = machine.procs();
+        procs[1].send(0, 5, 1u8); // stashed while rank 0 waits for tag 6
+        let err = unwound(&mut procs[0], |p| {
+            let _: u8 = p.recv(1, 6);
+        });
+        let RunError::RecvTimeout { rank: 0, src: 1, tag: 6, .. } = &err else {
+            panic!("unexpected error: {err:?}");
+        };
+        let message = err.to_string();
+        for needle in
+            ["timed out", "(src=1, tag=0x6)", "50ms", "stashed messages: [(src=1, tag=0x5)]"]
+        {
+            assert!(message.contains(needle), "{needle:?} missing from: {message}");
+        }
+    }
+
+    #[test]
+    fn from_unwind_renders_plain_panics_as_proc_panicked() {
+        let payload = std::panic::catch_unwind(|| panic!("plain {}", 42)).unwrap_err();
+        assert_eq!(
+            RunError::from_unwind(3, payload),
+            RunError::ProcPanicked { rank: 3, message: "plain 42".into() }
+        );
+        let payload = std::panic::catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert!(matches!(
+            RunError::from_unwind(1, payload),
+            RunError::ProcPanicked { rank: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn run_errors_cross_the_wire_without_their_rank() {
+        use crate::wiremsg::{decode_frame, encode_frame};
+        for err in [
+            RunError::ProcPanicked { rank: 4, message: "boom".into() },
+            RunError::PendingMessages { rank: 4, detail: "queued (src=0, tag=0x7)".into() },
+            RunError::UnbalancedPhases { rank: 4 },
+            RunError::SessionPoisoned,
+            RunError::WireProtocol { rank: 4, detail: "bad frame".into() },
+            RunError::PeerLost { rank: 4, peer: 1, tag: 0x63 },
+            RunError::RecvTimeout { rank: 4, src: 2, tag: 9, detail: "30s".into() },
+        ] {
+            let decoded: RunError = decode_frame(&encode_frame(&err)).unwrap();
+            assert_eq!(decoded.clone().at_rank(4), err);
+            assert_eq!(decoded.is_secondary(), err.is_secondary());
+            assert_eq!(encode_frame(&decoded), encode_frame(&err), "{err:?}");
+        }
+        assert!(decode_frame::<RunError>(&[7]).is_err());
+    }
+
+    #[test]
+    fn the_root_cause_beats_fallout_in_any_rank_order() {
+        let lost = RunError::PeerLost { rank: 0, peer: 1, tag: 1 };
+        let panicked = RunError::ProcPanicked { rank: 1, message: "x".into() };
+        let pick = |rs: Vec<Result<(), RunError>>| root_cause(rs).unwrap_err();
+        assert_eq!(pick(vec![Err(lost.clone()), Err(panicked.clone()), Ok(())]), panicked);
+        assert_eq!(pick(vec![Err(panicked.clone()), Err(lost.clone())]), panicked);
+        assert_eq!(pick(vec![Ok(()), Err(lost.clone())]), lost);
+        assert_eq!(root_cause(vec![Ok(1), Ok(2)]), Ok(vec![1, 2]));
     }
 
     #[test]

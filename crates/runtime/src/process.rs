@@ -212,8 +212,9 @@ impl Proc {
     /// arrives (subject to the machine's receive timeout).
     ///
     /// # Panics
-    /// Panics if the payload type differs from `T`, or on timeout (which
-    /// almost always indicates mismatched SPMD communication).
+    /// Panics if the payload type differs from `T`. Unwinds with
+    /// [`RunError::RecvTimeout`] on timeout (which almost always indicates
+    /// mismatched SPMD communication), [`RunError::PeerLost`] if `src` is gone.
     pub fn recv<T: WireMsg>(&mut self, src: usize, tag: u64) -> T {
         assert!(tag < USER_TAG_LIMIT, "user tags must be < 2^32, got {tag:#x}");
         self.recv_raw(src, tag)
@@ -255,16 +256,13 @@ impl Proc {
                     bytes,
                     payload: Payload::Local(Box::new(value)),
                 };
-                peers[dst]
-                    .send(env)
-                    .unwrap_or_else(|_| panic!("proc {rank} -> {dst}: receiver hung up"));
+                peers[dst].send(env).unwrap_or_else(|_| peer_lost(rank, dst, tag));
             }
             Link::Fabric { link, .. } => {
                 let mut payload = Vec::new();
                 value.wire_encode(&mut payload);
                 let env = WireEnvelope { src: rank, tag, sent_at, bytes, payload };
-                link.deliver(dst, env)
-                    .unwrap_or_else(|e| panic!("proc {rank} -> {dst}: receiver hung up ({e})"));
+                link.deliver(dst, env).unwrap_or_else(|_| peer_lost(rank, dst, tag));
             }
         }
     }
@@ -311,16 +309,16 @@ impl Proc {
                     Ok(e) if e.src == src && e.tag == tag => return e,
                     Ok(e) => self.stash.push(e),
                     Err(RecvTimeoutError::Timeout) => {
-                        panic_recv_timeout(rank, src, tag, timeout, self.now, &self.stash)
+                        recv_timed_out(rank, src, tag, timeout, self.now, &self.stash)
                     }
-                    Err(RecvTimeoutError::Disconnected) => panic_recv_disconnected(rank, src, tag),
+                    Err(RecvTimeoutError::Disconnected) => peer_lost(rank, src, tag),
                 }
             },
             Link::Fabric { link, down } => loop {
                 // A dead peer can never satisfy this receive (per-peer FIFO:
                 // its last envelopes were surfaced before the Down marker).
                 if down[src] {
-                    panic_recv_disconnected(rank, src, tag);
+                    peer_lost(rank, src, tag);
                 }
                 match link.poll(timeout) {
                     Ok(FabricPoll::Message(w)) => {
@@ -338,9 +336,9 @@ impl Proc {
                     }
                     Ok(FabricPoll::PeerDown(peer)) => down[peer] = true,
                     Err(FabricRecvError::Timeout) => {
-                        panic_recv_timeout(rank, src, tag, timeout, self.now, &self.stash)
+                        recv_timed_out(rank, src, tag, timeout, self.now, &self.stash)
                     }
-                    Err(FabricRecvError::Closed) => panic_recv_disconnected(rank, src, tag),
+                    Err(FabricRecvError::Closed) => peer_lost(rank, src, tag),
                 }
             },
         }
@@ -425,7 +423,14 @@ impl Proc {
     }
 }
 
-fn panic_recv_timeout(
+/// The runtime's fallout sites unwind with the typed error itself:
+/// `resume_unwind` skips the panic hook, so nothing is printed, and the
+/// catch site reads the payload back through [`RunError::from_unwind`].
+fn peer_lost(rank: usize, peer: usize, tag: u64) -> ! {
+    std::panic::resume_unwind(Box::new(RunError::PeerLost { rank, peer, tag }))
+}
+
+fn recv_timed_out(
     rank: usize,
     src: usize,
     tag: u64,
@@ -435,20 +440,9 @@ fn panic_recv_timeout(
 ) -> ! {
     let stashed: Vec<String> =
         stash.iter().map(|e| format!("(src={}, tag={:#x})", e.src, e.tag)).collect();
-    panic!(
-        "proc {rank} timed out after {timeout:?} waiting for (src={src}, tag={tag:#x}); \
-         virtual time {now:.6}s; stashed messages: [{}] — this usually means \
-         mismatched SPMD communication (a peer never sent, or sent under a \
-         different tag)",
-        stashed.join(", ")
-    );
-}
-
-fn panic_recv_disconnected(rank: usize, src: usize, tag: u64) -> ! {
-    panic!(
-        "proc {rank} waiting for (src={src}, tag={tag:#x}) but all senders \
-         disconnected (a peer likely panicked)"
-    );
+    let detail =
+        format!("{timeout:?}; virtual time {now:.6}s; stashed messages: [{}]", stashed.join(", "));
+    std::panic::resume_unwind(Box::new(RunError::RecvTimeout { rank, src, tag, detail }))
 }
 
 impl std::fmt::Debug for Proc {

@@ -40,8 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::envelope::Envelope;
-use crate::machine::{Machine, RunError};
+use crate::machine::{root_cause, Machine, RunError};
 use crate::model::MachineModel;
 use crate::process::Proc;
 
@@ -173,25 +172,16 @@ impl Session {
 
     fn start(p: usize, model: MachineModel, timeout: Duration) -> Self {
         assert!(p >= 1, "a session needs at least one processor");
-        let mut data_txs = Vec::with_capacity(p);
-        let mut data_rxs = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel::<Envelope>();
-            data_txs.push(tx);
-            data_rxs.push(rx);
-        }
-        let workers = data_rxs
+        let machine = Machine::with_model(p, model).recv_timeout(timeout);
+        let workers = machine
+            .procs()
             .into_iter()
-            .enumerate()
-            .map(|(rank, data_rx)| {
+            .map(|proc| {
                 let (cmd_tx, cmd_rx) = channel::<Command>();
                 let (res_tx, res_rx) = channel::<Result<Box<dyn Any + Send>, RunError>>();
-                let peers = data_txs.clone();
                 let handle = std::thread::Builder::new()
-                    .name(format!("cgselect-session-p{rank}"))
-                    .spawn(move || {
-                        worker_loop(rank, p, model, peers, data_rx, timeout, cmd_rx, res_tx)
-                    })
+                    .name(format!("cgselect-session-p{}", proc.rank()))
+                    .spawn(move || worker_loop(proc, cmd_rx, res_tx))
                     .expect("failed to spawn session worker thread");
                 Worker { commands: cmd_tx, results: res_rx, handle: Some(handle) }
             })
@@ -236,35 +226,18 @@ impl Session {
                 return Err(RunError::SessionPoisoned);
             }
         }
-        let mut out = Vec::with_capacity(self.p);
-        let mut primary_err: Option<RunError> = None;
-        let mut secondary_err: Option<RunError> = None;
-        for w in &self.workers {
-            match w.results.recv() {
-                Ok(Ok(boxed)) => match boxed.downcast::<R>() {
-                    Ok(v) => out.push(*v),
-                    Err(_) => unreachable!("job result type fixed by the closure"),
-                },
-                Ok(Err(e)) => {
-                    if e.is_secondary() {
-                        secondary_err.get_or_insert(e);
-                    } else {
-                        primary_err.get_or_insert(e);
-                    }
-                }
-                Err(_) => {
-                    // Worker thread died without replying.
-                    primary_err.get_or_insert(RunError::SessionPoisoned);
-                }
-            }
-        }
-        match primary_err.or(secondary_err) {
-            Some(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-            None => Ok(out),
-        }
+        let results = self.workers.iter().map(|w| match w.results.recv() {
+            Ok(Ok(boxed)) => match boxed.downcast::<R>() {
+                Ok(v) => Ok(*v),
+                Err(_) => unreachable!("job result type fixed by the closure"),
+            },
+            Ok(Err(e)) => Err(e),
+            // Worker thread died without replying.
+            Err(_) => Err(RunError::SessionPoisoned),
+        });
+        let out = root_cause(results);
+        self.poisoned = out.is_err();
+        out
     }
 }
 
@@ -281,18 +254,11 @@ impl Drop for Session {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    rank: usize,
-    p: usize,
-    model: MachineModel,
-    peers: Vec<Sender<Envelope>>,
-    data_rx: Receiver<Envelope>,
-    timeout: Duration,
+    mut proc: Proc,
     commands: Receiver<Command>,
     results: Sender<Result<Box<dyn Any + Send>, RunError>>,
 ) {
-    let mut proc = Proc::new(rank, p, model, peers, data_rx, timeout);
     let mut store = ShardStore::new();
     while let Ok(cmd) = commands.recv() {
         let job = match cmd {
@@ -306,14 +272,7 @@ fn worker_loop(
             // phase timers must be closed.
             proc.finish_program().map(|()| out)
         }));
-        let reply = match outcome {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(protocol_err)) => Err(protocol_err),
-            Err(payload) => Err(RunError::ProcPanicked {
-                rank,
-                message: crate::machine::panic_message(payload),
-            }),
-        };
+        let reply = outcome.unwrap_or_else(|p| Err(RunError::from_unwind(proc.rank(), p)));
         let failed = reply.is_err();
         if results.send(reply).is_err() || failed {
             // Session dropped mid-run, or this program failed: this worker's

@@ -6,7 +6,7 @@
 //! boundary instead. `WireMsg` is that contract: a canonical little-endian
 //! encoding with a fallible decoder, implemented for every payload shape the
 //! collectives and the selection algorithms put on the fabric — scalars,
-//! tuples up to arity 4, `Option<T>` and `Vec<T>` compositions thereof.
+//! strings, tuples up to arity 4, `Option<T>` and `Vec<T>` compositions thereof.
 //!
 //! It is the only byte codec in the stack. The engine's message-passing
 //! backend frames its control plane with it too — every host→worker command
@@ -187,6 +187,19 @@ impl WireMsg for bool {
     }
 }
 
+/// The UTF-8 bytes, as a `Vec<u8>` encodes; bytes that are not UTF-8 are
+/// a typed error.
+impl WireMsg for String {
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        encode_slice(self.as_bytes(), out);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
+        String::from_utf8(Vec::wire_decode(r)?)
+            .map_err(|e| WireMsgError::new(format!("string is not UTF-8: {e}")))
+    }
+}
+
 // Bit-pattern encoding: round-trips every float exactly, NaN payloads and
 // signed zeros included.
 impl WireMsg for f64 {
@@ -284,6 +297,7 @@ mod tests {
         round_trip(true);
         round_trip(());
         round_trip(1.5f64);
+        round_trip(String::from("héllo"));
     }
 
     #[test]
@@ -327,6 +341,7 @@ mod tests {
     fn invalid_discriminants_are_typed_errors() {
         assert!(decode_frame::<bool>(&[2]).is_err());
         assert!(decode_frame::<Option<u8>>(&[9, 0]).is_err());
+        assert!(decode_frame::<String>(&encode_frame(&vec![0xFFu8])).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use cgselect::{
     quantile_rank, BackendChoice, BackendError, BackendKind, ChannelMpTuning, Distribution, Engine,
     EngineConfig, EngineError, Fault, FrontendConfig, IndexHealth, MachineModel, QueryKind,
-    Request, Response, RunReport, SocketMpTuning, SubmitError,
+    Request, Response, RunError, RunReport, SocketMpTuning, SubmitError,
 };
 
 const ALL_DISTRIBUTIONS: [Distribution; 8] = [
@@ -350,7 +350,7 @@ fn worker_panic_mid_batch_surfaces_typed_error_and_poisons() {
     assert_eq!(ok.outcomes[0].response, Response::Element(1499));
     let err = engine.run(&[Request::quantile(0.25)]).unwrap_err();
     match err {
-        EngineError::Backend(BackendError::WorkerPanicked { rank, ref message }) => {
+        EngineError::Runtime(RunError::ProcPanicked { rank, ref message }) => {
             assert_eq!(rank, 1, "the injected faulty rank must be reported, got {err:?}");
             assert!(message.contains("injected fault"), "root cause lost: {message}");
         }
@@ -796,7 +796,7 @@ fn socket_mp_sigkill_mid_batch_surfaces_typed_error_and_poisons() {
     );
     match err {
         EngineError::Backend(BackendError::WorkerUnresponsive { rank })
-        | EngineError::Backend(BackendError::WorkerPanicked { rank, .. }) => {
+        | EngineError::Runtime(RunError::ProcPanicked { rank, .. }) => {
             assert_eq!(rank, 1, "the killed rank must be reported, got {err:?}");
         }
         other => panic!("expected a typed rank-1 worker failure, got {other:?}"),
@@ -1275,10 +1275,7 @@ fn channel_mp_recovery_resets_the_index_so_the_rebuild_starts_from_nothing() {
         assert_eq!(responses(&engine.run(&queries).unwrap()), oracle_answers(&sorted, &queries));
     }
     let err = engine.run(&fresh_ranks(4, n)).unwrap_err();
-    assert!(
-        matches!(err, EngineError::Backend(BackendError::WorkerPanicked { rank: 1, .. })),
-        "{err:?}"
-    );
+    assert!(matches!(err, EngineError::Runtime(RunError::ProcPanicked { rank: 1, .. })), "{err:?}");
     let rebuilds = engine.index_health().rebuilds;
     let report = engine.recover().unwrap();
     assert!(report.replaced.is_empty(), "a panicked worker thread keeps its shard");
