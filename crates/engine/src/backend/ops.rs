@@ -328,8 +328,8 @@ fn count_probes_shard<T: Key>(proc: &mut Proc, shard: &Shard<T>, probes: &[(T, b
 /// ([`recut_shard_index`]) instead of partitioning and scanning the window
 /// again; its modeled charge is what that re-cut measured.
 /// (Sketch-served answers are computed host-side off the global ε-sketch
-/// and never reach the backend; the sketch phase bracket survives only so
-/// the span schema stays stable, always at zero collectives.) The measured
+/// and never reach the backend; the sketch span survives only so the span
+/// schema stays stable, always at zero collectives.) The measured
 /// [`cgselect_runtime::CommStats`] delta, per-phase collective-op deltas
 /// and virtual-time makespan come back in the outcome.
 pub(crate) fn execute_shard<T: Key>(
@@ -340,9 +340,8 @@ pub(crate) fn execute_shard<T: Key>(
     let n_exact = plan.exact_ranks.len();
     let delta_total = plan.delta_total;
     // Span measurement rides on snapshots that were already taken for the
-    // per-phase op deltas; the begin/end brackets charge no time and no
-    // collectives, so execution with spans on is indistinguishable — in
-    // answers, comm counts, and makespan — from execution with spans off.
+    // per-phase op deltas, so execution with spans on is indistinguishable —
+    // in answers, comm counts, and makespan — from execution with spans off.
     let observe = plan.trace.is_some();
 
     // Synchronize clocks so the elapsed virtual time is a makespan.
@@ -351,20 +350,10 @@ pub(crate) fn execute_shard<T: Key>(
     let t0 = proc.now();
 
     // Phase 1: value probes — one Combine round for all of them together.
-    if observe {
-        proc.phase_begin(Phase::Probes.as_str());
-    }
     let probe_counts = count_probes_shard(proc, shard, &plan.value_probes);
-    if observe {
-        proc.phase_end(Phase::Probes.as_str());
-    }
     let comm_after_probes = proc.comm_stats();
     let t_after_probes = proc.now();
     let ops_after_probes = comm_after_probes.collective_ops;
-
-    if observe {
-        proc.phase_begin(Phase::Exact.as_str());
-    }
 
     let mut exact: Vec<Option<T>> = vec![None; n_exact];
     let mut refines: Vec<BucketStats<T>> = Vec::new();
@@ -506,21 +495,13 @@ pub(crate) fn execute_shard<T: Key>(
         }
     }
 
-    if observe {
-        proc.phase_end(Phase::Exact.as_str());
-    }
     let comm_after_exact = proc.comm_stats();
     let t_after_exact = proc.now();
     let ops_after_exact = comm_after_exact.collective_ops;
 
     // Sketch-contract answers moved host-side (global ε-sketch, zero
-    // collectives); the phase bracket stays so span-schema consumers see
-    // the same three phases, with the sketch span pinned at zero ops.
-    if observe {
-        proc.phase_begin(Phase::Sketch.as_str());
-        proc.phase_end(Phase::Sketch.as_str());
-    }
-
+    // collectives); the sketch span stays so span-schema consumers see the
+    // same three phases, pinned at zero ops.
     let comm_end = proc.comm_stats();
     let t_end = proc.now();
     let comm = comm_end.since(&comm0);

@@ -598,14 +598,14 @@ impl SocketFabric {
 }
 
 impl FabricLink for SocketFabric {
-    fn deliver(&mut self, dst: usize, env: WireEnvelope) -> Result<(), String> {
+    fn deliver(&mut self, dst: usize, env: WireEnvelope) -> bool {
         if dst == self.rank {
-            return self.loopback.send(FabricEvent::Env(env)).map_err(|_| "loopback closed".into());
+            return self.loopback.send(FabricEvent::Env(env)).is_ok();
         }
-        let Some(stream) = self.writers.get_mut(dst).and_then(Option::as_mut) else {
-            return Err(format!("no fabric link to rank {dst}"));
-        };
-        write_stream_frame(stream, &env.to_frame()).map_err(|e| e.to_string())
+        match self.writers.get_mut(dst).and_then(Option::as_mut) {
+            Some(stream) => write_stream_frame(stream, &env.to_frame()).is_ok(),
+            None => false,
+        }
     }
 
     fn poll(&mut self, timeout: Duration) -> Result<FabricPoll, FabricRecvError> {

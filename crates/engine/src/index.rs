@@ -84,12 +84,12 @@ pub(crate) struct ShardIndex<T> {
 
 impl<T: Key> ShardIndex<T> {
     /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
+    pub(crate) fn num_buckets(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Where the unindexed delta run begins in the shard's data vector.
-    pub fn delta_start(&self) -> usize {
+    pub(crate) fn delta_start(&self) -> usize {
         *self.offsets.last().expect("offsets never empty")
     }
 
@@ -284,7 +284,7 @@ pub(crate) struct GlobalIndex<T> {
 impl<T: Key> GlobalIndex<T> {
     /// Assembles the host cache from the shared splitters and the
     /// per-shard summaries returned by the build run.
-    pub fn from_shard_stats(bounds: Vec<SepBound<T>>, per_shard: &[BucketStats<T>]) -> Self {
+    pub(crate) fn from_shard_stats(bounds: Vec<SepBound<T>>, per_shard: &[BucketStats<T>]) -> Self {
         let nb = per_shard.first().map_or(0, Vec::len);
         debug_assert_eq!(nb, bounds.len() + 1, "splitters disagree with the bucket count");
         let mut acc: BucketStats<T> = vec![(0, None); nb];
@@ -305,12 +305,12 @@ impl<T: Key> GlobalIndex<T> {
     }
 
     /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
+    pub(crate) fn num_buckets(&self) -> usize {
         self.counts.len()
     }
 
     /// Recomputes the prefix sums after counts changed.
-    pub fn rebuild_prefix(&mut self) {
+    pub(crate) fn rebuild_prefix(&mut self) {
         self.prefix = std::iter::once(0)
             .chain(self.counts.iter().scan(0u64, |acc, &c| {
                 *acc += c;
@@ -340,7 +340,7 @@ impl<T: Key> GlobalIndex<T> {
     /// host mirror classifies every pending delta element exactly, so a
     /// pending delta no longer widens the window — localization stays
     /// single-bucket exact between merges.
-    pub fn window(&self, r: u64) -> (usize, usize) {
+    pub(crate) fn window(&self, r: u64) -> (usize, usize) {
         let last = self.counts.len() - 1;
         // Largest b with merged_prefix(b) <= r: r then falls strictly
         // inside bucket b's merged population.
@@ -360,7 +360,7 @@ impl<T: Key> GlobalIndex<T> {
     /// Histogram-only resolution: `Some(v)` when rank `r`'s bucket holds
     /// one repeated value across both its indexed elements and its pending
     /// delta slice — the answer needs zero element scans, delta or not.
-    pub fn fast_value(&self, r: u64) -> Option<T> {
+    pub(crate) fn fast_value(&self, r: u64) -> Option<T> {
         if self.counts.is_empty() {
             return None;
         }
@@ -375,7 +375,7 @@ impl<T: Key> GlobalIndex<T> {
     /// a [`crate::RankSet`] iteration): fast-path ranks are answered from
     /// the histogram; the rest coalesce into disjoint candidate-window
     /// groups (overlapping windows merge).
-    pub fn route(&self, ranks: impl Iterator<Item = u64>) -> Routing<T> {
+    pub(crate) fn route(&self, ranks: impl Iterator<Item = u64>) -> Routing<T> {
         /// An under-construction group: window bounds plus its
         /// `(global rank, slot)` members, ascending.
         type OpenGroup = (usize, usize, Vec<(u64, usize)>);
@@ -414,7 +414,7 @@ impl<T: Key> GlobalIndex<T> {
     /// bounded by the target's offset into the bucket — zero element
     /// scans either way, pending delta included (the mirror rebases the
     /// bucket's base rank and extrema exactly).
-    pub fn approx_value(&self, r: u64) -> Option<(T, u64)> {
+    pub(crate) fn approx_value(&self, r: u64) -> Option<(T, u64)> {
         if self.counts.is_empty() {
             return None;
         }
@@ -444,7 +444,7 @@ impl<T: Key> GlobalIndex<T> {
     /// the sorted mirror answers the probe with one binary search — so the
     /// bracket is exact (`lo == hi`) precisely when that one bucket
     /// resolves: "the splitters bound the answer", delta or no delta.
-    pub fn count_bounds(&self, v: T, inclusive: bool) -> (u64, u64) {
+    pub(crate) fn count_bounds(&self, v: T, inclusive: bool) -> (u64, u64) {
         let probe = SepBound { value: v, inclusive };
         let b = self.bounds.partition_point(|bound| *bound <= probe);
         let mut below = self.prefix[b];
@@ -485,7 +485,7 @@ impl<T: Key> GlobalIndex<T> {
     /// Records freshly ingested elements into the delta mirror and
     /// reclassifies — the rebase that keeps localization exact while the
     /// elements sit in the shards' unindexed delta runs.
-    pub fn note_ingest(&mut self, items: impl IntoIterator<Item = T>) {
+    pub(crate) fn note_ingest(&mut self, items: impl IntoIterator<Item = T>) {
         self.delta_vals.extend(items);
         self.delta_vals.sort_unstable();
         self.delta_total = self.delta_vals.len() as u64;
@@ -496,7 +496,7 @@ impl<T: Key> GlobalIndex<T> {
     /// from the delta mirror — the twin of the shards' delta-run
     /// compaction. Call after [`apply_removals`](Self::apply_removals);
     /// the mirror must land on the same population the shards reported.
-    pub fn note_delete(&mut self, sorted: &[T]) {
+    pub(crate) fn note_delete(&mut self, sorted: &[T]) {
         self.delta_vals.retain(|x| sorted.binary_search(x).is_err());
         self.reclassify_delta();
         debug_assert_eq!(
@@ -508,7 +508,7 @@ impl<T: Key> GlobalIndex<T> {
 
     /// Recomputes `delta_offsets` after the mirror or the bounds changed:
     /// one binary search per splitter over the sorted mirror.
-    pub fn reclassify_delta(&mut self) {
+    pub(crate) fn reclassify_delta(&mut self) {
         let mut off = Vec::with_capacity(self.counts.len() + 1);
         off.push(0u64);
         for b in &self.bounds {
@@ -528,7 +528,7 @@ impl<T: Key> GlobalIndex<T> {
     /// stats, then calls [`rebuild_prefix`](Self::rebuild_prefix) and
     /// [`reclassify_delta`](Self::reclassify_delta) once all windows (in
     /// descending order) are done.
-    pub fn refine_window_bounds(&mut self, lo: usize, hi: usize, answers: &[T]) {
+    pub(crate) fn refine_window_bounds(&mut self, lo: usize, hi: usize, answers: &[T]) {
         let lower = (lo > 0).then(|| self.bounds[lo - 1]);
         let upper = (hi < self.bounds.len()).then(|| self.bounds[hi]);
         let new_bounds = refined_bounds(&self.bounds[lo..hi], answers, lower, upper);
@@ -541,7 +541,7 @@ impl<T: Key> GlobalIndex<T> {
     /// bucket's index (for the caller's counts/minmax splice), or `None`
     /// when the class is already carved — the shards skipped it too, by
     /// the same deterministic test.
-    pub fn refine_probe_bounds(&mut self, v: T) -> Option<usize> {
+    pub(crate) fn refine_probe_bounds(&mut self, v: T) -> Option<usize> {
         let b = self.bounds.partition_point(|sb| !sb.admits(&v));
         let lower = (b > 0).then(|| self.bounds[b - 1]);
         let upper = (b < self.bounds.len()).then(|| self.bounds[b]);
@@ -557,7 +557,7 @@ impl<T: Key> GlobalIndex<T> {
     /// refreshed per-bucket stats. Call in descending `lo` order so earlier
     /// windows' indices stay valid; call [`rebuild_prefix`](Self::rebuild_prefix)
     /// and [`reclassify_delta`](Self::reclassify_delta) once afterwards.
-    pub fn splice_window(&mut self, lo: usize, hi: usize, stats: &BucketStats<T>) {
+    pub(crate) fn splice_window(&mut self, lo: usize, hi: usize, stats: &BucketStats<T>) {
         self.counts.splice(lo..=hi, stats.iter().map(|&(c, _)| c));
         self.minmax.splice(lo..=hi, stats.iter().map(|&(_, mm)| mm));
     }
@@ -565,7 +565,7 @@ impl<T: Key> GlobalIndex<T> {
     /// Folds per-shard delta-merge summaries into the cached histogram
     /// (delta elements joined their buckets; the delta run — and its host
     /// mirror — is empty again).
-    pub fn absorb_delta(&mut self, per_shard: &[BucketStats<T>]) {
+    pub(crate) fn absorb_delta(&mut self, per_shard: &[BucketStats<T>]) {
         let mut acc: BucketStats<T> =
             self.counts.iter().zip(&self.minmax).map(|(&c, &mm)| (c, mm)).collect();
         for stats in per_shard {
@@ -583,7 +583,7 @@ impl<T: Key> GlobalIndex<T> {
     /// final delta-run entry). Min/max are deliberately kept: removal can
     /// only shrink a bucket's value range, and the fast path reads min/max
     /// only when they are equal — which deletion cannot falsify.
-    pub fn apply_removals(&mut self, per_shard: &[Vec<u64>]) {
+    pub(crate) fn apply_removals(&mut self, per_shard: &[Vec<u64>]) {
         for removed in per_shard {
             debug_assert_eq!(removed.len(), self.counts.len() + 1);
             for (b, &c) in removed[..self.counts.len()].iter().enumerate() {

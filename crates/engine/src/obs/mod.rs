@@ -2,10 +2,10 @@
 //! SLO evaluation.
 //!
 //! Telemetry elsewhere in the stack is *fragmented by construction* —
-//! `runtime::trace` logs per-processor events, [`CommStats`] counts one
-//! processor's traffic, `FrontendStats` counts queue behavior, and
-//! [`crate::CostAttribution`] divides a batch's cost — but nothing stitches
-//! one request's journey from admission to the shard phases that served it.
+//! [`CommStats`] counts one processor's traffic, `FrontendStats` counts
+//! queue behavior, and [`crate::CostAttribution`] divides a batch's cost —
+//! but nothing stitches one request's journey from admission to the shard
+//! phases that served it.
 //! This module is that stitching layer:
 //!
 //! * **Spans** — every [`crate::Request`] carries an optional [`TraceId`]
@@ -61,8 +61,7 @@ impl Phase {
     /// attribution slots (`[probes, exact, sketch]`).
     pub const ALL: [Phase; 3] = [Phase::Probes, Phase::Exact, Phase::Sketch];
 
-    /// Stable lower-case label (also the `Proc::phase_begin` label the
-    /// backends use, so `runtime::trace::aggregate_phases` output lines up).
+    /// Stable lower-case label.
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Probes => "probes",
@@ -70,36 +69,20 @@ impl Phase {
             Phase::Sketch => "sketch",
         }
     }
-
-    /// Wire encoding of the phase.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            Phase::Probes => 0,
-            Phase::Exact => 1,
-            Phase::Sketch => 2,
-        }
-    }
-
-    /// Inverse of [`as_u8`](Self::as_u8); `None` for an unknown byte.
-    pub fn from_u8(b: u8) -> Option<Phase> {
-        match b {
-            0 => Some(Phase::Probes),
-            1 => Some(Phase::Exact),
-            2 => Some(Phase::Sketch),
-            _ => None,
-        }
-    }
 }
 
-/// One byte, [`Phase::as_u8`]; an unknown byte is a typed error.
+/// One byte, the phase's position in [`Phase::ALL`]; an unknown byte is a
+/// typed error.
 impl WireMsg for Phase {
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.as_u8().wire_encode(out);
+        (*self as u8).wire_encode(out);
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireMsgError> {
         let byte = u8::wire_decode(r)?;
-        Phase::from_u8(byte)
+        Phase::ALL
+            .get(usize::from(byte))
+            .copied()
             .ok_or_else(|| WireMsgError::new(format!("unknown phase byte {byte:#x}")))
     }
 }
@@ -422,9 +405,9 @@ mod tests {
     #[test]
     fn phase_wire_encoding_roundtrips() {
         for p in Phase::ALL {
-            assert_eq!(Phase::from_u8(p.as_u8()), Some(p));
+            assert_eq!(decode_frame::<Phase>(&encode_frame(&p)), Ok(p));
         }
-        assert_eq!(Phase::from_u8(7), None);
+        assert!(decode_frame::<Phase>(&[7]).is_err());
     }
 
     #[test]

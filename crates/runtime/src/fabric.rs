@@ -17,6 +17,9 @@
 //!   [`crate::RunError::PeerLost`] the in-process transport raises.
 //! * **No reordering across `poll`.** `poll` surfaces envelopes from all
 //!   peers in arrival order; the runtime stashes mismatches itself.
+//! * **Unreachable is `false`.** `deliver` returns `false` when it cannot
+//!   reach the peer; it carries no reason, because the runtime's only
+//!   answer is the same `PeerLost` either way.
 
 use std::time::Duration;
 
@@ -83,10 +86,10 @@ pub enum FabricRecvError {
 /// shard workers connected over Unix sockets). See the module docs for the
 /// ordering contract.
 pub trait FabricLink: Send {
-    /// Sends an envelope to rank `dst`. An error means the peer is
-    /// unreachable: the runtime raises [`crate::RunError::PeerLost`], as for
-    /// an in-process peer that hung up.
-    fn deliver(&mut self, dst: usize, env: WireEnvelope) -> Result<(), String>;
+    /// Sends an envelope to rank `dst`; `false` means the peer is
+    /// unreachable, and the runtime raises [`crate::RunError::PeerLost`], as
+    /// for an in-process peer that hung up.
+    fn deliver(&mut self, dst: usize, env: WireEnvelope) -> bool;
 
     /// Waits up to `timeout` for the next event from any peer.
     fn poll(&mut self, timeout: Duration) -> Result<FabricPoll, FabricRecvError>;

@@ -65,7 +65,6 @@ mod model;
 mod process;
 mod session;
 mod stats;
-pub mod trace;
 pub mod wiremsg;
 
 pub use fabric::{FabricLink, FabricPoll, FabricRecvError, WireEnvelope};
@@ -75,10 +74,6 @@ pub use model::{MachineModel, Topology};
 pub use process::Proc;
 pub use session::{Session, ShardStore};
 pub use stats::{CommStats, PhaseTimer};
-pub use trace::{
-    aggregate_phases, render_phase_summary, render_timeline, PhaseAggregate, Trace, TraceEvent,
-    TraceEventKind,
-};
 pub use wiremsg::{WireMsg, WireMsgError, WireReader};
 
 /// Phase label used by the selection algorithms for the time they spend

@@ -8,7 +8,6 @@ use crate::fabric::{FabricLink, FabricPoll, FabricRecvError, WireEnvelope};
 use crate::machine::RunError;
 use crate::model::MachineModel;
 use crate::stats::{CommStats, PhaseTimer};
-use crate::trace::{Trace, TraceEvent, TraceEventKind};
 use crate::wiremsg::{decode_frame, WireMsg};
 
 /// The transport a [`Proc`] sends and receives through: in-process channels
@@ -51,8 +50,6 @@ pub struct Proc {
     stats: CommStats,
     ops: u64,
     phases: PhaseTimer,
-    tracing: bool,
-    trace: Trace,
 }
 
 impl Proc {
@@ -96,25 +93,6 @@ impl Proc {
             stats: CommStats::default(),
             ops: 0,
             phases: PhaseTimer::new(),
-            tracing: false,
-            trace: Trace { rank, events: Vec::new() },
-        }
-    }
-
-    /// Turns on event tracing for this processor (see [`crate::trace`]).
-    pub fn trace_enable(&mut self) {
-        self.tracing = true;
-    }
-
-    /// Takes the accumulated trace, leaving an empty one behind.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::replace(&mut self.trace, Trace { rank: self.rank, events: Vec::new() })
-    }
-
-    #[inline]
-    fn trace_event(&mut self, kind: TraceEventKind) {
-        if self.tracing {
-            self.trace.events.push(TraceEvent { at: self.now, kind });
         }
     }
 
@@ -159,7 +137,6 @@ impl Proc {
     #[inline]
     pub(crate) fn note_collective_op(&mut self) {
         self.stats.collective_ops += 1;
-        self.trace_event(TraceEventKind::Collective);
     }
 
     /// Advances the virtual clock by `n` elementary operations
@@ -172,7 +149,6 @@ impl Proc {
     pub fn charge_ops(&mut self, n: u64) {
         self.ops += n;
         self.now += self.model.compute_cost(n);
-        self.trace_event(TraceEventKind::Compute { ops: n });
     }
 
     /// Advances the virtual clock by `seconds` directly (rarely needed;
@@ -245,7 +221,6 @@ impl Proc {
         self.now += self.model.send_cost(bytes);
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes;
-        self.trace_event(TraceEventKind::Send { to: dst, tag, bytes });
         let rank = self.rank;
         match &mut self.link {
             Link::Local { peers, .. } => {
@@ -262,7 +237,9 @@ impl Proc {
                 let mut payload = Vec::new();
                 value.wire_encode(&mut payload);
                 let env = WireEnvelope { src: rank, tag, sent_at, bytes, payload };
-                link.deliver(dst, env).unwrap_or_else(|_| peer_lost(rank, dst, tag));
+                if !link.deliver(dst, env) {
+                    peer_lost(rank, dst, tag);
+                }
             }
         }
     }
@@ -275,7 +252,6 @@ impl Proc {
         self.now = self.now.max(arrival) + self.model.recv_cost(env.bytes);
         self.stats.msgs_recv += 1;
         self.stats.bytes_recv += env.bytes;
-        self.trace_event(TraceEventKind::Recv { from: src, tag, bytes: env.bytes });
         match env.payload {
             Payload::Local(payload) => match payload.downcast::<T>() {
                 Ok(v) => *v,
@@ -396,16 +372,12 @@ impl Proc {
     /// Opens a named phase at the current virtual time. Phases may nest;
     /// accumulated times are inclusive.
     pub fn phase_begin(&mut self, label: &'static str) {
-        let now = self.now;
-        self.phases.begin(label, now);
-        self.trace_event(TraceEventKind::PhaseBegin(label));
+        self.phases.begin(label, self.now);
     }
 
     /// Closes the innermost phase, which must be `label`.
     pub fn phase_end(&mut self, label: &'static str) {
-        let now = self.now;
-        self.phases.end(label, now);
-        self.trace_event(TraceEventKind::PhaseEnd(label));
+        self.phases.end(label, self.now);
     }
 
     /// Accumulated virtual seconds spent in `label` so far.

@@ -7,7 +7,8 @@
 //!
 //! Two ways are shown: one parallel selection per percentile (the paper's
 //! algorithm), and this library's multi-rank extension that answers all
-//! four in a single collective pass.
+//! four in a single collective pass. Both are checked against a sort of
+//! the whole data set.
 //!
 //! Run with: `cargo run --release --example percentiles`
 
@@ -45,6 +46,10 @@ fn main() {
     let machine = Machine::with_model(p, MachineModel::modern());
     let cfg = SelectionConfig::with_seed(7);
 
+    // The oracle: every sample, sorted.
+    let mut all: Vec<OrdF64> = (0..p).flat_map(|rank| shard_latencies(rank, per_shard)).collect();
+    all.sort_unstable();
+
     // One selection per percentile (paper's Algorithm 4 each time).
     println!("-- one fast-randomized selection per percentile --");
     let mut single_total = 0.0f64;
@@ -63,6 +68,7 @@ fn main() {
             outs[0].iterations,
             t * 1e3,
         );
+        assert_eq!(outs[0].value, all[k as usize], "{label} disagrees with the sorted oracle");
     }
 
     // All four percentiles in one multi-select pass (library extension).
@@ -77,8 +83,9 @@ fn main() {
         .expect("multi-select failed");
     let (values, _) = &outs[0];
     let multi_time = outs.iter().map(|(_, t)| *t).fold(0.0, f64::max);
-    for ((_, label), v) in percentiles.iter().zip(values) {
+    for (((_, label), v), &k) in percentiles.iter().zip(values).zip(&ranks) {
         println!("{label:>6} = {:>8.3} ms", v.get());
+        assert_eq!(*v, all[k as usize], "multi-select {label} disagrees with the sorted oracle");
     }
     println!(
         "\nvirtual time: {:.2} ms for all four (vs {:.2} ms for four separate \

@@ -1,4 +1,5 @@
-//! Quickstart: find the median of 1M keys spread over 8 virtual processors.
+//! Quickstart: find the median of 1M keys spread over 8 virtual processors,
+//! and check every algorithm's answer against a sorted oracle.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -13,6 +14,11 @@ fn main() {
 
     println!("Finding the median of {n} keys on a {p}-processor CM-5-like machine\n");
 
+    // The oracle: a plain sort of the whole input.
+    let mut all: Vec<u64> = parts.iter().flatten().copied().collect();
+    all.sort_unstable();
+    let median = all[(n - 1) / 2];
+
     for algo in Algorithm::ALL {
         let cfg = SelectionConfig::default();
         let sel = median_on_machine(p, MachineModel::cm5(), &parts, algo, &cfg)
@@ -24,12 +30,10 @@ fn main() {
             sel.makespan(),
             sel.iterations(),
         );
+        assert_eq!(sel.value, median, "{} disagrees with the sorted oracle", algo.name());
     }
 
-    // Verify against a plain sort.
-    let mut all: Vec<u64> = parts.iter().flatten().copied().collect();
-    all.sort_unstable();
-    println!("\nsort-based oracle: median = {}", all[(n - 1) / 2]);
+    println!("\nsort-based oracle: median = {median} (all four agree)");
     println!(
         "\nNote how both randomized algorithms beat both deterministic ones by\n\
          roughly an order of magnitude — the paper's headline result."

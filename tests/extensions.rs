@@ -1,9 +1,10 @@
 //! Integration tests for the library's extensions beyond the paper:
-//! multi-rank selection, top-k extraction, weighted quantiles, tracing.
+//! multi-rank selection, top-k extraction, weighted quantiles, and
+//! communication accounting.
 
 use cgselect::{
-    multi_select_on_machine, parallel_top_k, parallel_weighted_select, Algorithm, Distribution,
-    Machine, MachineModel, SelectionConfig,
+    multi_select_on_machine, parallel_top_k, parallel_weighted_select, Algorithm, CommStats,
+    Distribution, Machine, MachineModel, SelectionConfig,
 };
 use proptest::prelude::*;
 
@@ -87,12 +88,11 @@ fn weighted_select_with_unit_weights_is_plain_selection() {
 }
 
 #[test]
-fn traced_selection_accounts_for_all_messages() {
+fn selection_accounts_for_all_messages() {
     let p = 4;
     let parts = cgselect::generate(Distribution::Random, 4000, p, 9);
     let results = Machine::with_model(p, MachineModel::cm5())
         .run(|proc| {
-            proc.trace_enable();
             let out = cgselect::parallel_select(
                 proc,
                 parts[proc.rank()].clone(),
@@ -100,19 +100,19 @@ fn traced_selection_accounts_for_all_messages() {
                 Algorithm::Randomized,
                 &cfg(),
             );
-            (out.comm, proc.take_trace())
+            (out.comm, proc.comm_stats())
         })
         .unwrap();
-    for (comm, trace) in &results {
-        // Trace covers the whole run including the entry barrier, so it can
-        // only see at least as many sends as the selection's own counters.
-        assert!(trace.count_sends() as u64 >= comm.msgs_sent);
-        assert!(trace.bytes_sent() >= comm.bytes_sent);
+    for (comm, whole) in &results {
+        // The whole program includes the selection's entry barrier, so it
+        // can only count at least as much traffic as the selection itself.
+        assert!(whole.msgs_sent >= comm.msgs_sent);
+        assert!(whole.bytes_sent >= comm.bytes_sent);
     }
-    // Global conservation: sends == recvs across the machine.
-    let sends: usize = results.iter().map(|(_, t)| t.count_sends()).sum();
-    let recvs: usize = results.iter().map(|(_, t)| t.count_recvs()).sum();
-    assert_eq!(sends, recvs);
+    // Global conservation: every message sent was received, byte for byte.
+    let sum = |f: fn(&CommStats) -> u64| results.iter().map(|(_, whole)| f(whole)).sum::<u64>();
+    assert_eq!(sum(|c| c.msgs_sent), sum(|c| c.msgs_recv));
+    assert_eq!(sum(|c| c.bytes_sent), sum(|c| c.bytes_recv));
 }
 
 proptest! {
