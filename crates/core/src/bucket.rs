@@ -2,9 +2,11 @@
 
 use cgselect_balance::BalanceReport;
 use cgselect_runtime::{Key, Proc};
-use cgselect_seqsel::{median_rank, weighted_median, Buckets, KernelRng, LocalKernel, OpCount};
+use cgselect_seqsel::{
+    median_rank, weighted_median, Buckets, KernelRng, LocalKernel, OpCount, Zone,
+};
 
-use crate::common::{finish, Narrow, Step};
+use crate::common::{finish, Narrow};
 use crate::{AlgoResult, Algorithm, SelectionConfig};
 
 /// Runs bucket-based parallel selection (paper Algorithm 2, after
@@ -101,15 +103,14 @@ pub(crate) fn run<T: Key>(
         proc.charge_ops(ops.total());
         let local = (lt as u64, (le - lt) as u64, (window.len() - le) as u64);
         let counts = proc.combine(local, |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2));
-        let step = nr.decide_eq(counts, lt, le);
-        match step {
-            Step::Done => {
+        match nr.decide_eq(counts) {
+            None => {
                 early = Some(wm);
                 break;
             }
-            Step::Low(a) => window = window.start..window.start + a,
-            Step::High(b) => window = window.start + b..window.end,
-            Step::Mid(..) => unreachable!("decide_eq never yields Mid"),
+            Some(Zone::Below) => window = window.start..window.start + lt,
+            Some(Zone::Above) => window = window.start + le..window.end,
+            Some(Zone::Between) => unreachable!("decide_eq keeps no middle zone"),
         }
     }
 

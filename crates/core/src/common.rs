@@ -1,11 +1,87 @@
 //! Machinery shared by all four selection algorithms: the iterative
-//! narrowing state, the three-way counting step, and the sequential finish.
+//! narrowing state, the count-then-keep round, and the sequential finish.
 
+use std::ops::Deref;
+
+use cgselect_balance::{rebalance, BalanceReport, Balancer};
 use cgselect_runtime::{Key, Proc, PHASE_FINISH};
 use cgselect_seqsel::{
-    partition3_kernel, partition_bound_kernel, select_with, KernelRng, LocalKernel, OpCount,
-    SepBound,
+    copy_zone, count_zones, keep_zone, select_with, KernelRng, LocalKernel, OpCount, Zone,
+    ZoneCounts,
 };
+
+/// A processor's remaining elements. Until a round first discards some of
+/// them they are the caller's slice, read in place; from then on they are
+/// the survivors, in an owned buffer.
+///
+/// The buffer is reserved at the slice's length by [`Local::borrowed`],
+/// which the driver calls before the selection's first message is
+/// allocated. Reserving touches no page until survivors are written, and
+/// it hands the allocator the same request at the same point of every
+/// selection, so each one reuses the block the previous one freed. Sized
+/// instead to the first round's survivors, or reserved after the first
+/// messages, the blocks landed in new places from one selection to the
+/// next, the allocator kept the freed ones resident, and peak memory grew.
+pub(crate) struct Local<'a, T> {
+    input: Option<&'a [T]>,
+    kept: Vec<T>,
+}
+
+impl<'a, T: Key> Local<'a, T> {
+    /// Reads `input` in place until the first discard, with the buffer for
+    /// the survivors reserved.
+    pub(crate) fn borrowed(input: &'a [T]) -> Self {
+        Local { input: Some(input), kept: Vec::with_capacity(input.len()) }
+    }
+
+    /// The elements as an owned vector, copying the caller's slice if no
+    /// round has discarded yet.
+    pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
+        if let Some(input) = self.input.take() {
+            self.kept.extend_from_slice(input);
+        }
+        &mut self.kept
+    }
+
+    /// The owned survivors, once a round has discarded some of the
+    /// caller's elements; `None` while the slice is still read in place.
+    pub(crate) fn owned_mut(&mut self) -> Option<&mut Vec<T>> {
+        self.input.is_none().then_some(&mut self.kept)
+    }
+
+    /// The elements as an owned vector (see [`Local::to_mut`]).
+    pub(crate) fn into_vec(mut self) -> Vec<T> {
+        self.to_mut();
+        self.kept
+    }
+
+    /// Keeps only `zone` of `[lo, hi]`, given this processor's `counts`.
+    /// Keeping everything leaves the caller's slice unread; the first real
+    /// discard copies only the survivors out of it, and later ones compact
+    /// the buffer in place.
+    pub(crate) fn keep(&mut self, proc: &mut Proc, lo: T, hi: T, zone: Zone, counts: ZoneCounts) {
+        if counts.size(zone) == self.len() {
+            return;
+        }
+        let mut ops = OpCount::new();
+        match self.input.take() {
+            Some(input) => copy_zone(input, lo, hi, zone, counts, &mut self.kept, &mut ops),
+            None => keep_zone(&mut self.kept, lo, hi, zone, counts, &mut ops),
+        }
+        proc.charge_ops(ops.total());
+    }
+}
+
+impl<T> Deref for Local<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.input.unwrap_or(&self.kept)
+    }
+}
+
+/// Sizes of the three zones `(< lo, [lo, hi], > hi)` of a bracket.
+pub(crate) type Zones = (u64, u64, u64);
 
 /// Global narrowing state carried across iterations: `n` elements remain in
 /// play and the target has 0-based rank `k` among them.
@@ -15,63 +91,49 @@ pub(crate) struct Narrow {
     pub k: u64,
 }
 
-/// Outcome of one three-way narrowing decision.
-pub(crate) enum Step {
-    /// Keep the `< pivot` zone (local prefix of length `.0`).
-    Low(usize),
-    /// The target equals the pivot: selection is done.
-    Done,
-    /// Keep the `> hi` zone (local suffix starting at `.0`).
-    High(usize),
-    /// Keep the middle `[lo, hi]` zone (local `[a, b)`), used by fast
-    /// randomized selection.
-    Mid(usize, usize),
-}
-
 impl Narrow {
-    /// Decides which zone survives given the global three-zone counts
-    /// `(c_lt, c_eq_or_mid, c_gt)` and this processor's local zone bounds
-    /// `(a, b)` (as returned by `partition3_kernel`). Updates `n`/`k` accordingly.
+    /// Single-pivot decision from the global zone counts of the bracket
+    /// `[pivot, pivot]`: the zone that holds the target, or `None` when the
+    /// target lies in the pivot's equality class — the pivot is the answer.
+    /// Updates `n`/`k` to the kept zone.
     ///
-    /// For the single-pivot algorithms the middle zone is the pivot's
-    /// equality class, so landing in it means the pivot *is* the answer —
-    /// the degenerate-duplicate livelock of a two-way `≤`/`>` split (keep
-    /// "everything ≤ max" forever) cannot occur.
-    pub fn decide_eq(&mut self, counts: (u64, u64, u64), a: usize, b: usize) -> Step {
+    /// Because the equality class is a zone of its own, every round either
+    /// answers or discards the pivot with its class, so duplicate-heavy
+    /// inputs cannot stall the narrowing.
+    pub(crate) fn decide_eq(&mut self, counts: Zones) -> Option<Zone> {
         let (c_lt, c_eq, _c_gt) = counts;
         debug_assert!(self.k < self.n);
         if self.k < c_lt {
             self.n = c_lt;
-            Step::Low(a)
+            Some(Zone::Below)
         } else if self.k < c_lt + c_eq {
-            Step::Done
+            None
         } else {
             self.k -= c_lt + c_eq;
             self.n -= c_lt + c_eq;
-            Step::High(b)
+            Some(Zone::Above)
         }
     }
 
     /// Bracket decision for fast randomized selection: the middle zone is
     /// `[k₁, k₂]`, kept when the target's rank falls inside it. Returns
-    /// `(step, successful)` where `successful` is false when the target
+    /// `(zone, successful)` where `successful` is false when the target
     /// fell outside the bracket (the paper's "unsuccessful iteration" —
     /// the far side is still discarded, per the paper's modification).
-    pub fn decide_bracket(&mut self, counts: (u64, u64, u64), a: usize, b: usize) -> (Step, bool) {
+    pub(crate) fn decide_bracket(&mut self, counts: Zones) -> (Zone, bool) {
         let (c_less, c_mid, c_high) = counts;
         debug_assert!(self.k < self.n);
         if self.k < c_less {
             self.n = c_less;
-            (Step::Low(a), false)
+            (Zone::Below, false)
         } else if self.k < c_less + c_mid {
             self.k -= c_less;
             self.n = c_mid;
-            (Step::Mid(a, b), true)
+            (Zone::Between, true)
         } else {
             self.k -= c_less + c_mid;
             self.n = c_high;
-            debug_assert_eq!(self.n, c_high);
-            (Step::High(b), false)
+            (Zone::Above, false)
         }
     }
 }
@@ -90,70 +152,60 @@ pub(crate) fn bracket_ranks(k: u64, n: u64, s: u64, delta: f64) -> (u64, u64) {
     )
 }
 
-/// Applies a [`Step`] to the physical local vector, charging the element
-/// moves that the shrink actually performs (a front drain shifts the
-/// surviving suffix).
-pub(crate) fn apply_step<T: Key>(proc: &mut Proc, data: &mut Vec<T>, step: &Step) {
-    match *step {
-        Step::Low(a) => data.truncate(a),
-        Step::High(b) => {
-            data.drain(..b);
-            proc.charge_ops(data.len() as u64);
-        }
-        Step::Mid(a, b) => {
-            data.truncate(b);
-            data.drain(..a);
-            proc.charge_ops(data.len() as u64);
-        }
-        Step::Done => {}
-    }
+/// Steps "partition, Combine" of a narrowing round without the partition:
+/// one fused sweep counts this processor's zones of `[lo, hi]`, and one
+/// Combine of the three counts sums them. Returns this processor's counts
+/// and the global zone sizes.
+pub(crate) fn combine_zone_counts<T: Key>(
+    proc: &mut Proc,
+    data: &[T],
+    lo: T,
+    hi: T,
+) -> (ZoneCounts, Zones) {
+    let mut ops = OpCount::new();
+    let local = count_zones(data, lo, hi, &mut ops);
+    proc.charge_ops(ops.total());
+    (local, sum_zones(proc, local.sizes))
 }
 
-/// The paper's Steps 4–6 for the single-pivot algorithms (1 and 3): a
-/// two-way `≤ pivot` partition of the local window, one Combine of the
-/// global count, and the rank/window update — exactly the pseudo-code's
-/// cheap per-iteration scan.
-///
-/// A two-way split alone can livelock on duplicate-heavy data (pivot =
-/// maximum of the remaining set ⇒ "keep ≤" retains everything); when that
-/// degenerate round is detected the function re-partitions three-way to
-/// isolate the pivot's equality class, which either answers the query
-/// outright or strictly shrinks the set. Returns `Some(pivot)` when the
-/// target's rank falls in the pivot's equality class.
-pub(crate) fn two_way_narrow<T: Key>(
+/// One Combine of this processor's three zone sizes (a single collective,
+/// as in the paper's Step 5/6 pair — the two Combines fused into one
+/// message of three counters): the global zone sizes.
+pub(crate) fn sum_zones(proc: &mut Proc, local: Zones) -> Zones {
+    proc.combine(local, |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2))
+}
+
+/// The paper's Steps 4–6 for the single-pivot algorithms (1 and 3): count
+/// the zones of `[pivot, pivot]`, Combine them, and keep the zone holding
+/// the target. Returns `Some(pivot)` when the target's rank falls in the
+/// pivot's equality class.
+pub(crate) fn pivot_narrow<T: Key>(
     proc: &mut Proc,
-    data: &mut Vec<T>,
+    data: &mut Local<'_, T>,
     nr: &mut Narrow,
     pivot: T,
 ) -> Option<T> {
-    let mut ops = OpCount::new();
-    let idx = partition_bound_kernel(data, SepBound::le(pivot), &mut ops);
-    proc.charge_ops(ops.total());
-    let count = proc.combine(idx as u64, |a, b| a + b);
-    debug_assert!(count >= 1, "the pivot itself always lands in the <= zone");
-    if nr.k < count {
-        if count == nr.n {
-            // Degenerate: pivot >= every remaining element.
-            let mut ops = OpCount::new();
-            let (a, b) = partition3_kernel(data, pivot, pivot, &mut ops);
-            proc.charge_ops(ops.total());
-            let counts = combine_zone_counts(proc, a, b, data.len());
-            let step = nr.decide_eq(counts, a, b);
-            if matches!(step, Step::Done) {
-                return Some(pivot);
-            }
-            apply_step(proc, data, &step);
-        } else {
-            data.truncate(idx);
-            nr.n = count;
+    let (local, global) = combine_zone_counts(proc, data, pivot, pivot);
+    match nr.decide_eq(global) {
+        None => Some(pivot),
+        Some(zone) => {
+            data.keep(proc, pivot, pivot, zone, local);
+            None
         }
-    } else {
-        data.drain(..idx);
-        proc.charge_ops(data.len() as u64);
-        nr.k -= count;
-        nr.n -= count;
     }
-    None
+}
+
+/// The optional load-balance step between rounds. `Balancer::None` moves
+/// nothing, so it is skipped and leaves a borrowed slice borrowed.
+pub(crate) fn balance_round<T: Key>(
+    proc: &mut Proc,
+    balancer: Balancer,
+    data: &mut Local<'_, T>,
+    report: &mut BalanceReport,
+) {
+    if balancer != Balancer::None {
+        report.absorb(rebalance(balancer, proc, data.to_mut()));
+    }
 }
 
 /// The epilogue every algorithm shares (its Steps "Gather / sequential
@@ -184,19 +236,6 @@ pub(crate) fn finish<T: Key>(
     v
 }
 
-/// Combines local `(a, b, rest)` zone sizes into global zone counts with a
-/// single Combine of a 3-tuple (one collective, as in the paper's Step 5/6
-/// pair — we fuse the two Combines into one message of three counters).
-pub(crate) fn combine_zone_counts(
-    proc: &mut Proc,
-    a: usize,
-    b: usize,
-    len: usize,
-) -> (u64, u64, u64) {
-    let local = (a as u64, (b - a) as u64, (len - b) as u64);
-    proc.combine(local, |x, y| (x.0 + y.0, x.1 + y.1, x.2 + y.2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,14 +244,14 @@ mod tests {
     fn decide_eq_narrows_correctly() {
         // 10 lt, 3 eq, 7 gt; target rank 11 is inside the eq class.
         let mut nr = Narrow { n: 20, k: 11 };
-        assert!(matches!(nr.decide_eq((10, 3, 7), 4, 6), Step::Done));
+        assert_eq!(nr.decide_eq((10, 3, 7)), None);
 
         let mut nr = Narrow { n: 20, k: 4 };
-        assert!(matches!(nr.decide_eq((10, 3, 7), 4, 6), Step::Low(4)));
+        assert_eq!(nr.decide_eq((10, 3, 7)), Some(Zone::Below));
         assert_eq!((nr.n, nr.k), (10, 4));
 
         let mut nr = Narrow { n: 20, k: 15 };
-        assert!(matches!(nr.decide_eq((10, 3, 7), 4, 6), Step::High(6)));
+        assert_eq!(nr.decide_eq((10, 3, 7)), Some(Zone::Above));
         assert_eq!((nr.n, nr.k), (7, 2));
     }
 
@@ -228,21 +267,15 @@ mod tests {
     #[test]
     fn decide_bracket_marks_unsuccessful() {
         let mut nr = Narrow { n: 100, k: 3 };
-        let (step, ok) = nr.decide_bracket((10, 50, 40), 1, 6);
-        assert!(matches!(step, Step::Low(1)));
-        assert!(!ok);
+        assert_eq!(nr.decide_bracket((10, 50, 40)), (Zone::Below, false));
         assert_eq!((nr.n, nr.k), (10, 3));
 
         let mut nr = Narrow { n: 100, k: 30 };
-        let (step, ok) = nr.decide_bracket((10, 50, 40), 1, 6);
-        assert!(matches!(step, Step::Mid(1, 6)));
-        assert!(ok);
+        assert_eq!(nr.decide_bracket((10, 50, 40)), (Zone::Between, true));
         assert_eq!((nr.n, nr.k), (50, 20));
 
         let mut nr = Narrow { n: 100, k: 99 };
-        let (step, ok) = nr.decide_bracket((10, 50, 40), 1, 6);
-        assert!(matches!(step, Step::High(6)));
-        assert!(!ok);
+        assert_eq!(nr.decide_bracket((10, 50, 40)), (Zone::Above, false));
         assert_eq!((nr.n, nr.k), (40, 39));
     }
 }

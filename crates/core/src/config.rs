@@ -89,9 +89,10 @@ impl SelectionConfig {
 
     /// The sequential kernel an algorithm actually uses under this config.
     pub fn kernel_for(&self, algorithm: Algorithm) -> LocalKernel {
-        self.local_kernel.unwrap_or(match algorithm {
-            Algorithm::MedianOfMedians | Algorithm::BucketBased => LocalKernel::Deterministic,
-            Algorithm::Randomized | Algorithm::FastRandomized => LocalKernel::Randomized,
+        self.local_kernel.unwrap_or(if algorithm.is_deterministic() {
+            LocalKernel::Deterministic
+        } else {
+            LocalKernel::Randomized
         })
     }
 

@@ -5,13 +5,16 @@ use cgselect_runtime::{
 };
 use cgselect_seqsel::median_rank;
 
+use crate::common::Local;
 use crate::{
     bucket, fast_randomized, median_of_medians, randomized, Algorithm, MachineSelection,
     SelectionConfig, SelectionOutcome,
 };
 
 /// Selects the element of 0-based global rank `k` from the distributed
-/// multiset whose local part on this processor is `data`.
+/// multiset whose local part on this processor is `data`. The input is only
+/// read: the randomized algorithms count on it and copy just the survivors
+/// of their first round, the deterministic ones take their own copy.
 ///
 /// Must be called collectively (SPMD) by every processor of the machine
 /// with the same `k`, `algorithm` and `cfg`. Returns the selected element
@@ -24,12 +27,14 @@ use crate::{
 /// configuration is invalid.
 pub fn parallel_select<T: Key>(
     proc: &mut Proc,
-    data: Vec<T>,
+    data: &[T],
     k: u64,
     algorithm: Algorithm,
     cfg: &SelectionConfig,
 ) -> SelectionOutcome<T> {
     cfg.validate();
+    // The working buffer is reserved before the first message is allocated.
+    let local = Local::borrowed(data);
     proc.barrier(); // synchronize clocks so total_seconds is a makespan
     let n0 = proc.combine(data.len() as u64, |a, b| a + b);
     assert!(n0 > 0, "parallel_select on an empty distributed set");
@@ -43,10 +48,10 @@ pub fn parallel_select<T: Key>(
     let fin0 = proc.phase_time(PHASE_FINISH);
 
     let res = match algorithm {
-        Algorithm::MedianOfMedians => median_of_medians::run(proc, data, k, n0, cfg),
-        Algorithm::BucketBased => bucket::run(proc, data, k, n0, cfg),
-        Algorithm::Randomized => randomized::run(proc, data, k, n0, cfg),
-        Algorithm::FastRandomized => fast_randomized::run(proc, data, k, n0, cfg),
+        Algorithm::MedianOfMedians => median_of_medians::run(proc, local, k, n0, cfg),
+        Algorithm::BucketBased => bucket::run(proc, local.into_vec(), k, n0, cfg),
+        Algorithm::Randomized => randomized::run(proc, local, k, n0, cfg),
+        Algorithm::FastRandomized => fast_randomized::run(proc, local, k, n0, cfg),
     };
 
     SelectionOutcome {
@@ -67,7 +72,7 @@ pub fn parallel_select<T: Key>(
 /// Selects the median (the paper's definition: 1-based rank ⌈N/2⌉).
 pub fn parallel_median<T: Key>(
     proc: &mut Proc,
-    data: Vec<T>,
+    data: &[T],
     algorithm: Algorithm,
     cfg: &SelectionConfig,
 ) -> SelectionOutcome<T> {
@@ -76,10 +81,10 @@ pub fn parallel_median<T: Key>(
     parallel_select(proc, data, median_rank(n as usize) as u64, algorithm, cfg)
 }
 
-/// Spins up a whole machine, distributes `parts` (one vector per
-/// processor), runs one parallel selection, and returns the value plus
-/// per-processor instrumentation. This is the entry point used by the
-/// examples and the experiment harness.
+/// Spins up a whole machine, hands each processor its part of `parts` (one
+/// vector per processor, borrowed, never cloned), runs one parallel
+/// selection, and returns the value plus per-processor instrumentation.
+/// This is the entry point used by the examples and the experiment harness.
 ///
 /// # Panics
 /// Panics if `parts.len() != p`.
@@ -91,9 +96,8 @@ pub fn select_on_machine<T: Key>(
     algorithm: Algorithm,
     cfg: &SelectionConfig,
 ) -> Result<MachineSelection<T>, RunError> {
-    assert_eq!(parts.len(), p, "need exactly one data vector per processor");
     let outcomes = Machine::with_model(p, model)
-        .run(|proc| parallel_select(proc, parts[proc.rank()].clone(), k, algorithm, cfg))?;
+        .run_distributed(parts, |proc, mine| parallel_select(proc, mine, k, algorithm, cfg))?;
     let value = outcomes[0].value;
     debug_assert!(
         outcomes.iter().all(|o| o.value == value),

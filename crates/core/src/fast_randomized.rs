@@ -1,11 +1,11 @@
 //! Algorithm 4 — Fast randomized parallel selection.
 
-use cgselect_balance::{rebalance, BalanceReport};
+use cgselect_balance::BalanceReport;
 use cgselect_runtime::{Key, Proc, PHASE_SORT};
-use cgselect_seqsel::{partition3_kernel, KernelRng, OpCount};
+use cgselect_seqsel::{count_zones, partition3_kernel, KernelRng, OpCount, Zone, ZoneCounts};
 use cgselect_sort::sorted_ranks_of;
 
-use crate::common::{apply_step, bracket_ranks, combine_zone_counts, finish, Narrow};
+use crate::common::{balance_round, bracket_ranks, finish, sum_zones, Local, Narrow};
 use crate::randomized::random_pivot_step;
 use crate::{AlgoResult, Algorithm, SelectionConfig};
 
@@ -14,13 +14,20 @@ use crate::{AlgoResult, Algorithm, SelectionConfig};
 ///
 /// Each iteration samples ~`n^ε` keys (ε = 0.6 per the paper's tuning),
 /// parallel-sorts the sample, brackets the target between the sample
-/// elements of ranks `m ± δ` (`m = k·|S|/n`, `δ = √(|S|·ln n)`), three-way
-/// partitions the data against the bracket `[k₁, k₂]` and keeps the zone
-/// containing the target. With high probability that zone is the middle
-/// one, whose expected size shrinks super-geometrically. When the target
-/// falls outside the bracket (an *unsuccessful* iteration), the paper's
-/// modification still discards everything on the far side rather than
-/// retrying the sample.
+/// elements of ranks `m ± δ` (`m = k·|S|/n`, `δ = √(|S|·ln n)`), splits
+/// the data into zones against the bracket `[k₁, k₂]` and keeps only the
+/// zone containing the target. With high probability that zone is the
+/// middle one, whose expected size shrinks super-geometrically. When the
+/// target falls outside the bracket (an *unsuccessful* iteration), the
+/// paper's modification still discards everything on the far side rather
+/// than retrying the sample.
+///
+/// The caller's slice is never partitioned: it is only counted, and the
+/// first round that discards some of it copies just the survivors out.
+/// Owned survivors are partitioned in place, as the paper's Step 5 does.
+/// (Counting and keeping in those rounds too makes them so cheap that load
+/// balancing no longer pays off on sorted input, which reverses the
+/// paper's finding that it does for this algorithm.)
 ///
 /// A degeneracy guard handles bracket-covers-everything rounds on heavily
 /// duplicated data: if no element would be discarded, the round falls back
@@ -28,7 +35,7 @@ use crate::{AlgoResult, Algorithm, SelectionConfig};
 /// makes progress.
 pub(crate) fn run<T: Key>(
     proc: &mut Proc,
-    mut data: Vec<T>,
+    mut data: Local<'_, T>,
     k0: u64,
     n0: u64,
     cfg: &SelectionConfig,
@@ -57,17 +64,13 @@ pub(crate) fn run<T: Key>(
             nr.k
         );
 
-        // Step 1: draw a local sample of expected size nᵢ·n^(ε−1).
+        // Step 1: draw a local sample of expected size nᵢ·n^(ε−1), by index
+        // with replacement (the sample only proposes the bracket).
         let ni = data.len() as u64;
         let frac = (nr.n as f64).powf(cfg.epsilon - 1.0);
         let si = if ni == 0 { 0 } else { ((ni as f64 * frac).ceil() as u64).min(ni) };
-        for j in 0..si {
-            let r = j + local_rng.below(ni - j);
-            data.swap(j as usize, r as usize);
-        }
-        proc.charge_ops(3 * si);
-        let sample: Vec<T> = data[..si as usize].to_vec();
-        proc.charge_ops(si);
+        let sample: Vec<T> = (0..si).map(|_| data[local_rng.below(ni) as usize]).collect();
+        proc.charge_ops(2 * si);
 
         // Steps 2–4: parallel-sort the sample; fetch k₁ and k₂.
         let s_total = proc.combine(si, |a, b| a + b);
@@ -80,15 +83,20 @@ pub(crate) fn run<T: Key>(
         let (v1, v2) = (vs[0], vs[1]);
         debug_assert!(v1 <= v2);
 
-        // Step 5: three-way partition into < k₁ | [k₁, k₂] | > k₂.
+        // Steps 5–7: split into < k₁ | [k₁, k₂] | > k₂ and combine the
+        // zone counts.
         let mut ops = OpCount::new();
-        let (a, b) = partition3_kernel(&mut data, v1, v2, &mut ops);
+        let split = match data.owned_mut() {
+            Some(owned) => {
+                let (a, b) = partition3_kernel(owned, v1, v2, &mut ops);
+                Split::Cut(a, b)
+            }
+            None => Split::Counted(count_zones(&data, v1, v2, &mut ops)),
+        };
         proc.charge_ops(ops.total());
+        let counts = sum_zones(proc, split.sizes(data.len()));
 
-        // Steps 6–7: combine the zone counts.
-        let counts = combine_zone_counts(proc, a, b, data.len());
-
-        // Step 8: narrow (with the degeneracy guard).
+        // Step 8: keep the target's zone (with the degeneracy guard).
         if counts.1 == nr.n {
             if v1 == v2 {
                 // The whole remaining set equals v1.
@@ -102,21 +110,63 @@ pub(crate) fn run<T: Key>(
                 break;
             }
         } else {
-            let (step, successful) = nr.decide_bracket(counts, a, b);
+            let (zone, successful) = nr.decide_bracket(counts);
             if !successful {
                 unsuccessful += 1;
             }
-            apply_step(proc, &mut data, &step);
+            match split {
+                Split::Cut(a, b) => {
+                    let owned = data.owned_mut().expect("a cut vector is owned");
+                    keep_cut(proc, owned, zone, a, b);
+                }
+                Split::Counted(local) => data.keep(proc, v1, v2, zone, local),
+            }
         }
 
         // Optional load balancing between iterations.
-        balance.absorb(rebalance(cfg.balancer, proc, &mut data));
+        balance_round(proc, cfg.balancer, &mut data, &mut balance);
     }
 
     // Steps 9–10: gather survivors, solve sequentially, broadcast.
     let value = match early {
         Some(v) => v,
-        None => finish(proc, data, nr.k, kernel, &mut local_rng),
+        None => finish(proc, data.into_vec(), nr.k, kernel, &mut local_rng),
     };
     AlgoResult { value, iterations, unsuccessful, balance, survivors }
+}
+
+/// This processor's Step 5 split against the bracket.
+enum Split {
+    /// Owned survivors partitioned in place: `[..a)` below the bracket,
+    /// `[a..b)` in it, `[b..)` above it.
+    Cut(usize, usize),
+    /// The caller's slice, counted only.
+    Counted(ZoneCounts),
+}
+
+impl Split {
+    /// Local zone sizes of a `len`-element split.
+    fn sizes(&self, len: usize) -> (u64, u64, u64) {
+        match *self {
+            Split::Cut(a, b) => (a as u64, (b - a) as u64, (len - b) as u64),
+            Split::Counted(counts) => counts.sizes,
+        }
+    }
+}
+
+/// Keeps `zone` of a vector partitioned at `a ≤ b`, charging the element
+/// moves that a front drain makes.
+fn keep_cut<T: Key>(proc: &mut Proc, data: &mut Vec<T>, zone: Zone, a: usize, b: usize) {
+    match zone {
+        Zone::Below => data.truncate(a),
+        Zone::Between => {
+            data.truncate(b);
+            data.drain(..a);
+            proc.charge_ops(data.len() as u64);
+        }
+        Zone::Above => {
+            data.drain(..b);
+            proc.charge_ops(data.len() as u64);
+        }
+    }
 }

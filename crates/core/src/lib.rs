@@ -4,10 +4,10 @@
 //! Algorithms for Selection on Coarse-Grained Parallel Computers"* (IPPS
 //! 1996): given `n` elements distributed over `p` processors and a rank
 //! `k`, find the element of rank `k`. Four algorithms are implemented, all
-//! iterative — each round estimates a pivot, partitions every processor's
-//! remaining elements against it, and discards the zone that cannot contain
-//! the target, until at most `p²` elements survive and are solved
-//! sequentially:
+//! iterative — each round estimates a pivot, splits every processor's
+//! remaining elements into zones against it, and discards the zones that
+//! cannot contain the target, until at most `p²` elements survive and are
+//! solved sequentially:
 //!
 //! | Algorithm | Pivot rule | Iterations | Needs load balance? |
 //! |---|---|---|---|
@@ -34,7 +34,7 @@
 //!         // Each processor holds 1000 locally generated values.
 //!         let base = proc.rank() as u64 * 1000;
 //!         let mine: Vec<u64> = (base..base + 1000).collect();
-//!         parallel_median(proc, mine, Algorithm::Randomized, &cfg).value
+//!         parallel_median(proc, &mine, Algorithm::Randomized, &cfg).value
 //!     })
 //!     .unwrap();
 //! assert_eq!(outs, vec![1999; 4]); // rank ⌈4000/2⌉ (1-based) = 0-based 1999

@@ -1,25 +1,25 @@
 //! Algorithm 1 — Median of Medians parallel selection.
 
-use cgselect_balance::{rebalance, BalanceReport};
+use cgselect_balance::BalanceReport;
 use cgselect_runtime::{Key, Proc};
 use cgselect_seqsel::{median_rank, select_with, KernelRng, OpCount};
 
-use crate::common::{finish, two_way_narrow, Narrow};
+use crate::common::{balance_round, finish, pivot_narrow, Local, Narrow};
 use crate::{AlgoResult, Algorithm, SelectionConfig};
 
 /// Runs the median-of-medians selection algorithm (paper Algorithm 1): per
 /// iteration, every processor finds its local median, processor 0 finds the
 /// median of those medians and broadcasts it as the estimated median, every
-/// processor partitions its remaining elements against it, a Combine
-/// determines which side survives, and the data is re-balanced (paper
-/// Step 7 — this algorithm's pivot guarantee *needs* near-equal counts).
+/// processor counts its remaining elements against it, a Combine
+/// determines which zone survives and only that zone is kept
+/// ([`pivot_narrow`]), and the data is re-balanced (paper Step 7 — this
+/// algorithm's pivot guarantee *needs* near-equal counts).
 ///
-/// The per-iteration scan is the paper's two-way `≤`/`>` partition; the
-/// duplicate-degeneracy fallback in [`two_way_narrow`] keeps heavily
-/// duplicated inputs from livelocking the narrowing loop.
+/// The local median selection permutes the data, so the first one copies
+/// the caller's part.
 pub(crate) fn run<T: Key>(
     proc: &mut Proc,
-    mut data: Vec<T>,
+    mut data: Local<'_, T>,
     k0: u64,
     n0: u64,
     cfg: &SelectionConfig,
@@ -53,7 +53,7 @@ pub(crate) fn run<T: Key>(
         } else {
             let mut ops = OpCount::new();
             let rank = median_rank(data.len());
-            let m = select_with(kernel, &mut data, rank, &mut local_rng, &mut ops);
+            let m = select_with(kernel, data.to_mut(), rank, &mut local_rng, &mut ops);
             proc.charge_ops(ops.total());
             Some(m)
         };
@@ -71,20 +71,20 @@ pub(crate) fn run<T: Key>(
         });
         let mom: T = proc.broadcast(0, mom_opt);
 
-        // Steps 4–6: partition, combine count, narrow.
-        if let Some(v) = two_way_narrow(proc, &mut data, &mut nr, mom) {
+        // Steps 4–6: count, combine, keep.
+        if let Some(v) = pivot_narrow(proc, &mut data, &mut nr, mom) {
             early = Some(v);
             break;
         }
 
         // Step 7: load balance.
-        balance.absorb(rebalance(cfg.balancer, proc, &mut data));
+        balance_round(proc, cfg.balancer, &mut data, &mut balance);
     }
 
     // Steps 8–9: gather survivors, solve sequentially, broadcast.
     let value = match early {
         Some(v) => v,
-        None => finish(proc, data, nr.k, kernel, &mut local_rng),
+        None => finish(proc, data.into_vec(), nr.k, kernel, &mut local_rng),
     };
     AlgoResult { value, iterations, unsuccessful: 0, balance, survivors }
 }

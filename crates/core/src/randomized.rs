@@ -1,10 +1,10 @@
 //! Algorithm 3 — Randomized parallel selection.
 
-use cgselect_balance::{rebalance, BalanceReport};
+use cgselect_balance::BalanceReport;
 use cgselect_runtime::{Key, Proc};
 use cgselect_seqsel::KernelRng;
 
-use crate::common::{finish, two_way_narrow, Narrow};
+use crate::common::{balance_round, finish, pivot_narrow, Local, Narrow};
 use crate::{AlgoResult, Algorithm, SelectionConfig};
 
 /// One pivot-discard round of randomized selection, shared with the
@@ -12,14 +12,13 @@ use crate::{AlgoResult, Algorithm, SelectionConfig};
 ///
 /// Every processor draws the *same* global index from the shared stream
 /// (paper §3.3: same generator, same seed on all processors); a parallel
-/// prefix locates the owner, who publishes the element; everyone
-/// partitions against it (the paper's two-way `≤`/`>` scan, with the
-/// duplicate-degeneracy fallback described at [`two_way_narrow`]) and a
-/// Combine decides the surviving zone. Returns `Some(pivot)` if the
+/// prefix locates the owner, who publishes the element; everyone counts
+/// its zones against it, a Combine decides the surviving zone, and only
+/// that zone is kept ([`pivot_narrow`]). Returns `Some(pivot)` if the
 /// target's rank landed in the pivot's equality class.
 pub(crate) fn random_pivot_step<T: Key>(
     proc: &mut Proc,
-    data: &mut Vec<T>,
+    data: &mut Local<'_, T>,
     nr: &mut Narrow,
     shared_rng: &mut KernelRng,
 ) -> Option<T> {
@@ -30,16 +29,17 @@ pub(crate) fn random_pivot_step<T: Key>(
     let mine = (before <= idx && idx < before + len).then(|| data[(idx - before) as usize]);
     let guess: T = proc.bcast_from_owner(mine);
 
-    // Steps 4–6: partition, combine, narrow.
-    two_way_narrow(proc, data, nr, guess)
+    // Steps 4–6: count, combine, keep.
+    pivot_narrow(proc, data, nr, guess)
 }
 
 /// Runs randomized parallel selection (paper Algorithm 3): expected
 /// `O(log n)` iterations, each discarding about half of the remaining
-/// elements around a uniformly random pivot.
+/// elements around a uniformly random pivot. The first round counts on
+/// the caller's slice and copies only its survivors.
 pub(crate) fn run<T: Key>(
     proc: &mut Proc,
-    mut data: Vec<T>,
+    mut data: Local<'_, T>,
     k0: u64,
     n0: u64,
     cfg: &SelectionConfig,
@@ -71,12 +71,12 @@ pub(crate) fn run<T: Key>(
             break;
         }
         // Step 7 (optional): load balance.
-        balance.absorb(rebalance(cfg.balancer, proc, &mut data));
+        balance_round(proc, cfg.balancer, &mut data, &mut balance);
     }
 
     let value = match early {
         Some(v) => v,
-        None => finish(proc, data, nr.k, kernel, &mut local_rng),
+        None => finish(proc, data.into_vec(), nr.k, kernel, &mut local_rng),
     };
     AlgoResult { value, iterations, unsuccessful: 0, balance, survivors }
 }

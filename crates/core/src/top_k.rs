@@ -57,10 +57,9 @@ pub fn parallel_top_k<T: Key>(
     }
 
     // The k-th smallest element (0-based rank k-1) is the threshold.
-    // parallel_select consumes its input, so partition a kept copy; the
-    // copy cost is charged.
-    proc.charge_ops(data.len() as u64);
-    let outcome = parallel_select(proc, data.clone(), k - 1, algorithm, cfg);
+    // parallel_select only reads its input, so the data is partitioned in
+    // place afterwards.
+    let outcome = parallel_select(proc, &data, k - 1, algorithm, cfg);
     let threshold = outcome.value;
 
     let mut data = data;

@@ -75,6 +75,47 @@ fn all_algorithms_match_oracle_on_all_layouts() {
 }
 
 #[test]
+fn narrowing_algorithms_answer_on_all_equal_and_two_valued_inputs() {
+    // Every round's pivot or bracket lands on one of at most two values,
+    // so only the three-way zone counts keep these inputs from stalling.
+    let p = 4;
+    let mut rng = KernelRng::new(5);
+    let two_valued: Vec<Vec<u64>> = (0..p)
+        .map(|_| (0..150).map(|_| [3u64, 9][(rng.next_u64() % 2) as usize]).collect())
+        .collect();
+    let skewed: Vec<Vec<u64>> =
+        (0..p).map(|r| vec![if r == 0 { 1 } else { 2 }; 100 + 50 * r]).collect();
+    let inputs =
+        [("all-equal", vec![vec![7u64; 150]; p]), ("two-valued", two_valued), ("skewed", skewed)];
+    for (name, parts) in &inputs {
+        let n: usize = parts.iter().map(Vec::len).sum();
+        for algo in [Algorithm::MedianOfMedians, Algorithm::Randomized, Algorithm::FastRandomized] {
+            for balancer in [Balancer::None, Balancer::GlobalExchange] {
+                for k in [0, (n as u64 - 1) / 2, n as u64 - 1] {
+                    let cfg = test_cfg(8).balancer(balancer);
+                    let got =
+                        select_on_machine(p, MachineModel::free(), parts, k, algo, &cfg).unwrap();
+                    assert_eq!(got.value, oracle(parts, k), "{name} {algo:?} {balancer:?} k={k}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn select_on_machine_leaves_the_parts_unchanged() {
+    let p = 4;
+    for (name, parts) in layouts(p, 600, 3) {
+        let before = parts.clone();
+        for algo in Algorithm::ALL {
+            let cfg = test_cfg(9).balancer(Balancer::GlobalExchange);
+            select_on_machine(p, MachineModel::free(), &parts, 300, algo, &cfg).unwrap();
+            assert_eq!(parts, before, "layout={name} algo={algo:?}");
+        }
+    }
+}
+
+#[test]
 fn all_balancers_with_randomized_algorithms() {
     let p = 4;
     let parts = layouts(p, 400, 2);

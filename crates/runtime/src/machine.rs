@@ -350,20 +350,20 @@ impl Machine {
         Proc::new_fabric(rank, self.p, self.model, link, self.recv_timeout)
     }
 
-    /// Runs an SPMD program where each processor starts from its slice of
-    /// pre-distributed input data — the common pattern of every experiment
-    /// in this repository (`parts[rank]` is cloned into rank's closure).
+    /// Runs an SPMD program where each processor starts from its part of
+    /// pre-distributed input data: rank `r` borrows `&parts[r]`, and nothing
+    /// is cloned.
     ///
     /// # Panics
     /// Panics if `parts.len() != p`.
     pub fn run_distributed<T, F, R>(&self, parts: &[Vec<T>], f: F) -> Result<Vec<R>, RunError>
     where
-        T: Clone + Send + Sync,
-        F: Fn(&mut Proc, Vec<T>) -> R + Send + Sync,
+        T: Sync,
+        F: Fn(&mut Proc, &[T]) -> R + Send + Sync,
         R: Send,
     {
         assert_eq!(parts.len(), self.p, "need exactly one input vector per processor");
-        self.run(|proc| f(proc, parts[proc.rank()].clone()))
+        self.run(|proc| f(proc, &parts[proc.rank()]))
     }
 }
 

@@ -385,11 +385,6 @@ impl Proc {
         self.phases.get(label)
     }
 
-    /// All phase totals recorded so far.
-    pub fn phase_times(&self) -> &[(&'static str, f64)] {
-        self.phases.all()
-    }
-
     pub(crate) fn phases_balanced(&self) -> bool {
         self.phases.balanced()
     }

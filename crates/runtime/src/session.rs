@@ -82,16 +82,6 @@ impl ShardStore {
             .map(|b| b.downcast_mut::<T>().expect("slot keyed by TypeId"))
     }
 
-    /// Mutable reference to the stored `T`, inserting `init()` first if the
-    /// slot is empty.
-    pub fn get_or_insert_with<T: Any + Send>(&mut self, init: impl FnOnce() -> T) -> &mut T {
-        self.slots
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::new(init()))
-            .downcast_mut::<T>()
-            .expect("slot keyed by TypeId")
-    }
-
     /// Removes and returns the stored `T`.
     pub fn remove<T: Any + Send>(&mut self) -> Option<T> {
         self.slots

@@ -129,11 +129,6 @@ impl PhaseTimer {
         self.acc.iter().find(|(l, _)| *l == label).map(|(_, t)| *t).unwrap_or(0.0)
     }
 
-    /// All recorded `(label, seconds)` pairs in first-seen order.
-    pub fn all(&self) -> &[(&'static str, f64)] {
-        &self.acc
-    }
-
     /// True if every `begin` has been matched by an `end`.
     pub fn balanced(&self) -> bool {
         self.stack.is_empty()

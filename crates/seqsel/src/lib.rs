@@ -14,12 +14,16 @@
 //! real kernel behaviour instead of being assumed.
 //!
 //! Every partition those algorithms make — the pivot or bracket cut of
-//! quickselect, BFPRT, the bucket structure and all four of the paper's
-//! parallel algorithms in `cgselect-core` — runs the branchless kernels
-//! ([`partition3_kernel`], [`partition_bound_kernel`]), which leave the
-//! same permutation and charge the same counts as their scalar references
-//! ([`partition3`] and the `*_reference` functions). The references are
-//! test oracles and wall-clock baselines only.
+//! quickselect, BFPRT and the bucket structure — runs the branchless
+//! kernels ([`partition3_kernel`], [`partition_bound_kernel`]), which leave
+//! the same permutation and charge the same counts as their scalar
+//! references ([`partition3`] and the `*_reference` functions). The
+//! references are test oracles and wall-clock baselines only. The paper's
+//! parallel Algorithms 1 and 3 in `cgselect-core` partition nothing, and
+//! Algorithm 4 partitions only survivors it owns: a round counts the zones
+//! of its pivot or bracket ([`count_zones`]) and then keeps only the
+//! surviving [`Zone`] ([`keep_zone`], or [`copy_zone`] out of the caller's
+//! borrowed input).
 //!
 //! This crate is dependency-free (apart from dev-dependencies) and usable on
 //! its own as a plain sequential selection library.
@@ -49,8 +53,8 @@ pub use buckets::Buckets;
 pub use floyd_rivest::{floyd_rivest_multi_select, floyd_rivest_select};
 pub use introselect::introselect;
 pub use kernels::{
-    count_below_kernel, count_below_reference, partition3_kernel, partition_bound_kernel,
-    partition_bound_reference,
+    copy_zone, count_below_kernel, count_below_reference, count_zones, keep_zone,
+    partition3_kernel, partition_bound_kernel, partition_bound_reference, Zone, ZoneCounts,
 };
 pub use median_of_medians::median_of_medians_select;
 pub use ops::OpCount;

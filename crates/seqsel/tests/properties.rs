@@ -3,8 +3,9 @@
 //! must satisfy their postconditions.
 
 use cgselect_seqsel::{
-    floyd_rivest_select, median_of_medians_select, partition3, partition_bound_kernel, quickselect,
-    weighted_median, Buckets, KernelRng, LocalKernel, OpCount, SepBound,
+    copy_zone, count_zones, floyd_rivest_select, keep_zone, median_of_medians_select, partition3,
+    partition_bound_kernel, quickselect, weighted_median, Buckets, KernelRng, LocalKernel, OpCount,
+    SepBound, Zone,
 };
 use proptest::prelude::*;
 
@@ -164,5 +165,38 @@ proptest! {
         let w = b.full_window();
         let got = b.select_rank(w, k, LocalKernel::Randomized, &mut rng, &mut ops);
         prop_assert_eq!(got, oracle(v, k));
+    }
+
+    #[test]
+    fn zone_count_and_keep_match_filter_and_retain(
+        v in prop::collection::vec(-20i64..20, 0..300),
+        a in -25i64..25,
+        b in -25i64..25,
+        sorted in any::<bool>(),
+    ) {
+        let mut v = v;
+        if sorted {
+            v.sort_unstable();
+        }
+        let (lo, hi) = (a.min(b), a.max(b));
+        let mut ops = OpCount::new();
+        let counts = count_zones(&v, lo, hi, &mut ops);
+        let lt = v.iter().filter(|&&x| x < lo).count() as u64;
+        let le = v.iter().filter(|&&x| x <= hi).count() as u64;
+        prop_assert_eq!(counts.sizes, (lt, le - lt, v.len() as u64 - le));
+        for zone in [Zone::Below, Zone::Between, Zone::Above] {
+            let holds = |x: i64| match zone {
+                Zone::Below => x < lo,
+                Zone::Between => lo <= x && x <= hi,
+                Zone::Above => x > hi,
+            };
+            let want: Vec<i64> = v.iter().copied().filter(|&x| holds(x)).collect();
+            let mut kept_in_place = v.clone();
+            keep_zone(&mut kept_in_place, lo, hi, zone, counts, &mut ops);
+            prop_assert_eq!(&kept_in_place, &want);
+            let mut copied = Vec::new();
+            copy_zone(&v, lo, hi, zone, counts, &mut copied, &mut ops);
+            prop_assert_eq!(&copied, &want);
+        }
     }
 }

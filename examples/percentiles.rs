@@ -46,17 +46,20 @@ fn main() {
     let machine = Machine::with_model(p, MachineModel::modern());
     let cfg = SelectionConfig::with_seed(7);
 
+    // Each node's shard, generated once: a selection only borrows it.
+    let shards: Vec<Vec<OrdF64>> = (0..p).map(|rank| shard_latencies(rank, per_shard)).collect();
+
     // The oracle: every sample, sorted.
-    let mut all: Vec<OrdF64> = (0..p).flat_map(|rank| shard_latencies(rank, per_shard)).collect();
+    let mut all: Vec<OrdF64> = shards.concat();
     all.sort_unstable();
 
-    // One selection per percentile (paper's Algorithm 4 each time).
+    // One selection per percentile (paper's Algorithm 4 each time), every
+    // node reading its own shard in place.
     println!("-- one fast-randomized selection per percentile --");
     let mut single_total = 0.0f64;
     for ((_, label), &k) in percentiles.iter().zip(&ranks) {
         let outs = machine
-            .run(|proc| {
-                let mine = shard_latencies(proc.rank(), per_shard);
+            .run_distributed(&shards, |proc, mine| {
                 parallel_select(proc, mine, k, Algorithm::FastRandomized, &cfg)
             })
             .expect("selection failed");
@@ -71,13 +74,13 @@ fn main() {
         assert_eq!(outs[0].value, all[k as usize], "{label} disagrees with the sorted oracle");
     }
 
-    // All four percentiles in one multi-select pass (library extension).
+    // All four percentiles in one multi-select pass (library extension),
+    // which works on its own copy of each shard.
     println!("\n-- all four percentiles in one multi-select pass --");
     let outs = machine
-        .run(|proc| {
-            let mine = shard_latencies(proc.rank(), per_shard);
+        .run_distributed(&shards, |proc, mine| {
             let t0 = proc.now();
-            let values = parallel_multi_select(proc, mine, &ranks, &cfg);
+            let values = parallel_multi_select(proc, mine.to_vec(), &ranks, &cfg);
             (values, proc.now() - t0)
         })
         .expect("multi-select failed");

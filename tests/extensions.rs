@@ -95,7 +95,7 @@ fn selection_accounts_for_all_messages() {
         .run(|proc| {
             let out = cgselect::parallel_select(
                 proc,
-                parts[proc.rank()].clone(),
+                &parts[proc.rank()],
                 2000,
                 Algorithm::Randomized,
                 &cfg(),

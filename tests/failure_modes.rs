@@ -24,7 +24,7 @@ fn divergent_rank_parameters_are_caught() {
             let k = if proc.rank() == 0 { 10 } else { 20 };
             cgselect::parallel_select(
                 proc,
-                mine,
+                &mine,
                 k,
                 Algorithm::Randomized,
                 &SelectionConfig { min_sequential: 8, ..SelectionConfig::with_seed(3) },
@@ -51,7 +51,7 @@ fn divergent_algorithms_are_caught() {
                 if proc.rank() == 0 { Algorithm::Randomized } else { Algorithm::MedianOfMedians };
             cgselect::parallel_select(
                 proc,
-                mine,
+                &mine,
                 50,
                 algo,
                 &SelectionConfig { min_sequential: 8, ..SelectionConfig::with_seed(4) },
@@ -116,7 +116,7 @@ fn invalid_config_fails_before_any_communication() {
             let cfg = SelectionConfig { epsilon: 2.0, ..SelectionConfig::default() };
             cgselect::parallel_select(
                 proc,
-                vec![proc.rank() as u64],
+                &[proc.rank() as u64],
                 0,
                 Algorithm::FastRandomized,
                 &cfg,

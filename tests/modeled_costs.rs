@@ -257,7 +257,7 @@ fn paper_algorithms() -> (Vec<String>, Vec<String>) {
         for alg in Algorithm::ALL {
             let (parts, cfg) = (parts.clone(), cfg.clone());
             let select = move |proc: &mut cgselect::Proc| {
-                parallel_select(proc, parts[proc.rank()].clone(), k, alg, &cfg)
+                parallel_select(proc, &parts[proc.rank()], k, alg, &cfg)
             };
             let outs = machine.run(&select).unwrap();
             one_shot.push(selection_line(alg, dist, &outs));
