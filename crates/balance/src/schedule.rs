@@ -76,6 +76,10 @@ pub(crate) fn execute_transfers<T: Key>(
         report.elements_sent += t.amount;
         report.messages_sent += 1;
     }
+    // A sink knows its whole intake from the schedule: grow once, not per
+    // message.
+    let incoming: u64 = schedule.iter().filter(|t| t.snk == me).map(|t| t.amount).sum();
+    data.reserve(incoming as usize);
     for t in schedule.iter().filter(|t| t.snk == me) {
         let payload: Vec<T> = proc.recv_vec_tagged(t.src, tag);
         debug_assert_eq!(payload.len() as u64, t.amount);

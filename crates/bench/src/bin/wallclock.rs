@@ -6,20 +6,21 @@
 //! twin over the same data (the pre-kernel baseline; the reference
 //! functions are plain functions that only tests and this bin call):
 //! `count_below_kernel` vs `count_below_reference` over `u64`/`u32`/`i64`,
-//! and `partition_by_bounds` vs `partition_by_bounds_reference` (64
-//! splitters), per-element hot loops timed in isolation at n = 2^20 (2^18
-//! under `--quick`). End-to-end wall time belongs to the benchmark in
-//! `perf/`; that each kernel returns the same answer, permutation and
-//! measured ops as its reference is pinned by the seqsel differential
-//! tests.
+//! `partition_by_bounds` vs `partition_by_bounds_reference` (64
+//! splitters), and `retain_absent` vs `retain_absent_reference` (a delete's
+//! compaction against 170 wanted values), per-element hot loops timed in
+//! isolation at n = 2^20 (2^18 under `--quick`). End-to-end wall time
+//! belongs to the benchmark in `perf/`; that each kernel returns the same
+//! answer, permutation and measured ops as its reference is pinned by the
+//! seqsel differential tests.
 //!
 //! Outputs `results/engine_wall.{csv,txt}` plus machine-readable
 //! `BENCH_wall.json` at the workspace root. Pass `--check` to gate:
-//! absolute speedup floors (count_below u64 and partition >= 1.5x) and,
-//! when a committed `BENCH_wall.json` exists from a previous run, no
-//! speedup ratio may fall below 75% of its committed value — the
-//! noise-tolerant CI wall-time regression guard. Ratios (not absolute
-//! times) are gated so the guard is portable across machines.
+//! absolute speedup floors (1.5x for count_below u64, partition and
+//! retain_absent) and, when a committed `BENCH_wall.json` exists from a
+//! previous run, no speedup ratio may fall below 75% of its committed
+//! value — the noise-tolerant CI wall-time regression guard. Ratios (not
+//! absolute times) are gated so the guard is portable across machines.
 
 use std::time::Instant;
 
@@ -27,7 +28,7 @@ use cgselect_bench::chart::{markdown_table, write_csv, write_text};
 use cgselect_bench::{quick_mode, results_dir};
 use cgselect_seqsel::{
     count_below_kernel, count_below_reference, partition_by_bounds, partition_by_bounds_reference,
-    OpCount, SepBound,
+    retain_absent, retain_absent_reference, OpCount, SepBound,
 };
 use cgselect_workloads::{generate, Distribution};
 
@@ -113,6 +114,39 @@ fn micro_partition(reps: usize, raw: &[u64]) -> Measure {
     Measure { key: "micro.partition_by_bounds.u64", reference_s: time(false), kernel_s: time(true) }
 }
 
+/// Values a delete wants gone per compacted run: about what each bucket
+/// run of a shard gets from the 32,768-key delete of `perf`'s
+/// `ingest_churn` workload.
+const RETAIN_WANTED: usize = 170;
+
+/// `retain_absent` microbench: one delete compaction of `n` elements
+/// against [`RETAIN_WANTED`] values drawn from them (so some elements go),
+/// the scalar one-binary-search-per-element reference vs the lockstep
+/// kernel. The clone feeding each run is excluded from the timed region.
+fn micro_retain(reps: usize, raw: &[u64]) -> Measure {
+    let mut wanted: Vec<u64> = raw.iter().step_by(raw.len() / RETAIN_WANTED).copied().collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let time = |kernel: bool| {
+        best_of(reps, || {
+            let mut scratch = raw.to_vec();
+            let mut ops = OpCount::new();
+            let mut gone = 0u64;
+            let run = 0..scratch.len();
+            let wall0 = Instant::now();
+            let kept = if kernel {
+                retain_absent(&mut scratch, 0, run, &wanted, |_| gone += 1, &mut ops)
+            } else {
+                retain_absent_reference(&mut scratch, 0, run, &wanted, |_| gone += 1, &mut ops)
+            };
+            let wall = wall0.elapsed().as_secs_f64();
+            std::hint::black_box((kept, gone, ops));
+            wall
+        })
+    };
+    Measure { key: "micro.retain_absent.u64", reference_s: time(false), kernel_s: time(true) }
+}
+
 /// Reads the flat `"metrics"` map out of a committed `BENCH_wall.json`
 /// (the format [`write_json`] emits): one `"key": value` pair per line.
 fn read_baseline(path: &std::path::Path) -> Vec<(String, f64)> {
@@ -173,6 +207,7 @@ fn main() {
         micro_count::<u32>("micro.count_below.u32", reps, iters, &raw),
         micro_count::<i64>("micro.count_below.i64", reps, iters, &raw),
         micro_partition(reps, &raw),
+        micro_retain(reps, &raw),
     ];
 
     let mut rows = Vec::new();
@@ -220,8 +255,11 @@ fn main() {
         let mut ok = true;
         let find = |key: &str| measures.iter().find(|m| m.key == key).expect("measured");
         // Absolute, machine-portable floors.
-        for (key, floor) in [("micro.count_below.u64", 1.5), ("micro.partition_by_bounds.u64", 1.5)]
-        {
+        for (key, floor) in [
+            ("micro.count_below.u64", 1.5),
+            ("micro.partition_by_bounds.u64", 1.5),
+            ("micro.retain_absent.u64", 1.5),
+        ] {
             let s = find(key).speedup();
             if s < floor {
                 eprintln!("WALL REGRESSION: {key} speedup {s:.2}x below floor {floor:.1}x");
@@ -251,8 +289,8 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "perf smoke: kernel speedup floors held (count_below >= 1.5x, partition >= 1.5x) \
-             and no speedup fell below 75% of the committed baseline"
+            "perf smoke: kernel speedup floors held (count_below, partition and retain_absent \
+             >= 1.5x) and no speedup fell below 75% of the committed baseline"
         );
     }
 }

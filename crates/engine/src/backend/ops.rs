@@ -13,7 +13,8 @@ use cgselect_balance::{rebalance, Balancer};
 use cgselect_core::{parallel_multi_select_windows, RankedWindow};
 use cgselect_runtime::{Key, Proc};
 use cgselect_seqsel::{
-    bucket_of, bucket_search_cmps, count_below_kernel, partition_by_bounds, OpCount, SepBound,
+    bucket_of, bucket_search_cmps, count_below_kernel, partition_by_bounds, retain_absent, OpCount,
+    SepBound,
 };
 
 use crate::index::{
@@ -77,7 +78,9 @@ const RESKETCH_REMOVED_DIVISOR: u64 = 4;
 /// exactly the removed elements to the sketch's removed side. With an index
 /// the delete list is cut at the bucket bounds, so a bucket's elements are
 /// searched only among the values that bucket can hold, and a bucket none
-/// of them falls into moves as one block, unsearched. Every comparison,
+/// of them falls into moves as one block, unsearched. Each run is compacted
+/// by [`retain_absent`], which searches eight elements in lockstep and
+/// charges what one binary search per element would have. Every comparison,
 /// element move and sketch removal is counted, matching how the selection
 /// kernels charge their measured work — the cost follows what the delete
 /// touches and removes, not the shard's size; only the re-sketch that
@@ -89,33 +92,14 @@ pub(crate) fn delete_shard<T: Key>(
 ) -> ShardDeletion {
     let Shard { data, sketch, index } = shard;
     let before = data.len();
-    let (mut write, mut cmps, mut moves) = (0usize, 0u64, 0u64);
+    let (mut write, mut ops) = (0usize, OpCount::new());
     // Compacts one run of `data` against the slice of the delete list that
     // can match inside it; returns how many of the run's elements went.
     let mut compact = |run: std::ops::Range<usize>, wanted: &[T]| -> u64 {
-        if wanted.is_empty() {
-            if write != run.start {
-                data.copy_within(run.clone(), write);
-                moves += run.len() as u64;
-            }
-            write += run.len();
-            return 0;
-        }
-        let mut gone = 0u64;
-        for read in run {
-            let x = data[read];
-            if binary_search_counting(wanted, &x, &mut cmps) {
-                sketch.remove(x);
-                gone += 1;
-            } else {
-                if write != read {
-                    data[write] = x;
-                    moves += 1;
-                }
-                write += 1;
-            }
-        }
-        gone
+        let len = run.len();
+        let kept = retain_absent(data, write, run, wanted, |x| sketch.remove(x), &mut ops) - write;
+        write += kept;
+        (len - kept) as u64
     };
     let mut cut_cmps = 0u64;
     let removed: Vec<u64> = match index {
@@ -159,7 +143,7 @@ pub(crate) fn delete_shard<T: Key>(
     };
     data.truncate(write);
     let gone = (before - write) as u64;
-    proc.charge_ops(cut_cmps + cmps + moves + gone);
+    proc.charge_ops(cut_cmps + ops.cmps + ops.moves + gone);
     let resketched = sketch.removed_mass() * RESKETCH_REMOVED_DIVISOR > data.len() as u64;
     if resketched {
         sketch.rebuild(data);
@@ -540,20 +524,6 @@ pub(crate) fn execute_shard<T: Key>(
         comm,
         elapsed: t_end - t0,
         spans,
-    }
-}
-
-/// Binary search that reports its measured comparisons (the delete path's
-/// op accounting, matching the kernels' counted discipline — the same
-/// counting-closure idiom as `cgselect_seqsel::bucket_of`).
-fn binary_search_counting<T: Ord>(sorted: &[T], x: &T, cmps: &mut u64) -> bool {
-    let i = sorted.partition_point(|v| {
-        *cmps += 1;
-        v < x
-    });
-    i < sorted.len() && {
-        *cmps += 1;
-        sorted[i] == *x
     }
 }
 

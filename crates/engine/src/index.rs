@@ -484,20 +484,42 @@ impl<T: Key> GlobalIndex<T> {
 
     /// Records freshly ingested elements into the delta mirror and
     /// reclassifies — the rebase that keeps localization exact while the
-    /// elements sit in the shards' unindexed delta runs.
-    pub(crate) fn note_ingest(&mut self, items: impl IntoIterator<Item = T>) {
-        self.delta_vals.extend(items);
-        self.delta_vals.sort_unstable();
+    /// elements sit in the shards' unindexed delta runs. Only the new keys
+    /// are sorted; they are merged into the sorted mirror from the back, in
+    /// place, so the mirror's cost per ingest is linear in its length.
+    pub(crate) fn note_ingest(&mut self, mut items: Vec<T>) {
+        items.sort_unstable();
+        let vals = &mut self.delta_vals;
+        let (mut i, mut j) = (vals.len(), items.len());
+        vals.extend_from_slice(&items);
+        // The larger of the two runs' last unplaced values fills the last
+        // open slot; once the mirror's run is spent the rest of the new run
+        // is already in order at the front.
+        while i > 0 && j > 0 {
+            let (old, new) = (vals[i - 1], items[j - 1]);
+            let take_old = old > new;
+            vals[i + j - 1] = std::hint::select_unpredictable(take_old, old, new);
+            i -= usize::from(take_old);
+            j -= usize::from(!take_old);
+        }
+        vals[..j].copy_from_slice(&items[..j]);
         self.delta_total = self.delta_vals.len() as u64;
         self.reclassify_delta();
     }
 
     /// Drops every occurrence of the (sorted, deduplicated) deleted values
     /// from the delta mirror — the twin of the shards' delta-run
-    /// compaction. Call after [`apply_removals`](Self::apply_removals);
-    /// the mirror must land on the same population the shards reported.
+    /// compaction — in one forward merge of the two sorted sequences. Call
+    /// after [`apply_removals`](Self::apply_removals); the mirror must land
+    /// on the same population the shards reported.
     pub(crate) fn note_delete(&mut self, sorted: &[T]) {
-        self.delta_vals.retain(|x| sorted.binary_search(x).is_err());
+        let mut next = 0usize;
+        self.delta_vals.retain(|x| {
+            while sorted.get(next).is_some_and(|d| d < x) {
+                next += 1;
+            }
+            sorted.get(next) != Some(x)
+        });
         self.reclassify_delta();
         debug_assert_eq!(
             self.delta_total,
@@ -953,7 +975,7 @@ mod tests {
             let mut g = idx(&counts, &vec![0; counts.len()]);
             g.bounds = bounds;
             g.minmax = minmax;
-            g.note_ingest((0..rng.next_u64() % 12).map(|_| rng.next_u64() % DOMAIN));
+            g.note_ingest((0..rng.next_u64() % 12).map(|_| rng.next_u64() % DOMAIN).collect());
             for v in 0..=DOMAIN {
                 for inclusive in [false, true] {
                     assert_eq!(
@@ -1053,6 +1075,70 @@ mod tests {
         g.note_delete(&[10, 20]);
         assert_eq!(g.delta_vals, vec![5, 11, 25]);
         assert_eq!(g.delta_offsets, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn merged_mirror_matches_sort_and_search() {
+        // The merged ingest and the merge-retain delete against the mirror
+        // they replace: `extend` + `sort_unstable`, and a `retain` with one
+        // binary search per mirrored value. Buckets: <10 | [10, 20] | >20.
+        let bounds = vec![SepBound::lt(10u64), SepBound::le(20)];
+        let check = |mirror: &[u64], ingest: &[u64], delete: &[u64]| {
+            let mut delete = delete.to_vec();
+            delete.sort_unstable();
+            delete.dedup();
+            let mut g = idx(&[0, 0, 0], &[5, 15, 25]);
+            g.bounds = bounds.clone();
+            g.delta_vals = mirror.to_vec();
+            g.delta_vals.sort_unstable();
+            g.delta_total = mirror.len() as u64;
+            g.reclassify_delta();
+            let mut want = g.clone();
+            g.note_ingest(ingest.to_vec());
+            want.delta_vals.extend_from_slice(ingest);
+            want.delta_vals.sort_unstable();
+            want.delta_total = want.delta_vals.len() as u64;
+            want.reclassify_delta();
+            let ctx = format!("mirror {mirror:?} + {ingest:?} - {delete:?}");
+            assert_eq!(
+                (&g.delta_vals, &g.delta_offsets, g.delta_total),
+                (&want.delta_vals, &want.delta_offsets, want.delta_total),
+                "ingest: {ctx}"
+            );
+            want.delta_vals.retain(|x| delete.binary_search(x).is_err());
+            want.delta_total = want.delta_vals.len() as u64;
+            want.reclassify_delta();
+            g.delta_total = want.delta_total; // what `apply_removals` leaves
+            g.note_delete(&delete);
+            assert_eq!(
+                (&g.delta_vals, &g.delta_offsets, g.delta_total),
+                (&want.delta_vals, &want.delta_offsets, want.delta_total),
+                "delete: {ctx}"
+            );
+        };
+        let mid: &[u64] = &[10, 12, 12, 15, 20, 20];
+        // Duplicates on both sides and across them.
+        check(mid, &[12, 12, 3, 20, 25, 25], &[12, 20]);
+        // Empty sides.
+        check(&[], &[], &[]);
+        check(&[], &[7, 3, 3, 30], &[3]);
+        check(mid, &[], &[10, 11, 99]);
+        check(mid, &[4, 1], &[]);
+        // New keys all below, or all above, the mirror.
+        check(mid, &[9, 0, 5, 9], &[0, 9, 15]);
+        check(mid, &[40, 21, 33, 21], &[20, 21, 40]);
+        // Deleting everything, and values the mirror never held.
+        check(mid, &[10, 30], &[10, 12, 15, 20, 30]);
+        check(mid, &[1, 2], &[0, 3, 11, 13, 19, 21]);
+        // Random rounds over a small domain, so duplicates abound.
+        let mut rng = cgselect_seqsel::KernelRng::new(5);
+        for _ in 0..200 {
+            let mut draw = |max: u64| -> Vec<u64> {
+                (0..rng.next_u64() % max).map(|_| rng.next_u64() % 30).collect()
+            };
+            let (mirror, ingest, delete) = (draw(40), draw(20), draw(8));
+            check(&mirror, &ingest, &delete);
+        }
     }
 
     #[test]

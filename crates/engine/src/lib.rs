@@ -674,13 +674,15 @@ impl<T: Key> Engine<T> {
 
     /// Deletes **all** resident occurrences of the given values, returning
     /// how many elements were removed. The bucket index and its histogram
-    /// are maintained in place. Each shard's ε-sketch notes exactly the
-    /// elements it lost on its removed side — a shard re-sketches its
-    /// resident data only when those removals have come to outweigh a
-    /// quarter of it — and the host-global sketch is re-merged from the
-    /// shards' exports, so a tolerant read right after a delete is still
-    /// served from the sketch, under the (slightly wider) bound the signed
-    /// sketch reports. The watermark is checked afterwards.
+    /// are maintained in place: each shard compacts its runs against the
+    /// sorted delete list ([`cgselect_seqsel::retain_absent`]), and the
+    /// host's delta mirror drops the same values in one merge. Each shard's
+    /// ε-sketch notes exactly the elements it lost on its removed side — a
+    /// shard re-sketches its resident data only when those removals have
+    /// come to outweigh a quarter of it — and the host-global sketch is
+    /// re-merged from the shards' exports, so a tolerant read right after a
+    /// delete is still served from the sketch, under the (slightly wider)
+    /// bound the signed sketch reports. The watermark is checked afterwards.
     pub fn delete(&mut self, values: &[T]) -> Result<MutationReport, EngineError> {
         if values.is_empty() || self.total == 0 {
             return Ok(MutationReport { elements: 0, rebalanced: false });
@@ -688,8 +690,9 @@ impl<T: Key> Engine<T> {
         let mut sorted = values.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        // One compacting pass per shard; every comparison of the
-        // per-element binary search and every element move is counted,
+        // One compacting pass per shard, searching each resident element
+        // among the values its bucket can hold; the comparisons a binary
+        // search per element makes and every element move are charged,
         // matching how the selection kernels charge their measured work.
         let results = self.backend.delete(sorted.clone())?;
         let before = self.total;

@@ -25,6 +25,11 @@
 //! surviving [`Zone`] ([`keep_zone`], or [`copy_zone`] out of the caller's
 //! borrowed input).
 //!
+//! A delete's compaction keeps the elements of a run that a sorted delete
+//! list does not hold ([`retain_absent`]), searching several elements in
+//! lockstep so their binary searches' loads overlap; its scalar twin
+//! [`retain_absent_reference`] is the oracle, as above.
+//!
 //! This crate is dependency-free (apart from dev-dependencies) and usable on
 //! its own as a plain sequential selection library.
 //!
@@ -45,6 +50,7 @@ mod median_of_medians;
 mod ops;
 mod partition;
 mod quickselect;
+mod retain;
 mod rng;
 mod splitters;
 mod weighted_median;
@@ -60,6 +66,7 @@ pub use median_of_medians::median_of_medians_select;
 pub use ops::OpCount;
 pub use partition::{insertion_sort, partition3};
 pub use quickselect::quickselect;
+pub use retain::{retain_absent, retain_absent_reference};
 pub use rng::KernelRng;
 pub use splitters::{
     bucket_of, bucket_search_cmps, partition_by_bounds, partition_by_bounds_reference, SepBound,

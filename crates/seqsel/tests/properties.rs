@@ -4,8 +4,8 @@
 
 use cgselect_seqsel::{
     copy_zone, count_zones, floyd_rivest_select, keep_zone, median_of_medians_select, partition3,
-    partition_bound_kernel, quickselect, weighted_median, Buckets, KernelRng, LocalKernel, OpCount,
-    SepBound, Zone,
+    partition_bound_kernel, quickselect, retain_absent, retain_absent_reference, weighted_median,
+    Buckets, KernelRng, LocalKernel, OpCount, SepBound, Zone,
 };
 use proptest::prelude::*;
 
@@ -198,5 +198,32 @@ proptest! {
             copy_zone(&v, lo, hi, zone, counts, &mut copied, &mut ops);
             prop_assert_eq!(&copied, &want);
         }
+    }
+
+    #[test]
+    fn retain_absent_matches_its_reference(
+        v in prop::collection::vec(-40i64..40, 0..300),
+        w in prop::collection::vec(-45i64..45, 0..60),
+        gap in 0usize..20,
+    ) {
+        let mut wanted = w;
+        wanted.sort_unstable();
+        wanted.dedup();
+        let gap = gap.min(v.len());
+        let (mut a, mut b) = (v.clone(), v.clone());
+        let (mut gone_a, mut gone_b) = (Vec::new(), Vec::new());
+        let (mut ops_a, mut ops_b) = (OpCount::new(), OpCount::new());
+        let run = gap..v.len();
+        let wa = retain_absent_reference(
+            &mut a, 0, run.clone(), &wanted, |x| gone_a.push(x), &mut ops_a,
+        );
+        let wb = retain_absent(&mut b, 0, run, &wanted, |x| gone_b.push(x), &mut ops_b);
+        prop_assert_eq!(wa, wb);
+        prop_assert_eq!(&a[..wa], &b[..wb]);
+        prop_assert_eq!(&gone_a, &gone_b);
+        prop_assert_eq!(ops_a, ops_b);
+        let kept: Vec<i64> =
+            v[gap..].iter().copied().filter(|x| wanted.binary_search(x).is_err()).collect();
+        prop_assert_eq!(&b[..wb], &kept[..]);
     }
 }

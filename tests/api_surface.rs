@@ -232,11 +232,12 @@ fn no_process_global_switch_beyond_the_allow_list() {
 
 /// The scalar loops `seqsel` keeps as differential-test oracles and as the
 /// `wallclock` bench's baseline. Library code runs their kernels instead.
-const SCALAR_REFERENCES: [&str; 4] = [
+const SCALAR_REFERENCES: [&str; 5] = [
     "partition3",
     "partition_bound_reference",
     "partition_by_bounds_reference",
     "count_below_reference",
+    "retain_absent_reference",
 ];
 
 #[test]
